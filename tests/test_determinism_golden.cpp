@@ -329,6 +329,25 @@ std::string canonical_sweep() {
         FleetConfig::homogeneous(base, 2, BalancerPolicy::kRoundRobin);
     serialize(out, "fleet-explicit-rr", FleetSim(cfg).run());
   }
+  {
+    // Closed-loop clients: each re-submits on its request's completion, so
+    // the order completions wake clients feeds back into the arrival
+    // sequence — pinned on one replica and across a JSQ fleet, under
+    // chunked prefill with paged recompute preemption.
+    ServingConfig base = golden_base();
+    base.traffic.process = ArrivalProcess::kClosedLoop;
+    base.traffic.clients = 6;
+    base.traffic.think_time_s = 0.001;
+    base.scheduler.policy = BatchPolicy::kChunkedMixed;
+    base.scheduler.max_tokens_per_iter = 16;
+    base.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
+    base.kv_block_tokens = 4;
+    base.kv_budget_bytes_per_node = token_budget(base, 288);
+    serialize(out, "single-closed-loop-paged", ServingSim(base).run());
+    const FleetConfig cfg = FleetConfig::homogeneous(
+        base, 3, BalancerPolicy::kJoinShortestQueue);
+    serialize(out, "fleet-closed-loop-jsq-3", FleetSim(cfg).run());
+  }
   return out;
 }
 
