@@ -9,6 +9,7 @@
 #include "net/fabric.hpp"
 #include "serve/observe.hpp"
 #include "serve/replica.hpp"
+#include "serve/traffic.hpp"
 #include "util/stats.hpp"
 
 namespace looplynx::serve {
@@ -383,8 +384,8 @@ struct FleetRun {
         traffic(cfg_.traffic, cfg_.replicas.front().arch.frequency_hz),
         balancer(cfg_.balancer) {
     shared.target = cfg_.traffic.num_requests;
-    // The window hook stays null on static runs: request_proc then never
-    // touches it and the event sequence is byte-identical to PR 4.
+    // The window hook stays null on static runs: the scheduler then never
+    // pushes TTFT samples (they would have no reader).
     if (cfg_.autoscale.enabled) shared.ttft_window = &ttft_window;
     replicas.reserve(cfg_.replicas.size());
     for (std::size_t i = 0; i < cfg_.replicas.size(); ++i) {
@@ -456,8 +457,7 @@ struct FleetRun {
   std::vector<LoadBalancer::ReplicaLoad> loads;
 
   /// One routing decision: snapshot every replica's load, ask the
-  /// balancer. Pure bookkeeping — no engine events, so a 1-replica fleet
-  /// replays ServingSim's exact event sequence. Replicas outside their
+  /// balancer. Pure bookkeeping — no engine events. Replicas outside their
   /// tier's live prefix are masked: a draining replica keeps its admitted
   /// work but receives nothing new. On a disaggregated fleet decode-role
   /// replicas are masked too — they receive work only by KV migration,
@@ -490,6 +490,35 @@ struct FleetRun {
     return true;
   }
 };
+
+/// Open-loop injector: replays the pre-generated arrival schedule,
+/// routing each arrival the moment it lands.
+sim::Task arrivals_proc(FleetRun& run) {
+  const std::vector<Arrival> schedule = run.traffic.open_loop_schedule();
+  for (const Arrival& a : schedule) {
+    if (a.at > run.engine.now()) {
+      co_await run.engine.delay(a.at - run.engine.now());
+    }
+    detail::Replica& rep = run.route();
+    Request& r = rep.make_request(a.shape);
+    run.engine.schedule_call(0, &detail::enqueue_request_event, &rep, &r);
+  }
+}
+
+/// Closed-loop client: submit (routed fresh each iteration, so a client's
+/// requests follow the balancer), await completion, think, repeat. The
+/// global request budget is shared across clients through FleetShared.
+sim::Task client_proc(FleetRun& run) {
+  while (!run.shared.arrivals_done()) {
+    detail::Replica& rep = run.route();
+    Request& r = rep.make_request(run.traffic.next_shape());
+    run.engine.schedule_call(0, &detail::enqueue_request_event, &rep, &r);
+    co_await r.done.wait();
+    if (run.shared.arrivals_done()) break;
+    co_await run.engine.delay(
+        run.traffic.exponential_cycles(run.cfg.traffic.think_time_s));
+  }
+}
 
 /// The autoscaling control loop: one evaluation every eval_interval_ms on
 /// the shared fleet clock, one Autoscaler state machine per tier, all
@@ -670,11 +699,6 @@ FleetResult FleetSim::run(Observer* observer) const {
   }
   FleetRun run(config_, costs_);
   run.shared.observer = observer;
-  run.shared.scheduler_drives =
-      observer == nullptr && !config_.autoscale.enabled &&
-      !config_.disaggregated() &&
-      config_.traffic.process != ArrivalProcess::kClosedLoop;
-  const auto route = [&run]() -> detail::Replica& { return run.route(); };
   // Control plane first: at a shared instant the scale decision lands
   // before that cycle's routing (either order is deterministic; this one
   // is fixed so the scale-event log is reproducible byte for byte).
@@ -688,13 +712,10 @@ FleetResult FleetSim::run(Observer* observer) const {
     const std::uint32_t clients =
         std::max<std::uint32_t>(1, config_.traffic.clients);
     for (std::uint32_t c = 0; c < clients; ++c) {
-      run.engine.spawn(detail::client_proc(run.engine, run.shared,
-                                           run.traffic,
-                                           config_.traffic.think_time_s,
-                                           route));
+      run.engine.spawn(client_proc(run));
     }
   } else {
-    run.engine.spawn(detail::arrivals_proc(run.engine, run.traffic, route));
+    run.engine.spawn(arrivals_proc(run));
   }
   run.engine.run();
 

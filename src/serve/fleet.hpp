@@ -8,7 +8,7 @@
 // TrafficGen stream to a replica the moment it lands. Replicas never share
 // KV or pipeline state — in a symmetric fleet a request lives and dies on
 // the replica it was routed to, so each replica's scheduling, paging and
-// preemption behavior is exactly ServingSim's. Disaggregated fleets
+// preemption behavior is exactly a lone replica's. Disaggregated fleets
 // (FleetConfig::roles) relax exactly one thing: a finished prompt's KV can
 // move, whole, from a prefill replica to a decode replica over a timed
 // net::RingFabric (and an idle replica can steal queued work the same
@@ -20,10 +20,8 @@
 //    resolves same-cycle events in scheduling order, and every balancer
 //    tie-break is by lowest replica index — byte-identical sweeps, same as
 //    the single-replica engine.
-//  - A 1-replica fleet is bit-identical to ServingSim on the same
-//    ServingConfig (pinned in tests/test_fleet.cpp): both harnesses run
-//    the same replica machinery (serve/replica.hpp) and a balancer over
-//    one replica makes no extra engine events.
+//  - ServingSim IS a 1-replica fleet: it runs FleetSim on
+//    FleetConfig::homogeneous(config, 1), so the two cannot drift.
 //  - All replicas must share one clock frequency (arch.frequency_hz): the
 //    engine has a single cycle-granular clock. Heterogeneity means node
 //    counts, KV budgets and scheduler knobs — not clock domains.
@@ -275,7 +273,7 @@ class FleetSim {
   /// Reuses an existing cost model for every replica — sweep harnesses
   /// over homogeneous fleets should share one across points. All replicas
   /// must then really be priced by it (same arch + model), which this
-  /// constructor trusts the caller on, like ServingSim's equivalent.
+  /// constructor trusts the caller on.
   FleetSim(const FleetConfig& config, const core::StepCostModel& costs);
 
   const FleetConfig& config() const { return config_; }

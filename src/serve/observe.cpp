@@ -1,5 +1,6 @@
 #include "serve/observe.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -145,6 +146,10 @@ void Observer::finalize(sim::Cycles makespan) {
           " (the breakdown must partition the timeline exactly)");
     }
   }
+  std::stable_sort(events_.begin(), events_.end(),
+                   [](const ObservedEvent& a, const ObservedEvent& b) {
+                     return a.at < b.at;
+                   });
   makespan_ = makespan;
   finalized_ = true;
 }

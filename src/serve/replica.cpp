@@ -8,18 +8,35 @@
 // Arena release protocol. A Request occupies a recycled SlotMap slot, so
 // every retirement path must erase exactly once, and only after nobody
 // holds a pointer that will be dereferenced again:
-//  - Reject paths (queue-full at arrival; pop-reject): the request's own
-//    root process releases the slot right after done.set() — signals
+//  - Reject paths (queue-full at arrival; pop-reject at admission):
+//    reject_request releases the slot right after done.set() — signals
 //    *schedule* waiters through the engine queue (never resume them
 //    synchronously), so destroying the request there is safe, and no list
 //    or batch ever held it.
-//  - Finished batch members: released by scheduler_proc in the post-latch
-//    requeue walk, NOT by request_proc. The scheduler still holds stale
-//    Request* in its batch vector when a member finishes, and an arrival
-//    landing on the same cycle could recycle the slot before the scheduler
-//    resumes — so the scheduler, the last holder, erases.
+//  - Finished batch members: completed at batch egress, but released only
+//    in scheduler_proc's requeue walk — the batch vector still holds the
+//    pointer until that walk has read it.
 
 namespace looplynx::serve::detail {
+
+namespace {
+
+/// Sheds `r` for good: records the drop (`reason` 0 = queue full at
+/// arrival, 1 = oversized for the KV budget), wakes a closed-loop client
+/// waiting on it and recycles its slot. No list or batch holds `r`.
+void reject_request(Replica& f, Request& r, std::uint32_t reason) {
+  r.state = RequestState::kRejected;
+  ++f.rejected;
+  if (f.shared.observer != nullptr) {
+    f.shared.observer->record(LifecycleEvent::kReject, f.engine.now(), r.id,
+                              f.id, reason);
+  }
+  f.retire(r);
+  r.done.set();
+  r.owner->pool.erase(r.self);
+}
+
+}  // namespace
 
 Request& Replica::make_request(workload::Scenario shape) {
   if (shape.total() > cfg.model.max_seq_len) {
@@ -92,148 +109,18 @@ void Replica::record_completion(Request& r) {
 }
 
 void enqueue_request_event(void* replica, void* request) {
-  // Mirrors the scheduler-driven prefix of request_proc below, minus the
-  // observer branches (scheduler_drives implies no observer) and the
-  // coroutine frame.
   Replica& f = *static_cast<Replica*>(replica);
   Request& r = *static_cast<Request*>(request);
   r.arrival = f.engine.now();
+  if (f.shared.observer != nullptr) {
+    f.shared.observer->record(LifecycleEvent::kArrive, r.arrival, r.id, f.id,
+                              r.shape.prefill, r.shape.decode);
+  }
   if (!f.queue.push(&r)) {
-    r.state = RequestState::kRejected;
-    ++f.rejected;
-    f.retire(r);
-    r.done.set();
-    f.pool.erase(r.self);  // never entered a list; nobody else holds it
+    reject_request(f, r, /*reason=*/0);
     return;
   }
   f.work.set();
-}
-
-sim::Task request_proc(Replica& f, Request& r) {
-  Observer* const obs = f.shared.observer;
-  r.arrival = f.engine.now();
-  if (obs != nullptr) {
-    obs->record(LifecycleEvent::kArrive, r.arrival, r.id, f.id,
-                r.shape.prefill, r.shape.decode);
-  }
-  if (!f.queue.push(&r)) {
-    r.state = RequestState::kRejected;
-    ++f.rejected;
-    if (obs != nullptr) {
-      obs->record(LifecycleEvent::kReject, f.engine.now(), r.id, f.id, 0);
-    }
-    f.retire(r);
-    r.done.set();
-    f.pool.erase(r.self);  // never entered a list; nobody else holds it
-    co_return;
-  }
-  f.work.set();
-  if (f.shared.scheduler_drives) {
-    // Scheduler-driven stepping: the scheduler advances this request
-    // through every iteration itself (same bookkeeping, same order, same
-    // timestamps — see FleetShared::scheduler_drives), so the root process
-    // is done the moment the request is enqueued. The scheduler also owns
-    // the retirement paths: pop-rejects and completions both record, set
-    // `done` and recycle the slot from scheduler_proc.
-    co_return;
-  }
-  while (true) {
-    co_await r.grant.wait();
-    r.grant.reset();
-    // A hand-off (KV migration, work steal) re-homes the request between
-    // grants, so every grant's bookkeeping reads the replica serving it
-    // NOW. Symmetric fleets never re-home: h is f for the request's whole
-    // life and this block is byte-for-byte the legacy body.
-    Replica& h = *r.home;
-    if (r.state == RequestState::kRejected) {
-      // Popped by the scheduler but impossible to admit (footprint larger
-      // than the whole KV budget).
-      ++h.rejected;
-      if (obs != nullptr) {
-        obs->record(LifecycleEvent::kReject, h.engine.now(), r.id, h.id, 1);
-      }
-      h.retire(r);
-      r.done.set();
-      r.owner->pool.erase(r.self);  // popped off the queue; no list holds it
-      co_return;
-    }
-    // Wait for this request's turn through the time-shared pipeline, then
-    // occupy it for the step.
-    co_await h.engine.delay(r.step_offset + r.step_cycles);
-    if (r.step_tokens > 0) {
-      // Prefill chunk: advance the cursor. A partial chunk leaves the
-      // request in the prefill class; the final chunk emits token #1.
-      if (obs != nullptr && r.recovering && r.prompt_done == 0) {
-        obs->record(LifecycleEvent::kRecomputeStart, h.engine.now(), r.id,
-                    h.id, r.prefill_target());
-      }
-      r.prompt_done += r.step_tokens;
-      ++r.prefill_chunks;
-      h.total_tokens += r.step_tokens;
-      if (h.cache) {
-        // Publish every newly completed full prompt block: ownership moves
-        // from the private list to the cache (no pool effect), so later
-        // requests with the same prefix admit straight onto it. Recovery
-        // re-prefills publish too — the dedup path re-shares the blocks
-        // the preemption walked away from.
-        h.cache->commit(r.shape, r.id, r.prompt_done, r.shape.prefill, r.kv,
-                        r.cache);
-      }
-      if (obs != nullptr) {
-        obs->record(r.prefill_chunks == 1 ? LifecycleEvent::kFirstChunk
-                                          : LifecycleEvent::kChunk,
-                    h.engine.now(), r.id, h.id, r.step_tokens, r.prompt_done);
-      }
-      if (r.recovering && r.prefilled()) {
-        // Post-preemption recompute done: the dropped KV is rebuilt and
-        // admission of new competitors may resume.
-        r.recovering = false;
-        --h.recovering;
-        if (obs != nullptr) {
-          obs->record(LifecycleEvent::kRecomputeEnd, h.engine.now(), r.id,
-                      h.id, r.prompt_done);
-        }
-      }
-    } else {
-      ++r.decoded;
-    }
-    // The token reaches the host only at batch egress + PCIe sync.
-    co_await h.engine.delay(r.post_step_cycles);
-    // A decode step always emits a token. A final prefill chunk emits
-    // token #1 — unless this was a post-preemption re-prefill of tokens
-    // the host has already seen (emitted_token), which only rebuilds KV.
-    if (r.step_tokens == 0 || (r.prefilled() && !r.emitted_token)) {
-      const sim::Cycles now = h.engine.now();
-      if (obs != nullptr) {
-        obs->record(r.decoded == 0 ? LifecycleEvent::kFirstToken
-                                   : LifecycleEvent::kDecode,
-                    now, r.id, h.id, r.decoded);
-      }
-      if (r.decoded == 0) {
-        r.first_token = now;
-        if (h.shared.ttft_window != nullptr) {
-          // Autoscaler SLO signal, fed at emission (not completion) so the
-          // control loop sees the tail as it forms. Pure bookkeeping — no
-          // engine events, so attaching a window cannot change timing.
-          h.shared.ttft_window->push(h.ms(now), h.ms(now - r.arrival));
-        }
-      }
-      if (r.emitted_token) {
-        const sim::Cycles gap = now - r.last_token;
-        r.max_token_gap = std::max(r.max_token_gap, gap);
-        h.gap_cycles.push_back(gap);
-      }
-      r.emitted_token = true;
-      r.last_token = now;
-    }
-    const bool finished = r.finished();
-    r.latch->count_down();  // batch barrier: everyone reaches egress together
-    if (finished) break;
-  }
-  Replica& h = *r.home;  // where the request actually finished
-  h.record_completion(r);
-  h.work.set();  // freed KV slots may unblock the queue head
-  r.done.set();
 }
 
 namespace {
@@ -278,22 +165,7 @@ void admit_from_queue(Replica& f) {
     Request* r = f.queue.front();
     if (!f.kv.can_ever_fit(r->shape.total())) {
       f.queue.pop();
-      r->state = RequestState::kRejected;
-      if (f.shared.scheduler_drives) {
-        // The root process already returned; the drop is recorded here and
-        // the slot recycled directly (popped off the queue, no list holds
-        // it, and `done` has no waiters under open-loop traffic).
-        ++f.rejected;
-        if (f.shared.observer != nullptr) {
-          f.shared.observer->record(LifecycleEvent::kReject, f.engine.now(),
-                                    r->id, f.id, 1);
-        }
-        f.retire(*r);
-        r->done.set();
-        f.pool.erase(r->self);
-      } else {
-        r->grant.set();  // resumes the root process, which records the drop
-      }
+      reject_request(f, *r, /*reason=*/1);
       continue;
     }
     const std::uint32_t admit_tokens =
@@ -548,8 +420,8 @@ Replica* pick_migration_target(Replica& f, const Request& r) {
 /// resets the binding, so the decode side starts clean), the private
 /// blocks go back to the pool — the fabric ships a byte-for-byte copy, not
 /// block identities — and the admitted-set counters drop until the decode
-/// replica re-admits it at delivery. `r`'s root process is parked on its
-/// grant signal throughout; the next grant comes from `dst`'s scheduler.
+/// replica re-admits it at delivery; from then on `dst`'s scheduler steps
+/// it.
 void begin_migration(Replica& f, Request& r, Replica& dst) {
   const std::uint32_t blocks = f.kv.blocks_for(r.kv_len());
   if (f.cache) f.cache->release(r.cache);
@@ -898,82 +770,104 @@ sim::Task scheduler_proc(Replica& f) {
       ++f.decode_stall_iterations;
       f.decode_stall_cycles += prefill_span;
     }
-    // Tokens become host-visible at batch egress + one PCIe sync; members
-    // wait out the tail of the batch so the latch fires at that instant.
+    // Tokens become host-visible at batch egress + one PCIe sync.
     const sim::Cycles egress = offset + f.costs.host_sync_cycles();
     if (obs != nullptr && egress > offset) {
       obs->add_span(f.id, category::kHostSync, rec.start + offset,
                     rec.start + egress);
     }
-    if (f.shared.scheduler_drives) {
-      // One engine event for the whole iteration: the per-member grant
-      // wake and the two delays each member-step would pay collapse into a
-      // single sleep to egress. The bookkeeping both halves perform is the
-      // member-driven path's, verbatim and in the same order — batch order
-      // here equals pipeline-slot time order there (prefill offsets are
-      // cumulative, decode members share one slot and the engine breaks
-      // ties FIFO), and the prefix cache's LRU runs on insertion ticks, so
-      // committing at grant time instead of chunk-egress time is
-      // indistinguishable.
-      for (const ScheduledStep& s : f.batch) {
-        Request* r = s.request;
-        if (r->step_tokens > 0) {
-          r->prompt_done += r->step_tokens;
-          ++r->prefill_chunks;
-          f.total_tokens += r->step_tokens;
-          if (f.cache) {
-            f.cache->commit(r->shape, r->id, r->prompt_done, r->shape.prefill,
-                            r->kv, r->cache);
-          }
-          if (r->recovering && r->prefilled()) {
-            r->recovering = false;
-            --f.recovering;
-          }
-        } else {
-          ++r->decoded;
+    // One engine event per iteration: every member's step is booked now,
+    // then the scheduler sleeps to egress. Batch order is pipeline-slot
+    // order (prefill offsets are cumulative, decode members share one
+    // slot), each step's records carry the instant its slot ends, and
+    // Observer::finalize time-sorts the log. The prefix cache orders its
+    // LRU by insertion tick, so committing before the slot ends is
+    // indistinguishable from committing at it.
+    for (const ScheduledStep& s : f.batch) {
+      Request* r = s.request;
+      if (r->step_tokens == 0) {
+        ++r->decoded;
+        continue;
+      }
+      // Prefill chunk: advance the cursor. A partial chunk leaves the
+      // request in the prefill class; the final chunk emits token #1.
+      const sim::Cycles at = rec.start + r->step_offset + r->step_cycles;
+      if (obs != nullptr && r->recovering && r->prompt_done == 0) {
+        obs->record(LifecycleEvent::kRecomputeStart, at, r->id, f.id,
+                    r->prefill_target());
+      }
+      r->prompt_done += r->step_tokens;
+      ++r->prefill_chunks;
+      f.total_tokens += r->step_tokens;
+      if (f.cache) {
+        // Publish every newly completed full prompt block: ownership moves
+        // from the private list to the cache (no pool effect), so later
+        // requests with the same prefix admit straight onto it. Recovery
+        // re-prefills publish too — the dedup path re-shares the blocks
+        // the preemption walked away from.
+        f.cache->commit(r->shape, r->id, r->prompt_done, r->shape.prefill,
+                        r->kv, r->cache);
+      }
+      if (obs != nullptr) {
+        obs->record(r->prefill_chunks == 1 ? LifecycleEvent::kFirstChunk
+                                           : LifecycleEvent::kChunk,
+                    at, r->id, f.id, r->step_tokens, r->prompt_done);
+      }
+      if (r->recovering && r->prefilled()) {
+        // Post-preemption recompute done: the dropped KV is rebuilt and
+        // admission of new competitors may resume.
+        r->recovering = false;
+        --f.recovering;
+        if (obs != nullptr) {
+          obs->record(LifecycleEvent::kRecomputeEnd, at, r->id, f.id,
+                      r->prompt_done);
         }
       }
-      co_await f.engine.delay(egress);
-      // Token emission at batch egress + PCIe sync, member by member in
-      // batch order — exactly the order the member processes resumed in.
-      const sim::Cycles now = f.engine.now();
-      for (const ScheduledStep& s : f.batch) {
-        Request* r = s.request;
-        if (r->step_tokens == 0 || (r->prefilled() && !r->emitted_token)) {
-          if (r->decoded == 0) r->first_token = now;
-          if (r->emitted_token) {
-            const sim::Cycles gap = now - r->last_token;
-            r->max_token_gap = std::max(r->max_token_gap, gap);
-            f.gap_cycles.push_back(gap);
-          }
-          r->emitted_token = true;
-          r->last_token = now;
-        }
-        if (r->finished()) {
-          f.record_completion(*r);
-          f.work.set();  // freed KV slots may unblock the queue head
-          r->done.set();
-        }
-      }
-    } else {
-      sim::CountdownLatch latch(f.engine, f.batch.size());
-      for (const ScheduledStep& s : f.batch) {
-        Request* r = s.request;
-        r->post_step_cycles = egress - (r->step_offset + r->step_cycles);
-        r->latch = &latch;
-        r->grant.set();
-      }
-      co_await latch.wait();
     }
-    rec.span = f.engine.now() - rec.start;
+    co_await f.engine.delay(egress);
+    // Token emission at egress, member by member in batch order. A decode
+    // step always emits a token. A final prefill chunk emits token #1 —
+    // unless this was a post-preemption re-prefill of tokens the host has
+    // already seen (emitted_token), which only rebuilds KV.
+    const sim::Cycles now = f.engine.now();
+    for (const ScheduledStep& s : f.batch) {
+      Request* r = s.request;
+      if (r->step_tokens == 0 || (r->prefilled() && !r->emitted_token)) {
+        if (obs != nullptr) {
+          obs->record(r->decoded == 0 ? LifecycleEvent::kFirstToken
+                                      : LifecycleEvent::kDecode,
+                      now, r->id, f.id, r->decoded);
+        }
+        if (r->decoded == 0) {
+          r->first_token = now;
+          if (f.shared.ttft_window != nullptr) {
+            // Autoscaler SLO signal, fed at emission (not completion) so
+            // the control loop sees the tail as it forms.
+            f.shared.ttft_window->push(f.ms(now), f.ms(now - r->arrival));
+          }
+        }
+        if (r->emitted_token) {
+          const sim::Cycles gap = now - r->last_token;
+          r->max_token_gap = std::max(r->max_token_gap, gap);
+          f.gap_cycles.push_back(gap);
+        }
+        r->emitted_token = true;
+        r->last_token = now;
+      }
+      if (r->finished()) {
+        f.record_completion(*r);
+        f.work.set();  // freed KV slots may unblock the queue head
+        r->done.set();
+      }
+    }
+    rec.span = now - rec.start;
     f.busy_cycles += rec.span;
     f.sched.record(rec);
 
     // Unfinished members rejoin the ready pool in batch order, keeping
-    // the FIFO discipline deterministic. Finished members already ran
-    // record_completion (their root process does it synchronously after
-    // the latch count-down), so the scheduler — the last pointer holder —
-    // recycles their slots here.
+    // the FIFO discipline deterministic. Finished members completed at
+    // egress above; the scheduler — the last pointer holder — recycles
+    // their slots here.
     for (const ScheduledStep& s : f.batch) {
       Request* r = s.request;
       if (r->state == RequestState::kRunning && !r->finished()) {

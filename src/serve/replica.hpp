@@ -1,19 +1,16 @@
-// One serving replica's engine room — the internal machinery shared by
-// ServingSim (a single replica on its own engine) and FleetSim (several
-// replicas on one shared engine behind a LoadBalancer).
+// One serving replica's engine room: the machinery FleetSim runs once per
+// replica on one shared engine behind a LoadBalancer (ServingSim is a
+// 1-replica FleetSim).
 //
 // A Replica owns everything one deployment needs per run: the admission
 // queue, the paged KvBlockManager, the iteration scheduler, the request
 // storage and every progress counter FleetMetrics reports. It does NOT own
-// the sim::Engine or the TrafficGen — those belong to the harness
-// (ServingSim::run / FleetSim::run), because a fleet shares one clock and
-// one arrival stream across all replicas.
+// the sim::Engine or the TrafficGen — those belong to FleetSim::run,
+// because a fleet shares one clock and one arrival stream across all
+// replicas.
 //
 // This header is internal to src/serve/: the public entry points are
-// serving_sim.hpp and fleet.hpp. The split exists so the two harnesses
-// cannot drift — the scheduling loop, admission control and preemption
-// logic are one implementation, and a single-replica FleetSim run is
-// bit-identical to a ServingSim run (pinned in tests/test_fleet.cpp).
+// serving_sim.hpp and fleet.hpp.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +27,6 @@
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/serving_sim.hpp"
-#include "serve/traffic.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -47,7 +43,7 @@ namespace looplynx::serve::detail {
 /// allocated from here so they are unique across the fleet and strictly
 /// increasing in injection order — the property the age-ordered preemption
 /// policy (oldest == lowest id) and the Host submit/flush record mapping
-/// both rely on. A single-replica run owns a private instance.
+/// both rely on.
 struct FleetShared {
   std::uint32_t target = 0;     // traffic.num_requests, the injection budget
   std::uint32_t injected = 0;   // requests created fleet-wide so far
@@ -72,20 +68,6 @@ struct FleetShared {
   /// metrics. Null (the default) means zero observability overhead and
   /// byte-identical output to an unobserved build.
   Observer* observer = nullptr;
-  /// When set (the bench-critical open-loop unobserved configuration), the
-  /// scheduler advances every batch member itself — one engine event per
-  /// iteration instead of three per member-step (grant wake + two delays).
-  /// Each request's root process exits right after enqueueing, and the
-  /// scheduler performs the per-step bookkeeping inline with computed
-  /// timestamps. Byte-identical to the member-driven path: all bookkeeping
-  /// runs in the same order (batch order == pipeline-slot time order) with
-  /// the same timestamps, and the prefix cache orders its LRU by insertion
-  /// tick, not wall time. Harnesses must leave this false when an observer
-  /// is attached (records interleave with other events at intermediate
-  /// times), when the autoscaler's TTFT window is live (samples are pushed
-  /// at emission instants), or under closed-loop traffic (clients re-submit
-  /// on the done signal, so completion-wake order feeds back into arrivals).
-  bool scheduler_drives = false;
 
   bool arrivals_done() const { return injected >= target; }
 };
@@ -125,10 +107,9 @@ struct FinishedRequest {
   sim::Cycles max_token_gap = 0;
 };
 
-/// Everything one replica owns for one run. Lives on the harness run()'s
-/// stack (or heap, for fleets); all coroutines hold references into it and
-/// either complete before it is destroyed or are destroyed un-resumed with
-/// the engine.
+/// Everything one replica owns for one run. Lives on FleetSim::run's heap;
+/// all coroutines hold references into it and either complete before it
+/// is destroyed or are destroyed un-resumed with the engine.
 struct Replica {
   Replica(sim::Engine& engine_, const ServingConfig& cfg_,
           const core::StepCostModel& costs_, FleetShared& shared_,
@@ -185,9 +166,10 @@ struct Replica {
   }
 
   /// Flat request arena: requests live in recycled slots with stable
-  /// addresses (coroutines hold Request& across suspension) and zero
-  /// steady-state allocation. Whoever retires a request erases its slot —
-  /// see the release protocol notes in replica.cpp.
+  /// addresses (lists, batches and closed-loop clients hold Request*
+  /// across engine events) and zero steady-state allocation. Whoever
+  /// retires a request erases its slot — see the release protocol notes
+  /// in replica.cpp.
   util::SlotMap<Request> pool;
   /// Admitted requests awaiting an iteration turn, FIFO by stamp and
   /// pre-split into the scheduler's selection classes (see ReadyQueue). A
@@ -296,8 +278,8 @@ struct Replica {
   double ms(sim::Cycles c) const { return cfg.arch.cycles_to_ms(c); }
 
   /// Creates a request routed to this replica in a recycled arena slot.
-  /// The id comes from the fleet-wide counter; the caller spawns
-  /// request_proc for it.
+  /// The id comes from the fleet-wide counter; the caller schedules
+  /// enqueue_request_event for it.
   Request& make_request(workload::Scenario shape);
 
   void record_completion(Request& r);
@@ -307,17 +289,13 @@ struct Replica {
   void retire(const Request& r);
 };
 
-/// Root process of one request on its replica. Parks on its grant signal;
-/// every grant is one scheduler iteration turn, executed at the request's
-/// pipeline slot within the iteration, with the iteration's CountdownLatch
-/// as batch barrier.
-sim::Task request_proc(Replica& f, Request& r);
-
-/// The replica's continuous-batching loop: admit, select a batch, let the
-/// members stream through the pipeline back to back, pay host sync once,
-/// repeat. Exits when the fleet-wide arrival stream is exhausted and this
-/// replica has drained. Livelock-freedom under kRecomputeYoungest holds
-/// per replica (eviction never crosses replicas — each owns its KV pool).
+/// The replica's continuous-batching loop: admit, select a batch, price
+/// the members' back-to-back pipeline slots, pay host sync once, repeat.
+/// It steps every admitted request itself — one engine event per
+/// iteration — and owns the completion and pop-reject paths. Exits when
+/// the fleet-wide arrival stream is exhausted and this replica has
+/// drained. Livelock-freedom under kRecomputeYoungest holds per replica
+/// (eviction never crosses replicas — each owns its KV pool).
 sim::Task scheduler_proc(Replica& f);
 
 /// KV migration transfer (disaggregated fleets): ships `blocks` Datapacks
@@ -335,11 +313,10 @@ sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
 /// kv-migrate ledger — the wire time on the shared fabric is the price.
 sim::Task steal_proc(Replica& thief, Replica& victim, Request& r);
 
-/// Engine callback (`Engine::schedule_call`) that performs the fast
-/// path's entire root-process body — stamp arrival, enqueue (or reject
-/// when the queue is full), signal work — without a coroutine frame.
-/// `replica`/`request` are the type-erased Replica* / Request*. Only
-/// valid when FleetShared::scheduler_drives is set.
+/// Engine callback (`Engine::schedule_call`) through which every arrival,
+/// open- or closed-loop, enters its replica: stamp and record the
+/// arrival, enqueue (or reject when the queue is full), signal work.
+/// `replica`/`request` are the type-erased Replica* / Request*.
 void enqueue_request_event(void* replica, void* request);
 
 /// Builds this replica's FleetMetrics after engine.run() returned. Moves
@@ -355,50 +332,5 @@ FleetMetrics finalize_metrics(Replica& f);
 /// for bit — at O(n) instead of a comparison sort over millions of doubles.
 util::PercentileSummary cycle_summary_ms(std::vector<sim::Cycles> cycles,
                                          const core::ArchConfig& arch);
-
-/// Open-loop injector shared by both harnesses: replays the pre-generated
-/// arrival schedule, asking `route()` (signature `Replica&()`) for the
-/// target replica the moment each arrival lands. ServingSim routes every
-/// arrival to its lone replica; FleetSim's route() is the LoadBalancer.
-/// One implementation so the two harnesses cannot drift — and routing
-/// must make no engine events, which is what keeps a 1-replica fleet
-/// bit-identical to ServingSim.
-template <typename RouteFn>
-sim::Task arrivals_proc(sim::Engine& engine, TrafficGen& traffic,
-                        RouteFn route) {
-  const std::vector<Arrival> schedule = traffic.open_loop_schedule();
-  for (const Arrival& a : schedule) {
-    if (a.at > engine.now()) co_await engine.delay(a.at - engine.now());
-    Replica& rep = route();
-    Request& r = rep.make_request(a.shape);
-    if (rep.shared.scheduler_drives) {
-      // The fast path's root process would only enqueue the request and
-      // exit (the scheduler drives every later step), so skip the
-      // coroutine frame entirely: a callback event in the exact queue
-      // position the spawned root's first resumption would occupy.
-      engine.schedule_call(0, &enqueue_request_event, &rep, &r);
-    } else {
-      engine.spawn(request_proc(rep, r));
-    }
-  }
-}
-
-/// Closed-loop client shared by both harnesses: submit (routed fresh each
-/// iteration, so a client's requests follow the balancer), await
-/// completion, think, repeat. The global request budget is shared across
-/// clients through FleetShared.
-template <typename RouteFn>
-sim::Task client_proc(sim::Engine& engine, FleetShared& shared,
-                      TrafficGen& traffic, double think_time_s,
-                      RouteFn route) {
-  while (!shared.arrivals_done()) {
-    Replica& rep = route();
-    Request& r = rep.make_request(traffic.next_shape());
-    engine.spawn(request_proc(rep, r));
-    co_await r.done.wait();
-    if (shared.arrivals_done()) break;
-    co_await engine.delay(traffic.exponential_cycles(think_time_s));
-  }
-}
 
 }  // namespace looplynx::serve::detail

@@ -1,19 +1,20 @@
 // Single-replica continuous-batching serving engine on the sim::Engine
 // event loop.
 //
-// ServingSim wires the serve-layer components together: a TrafficGen
-// injects requests (each request is its own root coroutine), a
-// RequestQueue holds them until the paged KvBlockManager has room (whole
-// footprint under PreemptPolicy::kNone, prompt blocks only under
-// kRecomputeYoungest — decode blocks then grow on demand, preempting the
-// youngest victim when the pool runs dry), and the Scheduler runs
-// iteration-level continuous batching over the admitted set. Batch
-// members occupy the time-shared pipeline back to back inside an
-// iteration — each priced by core::StepCostModel rather than
-// re-simulated — and a CountdownLatch forms the iteration's batch
-// barrier; the host PCIe sync is paid once per iteration. The scheduling
-// machinery itself lives in serve/replica.hpp, shared with the
-// multi-replica FleetSim (serve/fleet.hpp).
+// A TrafficGen injects requests, a RequestQueue holds them until the paged
+// KvBlockManager has room (whole footprint under PreemptPolicy::kNone,
+// prompt blocks only under kRecomputeYoungest — decode blocks then grow on
+// demand, preempting the youngest victim when the pool runs dry), and the
+// Scheduler runs iteration-level continuous batching over the admitted
+// set. Batch members occupy the time-shared pipeline back to back inside
+// an iteration — each priced by core::StepCostModel rather than
+// re-simulated — and the host PCIe sync is paid once per iteration; the
+// replica's scheduler loop steps every member itself, one engine event
+// per iteration (serve/replica.hpp).
+//
+// ServingSim is a 1-replica FleetSim (serve/fleet.hpp): it holds the
+// fleet built from FleetConfig::homogeneous(config, 1) — validated at
+// construction — and returns that run's only replica's metrics.
 //
 // Invariants:
 //  - Determinism: same ServingConfig (including traffic seed) =>
@@ -29,6 +30,8 @@
 // Architecture notes: DESIGN.md §4 (single replica), §5 (fleets).
 #pragma once
 
+#include <memory>
+
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "model/config.hpp"
@@ -39,6 +42,7 @@
 namespace looplynx::serve {
 
 class Observer;  // serve/observe.hpp
+class FleetSim;  // serve/fleet.hpp
 
 struct ServingConfig {
   core::ArchConfig arch = core::ArchConfig::two_node();
@@ -73,16 +77,14 @@ struct ServingConfig {
 class ServingSim {
  public:
   /// Builds the step-cost model internally (probes the timed system).
+  /// Throws std::invalid_argument on an invalid config.
   explicit ServingSim(const ServingConfig& config);
 
   /// Reuses an existing cost model — sweep harnesses that vary only the
   /// traffic or scheduler knobs should share one across points.
-  ServingSim(const ServingConfig& config, core::StepCostModel costs);
+  ServingSim(const ServingConfig& config, const core::StepCostModel& costs);
 
-  const ServingConfig& config() const { return config_; }
-  const core::StepCostModel& costs() const { return costs_; }
-
-  /// Simulates the whole fleet to completion and returns its metrics.
+  /// Simulates the replica to completion and returns its metrics.
   FleetMetrics run() const;
 
   /// Same run with an observer attached (serve/observe.hpp): the engine
@@ -95,8 +97,7 @@ class ServingSim {
   FleetMetrics run(Observer* observer) const;
 
  private:
-  ServingConfig config_;
-  core::StepCostModel costs_;
+  std::shared_ptr<const FleetSim> fleet_;
 };
 
 }  // namespace looplynx::serve

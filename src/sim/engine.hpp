@@ -54,9 +54,8 @@ class Engine {
   /// one-shot event. The callback occupies exactly the queue position the
   /// spawned root's first resumption would have (same clock, same
   /// tie-break sequence number), so swapping one for the other cannot
-  /// reorder any event. Used by the serve layer's scheduler-driven fast
-  /// path, where per-request root processes would otherwise be created
-  /// only to enqueue the request and exit.
+  /// reorder any event. The serve layer enqueues every arriving request
+  /// this way, without a per-request coroutine frame.
   void schedule_call(Cycles delay, void (*fn)(void*, void*), void* a,
                      void* b) {
     // The payload lives in a side table keyed by the event's sequence

@@ -160,8 +160,8 @@ class Barrier {
 /// co_awaits wait(). Single-use.
 ///
 /// The first waiter parks in an inline slot — the overwhelmingly common
-/// single-joiner case (one latch per scheduler iteration, the scheduler its
-/// only waiter) then never touches the heap. Extra waiters overflow into a
+/// single-joiner case (the parent process awaiting its forked children)
+/// then never touches the heap. Extra waiters overflow into a
 /// vector; release order stays arrival order either way.
 class CountdownLatch {
  public:
@@ -221,8 +221,9 @@ inline Task run_then_count_down(Task task, CountdownLatch& latch) {
 /// each waiter through the engine's event queue, so the object a waiter was
 /// parked on may be destroyed as soon as set() returns (the serve arena
 /// recycles request slots on exactly this guarantee). The first waiter
-/// parks inline — a request's grant/done signals have at most one waiter,
-/// so steady-state request recycling never touches the heap; extra waiters
+/// parks inline — a request's done signal has at most one waiter (its
+/// closed-loop client), so steady-state request recycling never touches
+/// the heap; extra waiters
 /// overflow into a vector, and release order stays arrival order.
 class Signal {
  public:

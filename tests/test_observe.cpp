@@ -108,9 +108,10 @@ FleetConfig autoscaled_config() {
 
 /// Asserts the tiling identity plus the event log's structural invariants
 /// on a finalized observer: timestamps are globally nondecreasing (the
-/// engine's event order), every request's lifecycle is well-ordered
-/// (arrive first; admit before any chunk; first-token before decode;
-/// finish/reject terminal), and replica indices are in range.
+/// log is time-sorted at finalize), every request's lifecycle is
+/// well-ordered (arrive first; cache lookups and steals before admission;
+/// admit before any chunk; first-token before decode and before its KV
+/// migrates; finish/reject terminal), and replica indices are in range.
 void check_observer_invariants(const Observer& obs) {
   ASSERT_TRUE(obs.finalized());
   // Tiling: per replica, the category totals sum to the makespan exactly.
@@ -158,6 +159,20 @@ void check_observer_invariants(const Observer& obs) {
       case LifecycleEvent::kReject:
         EXPECT_TRUE(r.arrived);
         r.terminal = true;
+        break;
+      case LifecycleEvent::kCacheHit:
+      case LifecycleEvent::kCacheMiss:
+        EXPECT_TRUE(r.arrived);  // looked up at admission, before kAdmit
+        break;
+      case LifecycleEvent::kSteal:
+        EXPECT_TRUE(r.arrived);  // only queued requests are stolen
+        EXPECT_FALSE(r.admitted);
+        break;
+      case LifecycleEvent::kKvMigrate:
+        // Shipped after the prompt's last chunk emitted token #1. (The
+        // re-admission at delivery keeps the first admission's stamp, so
+        // it sorts ahead of this event.)
+        EXPECT_TRUE(r.first_token);
         break;
       case LifecycleEvent::kFirstChunk:
       case LifecycleEvent::kChunk:
@@ -324,6 +339,28 @@ TEST(ObserveRunTest, AutoscaledRunRecordsScaleAndDrainEvents) {
   EXPECT_EQ(count_kind(obs, LifecycleEvent::kScaleDown), downs);
   // Every scale-down drains the deactivated replica.
   EXPECT_EQ(count_kind(obs, LifecycleEvent::kDrain), downs);
+}
+
+TEST(ObserveRunTest, DisaggregatedRunKeepsLogInvariants) {
+  ServingConfig base = base_config();
+  base.traffic.num_requests = 48;
+  FleetConfig cfg = FleetConfig::homogeneous(
+      base, 3, BalancerPolicy::kJoinShortestQueue);
+  cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
+               ReplicaRole::kDecode};
+  cfg.kv_link.bytes_per_cycle = 16.0;
+  Observer obs(3, base.arch.frequency_hz);
+  const FleetResult fr = FleetSim(cfg).run(&obs);
+  check_observer_invariants(obs);
+  ASSERT_GT(fr.fleet.kv_migrations, 0u);  // the split must move KV
+  EXPECT_EQ(count_kind(obs, LifecycleEvent::kKvMigrate),
+            fr.fleet.kv_migrations);
+  EXPECT_EQ(count_kind(obs, LifecycleEvent::kSteal), fr.fleet.work_steals);
+  // A migrated request is admitted twice: on its prefill replica, then
+  // again on the decode replica its KV landed on.
+  EXPECT_EQ(count_kind(obs, LifecycleEvent::kAdmit),
+            fr.fleet.completed + fr.fleet.kv_migrations);
+  EXPECT_EQ(count_kind(obs, LifecycleEvent::kFinish), fr.fleet.completed);
 }
 
 TEST(ObserveRunTest, RunRejectsMismatchedObserverWidth) {
