@@ -19,7 +19,7 @@ inline constexpr char kObserveExportSha256[] =
 /// content-addressed cache, eviction tiers included); pins the cache
 /// counters and every request's cached-prefix split (DESIGN.md §8).
 inline constexpr char kCacheSweepSha256[] =
-    "7a4e973f0aff16e7527525a95b1d088dc6da75186032d8cbe9ee05b60c863782";
+    "498fac134bc82c0884650258975af8757c177dc930a127a7a21ec2b1894fa32a";
 
 /// Canonical disaggregated prefill/decode sweep (role splits with KV
 /// migration and work stealing over the ring fabric, plus a per-tier

@@ -404,6 +404,41 @@ std::string canonical_cache_sweep() {
     const FleetResult r = FleetSim(cfg).run();
     serialize_cache(out, "cache-chat-fleet-jsq-2", r.fleet);
   }
+  // Heavy pressure: 16 conversations x 5 turns whose histories far outgrow
+  // a tight pool, so reclaim picks victims from a large cached set over and
+  // over — the victim order over a big cache is pinned here, not only by
+  // the benchmark's sim_digest.
+  const auto pressure_base = [&chat_base] {
+    ServingConfig cfg = chat_base();
+    ChatTrafficConfig chat;
+    chat.conversations = 16;
+    chat.turns = 5;
+    chat.system_prompt_tokens = 24;
+    chat.user_turn_tokens = 8;
+    chat.reply_tokens = 8;
+    cfg.traffic.scripted_shapes = chat_turn_shapes(chat);
+    cfg.traffic.num_requests =
+        static_cast<std::uint32_t>(cfg.traffic.scripted_shapes.size());
+    cfg.scheduler.preempt = PreemptPolicy::kRecomputeCostAware;
+    cfg.kv_budget_bytes_per_node = token_budget(cfg, 128);
+    return cfg;
+  };
+  {
+    // Swap tier on: every victim's rebuild outprices the DMA round-trip at
+    // this scale, so victims swap out and come back on a later turn's hit.
+    ServingConfig cfg = pressure_base();
+    cfg.kv_swap = true;
+    const FleetMetrics m = ServingSim(cfg).run();
+    EXPECT_GT(m.cache_swap_out_blocks, 0u);
+    EXPECT_GT(m.cache_swap_in_blocks, 0u);
+    serialize_cache(out, "cache-chat-pressure-swap", m);
+  }
+  {
+    // Swap tier off: every victim takes the discard/erase path.
+    const FleetMetrics m = ServingSim(pressure_base()).run();
+    EXPECT_GT(m.cache_evict_blocks, 0u);
+    serialize_cache(out, "cache-chat-pressure-discard", m);
+  }
   return out;
 }
 
