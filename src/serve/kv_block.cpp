@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -135,24 +134,47 @@ sim::Cycles PrefixCache::rebuild_cycles(std::uint32_t depth) const {
   return costs_.prefill_chunk_cycles(start, end - start);
 }
 
+void PrefixCache::sync_index(std::uint64_t hash, CachedBlock& b) {
+  const bool want = evictable(b);
+  if (want == b.indexed) return;
+  if (want) {
+    evictable_.emplace(evict_key(b), hash);
+  } else {
+    evictable_.erase(evict_key(b));
+  }
+  b.indexed = want;
+}
+
+void PrefixCache::adjust_parent(std::uint64_t parent, int delta) {
+  auto it = blocks_.find(parent);
+  if (it == blocks_.end()) return;
+  CachedBlock& p = it->second;
+  if (delta > 0) {
+    ++p.children;
+  } else if (p.children > 0) {
+    --p.children;
+  }
+  sync_index(parent, p);
+}
+
 void PrefixCache::take_ref(std::uint64_t hash, CacheBinding& binding) {
   CachedBlock& b = blocks_.at(hash);
   ++b.refcount;
+  sync_index(hash, b);
   binding.chain.push_back(hash);
   binding.owned_tokens += kv_.block_tokens();
   binding.tail_hash = hash;
 }
 
 bool PrefixCache::restore(std::uint64_t hash, CachedBlock& block) {
-  (void)hash;
   if (kv_.free_blocks() == 0) reclaim(1);
   KvBlockList one;
   if (!kv_.try_grow(one, kv_.block_tokens())) return false;
   block.resident = true;
+  sync_index(hash, block);
   // Back in residency: re-pin the parent (acquire restores root-first, so
   // the parent is already resident when its child comes back).
-  auto parent_it = blocks_.find(block.parent);
-  if (parent_it != blocks_.end()) ++parent_it->second.children;
+  adjust_parent(block.parent, +1);
   ++resident_blocks_;
   ++swap_in_blocks_;
   pending_swap_cycles_ += swap_transfer_cycles_;
@@ -243,8 +265,8 @@ void PrefixCache::commit(const workload::Scenario& scenario,
         KvBlockList one;
         if (kv_.try_grow(one, bt)) {
           it->second.resident = true;
-          auto parent_it = blocks_.find(it->second.parent);
-          if (parent_it != blocks_.end()) ++parent_it->second.children;
+          sync_index(h, it->second);
+          adjust_parent(it->second.parent, +1);
           ++resident_blocks_;
         }
       }
@@ -255,11 +277,10 @@ void PrefixCache::commit(const workload::Scenario& scenario,
       b.parent = binding.tail_hash;
       b.depth = start / bt;
       b.inserted = tick_++;
+      // Not indexed yet: take_ref below pins it before anything can
+      // reclaim.
       blocks_.emplace(h, b);
-      if (binding.tail_hash != kNoBlockHash) {
-        auto parent_it = blocks_.find(binding.tail_hash);
-        if (parent_it != blocks_.end()) ++parent_it->second.children;
-      }
+      adjust_parent(binding.tail_hash, +1);
       ++resident_blocks_;
       ++insert_blocks_;
     }
@@ -293,6 +314,7 @@ void PrefixCache::release(CacheBinding& binding) {
       throw std::logic_error("prefix cache released an unheld reference");
     }
     --it->second.refcount;
+    sync_index(h, it->second);
   }
   if (binding.partial_registered) {
     auto pit = partials_.find(binding.partial_parent);
@@ -309,23 +331,15 @@ void PrefixCache::release(CacheBinding& binding) {
 std::uint32_t PrefixCache::reclaim(std::uint32_t blocks) {
   const std::uint32_t bt = kv_.block_tokens();
   std::uint32_t freed = 0;
-  while (freed < blocks) {
-    // Cost-aware victim scan: cheapest-to-rebuild cached-idle leaf first
-    // (refcount 0, no cached children, resident), deterministically
-    // tie-broken by insertion order then hash.
-    auto victim = blocks_.end();
-    sim::Cycles victim_cost = std::numeric_limits<sim::Cycles>::max();
-    for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
-      const CachedBlock& b = it->second;
-      if (b.refcount != 0 || b.children != 0 || !b.resident) continue;
-      const sim::Cycles cost = rebuild_cycles(b.depth);
-      if (victim == blocks_.end() || cost < victim_cost ||
-          (cost == victim_cost && b.inserted < victim->second.inserted)) {
-        victim = it;
-        victim_cost = cost;
-      }
-    }
-    if (victim == blocks_.end()) break;
+  while (freed < blocks && !evictable_.empty()) {
+    // Cost-aware victim: the cheapest-to-rebuild cached-idle leaf, oldest
+    // first among equals — the front of the eviction index.
+    const auto front = evictable_.begin();
+    const sim::Cycles victim_cost = front->first.first;
+    const std::uint64_t hash = front->second;
+    evictable_.erase(front);
+    auto victim = blocks_.find(hash);
+    victim->second.indexed = false;
     // Tier decision: keep the KV (swap to host) when a round-trip is
     // cheaper than recomputing it, otherwise discard and let a future
     // miss re-prefill.
@@ -335,10 +349,7 @@ std::uint32_t PrefixCache::reclaim(std::uint32_t blocks) {
     // resident-children count drops — a parent whose subtree is entirely
     // swapped out must itself remain evictable/swappable or refcount-0
     // chains would pin the pool forever.
-    auto parent_it = blocks_.find(victim->second.parent);
-    if (parent_it != blocks_.end() && parent_it->second.children > 0) {
-      --parent_it->second.children;
-    }
+    adjust_parent(victim->second.parent, -1);
     if (swap_out) {
       victim->second.resident = false;
       ++swap_out_blocks_;
@@ -360,20 +371,32 @@ std::uint32_t PrefixCache::reclaim(std::uint32_t blocks) {
 }
 
 void PrefixCache::drain() {
-  const std::uint32_t bt = kv_.block_tokens();
-  for (auto& [h, b] : blocks_) {
-    (void)h;
+  std::uint32_t resident = 0;
+  std::size_t indexed = 0;
+  for (const auto& [h, b] : blocks_) {
     if (b.refcount != 0) {
       throw std::logic_error("prefix cache drained with live references");
     }
-    if (b.resident) {
-      KvBlockList one{1, bt};
-      kv_.release_all(one);
-      --resident_blocks_;
+    const auto it = evictable_.find(evict_key(b));
+    const bool member = it != evictable_.end() && it->second == h;
+    if (member != evictable(b) || member != b.indexed) {
+      throw std::logic_error(
+          "prefix cache eviction index disagrees with a block's state");
     }
+    indexed += member ? 1 : 0;
+    resident += b.resident ? 1 : 0;
   }
+  if (indexed != evictable_.size()) {
+    throw std::logic_error(
+        "prefix cache eviction index holds blocks the cache does not");
+  }
+  const std::uint32_t bt = kv_.block_tokens();
+  KvBlockList all{resident, resident * bt};
+  kv_.release_all(all);
+  resident_blocks_ -= resident;
   blocks_.clear();
   partials_.clear();
+  evictable_.clear();
 }
 
 sim::Cycles PrefixCache::take_pending_swap_cycles() {

@@ -30,6 +30,8 @@
 
 #include <cstdint>
 #include <map>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -212,11 +214,14 @@ struct PrefixHit {
 ///    extending continuation resolves to a private copy at admission
 ///    (copy-on-write), priced as saved prefill, and is only valid while
 ///    the owner still holds the physical block.
-///  - Reclaim is cost-aware and leaf-only: among refcount-zero blocks
-///    with no cached children, the cheapest-to-rebuild (by
+///  - Reclaim is cost-aware and leaf-only: among resident refcount-zero
+///    blocks with no resident children, the cheapest-to-rebuild (by
 ///    StepCostModel::recompute_cycles over the block's position span) is
-///    evicted first, deterministically tie-broken by insertion order then
-///    hash. With the swap tier enabled a victim whose rebuild costs more
+///    evicted first, tie-broken by insertion order (ticks are unique, so
+///    the order is total). Those candidates, and only those, live in an
+///    ordered eviction index keyed (rebuild cost, insertion tick): a
+///    victim is popped from its front, never found by a pass over the
+///    cache. With the swap tier enabled a victim whose rebuild costs more
 ///    than a host round-trip is swapped out over the DMA/PCIe model
 ///    instead of discarded, and restored (and re-priced) on its next hit.
 ///  - Swap transfer cycles accumulate in a ledger the scheduler drains
@@ -224,7 +229,8 @@ struct PrefixHit {
 ///    cycle-accounting tiling identity holds with swapping active.
 ///  - drain() releases every resident block back to the pool and throws
 ///    if any refcount is still live — the end-state blocks-in-use == 0
-///    invariant keeps holding with the cache on.
+///    invariant keeps holding with the cache on — or if the eviction
+///    index disagrees with the blocks' states.
 class PrefixCache {
  public:
   PrefixCache(KvBlockManager& kv, const core::StepCostModel& costs,
@@ -272,8 +278,10 @@ class PrefixCache {
   std::uint32_t reclaim(std::uint32_t blocks);
 
   /// End-of-run teardown: returns every resident cache-owned block to the
-  /// pool. Throws std::logic_error if any reference is still live — a
-  /// request leaked its binding.
+  /// pool. Throws std::logic_error, before releasing anything, if any
+  /// reference is still live — a request leaked its binding — or if the
+  /// eviction index holds a block that is not evictable or misses one
+  /// that is.
   void drain();
 
   /// Swap transfer cycles accrued since the last call (out + in). The
@@ -317,13 +325,28 @@ class PrefixCache {
     std::uint32_t children = 0;
     std::uint64_t inserted = 0;   // insertion tick (reclaim tie-break)
     bool resident = true;         // false = swapped to host DRAM
+    bool indexed = false;         // present in evictable_
   };
   struct PartialTail {
     std::uint64_t hash = 0;       // chain_next(parent, content of k tokens)
     std::uint32_t tokens = 0;     // k, 1 <= k < block_tokens
     std::uint64_t owner = 0;      // registering request (validity scope)
   };
+  /// Reclaim order: cheapest rebuild first, then oldest insertion.
+  using EvictKey = std::pair<sim::Cycles, std::uint64_t>;
 
+  static bool evictable(const CachedBlock& b) {
+    return b.refcount == 0 && b.children == 0 && b.resident;
+  }
+  EvictKey evict_key(const CachedBlock& b) const {
+    return {rebuild_cycles(b.depth), b.inserted};
+  }
+  /// Brings `b`'s membership in evictable_ in line with its state. Called
+  /// after every refcount, resident-children or residency change.
+  void sync_index(std::uint64_t hash, CachedBlock& b);
+  /// sync_index on the parent of a block whose residency changed, after
+  /// adjusting its resident-children count by `delta` (+1 or -1).
+  void adjust_parent(std::uint64_t parent, int delta);
   void take_ref(std::uint64_t hash, CacheBinding& binding);
   bool restore(std::uint64_t hash, CachedBlock& block);
 
@@ -331,11 +354,16 @@ class PrefixCache {
   const core::StepCostModel& costs_;
   bool swap_enabled_ = false;
   sim::Cycles swap_transfer_cycles_ = 0;
-  // Keyed by chain hash; std::map for deterministic reclaim scans. 64-bit
-  // content hashes are treated as collision-free (documented model
-  // assumption, same as vLLM's).
-  std::map<std::uint64_t, CachedBlock> blocks_;
-  std::map<std::uint64_t, std::vector<PartialTail>> partials_;  // by parent
+  // Keyed by chain hash. Nothing depends on their iteration order:
+  // evictable_ alone decides reclaim order. 64-bit content hashes are
+  // treated as collision-free (documented model assumption, same as
+  // vLLM's).
+  std::unordered_map<std::uint64_t, CachedBlock> blocks_;
+  std::unordered_map<std::uint64_t, std::vector<PartialTail>>
+      partials_;  // by parent
+  // Exactly the blocks with evictable() true, by reclaim order, mapped to
+  // their chain hash.
+  std::map<EvictKey, std::uint64_t> evictable_;
   std::uint64_t tick_ = 0;              // insertion counter
   std::uint32_t resident_blocks_ = 0;   // cache-owned blocks in HBM
   std::uint64_t insert_blocks_ = 0;

@@ -64,6 +64,31 @@ class PrefixCacheTest : public ::testing::Test {
     return hit;
   }
 
+  /// What admitting a prompt whose first `blocks` blocks carry content
+  /// `seed` would hit right now. Restores swapped blocks like any lookup,
+  /// then drops its references again.
+  static PrefixHit probe(PrefixCache& c, std::uint64_t seed,
+                         std::uint32_t blocks) {
+    const std::uint32_t tokens = blocks * kBlockTokens;
+    const workload::Scenario s =
+        shared_prefix_scenario(tokens, tokens + 1, 8, seed);
+    CacheBinding b;
+    const PrefixHit hit = c.acquire(s, /*unique=*/999, s.prefill, s.prefill, b);
+    c.release(b);
+    return hit;
+  }
+
+  /// Shallowest chain depth whose block the swap tier keeps rather than
+  /// discards (its rebuild outprices the DMA round-trip).
+  static std::uint32_t first_swapped_depth(const PrefixCache& c) {
+    std::uint32_t depth = 0;
+    while (depth < 32 &&
+           2 * c.swap_transfer_cycles() >= c.rebuild_cycles(depth)) {
+      ++depth;
+    }
+    return depth;
+  }
+
   core::ArchConfig arch_;
   model::ModelConfig model_;
   core::StepCostModel costs_;
@@ -303,6 +328,124 @@ TEST_F(PrefixCacheTest, SwappedBlocksRestoreOnTheNextHit) {
   // Restored blocks are resident and referenced again.
   EXPECT_EQ(hit.chain_blocks * kBlockTokens, hit.cached_tokens);
   swap_cache.release(b2);
+  swap_cache.drain();
+  EXPECT_EQ(kv_.used_blocks(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Eviction index: every state change a reclaim candidate can go through.
+// Each test ends in drain(), which also checks the index against the
+// blocks' states.
+// ---------------------------------------------------------------------------
+
+TEST_F(PrefixCacheTest, EqualCostVictimsLeaveInInsertionOrder) {
+  // Three one-block prompts: same depth, so the same rebuild price.
+  // Committed A, B, C but released C, B, A — the insertion tick, not the
+  // release order, decides who goes first.
+  CacheBinding bindings[3];
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    KvBlockList l;
+    run_prefill(shared_prefix_scenario(kBlockTokens, kBlockTokens, 8, 40 + i),
+                i + 1, l, bindings[i]);
+  }
+  for (int i = 2; i >= 0; --i) cache_.release(bindings[i]);
+  for (std::uint32_t gone = 0; gone < 3; ++gone) {
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(probe(cache_, 40 + i, 1).chain_blocks, i < gone ? 0u : 1u)
+          << "after " << gone << " reclaims, prompt " << i;
+    }
+    EXPECT_EQ(cache_.reclaim(1), 1u);
+  }
+  EXPECT_EQ(cache_.reclaim(1), 0u);
+  cache_.drain();
+  EXPECT_EQ(kv_.used_blocks(), 0u);
+}
+
+TEST_F(PrefixCacheTest, ReleasedBlockIsReclaimableUntilReacquired) {
+  const workload::Scenario s =
+      shared_prefix_scenario(kBlockTokens, kBlockTokens, 8, 50);
+  KvBlockList l;
+  CacheBinding b1;
+  run_prefill(s, 1, l, b1);
+  EXPECT_EQ(cache_.reclaim(1), 0u);  // referenced: not a candidate
+  cache_.release(b1);                // refcount 0: a candidate
+
+  const workload::Scenario longer =
+      shared_prefix_scenario(kBlockTokens, kBlockTokens + 1, 8, 50);
+  CacheBinding b2;
+  ASSERT_EQ(
+      cache_.acquire(longer, 2, longer.prefill, longer.prefill, b2)
+          .chain_blocks,
+      1u);
+  EXPECT_EQ(cache_.reclaim(1), 0u);  // re-acquired: not a candidate again
+  cache_.release(b2);
+  EXPECT_EQ(cache_.reclaim(1), 1u);
+  EXPECT_EQ(cache_.evict_blocks(), 1u);
+  cache_.drain();
+  EXPECT_EQ(kv_.used_blocks(), 0u);
+}
+
+TEST_F(PrefixCacheTest, SwappedOutChildUnpinsItsParentAndRestoreRepinsIt) {
+  PrefixCache swap_cache(kv_, costs_, /*swap_enabled=*/true);
+  // A chain whose last two blocks, P (depth k) and its child C, both swap
+  // out rather than discard.
+  const std::uint32_t k = first_swapped_depth(swap_cache);
+  const std::uint32_t n = k + 2;
+  ASSERT_LE(n, kv_.capacity_blocks());
+  const workload::Scenario s =
+      shared_prefix_scenario(n * kBlockTokens, n * kBlockTokens, 8, 60);
+  KvBlockList l;
+  CacheBinding b1;
+  run_prefill(s, 1, l, b1, &swap_cache);
+  swap_cache.release(b1);
+
+  // C is the only leaf. Once it swaps out, P is next — not one of P's
+  // cheaper ancestors, which each still have a resident child.
+  EXPECT_EQ(swap_cache.reclaim(1), 1u);
+  EXPECT_EQ(probe(swap_cache, 60, n - 1).swapped_in, 0u);
+  EXPECT_EQ(swap_cache.reclaim(1), 1u);
+  EXPECT_EQ(swap_cache.swap_out_blocks(), 2u);
+  const PrefixHit ancestors = probe(swap_cache, 60, n - 2);
+  EXPECT_EQ(ancestors.chain_blocks, n - 2);
+  EXPECT_EQ(ancestors.swapped_in, 0u);
+
+  // Restoring the chain re-pins P under C: C is the next victim again,
+  // though P costs no more to rebuild and is older.
+  EXPECT_EQ(probe(swap_cache, 60, n).swapped_in, 2u);
+  EXPECT_EQ(swap_cache.reclaim(1), 1u);
+  EXPECT_EQ(probe(swap_cache, 60, n - 1).swapped_in, 0u);
+  swap_cache.drain();
+  EXPECT_EQ(kv_.used_blocks(), 0u);
+}
+
+TEST_F(PrefixCacheTest, DedupAdoptingASwappedOutBlockRepinsItsParent) {
+  PrefixCache swap_cache(kv_, costs_, /*swap_enabled=*/true);
+  const std::uint32_t k = first_swapped_depth(swap_cache);
+  const std::uint32_t n = k + 2;
+  ASSERT_LE(n, kv_.capacity_blocks());
+  const workload::Scenario s =
+      shared_prefix_scenario(n * kBlockTokens, n * kBlockTokens, 8, 70);
+  KvBlockList l1;
+  CacheBinding b1;
+  run_prefill(s, 1, l1, b1, &swap_cache);
+  swap_cache.release(b1);
+  EXPECT_EQ(swap_cache.reclaim(1), 1u);  // C, the last block, swaps out
+
+  // A second request with the same prompt: its lookup stops one block
+  // short (at least one token is always prefilled), so it recomputes C's
+  // content and its commit adopts its own block as C's resident copy.
+  KvBlockList l2;
+  CacheBinding b2;
+  const PrefixHit hit = run_prefill(s, 2, l2, b2, &swap_cache);
+  EXPECT_EQ(hit.chain_blocks, n - 1);
+  EXPECT_EQ(hit.swapped_in, 0u);
+  EXPECT_EQ(swap_cache.dedup_blocks(), 1u);
+  swap_cache.release(b2);
+
+  // C pins its parent again, so C, not the parent, is the next victim.
+  EXPECT_EQ(swap_cache.reclaim(1), 1u);
+  EXPECT_EQ(swap_cache.swap_out_blocks(), 2u);
+  EXPECT_EQ(probe(swap_cache, 70, n - 1).swapped_in, 0u);
   swap_cache.drain();
   EXPECT_EQ(kv_.used_blocks(), 0u);
 }
