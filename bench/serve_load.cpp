@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <iostream>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,7 +57,6 @@
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/mix.hpp"
@@ -125,26 +123,18 @@ void print_usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   if (cli.has("help")) {
     print_usage();
     return 0;
   }
-  const auto nodes = static_cast<std::uint32_t>(cli.get_int_or("nodes", 2));
-  const auto requests =
-      static_cast<std::uint32_t>(cli.get_int_or("requests", 64));
+  const std::uint32_t nodes = cli.get_count_or("nodes", 2);
+  const std::uint32_t requests = cli.get_count_or("requests", 64);
   const auto seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 1));
-  const auto stride =
-      static_cast<std::uint32_t>(cli.get_int_or("stride", 64));
+  const std::uint32_t stride = cli.get_count_or("stride", 64);
   const serve::SchedulerCliOptions opts = serve::parse_scheduler_cli(cli);
-  const long long kv_budget_mb_raw = cli.get_int_or("kv-budget-mb", 0);
-  if (kv_budget_mb_raw < 0) {
-    throw std::invalid_argument(
-        "--kv-budget-mb must be >= 0 (0 = architecture default)");
-  }
-  const auto kv_budget_mb = static_cast<std::uint64_t>(kv_budget_mb_raw);
+  const std::uint64_t kv_budget_mb = cli.get_count_or("kv-budget-mb", 0);
 
   const core::ArchConfig arch = core::ArchConfig::nodes(nodes);
   const model::ModelConfig model = bench::model_from_cli(cli);
@@ -273,43 +263,14 @@ int main(int argc, char** argv) {
         cfg.traffic.arrival_rate_per_s = rate;
         cfg.traffic.seed = seed;
         cfg.scheduler.max_batch = batch;
-        cfg.scheduler.max_tokens_per_iter = opts.chunk_tokens;
-        cfg.scheduler.policy = opts.policy;
-        cfg.scheduler.preempt = opts.preempt;
-        cfg.kv_block_tokens = opts.kv_block_tokens;
         cfg.kv_budget_bytes_per_node = kv_budget_mb << 20;
-        cfg.prefix_cache = opts.prefix_cache;
-        cfg.kv_swap = opts.kv_swap;
-        serve::FleetMetrics m;
-        double imbalance = 0, ttft_spread = 0;
-        double mean_live = 0, replica_s = 0;
-        std::size_t scale_events = 0;
         if (opts.observed()) {
-          obs.emplace(opts.fleet() ? opts.fleet_width() : 1,
-                      arch.frequency_hz);
+          obs.emplace(opts.fleet_width(), arch.frequency_hz);
         }
-        serve::Observer* const point_obs = obs ? &*obs : nullptr;
-        if (opts.fleet()) {
-          serve::FleetConfig fleet_cfg = serve::FleetConfig::homogeneous(
-              cfg, opts.fleet_width(), opts.balancer);
-          fleet_cfg.autoscale = opts.autoscale;
-          if (opts.disaggregated()) {
-            fleet_cfg.roles = opts.roles;
-            // GB/s (decimal) -> bytes per fleet-clock cycle.
-            fleet_cfg.kv_link.bytes_per_cycle =
-                opts.kv_link_gbps * 1e9 / arch.frequency_hz;
-          }
-          serve::FleetResult fr =
-              serve::FleetSim(fleet_cfg, costs).run(point_obs);
-          imbalance = fr.load_imbalance;
-          ttft_spread = fr.ttft_p99_spread_ms;
-          mean_live = fr.mean_live_replicas;
-          replica_s = fr.replica_seconds;
-          scale_events = fr.scale_events.size();
-          m = std::move(fr.fleet);
-        } else {
-          m = serve::ServingSim(cfg, costs).run(point_obs);
-        }
+        const serve::FleetResult fr =
+            serve::FleetSim(opts.fleet_config(cfg), costs)
+                .run(obs ? &*obs : nullptr);
+        const serve::FleetMetrics& m = fr.fleet;
         std::vector<std::string> row = {
             mix.name, util::fmt_fixed(rate, 0),
             util::fmt_int(batch),
@@ -333,8 +294,8 @@ int main(int argc, char** argv) {
           row.push_back(util::fmt_fixed(m.saved_prefill_ms, 1));
         }
         if (opts.fleet()) {
-          row.push_back(util::fmt_fixed(imbalance, 2));
-          row.push_back(util::fmt_fixed(ttft_spread, 1));
+          row.push_back(util::fmt_fixed(fr.load_imbalance, 2));
+          row.push_back(util::fmt_fixed(fr.ttft_p99_spread_ms, 1));
           row.push_back(util::fmt_fixed(m.queue_wait_ms.p50, 1));
           row.push_back(util::fmt_fixed(m.queue_wait_ms.p99, 1));
           row.push_back(util::fmt_fixed(m.inter_token_gap_ms.p50, 2));
@@ -348,9 +309,10 @@ int main(int argc, char** argv) {
               util::fmt_int(static_cast<long long>(m.work_steals)));
         }
         if (opts.autoscale.enabled) {
-          row.push_back(util::fmt_fixed(mean_live, 2));
-          row.push_back(util::fmt_fixed(replica_s, 2));
-          row.push_back(util::fmt_int(static_cast<long long>(scale_events)));
+          row.push_back(util::fmt_fixed(fr.mean_live_replicas, 2));
+          row.push_back(util::fmt_fixed(fr.replica_seconds, 2));
+          row.push_back(
+              util::fmt_int(static_cast<long long>(fr.scale_events.size())));
         }
         t.add_row(row);
       }
@@ -440,4 +402,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -69,9 +69,8 @@ void print_usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   if (cli.has("help")) {
     print_usage();
     return 0;
@@ -90,8 +89,7 @@ int main(int argc, char** argv) {
       workload::Mix{"whale-heavy",
                     {{workload::make_scenario(32, 96), 0.85},
                      {workload::make_scenario(768, 128), 0.15}}};
-  base.traffic.num_requests =
-      static_cast<std::uint32_t>(cli.get_int_or("requests", 120));
+  base.traffic.num_requests = cli.get_count_or("requests", 120);
   base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 0.5);
   base.traffic.burst_factor = 6.0;
   base.traffic.burst_fraction = 0.25;
@@ -110,10 +108,8 @@ int main(int argc, char** argv) {
   base.slo.ttft_ms = 6500.0;
   base.slo.token_ms = 400.0;
 
-  const auto min_replicas =
-      static_cast<std::uint32_t>(cli.get_int_or("min-replicas", 1));
-  const auto max_replicas =
-      static_cast<std::uint32_t>(cli.get_int_or("max-replicas", 4));
+  const auto min_replicas = cli.get_count_or("min-replicas", 1);
+  const auto max_replicas = cli.get_count_or("max-replicas", 4);
 
   serve::AutoscalerConfig autoscale;
   autoscale.enabled = true;
@@ -260,4 +256,8 @@ int main(int argc, char** argv) {
     ok = false;
   }
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -60,24 +60,19 @@ void print_usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   if (cli.has("help")) {
     print_usage();
     return 0;
   }
 
   serve::ChatTrafficConfig chat;
-  chat.conversations =
-      static_cast<std::uint32_t>(cli.get_int_or("conversations", 8));
-  chat.turns = static_cast<std::uint32_t>(cli.get_int_or("turns", 4));
-  chat.system_prompt_tokens =
-      static_cast<std::uint32_t>(cli.get_int_or("system-tokens", 96));
-  chat.user_turn_tokens =
-      static_cast<std::uint32_t>(cli.get_int_or("user-tokens", 24));
-  chat.reply_tokens =
-      static_cast<std::uint32_t>(cli.get_int_or("reply-tokens", 48));
+  chat.conversations = cli.get_count_or("conversations", 8);
+  chat.turns = cli.get_count_or("turns", 4);
+  chat.system_prompt_tokens = cli.get_count_or("system-tokens", 96);
+  chat.user_turn_tokens = cli.get_count_or("user-tokens", 24);
+  chat.reply_tokens = cli.get_count_or("reply-tokens", 48);
 
   serve::ServingConfig base;
   base.arch = core::ArchConfig::two_node();
@@ -191,4 +186,8 @@ int main(int argc, char** argv) {
                  "goodput no worse.\n";
   }
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -43,7 +43,6 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "workload/mix.hpp"
 
@@ -94,9 +93,8 @@ void print_usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   if (cli.has("help")) {
     print_usage();
     return 0;
@@ -108,18 +106,10 @@ int main(int argc, char** argv) {
   cfg.model = model::gpt2_medium();
   cfg.traffic.process = serve::ArrivalProcess::kPoisson;
   cfg.traffic.mix = workload::mixed_fleet();
-  cfg.traffic.num_requests =
-      static_cast<std::uint32_t>(cli.get_int_or("requests", 12));
+  cfg.traffic.num_requests = cli.get_count_or("requests", 12);
   cfg.traffic.arrival_rate_per_s = cli.get_double_or("rate", 12.0);
   cfg.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 7));
-  cfg.scheduler.max_batch =
-      static_cast<std::uint32_t>(cli.get_int_or("batch", 8));
-  cfg.scheduler.policy = opts.policy;
-  cfg.scheduler.max_tokens_per_iter = opts.chunk_tokens;
-  cfg.scheduler.preempt = opts.preempt;
-  cfg.kv_block_tokens = opts.kv_block_tokens;
-  cfg.prefix_cache = opts.prefix_cache;
-  cfg.kv_swap = opts.kv_swap;
+  cfg.scheduler.max_batch = cli.get_count_or("batch", 8);
   // Shrink the KV budget so roughly 8 average requests fit at once: the
   // scheduler demonstrably interleaves 8+ concurrent streams, while the
   // stragglers beyond that back up in the queue on KV slots — the
@@ -133,26 +123,15 @@ int main(int argc, char** argv) {
   // Unset export flags never construct an observer, so the default run
   // stays byte-identical to an unobserved binary.
   std::optional<serve::Observer> obs;
-  if (opts.observed()) {
-    obs.emplace(opts.fleet() ? opts.fleet_width() : 1,
-                cfg.arch.frequency_hz);
-  }
-  serve::Observer* const obs_ptr = obs ? &*obs : nullptr;
+  if (opts.observed()) obs.emplace(opts.fleet_width(), cfg.arch.frequency_hz);
 
-  serve::FleetMetrics m;
+  const serve::FleetResult fr =
+      serve::FleetSim(opts.fleet_config(cfg)).run(obs ? &*obs : nullptr);
+  const serve::FleetMetrics& m = fr.fleet;
   const std::string mix_title =
       "Continuous batching, " + cfg.traffic.mix.name + " mix, batch " +
       std::to_string(cfg.scheduler.max_batch);
   if (opts.fleet()) {
-    serve::FleetConfig fleet_cfg = serve::FleetConfig::homogeneous(
-        cfg, opts.fleet_width(), opts.balancer);
-    fleet_cfg.autoscale = opts.autoscale;
-    if (opts.disaggregated()) {
-      fleet_cfg.roles = opts.roles;
-      // GB/s (decimal) -> bytes per fleet-clock cycle.
-      fleet_cfg.kv_link.bytes_per_cycle =
-          opts.kv_link_gbps * 1e9 / cfg.arch.frequency_hz;
-    }
     // Per-tier bounds print as comma lists (empty lists = the per-tier
     // defaults); the symmetric scalars keep the legacy spelling.
     const auto join = [](const std::vector<std::uint32_t>& v,
@@ -178,7 +157,6 @@ int main(int argc, char** argv) {
             : mix_title + ", " + std::to_string(opts.replicas) +
                   " replicas, " +
                   serve::balancer_policy_name(opts.balancer);
-    serve::FleetResult fr = serve::FleetSim(fleet_cfg).run(obs_ptr);
     fr.to_table(fleet_title).render(std::cout);
     std::cout << "\nLoad imbalance (max/mean routed) "
               << util::fmt_fixed(fr.load_imbalance, 2)
@@ -193,28 +171,26 @@ int main(int argc, char** argv) {
                 << " replica-seconds vs "
                 << util::fmt_fixed(
                        static_cast<double>(opts.fleet_width()) *
-                           fr.fleet.duration_s,
+                           m.duration_s,
                        3)
                 << " for a static max-width fleet.\n";
     }
-    m = std::move(fr.fleet);
   } else {
-    m = serve::ServingSim(cfg).run(obs_ptr);
     m.to_table(mix_title).render(std::cout);
   }
 
-  if (cfg.scheduler.max_tokens_per_iter > 0) {
+  if (opts.chunk_tokens > 0) {
     std::cout << "\n" << m.chunked_prompts << " prompt(s) were split into "
               << "chunks (" << m.prefill_chunk_steps
-              << " chunk steps; token budget "
-              << cfg.scheduler.max_tokens_per_iter << "/iteration).\n";
+              << " chunk steps; token budget " << opts.chunk_tokens
+              << "/iteration).\n";
   }
   std::cout << "\n" << m.peak_in_flight
             << " requests were in flight concurrently; KV backpressure "
                "stalled admission "
             << m.kv_stall_events << " time(s) (peak queue depth "
             << m.peak_queue_depth << ").\n";
-  if (cfg.scheduler.preempt != serve::PreemptPolicy::kNone) {
+  if (opts.preempt != serve::PreemptPolicy::kNone) {
     std::cout << "Paged KV (" << m.kv_block_tokens << " tok/block): "
               << m.preemptions << " preemption(s) recomputed "
               << m.recompute_tokens << " token(s) of dropped KV.\n";
@@ -237,8 +213,7 @@ int main(int argc, char** argv) {
   // the in-flight floor) scales down with the replica count.
   const bool pressured =
       m.kv_stall_events > 0 ||
-      (cfg.scheduler.preempt != serve::PreemptPolicy::kNone &&
-       m.preemptions > 0);
+      (opts.preempt != serve::PreemptPolicy::kNone && m.preemptions > 0);
   if (!pressured && !opts.fleet()) {
     std::cout << "(increase --rate or --requests to exercise backpressure)\n";
   }
@@ -256,4 +231,8 @@ int main(int argc, char** argv) {
                   (opts.fleet() ? m.completed == cfg.traffic.num_requests
                                 : m.peak_in_flight >= 8 && pressured);
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

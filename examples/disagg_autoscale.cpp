@@ -54,9 +54,8 @@ void print_usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   if (cli.has("help")) {
     print_usage();
     return 0;
@@ -77,8 +76,7 @@ int main(int argc, char** argv) {
       workload::Mix{"long-prompt-chatty",
                     {{workload::make_scenario(32, 96), 0.85},
                      {workload::make_scenario(768, 128), 0.15}}};
-  base.traffic.num_requests =
-      static_cast<std::uint32_t>(cli.get_int_or("requests", 96));
+  base.traffic.num_requests = cli.get_count_or("requests", 96);
   base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 0.5);
   base.traffic.burst_factor = 6.0;
   base.traffic.burst_fraction = 0.25;
@@ -225,4 +223,8 @@ int main(int argc, char** argv) {
     }
   }
   return ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

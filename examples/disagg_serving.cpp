@@ -19,6 +19,7 @@
 // disaggregation pin.
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -46,18 +47,17 @@ void print_usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   if (cli.has("help")) {
     print_usage();
     return 0;
   }
-  const auto replicas =
-      static_cast<std::uint32_t>(cli.get_int_or("replicas", 4));
+  const auto replicas = cli.get_count_or("replicas", 4);
   if (replicas < 2) {
-    std::cerr << "disagg_serving: --replicas must be >= 2\n";
-    return 1;
+    throw std::invalid_argument(
+        "--replicas must be >= 2 (the role split needs a prefill and a "
+        "decode replica)");
   }
   const double kv_link_gbps = cli.get_double_or("kv-link-gbps", 100.0);
 
@@ -73,8 +73,7 @@ int main(int argc, char** argv) {
       workload::Mix{"long-prompt-chatty",
                     {{workload::make_scenario(32, 96), 0.95},
                      {workload::make_scenario(768, 128), 0.05}}};
-  base.traffic.num_requests =
-      static_cast<std::uint32_t>(cli.get_int_or("requests", 96));
+  base.traffic.num_requests = cli.get_count_or("requests", 96);
   base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 10.0);
   base.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 3));
   base.scheduler.max_batch = 4;
@@ -174,4 +173,8 @@ int main(int argc, char** argv) {
     std::cout << "FAIL: disaggregation regressed SLO-good completions\n";
   }
   return all_served && migrated && ttft_wins && no_slo_regression ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

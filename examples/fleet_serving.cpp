@@ -40,15 +40,13 @@ void print_usage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   if (cli.has("help")) {
     print_usage();
     return 0;
   }
-  const auto replicas =
-      static_cast<std::uint32_t>(cli.get_int_or("replicas", 3));
+  const auto replicas = cli.get_count_or("replicas", 3);
 
   serve::ServingConfig base;
   base.arch = core::ArchConfig::two_node();
@@ -59,8 +57,7 @@ int main(int argc, char** argv) {
       workload::Mix{"whale-heavy",
                     {{workload::make_scenario(32, 96), 0.85},
                      {workload::make_scenario(768, 128), 0.15}}};
-  base.traffic.num_requests =
-      static_cast<std::uint32_t>(cli.get_int_or("requests", 96));
+  base.traffic.num_requests = cli.get_count_or("requests", 96);
   base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 10.0);
   base.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 3));
   base.scheduler.max_batch = 8;
@@ -113,4 +110,8 @@ int main(int argc, char** argv) {
     std::cout << "FAIL: join-shortest-queue did not beat round-robin\n";
   }
   return all_served && jsq_wins ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

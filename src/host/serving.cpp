@@ -4,8 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "serve/fleet.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "workload/scenario.hpp"
 
 namespace looplynx::host {
@@ -96,8 +96,7 @@ std::vector<ServeResult> Host::flush(
 std::vector<ServeResult> Host::flush_observed(
     const serve::SchedulerConfig& scheduler, std::uint32_t replicas,
     serve::BalancerPolicy balancer) {
-  serve::Observer observer(std::max<std::uint32_t>(replicas, 1),
-                           arch_.frequency_hz);
+  serve::Observer observer(replicas, arch_.frequency_hz);
   return run_flush(scheduler, replicas, balancer, nullptr, &observer);
 }
 
@@ -114,9 +113,10 @@ std::vector<ServeResult> Host::run_flush(
   // interleaving and KV pressure, not isolated runs. With replicas >= 2
   // the cycle-0 burst is routed across identical replicas by the
   // balancer (autoscaled fleets start at min_replicas live and grow as
-  // the control loop reacts); request ids equal submit order either way
-  // (the fleet allocates ids in injection order and sorts its pooled
-  // records by id).
+  // the control loop reacts); a 1-replica fleet's rollup is its lone
+  // replica's metrics. Request ids equal submit order either way (the
+  // fleet allocates ids in injection order and sorts its pooled records
+  // by id).
   serve::ServingConfig cfg;
   cfg.arch = arch_;
   cfg.model = weights_->config;
@@ -128,15 +128,11 @@ std::vector<ServeResult> Host::run_flush(
                static_cast<std::uint32_t>(r.prompt_ids.size()),
                decode_steps(r))});
   }
-  serve::FleetMetrics metrics;
-  if (replicas >= 2 || autoscale != nullptr) {
-    serve::FleetConfig fleet_cfg =
-        serve::FleetConfig::homogeneous(cfg, replicas, balancer);
-    if (autoscale != nullptr) fleet_cfg.autoscale = *autoscale;
-    metrics = serve::FleetSim(fleet_cfg, costs()).run(observer).fleet;
-  } else {
-    metrics = serve::ServingSim(cfg, costs()).run(observer);
-  }
+  serve::FleetConfig fleet_cfg =
+      serve::FleetConfig::homogeneous(cfg, replicas, balancer);
+  if (autoscale != nullptr) fleet_cfg.autoscale = *autoscale;
+  const serve::FleetMetrics metrics =
+      serve::FleetSim(fleet_cfg, costs()).run(observer).fleet;
   if (metrics.requests.size() != results.size()) {
     throw std::logic_error("serve layer lost request records");
   }

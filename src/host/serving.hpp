@@ -4,8 +4,8 @@
 // transformer stack. Functionality and timing are deliberately decoupled
 // (DESIGN.md §3): token *data* comes from core::FunctionalSystem, request
 // *timing* comes from the serve-layer engine. The host no longer owns a
-// private timing loop — it submits realized request shapes into the
-// continuous-batching serve::ServingSim (DESIGN.md §4), so a batch of
+// private timing loop — it submits realized request shapes into a
+// continuous-batching serve::FleetSim (DESIGN.md §4-5), so a batch of
 // submitted requests shares the fleet's scheduler, paged KV-block
 // accounting and host-sync amortization exactly like open traffic would.
 //

@@ -9,34 +9,19 @@ namespace looplynx::serve {
 namespace {
 
 /// Splits a --min-replicas/--max-replicas value into per-entry counts: a
-/// bare integer is a one-entry list (the legacy scalar form), a comma
-/// list names one bound per tier. Non-numeric entries and zeros throw —
-/// a bound of 0 would silently pin a tier empty.
+/// bare count is a one-entry list (the legacy scalar form), a comma list
+/// names one bound per tier. Entries follow the count-flag syntax
+/// (util::parse_count); their meaning is FleetConfig::validate's.
 std::vector<std::uint32_t> parse_bounds_list(const std::string& flag,
                                              const std::string& spec) {
   std::vector<std::uint32_t> out;
   std::size_t start = 0;
   while (start <= spec.size()) {
     const std::size_t comma = spec.find(',', start);
-    const std::string item =
-        spec.substr(start, comma == std::string::npos ? std::string::npos
-                                                      : comma - start);
-    long long value = 0;
-    std::size_t used = 0;
-    try {
-      value = std::stoll(item, &used);
-    } catch (const std::exception&) {
-      used = item.size() + 1;  // force the error path below
-    }
-    if (used != item.size() || item.empty()) {
-      throw std::invalid_argument(
-          "--" + flag + " expects an integer or a comma list of integers, "
-          "got \"" + item + "\"");
-    }
-    if (value < 1) {
-      throw std::invalid_argument("--" + flag + " entries must be >= 1");
-    }
-    out.push_back(static_cast<std::uint32_t>(value));
+    out.push_back(util::parse_count(
+        flag, spec.substr(start, comma == std::string::npos
+                                     ? std::string::npos
+                                     : comma - start)));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -45,42 +30,43 @@ std::vector<std::uint32_t> parse_bounds_list(const std::string& flag,
 
 }  // namespace
 
+FleetConfig SchedulerCliOptions::fleet_config(
+    const ServingConfig& base) const {
+  ServingConfig replica = base;
+  replica.scheduler.policy = policy;
+  replica.scheduler.max_tokens_per_iter = chunk_tokens;
+  replica.scheduler.preempt = preempt;
+  replica.kv_block_tokens = kv_block_tokens;
+  replica.prefix_cache = prefix_cache;
+  replica.kv_swap = kv_swap;
+  FleetConfig fleet =
+      FleetConfig::homogeneous(replica, fleet_width(), balancer);
+  fleet.autoscale = autoscale;
+  fleet.roles = roles;
+  // GB/s (decimal) -> bytes per fleet-clock cycle.
+  fleet.kv_link.bytes_per_cycle =
+      kv_link_gbps * 1e9 / base.arch.frequency_hz;
+  return fleet;
+}
+
 SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
                                         const std::string& default_policy) {
   SchedulerCliOptions opts;
   opts.policy = parse_batch_policy(cli.get_or("policy", default_policy));
 
-  const long long chunk = cli.get_int_or(
-      "chunk-tokens", default_chunk_tokens(opts.policy));
-  if (chunk < 0) {
-    throw std::invalid_argument("--chunk-tokens must be >= 0");
-  }
-  if (chunk > 0 && opts.policy != BatchPolicy::kChunkedMixed) {
+  opts.chunk_tokens = cli.get_count_or("chunk-tokens",
+                                       default_chunk_tokens(opts.policy));
+  if (opts.chunk_tokens > 0 && opts.policy != BatchPolicy::kChunkedMixed) {
     throw std::invalid_argument(
-        "--chunk-tokens=" + std::to_string(chunk) +
+        "--chunk-tokens=" + std::to_string(opts.chunk_tokens) +
         " requires --policy=chunked: the whole-prompt policies never split "
         "prompts, so a token budget would silently degrade into a "
         "batch-member cap");
   }
-  opts.chunk_tokens = static_cast<std::uint32_t>(chunk);
 
   opts.preempt = parse_preempt_policy(cli.get_or("preempt", "none"));
-
-  const long long block_tokens = cli.get_int_or("kv-block-tokens", 1);
-  if (block_tokens < 1) {
-    throw std::invalid_argument(
-        "--kv-block-tokens must be >= 1 (1 = token-granular accounting, "
-        "bit-identical to the pre-paging whole-footprint reservation)");
-  }
-  opts.kv_block_tokens = static_cast<std::uint32_t>(block_tokens);
-
-  const long long replicas = cli.get_int_or("replicas", 1);
-  if (replicas < 1) {
-    throw std::invalid_argument(
-        "--replicas must be >= 1 (1 = the single-replica engine, "
-        "byte-identical to the pre-fleet output)");
-  }
-  opts.replicas = static_cast<std::uint32_t>(replicas);
+  opts.kv_block_tokens = cli.get_count_or("kv-block-tokens", 1);
+  opts.replicas = cli.get_count_or("replicas", 1);
 
   if (cli.has("autoscale")) {
     if (cli.has("replicas")) {
@@ -94,21 +80,14 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
     const std::string policy = cli.get_or("autoscale", "");
     opts.autoscale.policy =
         policy.empty() ? ScalePolicy::kHybrid : parse_scale_policy(policy);
+    opts.autoscale.eval_interval_ms =
+        cli.get_double_or("scale-interval-ms", 50.0);
   } else if (cli.has("min-replicas") || cli.has("max-replicas") ||
              cli.has("scale-interval-ms")) {
     throw std::invalid_argument(
         "--min-replicas/--max-replicas/--scale-interval-ms require "
         "--autoscale: without the control loop they would silently do "
         "nothing");
-  }
-  if (opts.autoscale.enabled) {
-    const double interval_ms = cli.get_double_or("scale-interval-ms", 50.0);
-    if (!(interval_ms > 0)) {
-      throw std::invalid_argument(
-          "--scale-interval-ms must be > 0 (the control loop evaluates on "
-          "the fleet clock)");
-    }
-    opts.autoscale.eval_interval_ms = interval_ms;
   }
 
   // Bare --prefix-cache / --kv-swap mean "on"; =off (or =0/=false/=no)
@@ -119,12 +98,6 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
   }
   if (cli.has("kv-swap")) {
     opts.kv_swap = cli.get_bool_or("kv-swap", true);
-  }
-  if (opts.kv_swap && !opts.prefix_cache) {
-    throw std::invalid_argument(
-        "--kv-swap requires --prefix-cache: swap-to-host is an eviction "
-        "tier of the prefix cache, so without the cache it would silently "
-        "do nothing");
   }
 
   for (const char* flag : {"trace-out", "metrics-out"}) {
@@ -149,17 +122,6 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
   }
 
   if (cli.has("roles")) {
-    // With --autoscale the role list itself sizes the pool (the
-    // autoscaler scales a live prefix inside each role tier), so
-    // --replicas is neither needed nor legal (it already conflicts with
-    // --autoscale above). A static disaggregated fleet still needs an
-    // explicit matching --replicas.
-    if (!opts.autoscale.enabled && opts.replicas < 2) {
-      throw std::invalid_argument(
-          "--roles requires --replicas >= 2 or --autoscale: KV migration "
-          "ships blocks between replicas, so a single-replica fleet has "
-          "nowhere to ship");
-    }
     const std::string spec = cli.get_or("roles", "");
     std::size_t start = 0;
     while (start <= spec.size()) {
@@ -171,18 +133,11 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
-    if (!opts.autoscale.enabled && opts.roles.size() != opts.replicas) {
-      throw std::invalid_argument(
-          "--roles must name every replica: got " +
-          std::to_string(opts.roles.size()) + " roles for --replicas=" +
-          std::to_string(opts.replicas));
-    }
   }
   if (opts.autoscale.enabled) {
     // Resolved after --roles so the bounds know whether they are the
     // legacy fleet-wide scalars (symmetric fleet) or per-tier lists
-    // (disaggregated fleet; FleetSim::validate checks the list lengths
-    // against the tier count and each ceiling against its tier's pool).
+    // (disaggregated fleet).
     const std::vector<std::uint32_t> mins =
         parse_bounds_list("min-replicas", cli.get_or("min-replicas", "1"));
     const std::vector<std::uint32_t> maxs =
@@ -196,12 +151,6 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
             "--min-replicas/--max-replicas comma lists are per-tier "
             "bounds and require --roles (a symmetric fleet has one tier)");
       }
-      if (maxs.front() < mins.front()) {
-        throw std::invalid_argument(
-            "--min-replicas exceeds --max-replicas (" +
-            std::to_string(mins.front()) + " > " +
-            std::to_string(maxs.front()) + ")");
-      }
       opts.autoscale.min_replicas = mins.front();
       opts.autoscale.max_replicas = maxs.front();
     }
@@ -214,12 +163,9 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
   }
   if (opts.disaggregated()) {
     opts.kv_link_gbps = cli.get_double_or("kv-link-gbps", 100.0);
-    if (!(opts.kv_link_gbps > 0)) {
-      throw std::invalid_argument(
-          "--kv-link-gbps must be > 0 (a zero-rate link never delivers a "
-          "migration)");
-    }
   }
+  // Everything a flag value means is checked once, by the fleet itself.
+  opts.fleet_config(ServingConfig{}).validate();
   return opts;
 }
 

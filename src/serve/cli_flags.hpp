@@ -1,12 +1,15 @@
-// Shared parsing + cross-validation of the serving command-line flags
-// (--policy, --chunk-tokens, --preempt, --kv-block-tokens, --replicas,
-// --balancer, --prefix-cache, --kv-swap, --roles, --kv-link-gbps,
-// --autoscale and its
+// Shared parsing of the serving command-line flags (--policy,
+// --chunk-tokens, --preempt, --kv-block-tokens, --replicas, --balancer,
+// --prefix-cache, --kv-swap, --roles, --kv-link-gbps, --autoscale and its
 // --min-replicas/--max-replicas/--scale-interval-ms companions) for the
-// CLI surfaces (bench/serve_load,
-// examples/continuous_batching, examples/autoscale_serving), so the
-// binaries' flag semantics cannot drift and invalid combinations are
-// rejected loudly instead of silently doing something else.
+// CLI surfaces (bench/serve_load, examples/continuous_batching), so the
+// binaries' flag semantics cannot drift.
+//
+// Parsing is a mapping: flags -> SchedulerCliOptions -> fleet_config() ->
+// FleetSim. This file checks only flag syntax (counts, names, paths) and
+// flag-presence rules ("X requires Y, or it would silently do nothing");
+// what the values mean is checked once, by FleetConfig::validate
+// (serve/fleet.hpp), which parse_scheduler_cli runs before returning.
 //
 // Invariants the defaults encode:
 //  - All defaults reproduce the legacy single-replica, whole-footprint,
@@ -30,9 +33,9 @@ struct SchedulerCliOptions {
   PreemptPolicy preempt = PreemptPolicy::kNone;
   /// KvBlockManager paging granularity (1 = token-granular legacy).
   std::uint32_t kv_block_tokens = 1;
-  /// Fleet width: 1 = the single-replica ServingSim path (legacy output);
-  /// >= 2 = a FleetSim of identical replicas behind `balancer`. Mutually
-  /// exclusive with --autoscale (which sizes the fleet itself).
+  /// Fleet width: 1 = a lone replica (legacy output); >= 2 = identical
+  /// replicas behind `balancer`. Mutually exclusive with --autoscale
+  /// (which sizes the fleet itself).
   std::uint32_t replicas = 1;
   BalancerPolicy balancer = BalancerPolicy::kRoundRobin;
   /// Fleet autoscaling (--autoscale=queue|slo|hybrid plus
@@ -99,42 +102,34 @@ struct SchedulerCliOptions {
   /// surfaces add migration columns and summary lines only then (same
   /// byte-stability rule as paged()/cached()).
   bool disaggregated() const { return !roles.empty(); }
+
+  /// The run these flags describe: `base` with the policy, chunk budget,
+  /// preemption, block size, cache and swap flags applied, replicated
+  /// fleet_width() times behind `balancer`, with the autoscaler, roles
+  /// and KV-link rate (converted at base's clock) set. Every CLI surface
+  /// runs exactly this, whatever the width.
+  FleetConfig fleet_config(const ServingConfig& base) const;
 };
 
-/// Parses --policy/--chunk-tokens/--preempt/--kv-block-tokens/--replicas/
-/// --balancer with per-policy defaults (default_chunk_tokens) and
-/// cross-validates:
+/// Parses the serving flags with per-policy defaults (default_chunk_tokens).
+/// Flag-level rules checked here:
+///  - count flags are plain non-negative integers (util::parse_count);
 ///  - an explicit --chunk-tokens > 0 requires --policy=chunked (the
 ///    whole-prompt policies never split prompts, so a budget would
 ///    silently degrade into a batch-member cap);
-///  - --kv-block-tokens must be >= 1 (1 = token-granular);
-///  - --replicas must be >= 1 (1 = the legacy single-replica path);
-///  - an explicit --balancer requires --replicas >= 2 or --autoscale
-///    (balancing a single replica is a routing no-op, so the flag would
-///    silently do nothing);
+///  - an explicit --balancer requires --replicas >= 2 or --autoscale;
 ///  - --autoscale (queue|slo|hybrid; bare selects hybrid) conflicts with
-///    an explicit --replicas (the autoscaler sizes the fleet between
-///    --min-replicas and --max-replicas; a fixed width contradicts it);
-///  - --min-replicas/--max-replicas/--scale-interval-ms require
-///    --autoscale, need 1 <= min <= max, and the interval must be > 0;
-///    with --roles the bounds are comma lists naming one floor/ceiling
-///    per tier (distinct roles in first-appearance order; each tier's
-///    ceiling must equal its pool size), and comma lists without --roles
-///    are rejected (a symmetric fleet has a single tier);
-///  - --prefix-cache takes an optional on/off value (bare == on; =off/=0
-///    spells the byte-identical default explicitly, which the CI identity
-///    gate exercises);
-///  - --kv-swap requires --prefix-cache (swap is a cache eviction tier;
-///    alone it would silently do nothing);
-///  - --trace-out/--metrics-out need a non-empty =<path> value (they are
-///    legal with every replica / autoscale combination);
-///  - --roles=<role>,... (general|prefill|decode) requires an explicit
-///    --replicas >= 2 with a matching role count (or --autoscale, where
-///    the role list itself sizes the pool and the autoscaler runs one
-///    live-prefix control loop per role tier) and needs at least one
-///    decode and one non-decode role;
-///  - --kv-link-gbps requires --roles (the fabric only exists on a
-///    disaggregated fleet) and must be > 0.
+///    an explicit --replicas, and --min-replicas/--max-replicas/
+///    --scale-interval-ms require --autoscale;
+///  - comma-list bounds (one floor/ceiling per role tier) require --roles;
+///  - --kv-link-gbps requires --roles;
+///  - --trace-out/--metrics-out need a non-empty =<path> value;
+///  - --prefix-cache/--kv-swap take an optional on/off value (bare == on;
+///    =off spells the byte-identical default, which CI exercises).
+/// Then runs fleet_config(ServingConfig{}).validate(), so a flag whose
+/// value is meaningless (a zero block size, --kv-swap without
+/// --prefix-cache, a role list that does not match the width, min > max,
+/// a zero-rate link, ...) is still rejected at parse time.
 /// Throws std::invalid_argument with an actionable message on violation.
 SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
                                         const std::string& default_policy =

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "net/fabric.hpp"
@@ -181,13 +182,13 @@ FleetConfig FleetConfig::homogeneous(const ServingConfig& base,
   return cfg;
 }
 
-void FleetSim::validate() {
-  if (config_.replicas.empty()) {
+void FleetConfig::validate() const {
+  if (replicas.empty()) {
     throw std::invalid_argument("fleet needs at least one replica");
   }
-  const double frequency = config_.replicas.front().arch.frequency_hz;
-  for (std::size_t i = 0; i < config_.replicas.size(); ++i) {
-    const ServingConfig& r = config_.replicas[i];
+  const double frequency = replicas.front().arch.frequency_hz;
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const ServingConfig& r = replicas[i];
     const std::string where = " (replica " + std::to_string(i) + ")";
     if (r.scheduler.max_batch == 0) {
       throw std::invalid_argument("scheduler max_batch must be >= 1" + where);
@@ -214,11 +215,7 @@ void FleetSim::validate() {
           "fleet replicas must share one arch.frequency_hz" + where);
     }
   }
-  if (!config_.traffic.explicit_arrivals.empty()) {
-    config_.traffic.num_requests = static_cast<std::uint32_t>(
-        config_.traffic.explicit_arrivals.size());
-  }
-  const AutoscalerConfig& as = config_.autoscale;
+  const AutoscalerConfig& as = autoscale;
   if (as.enabled) {
     if (!(as.eval_interval_ms > 0)) {
       throw std::invalid_argument(
@@ -237,20 +234,19 @@ void FleetSim::validate() {
           "autoscale up_evals/down_evals must be >= 1");
     }
   }
-  if (config_.disaggregated()) {
-    if (config_.roles.size() != config_.replicas.size()) {
+  if (disaggregated()) {
+    if (roles.size() != replicas.size()) {
       throw std::invalid_argument(
-          "roles must name every replica (" +
-          std::to_string(config_.roles.size()) + " roles for " +
-          std::to_string(config_.replicas.size()) + " replicas)");
+          "roles must name every replica (" + std::to_string(roles.size()) +
+          " roles for " + std::to_string(replicas.size()) + " replicas)");
     }
-    if (config_.replicas.size() < 2) {
+    if (replicas.size() < 2) {
       throw std::invalid_argument(
           "disaggregation needs at least 2 replicas (KV migration ships "
           "blocks between nodes; a 1-node fleet has nowhere to ship)");
     }
     std::size_t decode = 0;
-    for (ReplicaRole r : config_.roles) {
+    for (ReplicaRole r : roles) {
       decode += r == ReplicaRole::kDecode ? 1 : 0;
     }
     if (decode == 0) {
@@ -259,13 +255,13 @@ void FleetSim::validate() {
           "migrate every finished prompt; with no decode target nothing "
           "would ever decode)");
     }
-    if (decode == config_.roles.size()) {
+    if (decode == roles.size()) {
       throw std::invalid_argument(
           "roles need at least one non-decode replica (decode replicas "
           "receive no fresh arrivals; an all-decode fleet would serve "
           "nothing)");
     }
-    if (!(config_.kv_link.bytes_per_cycle > 0)) {
+    if (!(kv_link.bytes_per_cycle > 0)) {
       throw std::invalid_argument(
           "disaggregation needs kv_link.bytes_per_cycle > 0 (KV migration "
           "is priced on the ring fabric; a zero-rate link never delivers)");
@@ -274,9 +270,9 @@ void FleetSim::validate() {
   if (as.enabled) {
     // Per-tier live bounds, checked after the role shape so tier pools
     // are well-defined. A symmetric fleet is one tier bounded by the
-    // legacy scalars, so these checks reduce to the PR 5 ones exactly.
-    const std::vector<TierSpec> tiers =
-        tier_spec(config_.roles, config_.replicas.size());
+    // legacy scalars, so these checks reduce to the fleet-wide ones
+    // exactly; empty per-tier lists check as their defaults (tier_bounds).
+    const std::vector<TierSpec> tiers = tier_spec(roles, replicas.size());
     for (const auto* list : {&as.tier_min, &as.tier_max}) {
       if (!list->empty() && list->size() != tiers.size()) {
         throw std::invalid_argument(
@@ -286,25 +282,10 @@ void FleetSim::validate() {
             " tiers (distinct roles in first-appearance order)");
       }
     }
-    // Normalize: a disaggregated autoscaled fleet always runs on explicit
-    // per-tier lists (defaults min 1 / max <tier pool>), so the run-time
-    // machinery never has to guess which scalars to fall back on.
-    if (config_.disaggregated()) {
-      AutoscalerConfig& mut = config_.autoscale;
-      if (mut.tier_min.empty()) mut.tier_min.assign(tiers.size(), 1);
-      if (mut.tier_max.empty()) {
-        mut.tier_max.resize(tiers.size());
-        for (std::size_t t = 0; t < tiers.size(); ++t) {
-          mut.tier_max[t] =
-              static_cast<std::uint32_t>(tiers[t].members.size());
-        }
-      }
-    }
     for (std::size_t t = 0; t < tiers.size(); ++t) {
-      const auto [lo, hi] =
-          tier_bounds(as, tiers, t, config_.disaggregated());
+      const auto [lo, hi] = tier_bounds(as, tiers, t, disaggregated());
       const std::string where =
-          config_.disaggregated()
+          disaggregated()
               ? std::string(" (tier ") + std::to_string(t) + ", " +
                     replica_role_name(tiers[t].role) + ")"
               : std::string();
@@ -328,8 +309,37 @@ void FleetSim::validate() {
   }
 }
 
-FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
-  validate();
+namespace {
+
+/// A validated copy of `config` with what the run machinery reads filled
+/// in: num_requests from an explicit arrival schedule, and — on a
+/// disaggregated autoscaled fleet — explicit per-tier bounds (floor 1,
+/// ceiling the tier's pool where a list was left empty), so the run never
+/// has to guess which scalars to fall back on.
+FleetConfig normalized(FleetConfig config) {
+  config.validate();
+  if (!config.traffic.explicit_arrivals.empty()) {
+    config.traffic.num_requests =
+        static_cast<std::uint32_t>(config.traffic.explicit_arrivals.size());
+  }
+  AutoscalerConfig& as = config.autoscale;
+  if (as.enabled && config.disaggregated()) {
+    const std::vector<TierSpec> tiers =
+        tier_spec(config.roles, config.replicas.size());
+    std::vector<std::uint32_t> lo(tiers.size()), hi(tiers.size());
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      std::tie(lo[t], hi[t]) = tier_bounds(as, tiers, t, true);
+    }
+    as.tier_min = std::move(lo);
+    as.tier_max = std::move(hi);
+  }
+  return config;
+}
+
+}  // namespace
+
+FleetSim::FleetSim(const FleetConfig& config)
+    : config_(normalized(config)) {
   costs_.reserve(config_.replicas.size());
   for (std::size_t i = 0; i < config_.replicas.size(); ++i) {
     const ServingConfig& r = config_.replicas[i];
@@ -354,8 +364,7 @@ FleetSim::FleetSim(const FleetConfig& config) : config_(config) {
 
 FleetSim::FleetSim(const FleetConfig& config,
                    const core::StepCostModel& costs)
-    : config_(config) {
-  validate();
+    : config_(normalized(config)) {
   costs_.assign(config_.replicas.size(), costs);
 }
 

@@ -160,6 +160,13 @@ struct FleetConfig {
 
   bool disaggregated() const { return !roles.empty(); }
 
+  /// The one check of a config's meaning, shared by every road into
+  /// FleetSim (library callers, ServingSim, host::Host, the CLI flags).
+  /// Throws std::invalid_argument naming the first violated rule; never
+  /// mutates — per-tier bounds left empty stay empty (FleetSim fills them
+  /// after validating).
+  void validate() const;
+
   /// N identical replicas of `base`; the fleet traffic is base.traffic.
   static FleetConfig homogeneous(
       const ServingConfig& base, std::uint32_t n,
@@ -292,8 +299,6 @@ class FleetSim {
   FleetResult run(Observer* observer) const;
 
  private:
-  void validate();
-
   FleetConfig config_;
   std::vector<core::StepCostModel> costs_;  // one per replica
 };

@@ -1,6 +1,9 @@
 #include "util/cli.hpp"
 
 #include <cstdlib>
+#include <iostream>
+#include <limits>
+#include <stdexcept>
 
 namespace looplynx::util {
 
@@ -53,6 +56,12 @@ double Cli::get_double_or(const std::string& name, double fallback) const {
   return std::strtod(v->c_str(), nullptr);
 }
 
+std::uint32_t Cli::get_count_or(const std::string& name,
+                                std::uint32_t fallback) const {
+  const auto v = get(name);
+  return v ? parse_count(name, *v) : fallback;
+}
+
 bool Cli::get_bool_or(const std::string& name, bool fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
@@ -60,6 +69,38 @@ bool Cli::get_bool_or(const std::string& name, bool fallback) const {
     return true;
   }
   return false;
+}
+
+std::uint32_t parse_count(const std::string& name, const std::string& text) {
+  std::uint64_t value = 0;
+  bool ok = !text.empty();
+  for (const char c : text) {
+    if (c < '0' || c > '9') {
+      ok = false;
+      break;
+    }
+    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    if (value > std::numeric_limits<std::uint32_t>::max()) {
+      ok = false;
+      break;
+    }
+  }
+  if (!ok) {
+    throw std::invalid_argument(
+        "--" + name + " expects a count in 0.." +
+        std::to_string(std::numeric_limits<std::uint32_t>::max()) +
+        ", got \"" + text + "\"");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+int run_main(int argc, const char* const* argv, int (*body)(const Cli&)) {
+  try {
+    return body(Cli(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace looplynx::util

@@ -9,6 +9,7 @@
 // collected in order.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -30,6 +31,12 @@ class Cli {
   long long get_int_or(const std::string& name, long long fallback) const;
   double get_double_or(const std::string& name, double fallback) const;
   bool get_bool_or(const std::string& name, bool fallback) const;
+  /// Value of a count flag (--requests, --replicas, ...), or `fallback`
+  /// when --name is unset. Throws std::invalid_argument unless the value
+  /// is plain decimal digits in [0, UINT32_MAX]: a sign, other characters,
+  /// trailing junk or an empty value are rejected instead of wrapping.
+  std::uint32_t get_count_or(const std::string& name,
+                             std::uint32_t fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
@@ -39,5 +46,16 @@ class Cli {
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };
+
+/// Parses `text` as the value of count flag --name (the rule
+/// Cli::get_count_or applies): decimal digits only, at most UINT32_MAX.
+/// Throws std::invalid_argument naming the flag otherwise.
+std::uint32_t parse_count(const std::string& name, const std::string& text);
+
+/// Entry point of the serving binaries: parses argv and returns
+/// `body(cli)`. A rejected flag or config (std::invalid_argument from
+/// anywhere in the run) prints "error: <what()>" to stderr and returns 2.
+/// Nothing else is caught, so a broken invariant still aborts loudly.
+int run_main(int argc, const char* const* argv, int (*body)(const Cli&));
 
 }  // namespace looplynx::util

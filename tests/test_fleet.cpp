@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -168,9 +169,10 @@ TEST(LoadBalancerTest, KvAwarePicksMostFreeTokensThenJsqThenIndex) {
 
 /// The refactor-correctness pin: a 1-replica fleet must be bit-identical
 /// to ServingSim on the same config — both run the same replica machinery
-/// and a balancer over one replica makes no extra engine events. This is
-/// what makes `serve_load --replicas=1` byte-identical to the pre-fleet
-/// output by construction.
+/// and a balancer over one replica makes no extra engine events. The CLI
+/// surfaces and host::Host report FleetResult::fleet at every width, so
+/// these three tests are what guarantee that a width-1 rollup equals the
+/// lone replica's metrics (and single-replica output stays byte-stable).
 TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
   ServingConfig cfg = base_config();
   cfg.keep_request_records = true;
@@ -366,7 +368,7 @@ TEST(FleetSimTest, JsqBeatsRoundRobinOnSkewedMix) {
 // ------------------------------------------------------------- Validation
 
 TEST(FleetSimTest, RejectsEmptyAndInconsistentFleets) {
-  EXPECT_THROW(FleetSim{FleetConfig{}}, std::invalid_argument);
+  EXPECT_THROW(FleetConfig{}.validate(), std::invalid_argument);
 
   ServingConfig a = base_config();
   ServingConfig b = base_config();
@@ -374,12 +376,14 @@ TEST(FleetSimTest, RejectsEmptyAndInconsistentFleets) {
   FleetConfig two;
   two.replicas = {a, b};
   two.traffic = a.traffic;
-  EXPECT_THROW(FleetSim{two}, std::invalid_argument);
+  EXPECT_THROW(two.validate(), std::invalid_argument);
 
   ServingConfig bad = base_config();
   bad.kv_block_tokens = 0;
-  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(bad, 2)},
+  EXPECT_THROW(FleetConfig::homogeneous(bad, 2).validate(),
                std::invalid_argument);
+  // FleetSim's constructor runs the same check.
+  EXPECT_THROW(FleetSim{FleetConfig{}}, std::invalid_argument);
 }
 
 // --------------------------------------------------------- CLI validation
@@ -483,6 +487,18 @@ TEST(FleetCliTest, RejectsRoleCountMismatch) {
                std::invalid_argument);
 }
 
+TEST(FleetCliTest, RejectsRoleShapesAtParseTime) {
+  // Role lists with no decode replica, or only general ones, parse as
+  // names but mean nothing: FleetConfig::validate rejects them before
+  // parse_scheduler_cli returns, not later inside FleetSim.
+  EXPECT_THROW(parse_scheduler_cli(
+                   make_cli({"--replicas=2", "--roles=prefill,prefill"})),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scheduler_cli(
+                   make_cli({"--replicas=2", "--roles=general,general"})),
+               std::invalid_argument);
+}
+
 TEST(FleetCliTest, RejectsBadRoleNamesAndLinkRates) {
   EXPECT_THROW(parse_scheduler_cli(
                    make_cli({"--replicas=2", "--roles=prefill,gpu"})),
@@ -518,8 +534,7 @@ TEST(FleetCliTest, ParsesRolesWithAutoscale) {
   EXPECT_EQ(tiered.autoscale.tier_max[0], 2u);
   EXPECT_EQ(tiered.autoscale.tier_max[1], 1u);
 
-  // Bounds left unset stay as empty lists: FleetSim::validate fills the
-  // defaults (floor 1 per tier, ceiling = the tier's pool).
+  // Bounds left unset stay as empty lists: FleetSim fills the defaults (floor 1 per tier, ceiling = the tier's pool).
   const SchedulerCliOptions defaulted = parse_scheduler_cli(
       make_cli({"--autoscale=queue", "--roles=prefill,decode"}));
   EXPECT_TRUE(defaulted.autoscale.tier_min.empty());
@@ -571,40 +586,51 @@ TEST(FleetSimTest, ValidatesPerTierBounds) {
     mutate(cfg.autoscale);
     return cfg;
   };
-  EXPECT_NO_THROW(FleetSim{with([](AutoscalerConfig&) {})});
-  // Unset lists are normalized, not rejected.
-  EXPECT_NO_THROW(FleetSim{with([](AutoscalerConfig& a) {
+  EXPECT_NO_THROW(with([](AutoscalerConfig&) {}).validate());
+  // Unset lists are valid (they mean the per-tier defaults), and
+  // validation leaves them unset: only FleetSim fills them in.
+  const FleetConfig unset = with([](AutoscalerConfig& a) {
     a.tier_min.clear();
     a.tier_max.clear();
-  })});
+  });
+  EXPECT_NO_THROW(unset.validate());
+  EXPECT_TRUE(unset.autoscale.tier_min.empty());
+  EXPECT_TRUE(unset.autoscale.tier_max.empty());
   // A list must name every tier (two tiers here: prefill, decode).
-  EXPECT_THROW(FleetSim{with([](AutoscalerConfig& a) {
-                 a.tier_min = {1};
-               })},
+  EXPECT_THROW(with([](AutoscalerConfig& a) { a.tier_min = {1}; }).validate(),
                std::invalid_argument);
-  EXPECT_THROW(FleetSim{with([](AutoscalerConfig& a) {
-                 a.tier_max = {2, 1, 1};
-               })},
-               std::invalid_argument);
+  EXPECT_THROW(
+      with([](AutoscalerConfig& a) { a.tier_max = {2, 1, 1}; }).validate(),
+      std::invalid_argument);
   // The ceiling is the tier's pool, exactly — same contract as the
   // symmetric max_replicas == pool rule.
-  EXPECT_THROW(FleetSim{with([](AutoscalerConfig& a) {
-                 a.tier_max = {3, 1};
-               })},
-               std::invalid_argument);
-  EXPECT_THROW(FleetSim{with([](AutoscalerConfig& a) {
-                 a.tier_max = {1, 1};
-               })},
-               std::invalid_argument);
+  EXPECT_THROW(
+      with([](AutoscalerConfig& a) { a.tier_max = {3, 1}; }).validate(),
+      std::invalid_argument);
+  EXPECT_THROW(
+      with([](AutoscalerConfig& a) { a.tier_max = {1, 1}; }).validate(),
+      std::invalid_argument);
   // Floors: >= 1, <= the tier ceiling.
-  EXPECT_THROW(FleetSim{with([](AutoscalerConfig& a) {
-                 a.tier_min = {0, 1};
-               })},
-               std::invalid_argument);
-  EXPECT_THROW(FleetSim{with([](AutoscalerConfig& a) {
-                 a.tier_min = {1, 2};
-               })},
-               std::invalid_argument);
+  EXPECT_THROW(
+      with([](AutoscalerConfig& a) { a.tier_min = {0, 1}; }).validate(),
+      std::invalid_argument);
+  EXPECT_THROW(
+      with([](AutoscalerConfig& a) { a.tier_min = {1, 2}; }).validate(),
+      std::invalid_argument);
+}
+
+TEST(FleetSimTest, FillsUnsetTierBoundsAfterValidating) {
+  FleetConfig cfg = FleetConfig::homogeneous(base_config(), 3);
+  cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
+               ReplicaRole::kDecode};
+  cfg.kv_link.bytes_per_cycle = 32.0;
+  cfg.autoscale.enabled = true;
+  const FleetSim sim(cfg);
+  // Floor 1 and ceiling = pool, per tier in first-appearance order.
+  EXPECT_EQ(sim.config().autoscale.tier_min,
+            (std::vector<std::uint32_t>{1, 1}));
+  EXPECT_EQ(sim.config().autoscale.tier_max,
+            (std::vector<std::uint32_t>{2, 1}));
 }
 
 /// Satellite regression: load_imbalance averages over routing-eligible
@@ -651,27 +677,27 @@ TEST(FleetSimTest, ValidatesDisaggRoleShape) {
   // Role list must cover the pool exactly.
   FleetConfig mismatched = FleetConfig::homogeneous(base, 3);
   mismatched.roles = {ReplicaRole::kPrefill, ReplicaRole::kDecode};
-  EXPECT_THROW(FleetSim{mismatched}, std::invalid_argument);
+  EXPECT_THROW(mismatched.validate(), std::invalid_argument);
 
   // At least one decode replica, at least one non-decode replica.
   FleetConfig no_decode = FleetConfig::homogeneous(base, 2);
   no_decode.roles = {ReplicaRole::kPrefill, ReplicaRole::kGeneral};
-  EXPECT_THROW(FleetSim{no_decode}, std::invalid_argument);
+  EXPECT_THROW(no_decode.validate(), std::invalid_argument);
   FleetConfig all_decode = FleetConfig::homogeneous(base, 2);
   all_decode.roles = {ReplicaRole::kDecode, ReplicaRole::kDecode};
-  EXPECT_THROW(FleetSim{all_decode}, std::invalid_argument);
+  EXPECT_THROW(all_decode.validate(), std::invalid_argument);
 
   // A dead KV link can never migrate a block.
   FleetConfig dead_link = FleetConfig::homogeneous(base, 2);
   dead_link.roles = {ReplicaRole::kPrefill, ReplicaRole::kDecode};
   dead_link.kv_link.bytes_per_cycle = 0;
-  EXPECT_THROW(FleetSim{dead_link}, std::invalid_argument);
+  EXPECT_THROW(dead_link.validate(), std::invalid_argument);
 
   // The same shape with a live link is valid.
   FleetConfig ok = FleetConfig::homogeneous(base, 2);
   ok.roles = {ReplicaRole::kPrefill, ReplicaRole::kDecode};
   ok.kv_link.bytes_per_cycle = 32.0;
-  EXPECT_NO_THROW(FleetSim{ok});
+  EXPECT_NO_THROW(ok.validate());
 }
 
 TEST(FleetCliTest, BalancerNamesRoundTrip) {

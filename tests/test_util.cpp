@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -198,6 +199,48 @@ TEST(CliTest, DoubleAndBool) {
   Cli cli(3, argv);
   EXPECT_DOUBLE_EQ(cli.get_double_or("alpha", 0), 0.5);
   EXPECT_FALSE(cli.get_bool_or("flag", true));
+}
+
+TEST(CliTest, CountFlags) {
+  const char* argv[] = {"prog",      "--zero=0", "--max=4294967295",
+                        "--neg=-1",  "--word=abc", "--junk=4x",
+                        "--wide=4294967296", "--plus=+4", "--bare"};
+  Cli cli(9, argv);
+  EXPECT_EQ(cli.get_count_or("zero", 7), 0u);
+  EXPECT_EQ(cli.get_count_or("max", 0), 4294967295u);
+  // Unset returns the fallback; everything else must be plain digits in
+  // uint32 range instead of wrapping (-1 used to become 4294967295).
+  EXPECT_EQ(cli.get_count_or("missing", 12), 12u);
+  for (const char* name : {"neg", "word", "junk", "wide", "plus", "bare"}) {
+    EXPECT_THROW(cli.get_count_or(name, 1), std::invalid_argument) << name;
+  }
+  EXPECT_EQ(parse_count("requests", "64"), 64u);
+  EXPECT_THROW(parse_count("requests", ""), std::invalid_argument);
+}
+
+TEST(CliTest, RunMainMapsRejectedFlagsToExitTwo) {
+  const char* argv[] = {"prog", "--requests=-1"};
+  EXPECT_EQ(run_main(2, argv,
+                     [](const Cli& cli) {
+                       return static_cast<int>(cli.get_count_or("x", 3));
+                     }),
+            3);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(2, argv,
+                     [](const Cli& cli) {
+                       return static_cast<int>(
+                           cli.get_count_or("requests", 0));
+                     }),
+            2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr().rfind("error: --requests",
+                                                         0),
+            0u);
+  // Only rejected flags are mapped: a broken invariant still propagates.
+  EXPECT_THROW(run_main(2, argv,
+                        [](const Cli&) -> int {
+                          throw std::logic_error("invariant");
+                        }),
+               std::logic_error);
 }
 
 TEST(CsvTest, EscapesSpecials) {
