@@ -21,12 +21,10 @@ double run_ms(const core::ArchConfig& arch, const model::ModelConfig& model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
+int run(const util::Cli& cli) {
   const auto model = bench::model_from_cli(cli);
   core::RunOptions opt;
-  opt.token_sample_stride =
-      static_cast<std::uint32_t>(cli.get_int_or("stride", 16));
+  opt.token_sample_stride = cli.get_count_or("stride", 16);
 
   // ---- 1. Optimization switch lattice (2 nodes). ----
   {
@@ -104,4 +102,8 @@ int main(int argc, char** argv) {
     t.render(std::cout);
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

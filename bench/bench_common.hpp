@@ -20,8 +20,7 @@ inline constexpr std::uint32_t kMixDecode = 512;
 /// error bound is verified by SystemTest.SampledRunApproximatesExactRun.
 inline core::RunOptions fast_options(const util::Cli& cli) {
   core::RunOptions opt;
-  opt.token_sample_stride =
-      static_cast<std::uint32_t>(cli.get_int_or("stride", 16));
+  opt.token_sample_stride = cli.get_count_or("stride", 16);
   return opt;
 }
 

@@ -187,13 +187,11 @@ void write_json(const std::string& path, const std::vector<Point>& points) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  looplynx::util::Cli cli(argc, argv);
+int run(const looplynx::util::Cli& cli) {
   const std::string out_path = cli.get_or("out", "BENCH_serve.json");
-  const auto scale =
-      static_cast<std::uint32_t>(cli.get_int_or("scale", 1));
+  const auto scale = cli.get_count_or("scale", 1);
   const bool skip_million = cli.has("skip-million");
-  g_repeat = static_cast<int>(cli.get_int_or("repeat", 3));
+  g_repeat = static_cast<int>(cli.get_count_or("repeat", 3));
   if (g_repeat < 1) g_repeat = 1;
   const auto n = [&](std::uint32_t requests) {
     return std::max<std::uint32_t>(1, requests / std::max(1u, scale));
@@ -236,4 +234,8 @@ int main(int argc, char** argv) {
   write_json(out_path, points);
   std::cout << "Wrote " << out_path << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -10,17 +10,13 @@
 #include "core/system.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   const auto model = bench::model_from_cli(cli);
   core::RunOptions opt;  // stride 1: breakdown needs every token
-  opt.token_sample_stride =
-      static_cast<std::uint32_t>(cli.get_int_or("stride", 8));
-  const auto prefill =
-      static_cast<std::uint32_t>(cli.get_int_or("prefill", 32));
-  const auto decode =
-      static_cast<std::uint32_t>(cli.get_int_or("decode", 128));
+  opt.token_sample_stride = cli.get_count_or("stride", 8);
+  const auto prefill = cli.get_count_or("prefill", 32);
+  const auto decode = cli.get_count_or("decode", 128);
 
   struct Config {
     const char* label;
@@ -75,4 +71,8 @@ int main(int argc, char** argv) {
                "critical path;\nFused LN&Res gives an 11% reduction and the "
                "head-wise pipeline a 15% improvement vs the original.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -7,9 +7,8 @@
 #include "hw/resources.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   const auto model = bench::model_from_cli(cli);
   const core::ArchConfig arch = core::ArchConfig::two_node();
   const core::ResourceModel rm(arch, model);
@@ -44,4 +43,8 @@ int main(int argc, char** argv) {
             << "\nPaper reference (device total): 1132 DSP / 312K LUT / "
                "478K FF / 924.5 BRAM.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

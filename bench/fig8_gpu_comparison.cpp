@@ -18,9 +18,8 @@
 #include "util/table.hpp"
 #include "workload/scenario.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   const auto model = bench::model_from_cli(cli);
   const core::RunOptions opt = bench::fast_options(cli);
   const baseline::A100Model gpu(model);
@@ -130,4 +129,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -11,14 +11,11 @@
 #include "core/system.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   const auto model = bench::model_from_cli(cli);
-  const auto prefill =
-      static_cast<std::uint32_t>(cli.get_int_or("prefill", bench::kMixPrefill));
-  const auto decode =
-      static_cast<std::uint32_t>(cli.get_int_or("decode", bench::kMixDecode));
+  const auto prefill = cli.get_count_or("prefill", bench::kMixPrefill);
+  const auto decode = cli.get_count_or("decode", bench::kMixDecode);
   const core::RunOptions opt = bench::fast_options(cli);
 
   util::Table table("Table II: Comparison of FPGA implementations (" +
@@ -76,4 +73,8 @@ int main(int argc, char** argv) {
             << "  4-node vs spatial:  "
             << util::fmt_speedup(spatial_ms / four_node_ms) << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -9,9 +9,8 @@
 #include "core/system.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   const auto model = bench::model_from_cli(cli);
   const core::RunOptions opt = bench::fast_options(cli);
 
@@ -47,4 +46,8 @@ int main(int argc, char** argv) {
          "are not distributed;\nper-node block counts shrink until "
          "quantization + ring synchronization tails are exposed.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

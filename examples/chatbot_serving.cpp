@@ -15,13 +15,11 @@
 #include "util/table.hpp"
 #include "workload/scenario.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   const model::ModelConfig gpt2 = model::gpt2_medium();
   core::RunOptions opt;
-  opt.token_sample_stride =
-      static_cast<std::uint32_t>(cli.get_int_or("stride", 16));
+  opt.token_sample_stride = cli.get_count_or("stride", 16);
 
   const baseline::A100Model gpu(gpt2);
   const core::PowerModel power;
@@ -65,4 +63,8 @@ int main(int argc, char** argv) {
                "budget.\nPaper headline at [32:512]: 2-node 1.67x faster at "
                "37.3% of the A100's energy.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -13,14 +13,12 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
-  const auto nodes = static_cast<std::uint32_t>(cli.get_int_or("nodes", 2));
+  const auto nodes = cli.get_count_or("nodes", 2);
   const model::ModelConfig gpt2 = model::gpt2_medium();
   core::RunOptions opt;
-  opt.token_sample_stride =
-      static_cast<std::uint32_t>(cli.get_int_or("stride", 16));
+  opt.token_sample_stride = cli.get_count_or("stride", 16);
 
   const baseline::A100Model gpu(gpt2);
   core::System sys(core::ArchConfig::nodes(nodes), gpt2);
@@ -57,4 +55,8 @@ int main(int argc, char** argv) {
             << " tokens\n(paper: A100 wins [128:32]; LoopLynx wins all "
                "[*:512] settings).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -18,12 +18,10 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
-  const auto nodes = static_cast<std::uint32_t>(cli.get_int_or("nodes", 4));
-  const auto n_tokens =
-      static_cast<std::uint32_t>(cli.get_int_or("tokens", 24));
+  const auto nodes = cli.get_count_or("nodes", 4);
+  const auto n_tokens = cli.get_count_or("tokens", 24);
   const auto seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 7));
 
   const model::ModelConfig cfg = model::cosim_config();
@@ -99,4 +97,8 @@ int main(int argc, char** argv) {
                "the single-device model;\nquantization error vs fp32 stays "
                "bounded (SmoothQuant W8A8).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -15,14 +15,11 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
   core::RunOptions opt;
-  opt.token_sample_stride =
-      static_cast<std::uint32_t>(cli.get_int_or("stride", 16));
-  const auto decode =
-      static_cast<std::uint32_t>(cli.get_int_or("decode", 256));
+  opt.token_sample_stride = cli.get_count_or("stride", 16);
+  const auto decode = cli.get_count_or("decode", 256);
   const core::PowerModel power;
 
   for (const model::ModelConfig& m :
@@ -68,4 +65,8 @@ int main(int argc, char** argv) {
          "Larger models scale further\n(more work per node), which is the "
          "multi-FPGA opportunity LoopLynx targets.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

@@ -15,13 +15,11 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const util::Cli cli(argc, argv);
-  const auto nodes = static_cast<std::uint32_t>(cli.get_int_or("nodes", 2));
-  const auto prefill =
-      static_cast<std::uint32_t>(cli.get_int_or("prefill", 32));
-  const auto decode = static_cast<std::uint32_t>(cli.get_int_or("decode", 64));
+  const auto nodes = cli.get_count_or("nodes", 2);
+  const auto prefill = cli.get_count_or("prefill", 32);
+  const auto decode = cli.get_count_or("decode", 64);
 
   // 1. Functional layer: a tiny GPT-2 with SmoothQuant W8A8 quantization.
   const model::ModelConfig tiny = model::cosim_config();
@@ -67,4 +65,8 @@ int main(int argc, char** argv) {
                                 " MiB (sampled)"});
   t.render(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, run);
 }

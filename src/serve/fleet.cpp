@@ -1,6 +1,7 @@
 #include "serve/fleet.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -370,6 +371,9 @@ FleetSim::FleetSim(const FleetConfig& config,
 
 namespace {
 
+/// A live-replica count as a (cycle, live) step function from cycle 0.
+using LiveTimeline = std::vector<std::pair<sim::Cycles, std::uint32_t>>;
+
 /// Everything one fleet run owns. Engine first: coroutines of replicas
 /// that drained early park on their work signals and are destroyed
 /// un-resumed with the engine, after everything they reference.
@@ -384,7 +388,7 @@ struct FleetRun {
     ReplicaRole role = ReplicaRole::kGeneral;
     std::vector<std::uint32_t> members;
     std::uint32_t live = 0;
-    std::vector<std::pair<sim::Cycles, std::uint32_t>> timeline;
+    LiveTimeline timeline;
   };
 
   FleetRun(const FleetConfig& cfg_,
@@ -615,9 +619,43 @@ sim::Task autoscaler_proc(FleetRun& run) {
   }
 }
 
-template <typename T>
-void append(std::vector<T>& pool, const std::vector<T>& samples) {
-  pool.insert(pool.end(), samples.begin(), samples.end());
+struct LiveStats {
+  std::uint32_t min = 0;
+  std::uint32_t peak = 0;
+  double mean = 0;  // time-weighted over [0, makespan]
+};
+
+/// Min, peak and time-weighted mean of a (cycle, live-count) step function
+/// that starts at cycle 0 and holds its last value until `makespan`.
+LiveStats live_stats(const LiveTimeline& timeline, sim::Cycles makespan) {
+  LiveStats s;
+  s.min = s.peak = timeline.front().second;
+  std::uint64_t live_cycles = 0;
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    const sim::Cycles until =
+        i + 1 < timeline.size() ? timeline[i + 1].first : makespan;
+    live_cycles += static_cast<std::uint64_t>(timeline[i].second) *
+                   (until - timeline[i].first);
+    s.min = std::min(s.min, timeline[i].second);
+    s.peak = std::max(s.peak, timeline[i].second);
+  }
+  if (makespan > 0) {
+    s.mean = static_cast<double>(live_cycles) / static_cast<double>(makespan);
+  }
+  return s;
+}
+
+/// max - min of p99 TTFT over the `members` of `replicas` that completed
+/// work; 0 when none did.
+double ttft_p99_spread(const std::vector<FleetMetrics>& replicas,
+                       const std::vector<std::uint32_t>& members) {
+  double lo = std::numeric_limits<double>::infinity(), hi = -lo;
+  for (std::uint32_t i : members) {
+    if (replicas[i].completed == 0) continue;
+    lo = std::min(lo, replicas[i].ttft_ms.p99);
+    hi = std::max(hi, replicas[i].ttft_ms.p99);
+  }
+  return lo <= hi ? hi - lo : 0.0;
 }
 
 /// Occupied replica-cycles of one replica: the union of its live intervals
@@ -627,9 +665,9 @@ void append(std::vector<T>& pool, const std::vector<T>& samples) {
 /// tier's (cycle, live-count) step function starting at cycle 0, and
 /// `index` the replica's position within its tier (== its fleet index on a
 /// symmetric fleet, whose one tier is the whole pool).
-std::uint64_t occupied_cycles(
-    const std::vector<std::pair<sim::Cycles, std::uint32_t>>& timeline,
-    std::uint32_t index, sim::Cycles makespan, const detail::Replica& rep) {
+std::uint64_t occupied_cycles(const LiveTimeline& timeline,
+                              std::uint32_t index, sim::Cycles makespan,
+                              const detail::Replica& rep) {
   // Intervals where the tier's live count covers this member position.
   std::vector<std::pair<sim::Cycles, sim::Cycles>> spans;
   bool open = false;
@@ -728,86 +766,28 @@ FleetResult FleetSim::run(Observer* observer) const {
   }
   run.engine.run();
 
-  FleetResult result;
-  const std::size_t n = run.replicas.size();
-  const double frequency = config_.replicas.front().arch.frequency_hz;
   const sim::Cycles makespan = run.engine.now();
-  const double duration_s = static_cast<double>(makespan) / frequency;
+  for (auto& r : run.replicas) detail::teardown(*r);
+  if (observer != nullptr) observer->finalize(makespan);
 
-  // Pool the per-request latency samples (and sum the counters) BEFORE
-  // finalize_metrics moves each replica's vectors into its own summary.
-  std::vector<double> token;
-  std::vector<sim::Cycles> ttft, e2e, queue_wait, gap;
-  std::uint64_t good = 0;
-  sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
-  FleetMetrics& m = result.fleet;
-  double batch_members = 0;
+  FleetResult result;
+  std::vector<const detail::Replica*> everyone;
+  std::vector<std::uint32_t> indices;
   for (const auto& r : run.replicas) {
-    append(ttft, r->ttft_cycles);
-    append(token, r->token_ms);
-    append(e2e, r->e2e_cycles);
-    append(queue_wait, r->queue_wait_cycles);
-    append(gap, r->gap_cycles);
-    good += r->good;
-    busy += r->busy_cycles;
-    decode_stall += r->decode_stall_cycles;
-    recompute += r->recompute_cycles;
-    m.completed += r->completed;
-    m.rejected += r->rejected;
-    m.decode_tokens += r->decode_tokens;
-    m.total_tokens += r->total_tokens;
-    m.iterations += r->sched.iteration_count();
-    // Keep the multiply-back through mean_batch_size(): the quotient and
-    // product round-trip bit-identically, preserving the pooled mean.
-    batch_members += r->sched.mean_batch_size() *
-                     static_cast<double>(r->sched.iteration_count());
-    m.prefill_chunk_steps += r->prefill_chunk_steps;
-    m.chunked_prompts += r->chunked_prompts;
-    m.decode_stall_iterations += r->decode_stall_iterations;
-    m.peak_queue_depth = std::max(m.peak_queue_depth, r->queue.peak_depth());
-    m.kv_peak_occupancy =
-        std::max(m.kv_peak_occupancy, r->kv.peak_occupancy());
-    m.kv_stall_events += r->kv.stall_events();
-    m.kv_over_release_events += r->kv.over_release_events();
-    m.kv_capacity_blocks += r->kv.capacity_blocks();
-    m.kv_peak_used_blocks += r->kv.peak_used_blocks();
-    m.kv_peak_frag_tokens += r->kv.peak_frag_tokens();
-    m.preemptions += r->preemptions;
-    m.recompute_tokens += r->recompute_tokens;
-    // kv_blocks_in_use_at_end is summed from the finalized per-replica
-    // metrics below: finalize_metrics drains each replica's prefix cache
-    // first, so reading used_blocks() here would count retained cache
-    // blocks as leaks.
     result.routed.push_back(r->routed);
+    everyone.push_back(r.get());
+    indices.push_back(r->id);
   }
-  m.offered = run.shared.injected;
-  m.slo_good = good;
-  m.slo = config_.replicas.front().slo;
-  m.duration_s = duration_s;
-  if (duration_s > 0) {
-    m.throughput_req_s = static_cast<double>(m.completed) / duration_s;
-    m.throughput_tok_s = static_cast<double>(m.total_tokens) / duration_s;
-    m.decode_tok_s = static_cast<double>(m.decode_tokens) / duration_s;
-    m.goodput_req_s = static_cast<double>(good) / duration_s;
-    m.busy_fraction =
-        static_cast<double>(busy) /
-        (static_cast<double>(makespan) * static_cast<double>(n));
+  // Fleet first: its pooled samples are the largest buffers of the run, and
+  // allocating them before the short-lived per-replica copies keeps them
+  // out of a fragmented heap (peak RSS of wide fleets).
+  result.fleet =
+      detail::summarize(everyone, makespan, run.shared.peak_active);
+  result.replicas.reserve(run.replicas.size());
+  for (const auto& r : run.replicas) {
+    result.replicas.push_back(
+        detail::summarize({r.get()}, makespan, r->peak_active));
   }
-  const core::ArchConfig& arch = config_.replicas.front().arch;
-  m.ttft_ms = detail::cycle_summary_ms(std::move(ttft), arch);
-  m.token_ms = util::percentile_summary(std::move(token));
-  m.e2e_ms = detail::cycle_summary_ms(std::move(e2e), arch);
-  m.queue_wait_ms = detail::cycle_summary_ms(std::move(queue_wait), arch);
-  m.inter_token_gap_ms = detail::cycle_summary_ms(std::move(gap), arch);
-  if (m.iterations > 0) {
-    m.mean_batch_size = batch_members / static_cast<double>(m.iterations);
-  }
-  m.decode_stall_ms =
-      config_.replicas.front().arch.cycles_to_ms(decode_stall);
-  m.recompute_ms = config_.replicas.front().arch.cycles_to_ms(recompute);
-  m.peak_in_flight = run.shared.peak_active;
-  m.preempt = config_.replicas.front().scheduler.preempt;
-  m.kv_block_tokens = run.replicas.front()->kv.block_tokens();
 
   result.disaggregated = config_.disaggregated();
   result.roles = config_.roles;
@@ -821,36 +801,22 @@ FleetResult FleetSim::run(Observer* observer) const {
   // deltas on the summed initial live count. On a symmetric fleet the one
   // tier IS the fleet, so this reproduces the legacy (at, e.to) timeline
   // entry for entry.
-  std::uint32_t initial_live = 0;
+  std::uint32_t live = 0;
   for (const FleetRun::Tier& tier : run.tiers) {
-    initial_live += tier.timeline.front().second;
+    live += tier.timeline.front().second;
   }
-  std::vector<std::pair<sim::Cycles, std::uint32_t>> timeline;
+  LiveTimeline timeline;
   timeline.reserve(result.scale_events.size() + 1);
-  timeline.emplace_back(0, initial_live);
-  std::uint32_t running_live = initial_live;
+  timeline.emplace_back(0, live);
   for (const ScaleEvent& e : result.scale_events) {
-    running_live += e.to;
-    running_live -= e.from;
-    timeline.emplace_back(e.at, running_live);
+    live += e.to;
+    live -= e.from;
+    timeline.emplace_back(e.at, live);
   }
-  result.min_live_replicas = initial_live;
-  result.peak_live_replicas = initial_live;
-  std::uint64_t live_cycles = 0;
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    const sim::Cycles until =
-        i + 1 < timeline.size() ? timeline[i + 1].first : makespan;
-    live_cycles += static_cast<std::uint64_t>(timeline[i].second) *
-                   (until - timeline[i].first);
-    result.min_live_replicas =
-        std::min(result.min_live_replicas, timeline[i].second);
-    result.peak_live_replicas =
-        std::max(result.peak_live_replicas, timeline[i].second);
-  }
-  if (makespan > 0) {
-    result.mean_live_replicas =
-        static_cast<double>(live_cycles) / static_cast<double>(makespan);
-  }
+  const LiveStats fleet_live = live_stats(timeline, makespan);
+  result.min_live_replicas = fleet_live.min;
+  result.peak_live_replicas = fleet_live.peak;
+  result.mean_live_replicas = fleet_live.mean;
   // Occupancy is accounted per tier: each member's live spans come from
   // its own tier's timeline (on a symmetric fleet the tier timeline and
   // member positions are exactly the legacy fleet-wide ones).
@@ -865,51 +831,8 @@ FleetResult FleetSim::run(Observer* observer) const {
     result.replica_cycles += tier_occupied[t];
   }
   result.replica_seconds =
-      static_cast<double>(result.replica_cycles) / frequency;
-
-  result.replicas.reserve(n);
-  for (auto& r : run.replicas) {
-    result.replicas.push_back(detail::finalize_metrics(*r));
-  }
-  if (observer != nullptr) observer->finalize(makespan);
-  for (const FleetMetrics& rm : result.replicas) {
-    m.requests.insert(m.requests.end(), rm.requests.begin(),
-                      rm.requests.end());
-    m.kv_blocks_in_use_at_end += rm.kv_blocks_in_use_at_end;
-    m.prefix_cache = m.prefix_cache || rm.prefix_cache;
-    m.kv_swap = m.kv_swap || rm.kv_swap;
-    m.cache_lookups += rm.cache_lookups;
-    m.cache_lookup_tokens += rm.cache_lookup_tokens;
-    m.cache_hit_requests += rm.cache_hit_requests;
-    m.cache_hit_tokens += rm.cache_hit_tokens;
-    m.saved_prefill_cycles += rm.saved_prefill_cycles;
-    m.saved_prefill_ms += rm.saved_prefill_ms;
-    m.cache_insert_blocks += rm.cache_insert_blocks;
-    m.cache_evict_blocks += rm.cache_evict_blocks;
-    m.cache_cow_events += rm.cache_cow_events;
-    m.cache_dedup_blocks += rm.cache_dedup_blocks;
-    m.cache_swap_out_blocks += rm.cache_swap_out_blocks;
-    m.cache_swap_in_blocks += rm.cache_swap_in_blocks;
-    m.cache_swap_ms += rm.cache_swap_ms;
-    m.cache_blocks_at_end += rm.cache_blocks_at_end;
-    m.prefill_cycles += rm.prefill_cycles;
-    m.kv_migrations += rm.kv_migrations;
-    m.kv_migrated_blocks += rm.kv_migrated_blocks;
-    m.kv_migrate_wire_bytes += rm.kv_migrate_wire_bytes;
-    m.kv_migrate_ingest_ms += rm.kv_migrate_ingest_ms;
-    m.work_steals += rm.work_steals;
-    m.steal_wire_bytes += rm.steal_wire_bytes;
-    m.handoffs_in += rm.handoffs_in;
-    m.handoffs_out += rm.handoffs_out;
-  }
-  if (m.cache_lookup_tokens > 0) {
-    m.cache_hit_rate = static_cast<double>(m.cache_hit_tokens) /
-                       static_cast<double>(m.cache_lookup_tokens);
-  }
-  std::sort(m.requests.begin(), m.requests.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.id < b.id;
-            });
+      static_cast<double>(result.replica_cycles) /
+      config_.replicas.front().arch.frequency_hz;
 
   // Load imbalance over the routing-eligible replicas only: on a
   // disaggregated fleet decode replicas receive zero fresh arrivals by
@@ -931,19 +854,7 @@ FleetResult FleetSim::run(Observer* observer) const {
                             static_cast<double>(eligible) /
                             static_cast<double>(total_routed);
   }
-  bool any = false;
-  double lo = 0, hi = 0;
-  for (const FleetMetrics& rm : result.replicas) {
-    if (rm.completed == 0) continue;
-    if (!any) {
-      lo = hi = rm.ttft_ms.p99;
-      any = true;
-    } else {
-      lo = std::min(lo, rm.ttft_ms.p99);
-      hi = std::max(hi, rm.ttft_ms.p99);
-    }
-  }
-  result.ttft_p99_spread_ms = any ? hi - lo : 0.0;
+  result.ttft_p99_spread_ms = ttft_p99_spread(result.replicas, indices);
 
   // Per-tier rollups (disaggregated fleets only — symmetric results keep
   // `tiers` empty so their tables and digests cannot move).
@@ -951,41 +862,15 @@ FleetResult FleetSim::run(Observer* observer) const {
     result.tiers.reserve(run.tiers.size());
     for (std::size_t t = 0; t < run.tiers.size(); ++t) {
       const FleetRun::Tier& tier = run.tiers[t];
+      const LiveStats tier_live = live_stats(tier.timeline, makespan);
       FleetResult::TierStats ts;
       ts.role = tier.role;
       ts.members = tier.members;
       ts.replica_cycles = tier_occupied[t];
-      ts.min_live = tier.timeline.front().second;
-      ts.peak_live = ts.min_live;
-      std::uint64_t tier_live_cycles = 0;
-      for (std::size_t i = 0; i < tier.timeline.size(); ++i) {
-        const sim::Cycles until = i + 1 < tier.timeline.size()
-                                      ? tier.timeline[i + 1].first
-                                      : makespan;
-        tier_live_cycles +=
-            static_cast<std::uint64_t>(tier.timeline[i].second) *
-            (until - tier.timeline[i].first);
-        ts.min_live = std::min(ts.min_live, tier.timeline[i].second);
-        ts.peak_live = std::max(ts.peak_live, tier.timeline[i].second);
-      }
-      if (makespan > 0) {
-        ts.mean_live = static_cast<double>(tier_live_cycles) /
-                       static_cast<double>(makespan);
-      }
-      bool tier_any = false;
-      double tier_lo = 0, tier_hi = 0;
-      for (std::uint32_t member : tier.members) {
-        const FleetMetrics& rm = result.replicas[member];
-        if (rm.completed == 0) continue;
-        if (!tier_any) {
-          tier_lo = tier_hi = rm.ttft_ms.p99;
-          tier_any = true;
-        } else {
-          tier_lo = std::min(tier_lo, rm.ttft_ms.p99);
-          tier_hi = std::max(tier_hi, rm.ttft_ms.p99);
-        }
-      }
-      ts.ttft_p99_spread_ms = tier_any ? tier_hi - tier_lo : 0.0;
+      ts.min_live = tier_live.min;
+      ts.peak_live = tier_live.peak;
+      ts.mean_live = tier_live.mean;
+      ts.ttft_p99_spread_ms = ttft_p99_spread(result.replicas, tier.members);
       result.tiers.push_back(std::move(ts));
     }
   }

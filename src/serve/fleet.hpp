@@ -1,18 +1,19 @@
 // Multi-deployment serving fleet: N replica deployments behind a
 // load balancer, fed by one shared traffic stream.
 //
-// FleetSim is the horizontal scale axis on top of ServingSim's vertical
-// one: it owns N independent replicas (each a full ServingConfig — its own
-// scheduler, KV budget, even a different ArchConfig) on ONE shared
-// sim::Engine, and a LoadBalancer that routes every arrival of a single
-// TrafficGen stream to a replica the moment it lands. Replicas never share
-// KV or pipeline state — in a symmetric fleet a request lives and dies on
-// the replica it was routed to, so each replica's scheduling, paging and
-// preemption behavior is exactly a lone replica's. Disaggregated fleets
-// (FleetConfig::roles) relax exactly one thing: a finished prompt's KV can
-// move, whole, from a prefill replica to a decode replica over a timed
-// net::RingFabric (and an idle replica can steal queued work the same
-// way) — the pools themselves are still never shared.
+// FleetSim is the serving engine at every width (ServingSim is its
+// 1-replica case): it owns N independent replicas (each a full
+// ServingConfig — its own scheduler, KV budget, even a different
+// ArchConfig) on ONE shared sim::Engine, and a LoadBalancer that routes
+// every arrival of a single TrafficGen stream to a replica the moment it
+// lands. Replicas never share KV or pipeline state — in a symmetric fleet a
+// request lives and dies on the replica it was routed to, so each
+// replica's scheduling, paging and preemption behavior is exactly a lone
+// replica's. Disaggregated fleets (FleetConfig::roles) relax exactly one
+// thing: a finished prompt's KV can move, whole, from a prefill replica to
+// a decode replica over a timed net::RingFabric (and an idle replica can
+// steal queued work the same way) — the pools themselves are still never
+// shared.
 //
 // Invariants:
 //  - Determinism: a FleetConfig fully determines FleetResult. All
@@ -182,14 +183,15 @@ struct FleetResult {
   /// completions.
   std::vector<FleetMetrics> replicas;
 
-  /// Fleet-level rollup. Counts/token totals/iterations sum across
-  /// replicas; rates use the shared makespan; latency percentiles pool
-  /// every replica's per-request samples; `peak_in_flight` is the true
-  /// fleet-wide concurrent peak; `busy_fraction` averages pipeline
-  /// utilization over all replicas; `peak_queue_depth` and
-  /// `kv_peak_occupancy` report the worst single replica; KV capacity and
-  /// preemption counters sum. `preempt`/`kv_block_tokens` echo replica 0
-  /// (display only — replicas may differ). `requests` pools every
+  /// Fleet-level rollup, built by the same summary as each entry of
+  /// `replicas` — so a 1-replica fleet's rollup IS replicas[0]. Counters,
+  /// tokens, KV capacity and cache/preemption counters sum across replicas;
+  /// rates use the shared makespan; latency percentiles pool every
+  /// replica's per-request samples; `peak_in_flight` is the true
+  /// fleet-wide concurrent peak; `busy_fraction` is summed busy cycles over
+  /// makespan x replicas; `peak_queue_depth` and `kv_peak_occupancy` report
+  /// the worst single replica. `slo`/`preempt`/`kv_block_tokens` echo
+  /// replica 0 (display only — replicas may differ). `requests` pools every
   /// replica's records sorted by id (== fleet-wide injection order), each
   /// carrying its `replica` index.
   FleetMetrics fleet;

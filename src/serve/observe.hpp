@@ -137,7 +137,7 @@ class Observer {
   void end_wait(std::uint32_t replica, sim::Cycles at);
   /// The replica's scheduler loop exited; [at, makespan] becomes drain.
   void mark_exit(std::uint32_t replica, sim::Cycles at);
-  /// End-of-run KV gauges (finalize_metrics feeds these).
+  /// End-of-run KV gauges (detail::teardown feeds these).
   void set_kv_stats(std::uint32_t replica, std::uint64_t capacity_blocks,
                     std::uint64_t peak_used_blocks,
                     std::uint32_t block_tokens);

@@ -929,127 +929,166 @@ util::PercentileSummary cycle_summary_ms(std::vector<sim::Cycles> cycles,
   return s;
 }
 
-FleetMetrics finalize_metrics(Replica& f) {
+void teardown(Replica& f) {
   if (f.shared.observer != nullptr) {
     f.shared.observer->set_kv_stats(f.id, f.kv.capacity_blocks(),
                                     f.kv.peak_used_blocks(),
                                     f.kv.block_tokens());
   }
+  if (f.cache) {
+    f.cache_blocks_at_end = f.cache->resident_blocks();
+    // drain() returns every cache-owned resident block to the pool (and
+    // throws if a request leaked a reference), so the used_blocks() that
+    // summarize() reads afterwards keeps meaning "private blocks someone
+    // forgot to release" — pinned at 0.
+    f.cache->drain();
+  }
+}
+
+namespace {
+
+template <typename T>
+void append(std::vector<T>& pool, const std::vector<T>& samples) {
+  pool.insert(pool.end(), samples.begin(), samples.end());
+}
+
+void append_records(std::vector<RequestRecord>& out, const Replica& f) {
+  for (const FinishedRequest& r : f.finished) {
+    RequestRecord rec;
+    rec.id = r.id;
+    rec.replica = f.id;
+    rec.prefill_tokens = r.prefill_tokens;
+    rec.decode_tokens = r.decoded;
+    rec.prefill_chunks = r.prefill_chunks;
+    rec.preemptions = r.preempt_count;
+    rec.cached_prefix_tokens = r.cached_prefix;
+    rec.live_replicas = r.live_at_route;
+    rec.rejected = r.rejected;
+    rec.migrated = r.migrated;
+    rec.stolen = r.stolen;
+    if (!rec.rejected) {
+      rec.queue_wait_ms = f.ms(r.admitted - r.arrival);
+      rec.ttft_ms = f.ms(r.first_token - r.arrival);
+      rec.e2e_ms = f.ms(r.completed - r.arrival);
+      rec.max_token_gap_ms = f.ms(r.max_token_gap);
+    }
+    out.push_back(rec);
+  }
+}
+
+}  // namespace
+
+FleetMetrics summarize(const std::vector<const Replica*>& group,
+                       sim::Cycles makespan, std::uint32_t peak_in_flight) {
+  const Replica& front = *group.front();
+  const core::ArchConfig& arch = front.cfg.arch;
   FleetMetrics m;
-  m.offered = f.routed;
-  m.completed = f.completed;
-  m.rejected = f.rejected;
-  m.decode_tokens = f.decode_tokens;
-  m.total_tokens = f.total_tokens;
-  m.slo = f.cfg.slo;
+  std::vector<double> token;
+  std::vector<sim::Cycles> ttft, e2e, queue_wait, gap;
+  sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
+  double batch_members = 0;
+  for (const Replica* r : group) {
+    append(ttft, r->ttft_cycles);
+    append(token, r->token_ms);
+    append(e2e, r->e2e_cycles);
+    append(queue_wait, r->queue_wait_cycles);
+    append(gap, r->gap_cycles);
+    busy += r->busy_cycles;
+    decode_stall += r->decode_stall_cycles;
+    recompute += r->recompute_cycles;
+    m.offered += r->routed;
+    m.completed += r->completed;
+    m.rejected += r->rejected;
+    m.slo_good += r->good;
+    m.decode_tokens += r->decode_tokens;
+    m.total_tokens += r->total_tokens;
+    m.iterations += r->sched.iteration_count();
+    // Pool through mean_batch_size() x iterations: dividing the product by
+    // the same iteration count gives the scheduler's quotient back bit for
+    // bit, so a one-replica group reports its scheduler's own mean.
+    batch_members += r->sched.mean_batch_size() *
+                     static_cast<double>(r->sched.iteration_count());
+    m.prefill_chunk_steps += r->prefill_chunk_steps;
+    m.chunked_prompts += r->chunked_prompts;
+    m.decode_stall_iterations += r->decode_stall_iterations;
+    m.peak_queue_depth = std::max(m.peak_queue_depth, r->queue.peak_depth());
+    m.kv_peak_occupancy =
+        std::max(m.kv_peak_occupancy, r->kv.peak_occupancy());
+    m.kv_stall_events += r->kv.stall_events();
+    m.kv_over_release_events += r->kv.over_release_events();
+    m.kv_blocks_in_use_at_end += r->kv.used_blocks();
+    m.kv_capacity_blocks += r->kv.capacity_blocks();
+    m.kv_peak_used_blocks += r->kv.peak_used_blocks();
+    m.kv_peak_frag_tokens += r->kv.peak_frag_tokens();
+    m.preemptions += r->preemptions;
+    m.recompute_tokens += r->recompute_tokens;
+    m.prefill_cycles += r->prefill_cycles_executed;
+    m.prefix_cache = m.prefix_cache || r->cfg.prefix_cache;
+    m.kv_swap = m.kv_swap || r->cfg.kv_swap;
+    m.cache_lookups += r->cache_lookups;
+    m.cache_lookup_tokens += r->cache_lookup_tokens;
+    m.cache_hit_requests += r->cache_hit_requests;
+    m.cache_hit_tokens += r->cache_hit_tokens;
+    m.saved_prefill_cycles += r->cache_saved_prefill_cycles;
+    m.saved_prefill_ms += r->ms(r->cache_saved_prefill_cycles);
+    m.cache_blocks_at_end += r->cache_blocks_at_end;
+    if (r->cache) {
+      m.cache_insert_blocks += r->cache->insert_blocks();
+      m.cache_evict_blocks += r->cache->evict_blocks();
+      m.cache_cow_events += r->cache->cow_events();
+      m.cache_dedup_blocks += r->cache->dedup_blocks();
+      m.cache_swap_out_blocks += r->cache->swap_out_blocks();
+      m.cache_swap_in_blocks += r->cache->swap_in_blocks();
+      m.cache_swap_ms += r->ms(r->cache->swap_cycles_total());
+    }
+    // Out-side counters only: counting both ends would double every
+    // migration/steal in a group that holds both.
+    m.kv_migrations += r->migrations_out;
+    m.kv_migrated_blocks += r->migrated_blocks_out;
+    m.kv_migrate_wire_bytes += r->migrate_wire_bytes;
+    m.kv_migrate_ingest_ms += r->ms(r->migrate_ingest_cycles);
+    m.work_steals += r->steals_out;
+    m.steal_wire_bytes += r->steal_wire_bytes;
+    m.handoffs_in += r->handoffs_in;
+    m.handoffs_out += r->handoffs_out;
+    if (r->cfg.keep_request_records) append_records(m.requests, *r);
+  }
+  m.slo = front.cfg.slo;
+  m.preempt = front.cfg.scheduler.preempt;
+  m.kv_block_tokens = front.kv.block_tokens();
+  m.peak_in_flight = peak_in_flight;
   const double duration_s =
-      static_cast<double>(f.engine.now()) / f.cfg.arch.frequency_hz;
+      static_cast<double>(makespan) / arch.frequency_hz;
   m.duration_s = duration_s;
   if (duration_s > 0) {
     m.throughput_req_s = static_cast<double>(m.completed) / duration_s;
     m.throughput_tok_s = static_cast<double>(m.total_tokens) / duration_s;
     m.decode_tok_s = static_cast<double>(m.decode_tokens) / duration_s;
-    m.goodput_req_s = static_cast<double>(f.good) / duration_s;
-    m.busy_fraction = static_cast<double>(f.busy_cycles) /
-                      static_cast<double>(f.engine.now());
+    m.goodput_req_s = static_cast<double>(m.slo_good) / duration_s;
+    m.busy_fraction =
+        static_cast<double>(busy) /
+        (static_cast<double>(makespan) * static_cast<double>(group.size()));
   }
-  m.slo_good = f.good;
-  m.ttft_ms = cycle_summary_ms(std::move(f.ttft_cycles), f.cfg.arch);
-  m.token_ms = util::percentile_summary(std::move(f.token_ms));
-  m.e2e_ms = cycle_summary_ms(std::move(f.e2e_cycles), f.cfg.arch);
-  m.queue_wait_ms =
-      cycle_summary_ms(std::move(f.queue_wait_cycles), f.cfg.arch);
-  m.inter_token_gap_ms = cycle_summary_ms(std::move(f.gap_cycles), f.cfg.arch);
-  m.iterations = f.sched.iteration_count();
-  m.mean_batch_size = f.sched.mean_batch_size();
-  m.prefill_chunk_steps = f.prefill_chunk_steps;
-  m.chunked_prompts = f.chunked_prompts;
-  m.decode_stall_iterations = f.decode_stall_iterations;
-  m.decode_stall_ms = f.cfg.arch.cycles_to_ms(f.decode_stall_cycles);
-  m.peak_in_flight = f.peak_active;
-  m.peak_queue_depth = f.queue.peak_depth();
-  m.kv_peak_occupancy = f.kv.peak_occupancy();
-  m.kv_stall_events = f.kv.stall_events();
-  m.kv_over_release_events = f.kv.over_release_events();
-  m.prefix_cache = f.cfg.prefix_cache;
-  m.kv_swap = f.cfg.kv_swap;
-  m.prefill_cycles = f.prefill_cycles_executed;
-  if (f.cache) {
-    m.cache_lookups = f.cache_lookups;
-    m.cache_lookup_tokens = f.cache_lookup_tokens;
-    m.cache_hit_requests = f.cache_hit_requests;
-    m.cache_hit_tokens = f.cache_hit_tokens;
-    if (f.cache_lookup_tokens > 0) {
-      m.cache_hit_rate = static_cast<double>(f.cache_hit_tokens) /
-                         static_cast<double>(f.cache_lookup_tokens);
-    }
-    m.saved_prefill_cycles = f.cache_saved_prefill_cycles;
-    m.saved_prefill_ms = f.cfg.arch.cycles_to_ms(f.cache_saved_prefill_cycles);
-    m.cache_insert_blocks = f.cache->insert_blocks();
-    m.cache_evict_blocks = f.cache->evict_blocks();
-    m.cache_cow_events = f.cache->cow_events();
-    m.cache_dedup_blocks = f.cache->dedup_blocks();
-    m.cache_swap_out_blocks = f.cache->swap_out_blocks();
-    m.cache_swap_in_blocks = f.cache->swap_in_blocks();
-    m.cache_swap_ms = f.cfg.arch.cycles_to_ms(f.cache->swap_cycles_total());
-    m.cache_blocks_at_end = f.cache->resident_blocks();
-    // Teardown BEFORE the leak gauge below: drain() returns every
-    // cache-owned resident block to the pool (and throws if a request
-    // leaked a reference), so kv_blocks_in_use_at_end keeps meaning
-    // "private blocks someone forgot to release" — pinned at 0.
-    f.cache->drain();
+  m.ttft_ms = cycle_summary_ms(std::move(ttft), arch);
+  m.token_ms = util::percentile_summary(std::move(token));
+  m.e2e_ms = cycle_summary_ms(std::move(e2e), arch);
+  m.queue_wait_ms = cycle_summary_ms(std::move(queue_wait), arch);
+  m.inter_token_gap_ms = cycle_summary_ms(std::move(gap), arch);
+  if (m.iterations > 0) {
+    m.mean_batch_size = batch_members / static_cast<double>(m.iterations);
   }
-  m.kv_blocks_in_use_at_end = f.kv.used_blocks();
-  m.preempt = f.cfg.scheduler.preempt;
-  m.kv_block_tokens = f.kv.block_tokens();
-  m.kv_capacity_blocks = f.kv.capacity_blocks();
-  m.kv_peak_used_blocks = f.kv.peak_used_blocks();
-  m.kv_peak_frag_tokens = f.kv.peak_frag_tokens();
-  m.preemptions = f.preemptions;
-  m.recompute_tokens = f.recompute_tokens;
-  m.recompute_ms = f.cfg.arch.cycles_to_ms(f.recompute_cycles);
-  if (f.disagg != nullptr) {
-    // Out-side counters only: the fleet sums per-replica metrics, so
-    // counting both ends would double every migration/steal.
-    m.kv_migrations = f.migrations_out;
-    m.kv_migrated_blocks = f.migrated_blocks_out;
-    m.kv_migrate_wire_bytes = f.migrate_wire_bytes;
-    m.kv_migrate_ingest_ms = f.cfg.arch.cycles_to_ms(f.migrate_ingest_cycles);
-    m.work_steals = f.steals_out;
-    m.steal_wire_bytes = f.steal_wire_bytes;
-    m.handoffs_in = f.handoffs_in;
-    m.handoffs_out = f.handoffs_out;
+  m.decode_stall_ms = arch.cycles_to_ms(decode_stall);
+  m.recompute_ms = arch.cycles_to_ms(recompute);
+  if (m.cache_lookup_tokens > 0) {
+    m.cache_hit_rate = static_cast<double>(m.cache_hit_tokens) /
+                       static_cast<double>(m.cache_lookup_tokens);
   }
-  if (f.cfg.keep_request_records) {
-    // The retirement log is in completion order; records went out in
-    // creation (== id) order before, so sort by id to match byte for byte.
-    std::sort(f.finished.begin(), f.finished.end(),
-              [](const FinishedRequest& a, const FinishedRequest& b) {
-                return a.id < b.id;
-              });
-    m.requests.reserve(f.finished.size());
-    for (const FinishedRequest& r : f.finished) {
-      RequestRecord rec;
-      rec.id = r.id;
-      rec.replica = f.id;
-      rec.prefill_tokens = r.prefill_tokens;
-      rec.decode_tokens = r.decoded;
-      rec.prefill_chunks = r.prefill_chunks;
-      rec.preemptions = r.preempt_count;
-      rec.cached_prefix_tokens = r.cached_prefix;
-      rec.live_replicas = r.live_at_route;
-      rec.rejected = r.rejected;
-      rec.migrated = r.migrated;
-      rec.stolen = r.stolen;
-      if (!rec.rejected) {
-        rec.queue_wait_ms = f.ms(r.admitted - r.arrival);
-        rec.ttft_ms = f.ms(r.first_token - r.arrival);
-        rec.e2e_ms = f.ms(r.completed - r.arrival);
-        rec.max_token_gap_ms = f.ms(r.max_token_gap);
-      }
-      m.requests.push_back(rec);
-    }
-  }
+  // The retirement logs are in completion order; records go out in
+  // creation (== id == fleet-wide injection) order.
+  std::sort(m.requests.begin(), m.requests.end(),
+            [](const RequestRecord& a, const RequestRecord& b) {
+              return a.id < b.id;
+            });
   return m;
 }
 

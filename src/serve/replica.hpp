@@ -181,8 +181,8 @@ struct Replica {
   /// admission is FIFO over monotone ids) — the preemption policies' age
   /// scan. head is the oldest, tail the youngest.
   RequestList<kAgeChannel> age;
-  /// Retirement log, appended at completion/rejection; finalize_metrics
-  /// sorts it by id so records come out in the legacy creation order.
+  /// Retirement log, appended at completion/rejection; summarize() sorts
+  /// the records it builds from it by id (the creation order).
   std::vector<FinishedRequest> finished;
 
   // ---- Reused per-iteration scratch (no steady-state reallocation) ----
@@ -248,6 +248,7 @@ struct Replica {
   std::uint64_t cache_hit_requests = 0;   // admissions with >= 1 hit token
   std::uint64_t cache_hit_tokens = 0;     // prefill tokens skipped
   sim::Cycles cache_saved_prefill_cycles = 0;  // prefill_cycles(hit) saved
+  std::uint64_t cache_blocks_at_end = 0;  // resident when teardown() drained
 
   // ---- Latency samples (one per completed request) ----
   /// Mean decode-token latency in ms. This is the one latency series that
@@ -319,10 +320,19 @@ sim::Task steal_proc(Replica& thief, Replica& victim, Request& r);
 /// `replica`/`request` are the type-erased Replica* / Request*.
 void enqueue_request_event(void* replica, void* request);
 
-/// Builds this replica's FleetMetrics after engine.run() returned. Moves
-/// the latency sample vectors out of the replica — harnesses that pool
-/// samples fleet-wide must copy them first.
-FleetMetrics finalize_metrics(Replica& f);
+/// End-of-run step for one replica, after engine.run() returned and before
+/// any summarize() reads it: hands the KV gauges to the observer, records
+/// the resident cache blocks and drains the prefix cache.
+void teardown(Replica& f);
+
+/// Builds the FleetMetrics of any group of torn-down replicas — one replica
+/// or the whole fleet, by the same rules: counters and tokens sum, latency
+/// samples pool, rates divide by the shared makespan, `peak_queue_depth`
+/// and `kv_peak_occupancy` take the worst replica, and `peak_in_flight` is
+/// the group's concurrent peak, which only the caller knows. Echo fields
+/// (`slo`, `preempt`, `kv_block_tokens`) come from the first replica.
+FleetMetrics summarize(const std::vector<const Replica*>& group,
+                       sim::Cycles makespan, std::uint32_t peak_in_flight);
 
 /// Percentile summary of integer cycle-domain latency samples, reported in
 /// milliseconds. Radix-sorts the cycles and converts ascending: cycles_to_ms

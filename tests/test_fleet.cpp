@@ -1,13 +1,15 @@
 // Tests for the multi-deployment fleet layer: LoadBalancer routing rules
 // and tie-breaks, FleetSim determinism, single-replica equivalence with
-// ServingSim, the JSQ-beats-round-robin acceptance pin on a skewed mix,
-// heterogeneous fleets, and the fleet CLI flag validation.
+// ServingSim, the fleet rollup rules, the JSQ-beats-round-robin acceptance
+// pin on a skewed mix, heterogeneous fleets, and the fleet CLI flag
+// validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -16,6 +18,7 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/serving_sim.hpp"
+#include "serve/traffic.hpp"
 #include "util/cli.hpp"
 #include "workload/mix.hpp"
 
@@ -167,54 +170,185 @@ TEST(LoadBalancerTest, KvAwarePicksMostFreeTokensThenJsqThenIndex) {
 
 // ------------------------------------------------- Single-replica identity
 
-/// The refactor-correctness pin: a 1-replica fleet must be bit-identical
-/// to ServingSim on the same config — both run the same replica machinery
-/// and a balancer over one replica makes no extra engine events. The CLI
-/// surfaces and host::Host report FleetResult::fleet at every width, so
-/// these three tests are what guarantee that a width-1 rollup equals the
-/// lone replica's metrics (and single-replica output stays byte-stable).
+/// A width-1 fleet summarizes its one replica with the same function that
+/// builds replicas[0], and ServingSim is a 1-replica FleetSim — so on every
+/// config the fleet rollup, the lone replica's metrics and ServingSim must
+/// agree bit for bit. The CLI surfaces and host::Host report
+/// FleetResult::fleet at every width, which keeps single-replica output
+/// byte-stable. The cases span the open loop under every balancer, the
+/// closed loop, and paged KV with recompute preemption (the whole eviction
+/// path through the shared replica machinery).
 TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
-  ServingConfig cfg = base_config();
-  cfg.keep_request_records = true;
-  for (const BalancerPolicy policy :
-       {BalancerPolicy::kRoundRobin, BalancerPolicy::kJoinShortestQueue,
-        BalancerPolicy::kKvAware}) {
+  struct Case {
+    const char* name;
+    ServingConfig cfg;
+    BalancerPolicy policy = BalancerPolicy::kRoundRobin;
+    bool preempts = false;  // the config must actually evict
+  };
+  std::vector<Case> cases;
+  ServingConfig open = base_config();
+  cases.push_back({"open-rr", open, BalancerPolicy::kRoundRobin});
+  cases.push_back({"open-jsq", open, BalancerPolicy::kJoinShortestQueue});
+  cases.push_back({"open-kv", open, BalancerPolicy::kKvAware});
+
+  ServingConfig closed = base_config();
+  closed.traffic.process = ArrivalProcess::kClosedLoop;
+  closed.traffic.clients = 4;
+  closed.traffic.think_time_s = 0.001;
+  closed.traffic.num_requests = 16;
+  cases.push_back({"closed-loop", closed});
+
+  ServingConfig paged = base_config();
+  paged.scheduler.policy = BatchPolicy::kChunkedMixed;
+  paged.scheduler.max_tokens_per_iter = 16;
+  paged.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
+  paged.kv_block_tokens = 4;
+  paged.traffic.arrival_rate_per_s = 2000.0;
+  KvBlockManager probe(paged.arch, paged.model, 1);
+  paged.kv_budget_bytes_per_node = 96 * probe.bytes_per_token_per_node();
+  cases.push_back({"paged-recompute", paged, BalancerPolicy::kRoundRobin,
+                   /*preempts=*/true});
+
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.cfg.keep_request_records = true;
     const FleetResult fleet =
-        FleetSim(FleetConfig::homogeneous(cfg, 1, policy)).run();
-    const FleetMetrics lone = ServingSim(cfg).run();
-    expect_identical(fleet.fleet, lone);
+        FleetSim(FleetConfig::homogeneous(c.cfg, 1, c.policy)).run();
+    const FleetMetrics lone = ServingSim(c.cfg).run();
     ASSERT_EQ(fleet.replicas.size(), 1u);
+    expect_identical(fleet.fleet, fleet.replicas[0]);
     expect_identical(fleet.replicas[0], lone);
     EXPECT_EQ(fleet.load_imbalance, 1.0);
     EXPECT_EQ(fleet.ttft_p99_spread_ms, 0.0);
+    EXPECT_EQ(lone.requests.size(), lone.offered);
+    if (c.preempts) {
+      EXPECT_GT(lone.preemptions, 0u);  // the path was actually exercised
+    }
   }
 }
 
-TEST(FleetSimTest, SingleReplicaFleetMatchesServingSimClosedLoop) {
-  ServingConfig cfg = base_config();
-  cfg.traffic.process = ArrivalProcess::kClosedLoop;
-  cfg.traffic.clients = 4;
-  cfg.traffic.think_time_s = 0.001;
-  cfg.traffic.num_requests = 16;
-  const FleetResult fleet = FleetSim(FleetConfig::homogeneous(cfg, 1)).run();
-  expect_identical(fleet.fleet, ServingSim(cfg).run());
-}
+/// The rollup rules on a fleet whose replicas differ: counters sum,
+/// per-replica peaks take the worst replica, latency samples pool (so
+/// every summary's count is the sum of the replicas'), and the request
+/// records are the id-sorted union of the replicas' own.
+TEST(FleetSimTest, RollupPoolsEveryReplica) {
+  ServingConfig base;
+  base.arch = test_arch();
+  base.model = fleet_model();
+  base.cost_probe_stride = 16;
+  ChatTrafficConfig chat;
+  chat.conversations = 6;
+  chat.turns = 3;
+  chat.system_prompt_tokens = 24;
+  chat.user_turn_tokens = 8;
+  chat.reply_tokens = 8;
+  base.traffic.scripted_shapes = chat_turn_shapes(chat);
+  base.traffic.num_requests =
+      static_cast<std::uint32_t>(base.traffic.scripted_shapes.size());
+  base.traffic.arrival_rate_per_s = 2000.0;
+  base.traffic.seed = 17;
+  base.scheduler.max_batch = 4;
+  base.scheduler.policy = BatchPolicy::kChunkedMixed;
+  base.scheduler.max_tokens_per_iter = 16;
+  base.scheduler.preempt = PreemptPolicy::kRecomputeCostAware;
+  base.kv_block_tokens = 4;
+  base.prefix_cache = true;
+  base.kv_swap = true;
+  base.keep_request_records = true;
+  KvBlockManager probe(base.arch, base.model, 1);
 
-TEST(FleetSimTest, SingleReplicaFleetMatchesServingSimPagedPreempt) {
-  // Paged KV + recompute preemption exercises the whole eviction path
-  // through the shared replica machinery.
-  ServingConfig cfg = base_config();
-  cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
-  cfg.scheduler.max_tokens_per_iter = 16;
-  cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-  cfg.kv_block_tokens = 4;
-  cfg.traffic.arrival_rate_per_s = 2000.0;
-  KvBlockManager probe(cfg.arch, cfg.model, 1);
-  cfg.kv_budget_bytes_per_node = 96 * probe.bytes_per_token_per_node();
-  const FleetMetrics lone = ServingSim(cfg).run();
-  const FleetResult fleet = FleetSim(FleetConfig::homogeneous(cfg, 1)).run();
-  expect_identical(fleet.fleet, lone);
-  EXPECT_GT(lone.preemptions, 0u);  // the path was actually exercised
+  FleetConfig cfg;
+  for (const std::uint64_t tokens : {96u, 64u, 160u}) {
+    ServingConfig replica = base;
+    replica.kv_budget_bytes_per_node =
+        tokens * probe.bytes_per_token_per_node();
+    cfg.replicas.push_back(replica);
+  }
+  cfg.traffic = base.traffic;
+  cfg.balancer = BalancerPolicy::kJoinShortestQueue;
+  const FleetResult r = FleetSim(cfg).run();
+  const FleetMetrics& fleet = r.fleet;
+  ASSERT_EQ(r.replicas.size(), 3u);
+
+  const auto sum = [&](auto field) {
+    std::remove_cvref_t<decltype(fleet.*field)> total{};
+    for (const FleetMetrics& rm : r.replicas) total += rm.*field;
+    return total;
+  };
+  const auto worst = [&](auto field) {
+    std::remove_cvref_t<decltype(fleet.*field)> peak{};
+    for (const FleetMetrics& rm : r.replicas) peak = std::max(peak, rm.*field);
+    return peak;
+  };
+  for (const auto field :
+       {&FleetMetrics::offered, &FleetMetrics::completed,
+        &FleetMetrics::rejected, &FleetMetrics::slo_good,
+        &FleetMetrics::decode_tokens, &FleetMetrics::total_tokens,
+        &FleetMetrics::iterations, &FleetMetrics::prefill_chunk_steps,
+        &FleetMetrics::chunked_prompts, &FleetMetrics::decode_stall_iterations,
+        &FleetMetrics::kv_stall_events, &FleetMetrics::kv_over_release_events,
+        &FleetMetrics::kv_blocks_in_use_at_end,
+        &FleetMetrics::kv_peak_frag_tokens, &FleetMetrics::preemptions,
+        &FleetMetrics::recompute_tokens, &FleetMetrics::cache_lookups,
+        &FleetMetrics::cache_lookup_tokens, &FleetMetrics::cache_hit_requests,
+        &FleetMetrics::cache_hit_tokens, &FleetMetrics::saved_prefill_cycles,
+        &FleetMetrics::cache_insert_blocks, &FleetMetrics::cache_evict_blocks,
+        &FleetMetrics::cache_cow_events, &FleetMetrics::cache_dedup_blocks,
+        &FleetMetrics::cache_swap_out_blocks,
+        &FleetMetrics::cache_swap_in_blocks,
+        &FleetMetrics::cache_blocks_at_end, &FleetMetrics::prefill_cycles}) {
+    EXPECT_EQ(fleet.*field, sum(field));
+  }
+  EXPECT_EQ(fleet.kv_capacity_blocks, sum(&FleetMetrics::kv_capacity_blocks));
+  EXPECT_EQ(fleet.kv_peak_used_blocks,
+            sum(&FleetMetrics::kv_peak_used_blocks));
+  EXPECT_EQ(fleet.saved_prefill_ms, sum(&FleetMetrics::saved_prefill_ms));
+  EXPECT_EQ(fleet.cache_swap_ms, sum(&FleetMetrics::cache_swap_ms));
+  EXPECT_EQ(fleet.peak_queue_depth, worst(&FleetMetrics::peak_queue_depth));
+  EXPECT_EQ(fleet.kv_peak_occupancy, worst(&FleetMetrics::kv_peak_occupancy));
+  // Utilization averages over the replicas (one shared makespan).
+  EXPECT_NEAR(fleet.busy_fraction, sum(&FleetMetrics::busy_fraction) / 3.0,
+              1e-12);
+  // The concurrent peak lies between the worst replica and the sum.
+  EXPECT_GE(fleet.peak_in_flight, worst(&FleetMetrics::peak_in_flight));
+  EXPECT_LE(fleet.peak_in_flight, sum(&FleetMetrics::peak_in_flight));
+
+  for (const auto summary :
+       {&FleetMetrics::ttft_ms, &FleetMetrics::token_ms, &FleetMetrics::e2e_ms,
+        &FleetMetrics::queue_wait_ms, &FleetMetrics::inter_token_gap_ms}) {
+    std::size_t count = 0;
+    for (const FleetMetrics& rm : r.replicas) count += (rm.*summary).count;
+    EXPECT_EQ((fleet.*summary).count, count);
+  }
+
+  std::vector<RequestRecord> pooled;
+  for (const FleetMetrics& rm : r.replicas) {
+    pooled.insert(pooled.end(), rm.requests.begin(), rm.requests.end());
+  }
+  std::sort(pooled.begin(), pooled.end(),
+            [](const RequestRecord& a, const RequestRecord& b) {
+              return a.id < b.id;
+            });
+  ASSERT_EQ(fleet.requests.size(), fleet.offered);
+  ASSERT_EQ(fleet.requests.size(), pooled.size());
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    EXPECT_EQ(fleet.requests[i].id, pooled[i].id);
+    EXPECT_EQ(fleet.requests[i].replica, pooled[i].replica);
+    EXPECT_EQ(fleet.requests[i].ttft_ms, pooled[i].ttft_ms);
+    EXPECT_EQ(fleet.requests[i].e2e_ms, pooled[i].e2e_ms);
+  }
+
+  // The fixture exercises what it claims to: unequal pools, every replica
+  // serving, cache hits, swap-outs, preemptions and sheds, and a worst
+  // queue that is not replica 0's.
+  EXPECT_NE(r.replicas[0].kv_capacity_blocks,
+            r.replicas[2].kv_capacity_blocks);
+  for (const FleetMetrics& rm : r.replicas) EXPECT_GT(rm.completed, 0u);
+  EXPECT_GT(fleet.cache_hit_tokens, 0u);
+  EXPECT_GT(fleet.cache_swap_out_blocks, 0u);
+  EXPECT_GT(fleet.preemptions, 0u);
+  EXPECT_GT(fleet.rejected, 0u);
+  EXPECT_GT(fleet.peak_queue_depth, r.replicas[0].peak_queue_depth);
 }
 
 // ------------------------------------------------------------ Determinism
