@@ -73,36 +73,4 @@ sim::Cycles StepCostModel::decode_batch_cycles(
   return total;
 }
 
-sim::Cycles StepCostModel::prefill_group_cycles(
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& chunks)
-    const {
-  if (chunks.empty()) return 0;
-  // Exact identity for a lone chunk, immune to analytic-estimate skew.
-  if (chunks.size() == 1) {
-    return prefill_chunk_cycles(chunks.front().first, chunks.front().second);
-  }
-  const sim::Cycles mp_single =
-      std::max(weight_stream_cycles_, weight_mac_cycles_);
-  std::uint32_t max_tokens = 0;
-  for (const auto& [start, tokens] : chunks) {
-    max_tokens = std::max(max_tokens, tokens);
-  }
-  // Wavefront w: position start + w of every chunk longer than w. Shorter
-  // chunks drop out of later wavefronts, so the shared pass shrinks with
-  // them — the same max(stream, B x mac) + residuals shape as the decode
-  // group, applied token column by token column.
-  sim::Cycles total = 0;
-  for (std::uint32_t w = 0; w < max_tokens; ++w) {
-    sim::Cycles members = 0;
-    for (const auto& [start, tokens] : chunks) {
-      if (w >= tokens) continue;
-      const sim::Cycles s = step_cycles(start + w);
-      total += s > mp_single ? s - mp_single : 0;
-      ++members;
-    }
-    total += std::max(weight_stream_cycles_, members * weight_mac_cycles_);
-  }
-  return total;
-}
-
 }  // namespace looplynx::core

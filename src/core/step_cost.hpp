@@ -51,8 +51,8 @@ class StepCostModel {
   /// chunks already cached, so every position is priced at its true KV
   /// offset and, for any partition of [0, L),
   ///   sum(prefill_chunk_cycles(start_i, n_i)) == prefill_cycles(L).
-  /// The real extra cost of chunking — one iteration overhead + host sync
-  /// per additional chunk — is charged by the scheduler, not here.
+  /// The real extra cost of chunking — one host sync per additional
+  /// chunk — is charged by the scheduler, not here.
   sim::Cycles prefill_chunk_cycles(std::uint32_t start,
                                    std::uint32_t tokens) const {
     return prefix_.at(start + tokens) - prefix_.at(start);
@@ -64,8 +64,8 @@ class StepCostModel {
   /// recompute-style preemption (serve::PreemptPolicy::kRecomputeYoungest)
   /// re-pays this through chunked prefill when the victim is rescheduled,
   /// and the fleet metrics use it to price the work a preemption throws
-  /// away. The extra per-chunk iteration overhead + host sync is charged
-  /// by the scheduler, not here.
+  /// away. The extra per-chunk host sync is charged by the scheduler, not
+  /// here.
   sim::Cycles recompute_cycles(std::uint32_t kv_len) const {
     return prefill_cycles(kv_len);
   }
@@ -86,11 +86,10 @@ class StepCostModel {
                          arch_.hbm_bytes_per_cycle()));
   }
 
-  /// Analytic single-token Fused-MP bounds, per node: cycles to stream one
-  /// token's weights from HBM, and cycles for the MAC array to consume
-  /// them. The pipeline overlaps the two, so a lone decode step runs at
+  /// Analytic single-token Fused-MP MAC bound, per node: cycles for the
+  /// MAC array to consume one token's weights. The pipeline overlaps it
+  /// with the weight stream from HBM, so a lone decode step runs at
   /// max(stream, mac) — stream-bound for the paper's configuration.
-  sim::Cycles weight_stream_cycles() const { return weight_stream_cycles_; }
   sim::Cycles weight_mac_cycles() const { return weight_mac_cycles_; }
 
   /// Pipeline occupancy of `positions.size()` decode steps that share one
@@ -101,18 +100,6 @@ class StepCostModel {
   /// per-token. Equals step_cycles(pos) for a single-element batch.
   sim::Cycles decode_batch_cycles(
       const std::vector<std::uint32_t>& positions) const;
-
-  /// Pipeline occupancy of co-scheduled prefill chunks that share each
-  /// weight-stream pass (SchedulerConfig::share_prefill_weights). Each
-  /// chunk is {start, tokens}: prompt positions [start, start + tokens).
-  /// The chunks advance in lockstep wavefronts — wavefront w runs position
-  /// start + w of every chunk still active — and each wavefront is priced
-  /// like a decode group: max(stream, members x mac) for the shared MP
-  /// pass plus every member's KV-dependent residual. Equals
-  /// prefill_chunk_cycles(start, tokens) for a single chunk.
-  sim::Cycles prefill_group_cycles(
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& chunks)
-      const;
 
   /// Number of modeled positions (== model max_seq_len).
   std::uint32_t max_positions() const {

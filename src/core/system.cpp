@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/node.hpp"
 #include "hw/link.hpp"
@@ -70,9 +72,15 @@ System::System(ArchConfig arch, model::ModelConfig model)
 RunResult System::run(std::uint32_t prefill_tokens,
                       std::uint32_t decode_tokens,
                       const RunOptions& options) const {
-  const std::uint32_t total = prefill_tokens + decode_tokens;
-  assert(total >= 1);
-  assert(total <= model_.max_seq_len);
+  const std::uint64_t requested =
+      std::uint64_t{prefill_tokens} + decode_tokens;
+  if (requested < 1 || requested > model_.max_seq_len) {
+    throw std::invalid_argument(
+        "System::run: prefill + decode must be in [1, " +
+        std::to_string(model_.max_seq_len) + "] (the model context), got " +
+        std::to_string(requested));
+  }
+  const auto total = static_cast<std::uint32_t>(requested);
   const std::uint32_t stride = std::max<std::uint32_t>(
       1, options.token_sample_stride);
 
@@ -91,7 +99,6 @@ RunResult System::run(std::uint32_t prefill_tokens,
     if (boundary || pos % stride == 0) sampled.push_back(pos);
   }
 
-  std::uint64_t simulated_cycles_total = 0;
   for (std::uint32_t pos : sampled) {
     const sim::Cycles begin = engine.now();
     engine.spawn(token_step(engine, nodes, pos));
@@ -101,9 +108,7 @@ RunResult System::run(std::uint32_t prefill_tokens,
                                .is_prefill = pos < prefill_tokens,
                                .cycles = cost,
                                .simulated = true};
-    simulated_cycles_total += cost;
   }
-  (void)simulated_cycles_total;
 
   // Interpolate skipped positions between the nearest simulated neighbours.
   std::uint32_t prev = sampled.front();

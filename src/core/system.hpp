@@ -63,6 +63,8 @@ class System {
   const model::ModelConfig& model() const { return model_; }
 
   /// Simulates a [prefill : decode] request and returns aggregate timing.
+  /// Throws std::invalid_argument unless 1 <= prefill + decode <=
+  /// model().max_seq_len.
   RunResult run(std::uint32_t prefill_tokens, std::uint32_t decode_tokens,
                 const RunOptions& options = {}) const;
 

@@ -45,9 +45,4 @@ ResourceVector alveo_u50_slr_budget() {
   return alveo_u50_budget() * 0.5;
 }
 
-ResourceVector alveo_u280_budget() {
-  return ResourceVector{
-      .dsp = 9024, .lut = 1304e3, .ff = 2607e3, .bram = 2016, .uram = 960};
-}
-
 }  // namespace looplynx::hw

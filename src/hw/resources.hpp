@@ -49,6 +49,5 @@ struct ComponentUsage {
 /// Device budgets.
 ResourceVector alveo_u50_budget();   // whole device
 ResourceVector alveo_u50_slr_budget();  // one of two SLRs
-ResourceVector alveo_u280_budget();
 
 }  // namespace looplynx::hw

@@ -99,8 +99,8 @@ PrefixCache::PrefixCache(KvBlockManager& kv, const core::StepCostModel& costs,
     : kv_(kv), costs_(costs), swap_enabled_(swap_enabled) {
   // One-way host transfer of one full block: a PCIe turnaround plus the
   // block's bytes at the sustained HBM channel rate (the same burst model
-  // hw::DmaEngine charges); DMA descriptor setup is noise next to the
-  // sync but kept for fidelity.
+  // the nodes' hw::HbmChannel streams charge); DMA descriptor setup is
+  // noise next to the sync but kept for fidelity.
   const core::ArchConfig& arch = costs_.arch();
   const double bytes = static_cast<double>(kv_.block_tokens()) *
                        static_cast<double>(kv_.bytes_per_token_per_node());

@@ -13,8 +13,8 @@
 //
 // Cycle accounting: each replica's timeline [0, makespan] is partitioned
 // into the categories below. Iterations contribute their pipeline
-// placement exactly (decode group, prefill chunks by kind, host overhead +
-// PCIe sync); scheduler waits are classified at sleep time; whatever
+// placement exactly (decode group, prefill chunks by kind, PCIe host
+// sync); scheduler waits are classified at sleep time; whatever
 // trails the replica's last activity is "drain". finalize() asserts the
 // tiling identity — per replica, the category totals sum to the makespan
 // exactly, no gaps, no overlaps (the serve-layer analog of the paper's
@@ -86,7 +86,7 @@ inline constexpr char kPrefill[] = "prefill";          // whole-prompt chunk
 inline constexpr char kChunkedPrefill[] = "chunked-prefill";  // partial chunk
 inline constexpr char kDecode[] = "decode";            // decode group pass
 inline constexpr char kRecompute[] = "recompute";      // post-preempt rebuild
-inline constexpr char kHostSync[] = "host-sync";       // overhead + PCIe sync
+inline constexpr char kHostSync[] = "host-sync";       // PCIe egress sync
 inline constexpr char kKvStall[] = "kv-stall";  // idle w/ queued, unadmittable
 inline constexpr char kKvSwap[] = "kv-swap";  // cache block DMA to/from host
 inline constexpr char kKvMigrate[] = "kv-migrate";  // migrated-KV ingest DMA

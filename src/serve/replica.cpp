@@ -640,13 +640,9 @@ sim::Task scheduler_proc(Replica& f) {
     const sim::Cycles decode_group =
         f.costs.decode_batch_cycles(f.decode_positions);
 
-    sim::Cycles offset = f.cfg.scheduler.iteration_overhead_cycles;
-    if (obs != nullptr && offset > 0) {
-      // Host-side iteration overhead opens the span ledger; together with
-      // the placements below and the egress sync tail, the iteration's
-      // spans tile [rec.start, rec.start + egress] exactly.
-      obs->add_span(f.id, category::kHostSync, rec.start, rec.start + offset);
-    }
+    // The placements below and the egress sync tail tile the iteration's
+    // spans over [rec.start, rec.start + egress] exactly.
+    sim::Cycles offset = 0;
     if (f.cache) {
       // Swap transfers accrued since the last iteration (reclaim
       // swap-outs, admission swap-ins) occupy the pipeline before compute
@@ -693,41 +689,6 @@ sim::Task scheduler_proc(Replica& f) {
       }
     };
     auto place_prefills = [&] {
-      if (f.cfg.scheduler.share_prefill_weights && f.prefills.size() > 1) {
-        // Batched prefill weight sharing: the group's chunks advance in
-        // lockstep wavefronts, sharing each weight-stream pass the way the
-        // decode group does, instead of each chunk re-streaming the whole
-        // weight set back to back.
-        f.prefill_chunk_spans.clear();
-        for (const ScheduledStep& s : f.prefills) {
-          f.prefill_chunk_spans.emplace_back(s.request->prompt_done,
-                                             s.prompt_tokens);
-        }
-        const sim::Cycles group =
-            f.costs.prefill_group_cycles(f.prefill_chunk_spans);
-        bool all_recompute = true;
-        bool all_whole = true;
-        for (const ScheduledStep& s : f.prefills) {
-          Request* r = s.request;
-          r->step_offset = offset;
-          r->step_cycles = group;
-          r->step_tokens = s.prompt_tokens;
-          all_recompute &= r->recovering;
-          all_whole &= r->prompt_done == 0 &&
-                       s.prompt_tokens == r->prompt_remaining();
-        }
-        if (obs != nullptr && group > 0) {
-          const char* cat = all_recompute ? category::kRecompute
-                            : all_whole   ? category::kPrefill
-                                          : category::kChunkedPrefill;
-          obs->add_span(f.id, cat, rec.start + offset,
-                        rec.start + offset + group);
-        }
-        offset += group;
-        prefill_span += group;
-        f.prefill_cycles_executed += group;
-        return;
-      }
       for (const ScheduledStep& s : f.prefills) {
         Request* r = s.request;
         r->step_offset = offset;

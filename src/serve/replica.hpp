@@ -190,7 +190,6 @@ struct Replica {
   std::vector<ScheduledStep> prefills;
   std::vector<Request*> decodes;
   std::vector<std::uint32_t> decode_positions;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> prefill_chunk_spans;
 
   // ---- Progress counters ----
   std::uint32_t routed = 0;     // requests the balancer sent here

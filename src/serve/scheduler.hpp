@@ -93,15 +93,6 @@ struct SchedulerConfig {
   /// kRecomputeYoungest = prompt-only admission with scheduler-driven
   /// preempt-and-recompute when decode growth drains the block pool.
   PreemptPolicy preempt = PreemptPolicy::kNone;
-  /// Host-side batch assembly cost added to every iteration, on top of the
-  /// per-stage scheduler overhead already inside the node model.
-  sim::Cycles iteration_overhead_cycles = 0;
-  /// Batched prefill weight sharing: an iteration's co-scheduled prefill
-  /// chunks share each weight-stream pass the way the decode group does
-  /// (core::StepCostModel::prefill_group_cycles), instead of each chunk
-  /// re-streaming the full weight set. Off by default: the pricing change
-  /// moves every downstream timestamp, so runs opt in explicitly.
-  bool share_prefill_weights = false;
 };
 
 /// One selected token-step: a decode (prompt_tokens == 0) or a prefill
@@ -117,7 +108,7 @@ struct ScheduledStep {
 /// tests and utilization metrics read.
 struct IterationRecord {
   sim::Cycles start = 0;
-  sim::Cycles span = 0;  // overhead + batch pipeline occupancy + host sync
+  sim::Cycles span = 0;  // KV swap/migrate DMA + pipeline occupancy + sync
   std::uint32_t prefills = 0;       // prefill-chunk members
   std::uint32_t decodes = 0;
   std::uint32_t prompt_tokens = 0;  // prompt tokens pushed this iteration

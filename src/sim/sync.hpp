@@ -1,6 +1,6 @@
 // Synchronization primitives for simulated processes: Mutex (exclusive
-// hardware resources such as an HBM channel port), Semaphore (pooled
-// resources), Barrier (multi-node synchronization points) and Signal
+// hardware resources such as an HBM channel port), CountdownLatch (the
+// fork/join of a token step's concurrent stages and nodes) and Signal
 // (one-shot broadcast events).
 //
 // All primitives use direct hand-off: ownership passes to the oldest waiter
@@ -62,97 +62,6 @@ class Mutex {
   Engine* engine_;
   bool locked_ = false;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// Counting semaphore.
-class Semaphore {
- public:
-  Semaphore(Engine& engine, std::size_t initial)
-      : engine_(&engine), count_(initial) {}
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
-
-  struct AcquireAwaiter {
-    Semaphore* sem;
-    bool await_ready() {
-      if (sem->count_ > 0) {
-        --sem->count_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      sem->waiters_.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  AcquireAwaiter acquire() { return AcquireAwaiter{this}; }
-
-  void release() {
-    if (!waiters_.empty()) {
-      // The released unit passes directly to the oldest waiter.
-      std::coroutine_handle<> next = waiters_.front();
-      waiters_.pop_front();
-      engine_->schedule(0, next);
-      return;
-    }
-    ++count_;
-  }
-
-  std::size_t available() const noexcept { return count_; }
-  std::size_t waiters() const noexcept { return waiters_.size(); }
-
- private:
-  Engine* engine_;
-  std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// Reusable barrier for a fixed participant count (generation-based, so it
-/// can be reused round after round — e.g. ring synchronization rounds).
-class Barrier {
- public:
-  Barrier(Engine& engine, std::size_t participants)
-      : engine_(&engine), participants_(participants) {
-    assert(participants_ >= 1);
-  }
-  Barrier(const Barrier&) = delete;
-  Barrier& operator=(const Barrier&) = delete;
-
-  struct WaitAwaiter {
-    Barrier* barrier;
-    bool await_ready() {
-      if (barrier->arrived_ + 1 == barrier->participants_) {
-        // Last arrival releases everyone and passes through.
-        barrier->arrived_ = 0;
-        for (std::coroutine_handle<> h : barrier->waiting_) {
-          barrier->engine_->schedule(0, h);
-        }
-        barrier->waiting_.clear();
-        ++barrier->generation_;
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      ++barrier->arrived_;
-      barrier->waiting_.push_back(h);
-    }
-    void await_resume() const noexcept {}
-  };
-
-  /// co_await barrier.arrive_and_wait();
-  WaitAwaiter arrive_and_wait() { return WaitAwaiter{this}; }
-
-  std::uint64_t generation() const noexcept { return generation_; }
-
- private:
-  Engine* engine_;
-  std::size_t participants_;
-  std::size_t arrived_ = 0;
-  std::uint64_t generation_ = 0;
-  std::vector<std::coroutine_handle<>> waiting_;
 };
 
 /// Countdown latch for fork/join of concurrently spawned sub-processes:

@@ -1,8 +1,6 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 
 namespace looplynx::sim {
 
@@ -25,54 +23,6 @@ Cycles Trace::grand_total() const {
   Cycles sum = 0;
   for (const auto& [_, cycles] : totals_) sum += cycles;
   return sum;
-}
-
-double Trace::fraction(const std::string& category) const {
-  const Cycles all = grand_total();
-  if (all == 0) return 0.0;
-  return static_cast<double>(total(category)) / static_cast<double>(all);
-}
-
-void Trace::clear() {
-  totals_.clear();
-  spans_.clear();
-}
-
-void Trace::merge(const Trace& other) {
-  for (const auto& [category, cycles] : other.totals_) {
-    totals_[category] += cycles;
-  }
-  if (keep_spans_) {
-    spans_.insert(spans_.end(), other.spans_.begin(), other.spans_.end());
-  }
-}
-
-void Trace::print_summary(std::ostream& os) const {
-  std::vector<std::pair<std::string, Cycles>> sorted(totals_.begin(),
-                                                     totals_.end());
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  const double all = static_cast<double>(grand_total());
-  for (const auto& [category, cycles] : sorted) {
-    const double pct = all > 0 ? 100.0 * static_cast<double>(cycles) / all : 0;
-    os << "  " << category << ": " << cycles << " cycles (" << pct << "%)\n";
-  }
-}
-
-void Trace::export_chrome_trace(std::ostream& os) const {
-  if (!keep_spans_) {
-    throw std::logic_error(
-        "Trace::export_chrome_trace requires keep_spans: construct the "
-        "trace with Trace(/*keep_spans=*/true)");
-  }
-  ChromeTraceWriter writer(os);
-  for (const Span& span : spans_) {
-    writer.complete(span.category, "trace", /*pid=*/0, /*tid=*/0, span.begin,
-                    span.end);
-  }
-  writer.finish();
 }
 
 ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(&os) {

@@ -4,7 +4,7 @@
 // sums wall-clock cycles per category. Because LoopLynx reuses kernels
 // *temporally*, top-level stage spans tile the timeline and the per-category
 // totals are exactly the paper's breakdown. Optionally retains the full span
-// list for debugging / chrome-trace export.
+// list for debugging.
 #pragma once
 
 #include <cstdint>
@@ -40,26 +40,8 @@ class Trace {
   /// Sum over all categories.
   Cycles grand_total() const;
 
-  /// Fraction of the grand total in `category` (0 if empty).
-  double fraction(const std::string& category) const;
-
   const std::map<std::string, Cycles>& totals() const { return totals_; }
   const std::vector<Span>& spans() const { return spans_; }
-
-  void clear();
-
-  /// Merges another trace's totals into this one.
-  void merge(const Trace& other);
-
-  /// Writes a "category: cycles (pct%)" summary, descending by cycles.
-  void print_summary(std::ostream& os) const;
-
-  /// Exports retained spans as a Chrome-tracing (chrome://tracing /
-  /// Perfetto) JSON document on one track (pid 0 / tid 0). Timestamps are
-  /// raw simulated cycles (1 trace-µs == 1 cycle) — integers, so the
-  /// export is byte-identical across compilers and build modes. Throws
-  /// std::logic_error unless the trace was built with keep_spans.
-  void export_chrome_trace(std::ostream& os) const;
 
  private:
   bool keep_spans_;
@@ -68,8 +50,8 @@ class Trace {
 };
 
 /// Minimal streaming writer for the Chrome trace-event JSON format
-/// (chrome://tracing / https://ui.perfetto.dev), shared by
-/// Trace::export_chrome_trace and the serve-layer observer export.
+/// (chrome://tracing / https://ui.perfetto.dev), used by the serve-layer
+/// observer export.
 ///
 /// Determinism contract: every timestamp is a raw simulated-cycle count
 /// emitted as an integer (the document declares 1 trace-µs == 1 cycle in
@@ -120,37 +102,6 @@ class ChromeTraceWriter {
 
   std::ostream* os_;
   bool first_ = true;
-  bool finished_ = false;
-};
-
-/// RAII helper: measures engine.now() at construction and attributes the
-/// elapsed cycles to `category` on finish().
-class ScopedSpan {
- public:
-  ScopedSpan(Trace& trace, Engine& engine, std::string category)
-      : trace_(&trace),
-        engine_(&engine),
-        category_(std::move(category)),
-        begin_(engine.now()) {}
-
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  /// Records the span now (idempotent).
-  void finish() {
-    if (!finished_) {
-      trace_->add(category_, begin_, engine_->now());
-      finished_ = true;
-    }
-  }
-
-  ~ScopedSpan() { finish(); }
-
- private:
-  Trace* trace_;
-  Engine* engine_;
-  std::string category_;
-  Cycles begin_;
   bool finished_ = false;
 };
 

@@ -88,7 +88,7 @@ class Rng {
     return r * std::cos(theta);
   }
 
-  /// Normal with mean/stddev.
+  /// Normal with mean `mu` and standard deviation `sigma`.
   double normal(double mu, double sigma) { return mu + sigma * normal(); }
 
  private:

@@ -20,22 +20,6 @@ double geomean(std::span<const double> values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double stddev(std::span<const double> values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean(values);
-  double acc = 0.0;
-  for (double v : values) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values.size()));
-}
-
-double min_of(std::span<const double> values) {
-  return values.empty() ? 0.0 : *std::min_element(values.begin(), values.end());
-}
-
-double max_of(std::span<const double> values) {
-  return values.empty() ? 0.0 : *std::max_element(values.begin(), values.end());
-}
-
 namespace {
 
 /// Linear-interpolated percentile over an already-sorted, non-empty range.
@@ -85,18 +69,6 @@ PercentileSummary percentile_summary(std::vector<double> values) {
   return s;
 }
 
-PercentileSummary percentile_summary_presorted(
-    std::span<const double> sorted) {
-  PercentileSummary s;
-  if (sorted.empty()) return s;
-  s.count = sorted.size();
-  s.mean = mean(sorted);
-  s.p50 = sorted_percentile(sorted, 50.0);
-  s.p95 = sorted_percentile(sorted, 95.0);
-  s.p99 = sorted_percentile(sorted, 99.0);
-  return s;
-}
-
 void radix_sort(std::vector<std::uint64_t>& keys) {
   // Comparison sort is the better deal until the counting tables pay off.
   if (keys.size() < 4096) {
@@ -143,26 +115,5 @@ double SlidingWindow::percentile(double p) const {
   std::sort(values.begin(), values.end());
   return sorted_percentile(values, p);
 }
-
-void RunningStat::add(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (value - mean_);
-}
-
-double RunningStat::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace looplynx::util

@@ -17,12 +17,6 @@ double mean(std::span<const double> values);
 /// geometric mean is the correct aggregate.
 double geomean(std::span<const double> values);
 
-/// Population standard deviation; returns 0 for fewer than two values.
-double stddev(std::span<const double> values);
-
-double min_of(std::span<const double> values);
-double max_of(std::span<const double> values);
-
 /// Linear-interpolated percentile, p in [0, 100].
 double percentile(std::vector<double> values, double p);
 
@@ -38,11 +32,6 @@ struct PercentileSummary {
 };
 
 PercentileSummary percentile_summary(std::vector<double> values);
-
-/// percentile_summary over samples the caller already sorted ascending —
-/// same mean-accumulation and interpolation arithmetic, so the result is
-/// bit-identical to percentile_summary on any permutation of `sorted`.
-PercentileSummary percentile_summary_presorted(std::span<const double> sorted);
 
 /// In-place ascending LSD radix sort (16-bit digits, high passes skipped
 /// once the maximum key is exhausted). The serve layer's million-sample
@@ -81,27 +70,6 @@ class SlidingWindow {
 
  private:
   std::deque<std::pair<double, double>> samples_;  // (time, value)
-};
-
-/// Streaming accumulator (Welford) for mean/variance plus min/max.
-class RunningStat {
- public:
-  void add(double value);
-  std::size_t count() const { return count_; }
-  double mean() const { return mean_; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace looplynx::util

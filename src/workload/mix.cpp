@@ -55,8 +55,4 @@ Mix mixed_fleet() {
               {make_scenario(128, 512), 0.05}}};  // heavy stragglers
 }
 
-std::vector<Mix> all_mixes() {
-  return {chatbot_mix(), codegen_mix(), summarization_mix(), mixed_fleet()};
-}
-
 }  // namespace looplynx::workload

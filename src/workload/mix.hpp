@@ -43,7 +43,4 @@ Mix summarization_mix();
 /// shapes as stragglers.
 Mix mixed_fleet();
 
-/// All four named mixes, for sweep harnesses.
-std::vector<Mix> all_mixes();
-
 }  // namespace looplynx::workload

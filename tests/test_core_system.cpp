@@ -2,6 +2,8 @@
 // behaviour, optimization ablations, and paper-shape checks.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/arch_config.hpp"
 #include "core/node.hpp"
 #include "core/system.hpp"
@@ -53,6 +55,19 @@ TEST(SystemTest, SingleTokenRunProducesPositiveLatency) {
   EXPECT_EQ(r.prefill_tokens, 1u);
   EXPECT_EQ(r.decode_tokens, 0u);
   EXPECT_DOUBLE_EQ(r.total_ms, r.prefill_ms);
+}
+
+TEST(SystemTest, RunRejectsEmptyAndOverContextRequests) {
+  const model::ModelConfig m = small_model();
+  System sys(ArchConfig::one_node(), m);
+  EXPECT_THROW(sys.run(0, 0), std::invalid_argument);
+  EXPECT_THROW(sys.run(m.max_seq_len, 1), std::invalid_argument);
+  // The last in-context request still runs (sampled sparsely for speed).
+  RunOptions opt;
+  opt.token_sample_stride = 256;
+  const RunResult r = sys.run(m.max_seq_len - 1, 1, opt);
+  EXPECT_EQ(r.prefill_tokens + r.decode_tokens, m.max_seq_len);
+  EXPECT_GT(r.decode_cycles, 0u);
 }
 
 TEST(SystemTest, LatencyGrowsWithSequencePosition) {

@@ -1,23 +1,20 @@
-// Tests for the hardware component models: HBM channel, DMA, MAC array,
+// Tests for the hardware component models: HBM channel, MAC array,
 // stream link, resource vectors, platform database.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "hw/dma.hpp"
 #include "hw/hbm.hpp"
 #include "hw/link.hpp"
 #include "hw/mac.hpp"
 #include "hw/platform.hpp"
 #include "hw/resources.hpp"
-#include "sim/fifo.hpp"
 
 namespace looplynx::hw {
 namespace {
 
 using sim::Cycles;
 using sim::Engine;
-using sim::Fifo;
 using sim::Task;
 
 TEST(PlatformTest, Table1RowsMatchPaper) {
@@ -129,69 +126,6 @@ TEST(LinkTest, TransferIncludesHopLatency) {
   EXPECT_EQ(link.transfer_cycles(0), 0u);
   EXPECT_EQ(link.transfer_cycles(32), 101u);
   EXPECT_EQ(link.transfer_cycles(3200), 200u);
-}
-
-TEST(DmaTest, StreamsBlocksInOrderAndOverlapsConsumer) {
-  Engine eng;
-  HbmChannelConfig hcfg{.bytes_per_cycle = 32.0,
-                        .burst_setup_cycles = 0,
-                        .burst_efficiency = 1.0};
-  HbmChannel ch(eng, hcfg);
-  DmaEngine dma(eng, ch, DmaEngineConfig{});
-  Fifo<DmaBlock> stream(eng, 2);
-
-  struct Consumer {
-    static Task run(Engine& eng, Fifo<DmaBlock>& stream,
-                    std::vector<DmaBlock>& got) {
-      for (;;) {
-        DmaBlock b = co_await stream.get();
-        got.push_back(b);
-        co_await eng.delay(50);  // slower than the 10-cycle DMA block
-        if (b.last) co_return;
-      }
-    }
-  };
-  struct Producer {
-    static Task run(DmaEngine& dma, Fifo<DmaBlock>& stream) {
-      co_await dma.stream_blocks(4 * 320, 4, stream);
-    }
-  };
-
-  std::vector<DmaBlock> got;
-  eng.spawn(Producer::run(dma, stream));
-  eng.spawn(Consumer::run(eng, stream, got));
-  eng.run();
-
-  ASSERT_EQ(got.size(), 4u);
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(got[i].block_index, i);
-    EXPECT_EQ(got[i].bytes, 320u);
-    EXPECT_EQ(got[i].last, i == 3);
-  }
-  EXPECT_EQ(dma.total_bytes(), 4u * 320u);
-  // Consumer-bound: 4 blocks x 50 cycles after the first block lands at 10.
-  EXPECT_EQ(eng.now(), 10u + 4u * 50u);
-}
-
-TEST(DmaTest, UnevenBlockSplitCoversAllBytes) {
-  Engine eng;
-  HbmChannelConfig hcfg{.bytes_per_cycle = 32.0,
-                        .burst_setup_cycles = 0,
-                        .burst_efficiency = 1.0};
-  HbmChannel ch(eng, hcfg);
-  DmaEngine dma(eng, ch, DmaEngineConfig{});
-  Fifo<DmaBlock> stream(eng, Fifo<DmaBlock>::kUnbounded);
-  struct Producer {
-    static Task run(DmaEngine& dma, Fifo<DmaBlock>& stream) {
-      co_await dma.stream_blocks(1003, 4, stream);
-    }
-  };
-  eng.spawn(Producer::run(dma, stream));
-  eng.run();
-  std::uint64_t total = 0;
-  DmaBlock b;
-  while (stream.try_get(b)) total += b.bytes;
-  EXPECT_EQ(total, 1003u);
 }
 
 TEST(ResourceTest, VectorArithmetic) {

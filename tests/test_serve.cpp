@@ -125,50 +125,6 @@ TEST(StepCostModelTest, DecodeBatchSharesWeightStream) {
                         costs.weight_mac_cycles());
 }
 
-TEST(StepCostModelTest, PrefillGroupSharesWeightStream) {
-  const core::StepCostModel costs(test_arch(), model::cosim_config(),
-                                  /*probe_stride=*/16);
-  // Lone chunk: exact identity with the per-chunk price.
-  EXPECT_EQ(costs.prefill_group_cycles({{0, 24}}),
-            costs.prefill_chunk_cycles(0, 24));
-  // Co-scheduled chunks share each wavefront's weight-stream pass, so the
-  // group undercuts running the chunks back to back — but can never beat
-  // the per-wavefront compute bound.
-  const std::vector<std::pair<std::uint32_t, std::uint32_t>> chunks{
-      {0, 24}, {0, 16}, {8, 16}};
-  sim::Cycles sequential = 0;
-  for (const auto& [start, tokens] : chunks) {
-    sequential += costs.prefill_chunk_cycles(start, tokens);
-  }
-  const sim::Cycles shared = costs.prefill_group_cycles(chunks);
-  EXPECT_LT(shared, sequential);
-  EXPECT_GE(shared, 24u * costs.weight_mac_cycles());  // longest chunk
-}
-
-TEST(ServingSimTest, SharedPrefillWeightsSaveCycles) {
-  // Chunked traffic with several prompts in flight: iterations routinely
-  // co-schedule 2+ prefill chunks, which is where the sharing fires.
-  ServingConfig cfg = base_config();
-  cfg.model = chunk_model();
-  cfg.traffic.mix = workload::Mix{"prompts",
-                                  {{workload::make_scenario(96, 8), 0.5},
-                                   {workload::make_scenario(64, 8), 0.5}}};
-  cfg.traffic.arrival_rate_per_s = 2000.0;
-  cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
-  cfg.scheduler.max_tokens_per_iter = 64;
-  cfg.scheduler.max_in_flight = 8;
-  const FleetMetrics separate = ServingSim(cfg).run();
-  cfg.scheduler.share_prefill_weights = true;
-  const FleetMetrics shared = ServingSim(cfg).run();
-  // Same work completed, strictly fewer prefill pipeline cycles executed,
-  // and the saving reaches the caller-visible clock.
-  EXPECT_EQ(shared.completed, separate.completed);
-  EXPECT_EQ(shared.total_tokens, separate.total_tokens);
-  EXPECT_GT(separate.prefill_cycles, 0u);
-  EXPECT_LT(shared.prefill_cycles, separate.prefill_cycles);
-  EXPECT_LT(shared.duration_s, separate.duration_s);
-}
-
 TEST(ServingSimTest, LargerBatchRaisesSaturatedThroughput) {
   ServingConfig cfg = base_config();
   cfg.traffic.arrival_rate_per_s = 50000.0;  // saturating burst

@@ -1,4 +1,4 @@
-// Tests for Mutex / Semaphore / Barrier / Signal primitives.
+// Tests for Mutex / CountdownLatch / Signal primitives.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -79,83 +79,66 @@ TEST(MutexTest, HandoffPreventsBarging) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-Task acquire_release(Engine& eng, Semaphore& sem, Cycles hold, int& peak,
-                     int& active) {
-  co_await sem.acquire();
-  ++active;
-  peak = std::max(peak, active);
-  co_await eng.delay(hold);
-  --active;
-  sem.release();
+Task finish_at(Engine& eng, Cycles at, std::vector<Cycles>& done) {
+  co_await eng.delay(at);
+  done.push_back(eng.now());
 }
 
-TEST(SemaphoreTest, LimitsConcurrency) {
+Task join(Engine& eng, CountdownLatch& latch, int id,
+          std::vector<std::pair<int, Cycles>>& resumed) {
+  co_await latch.wait();
+  resumed.emplace_back(id, eng.now());
+}
+
+TEST(CountdownLatchTest, JoinerResumesAtLastChildsFinish) {
   Engine eng;
-  Semaphore sem(eng, 3);
-  int peak = 0;
-  int active = 0;
-  for (int i = 0; i < 12; ++i) {
-    eng.spawn(acquire_release(eng, sem, 10, peak, active));
+  CountdownLatch latch(eng, 3);
+  std::vector<Cycles> done;
+  std::vector<std::pair<int, Cycles>> resumed;
+  eng.spawn(join(eng, latch, 0, resumed));
+  for (Cycles at : {12u, 40u, 7u}) {
+    eng.spawn(run_then_count_down(finish_at(eng, at, done), latch));
   }
   eng.run();
-  EXPECT_EQ(peak, 3);
-  EXPECT_EQ(active, 0);
-  EXPECT_EQ(sem.available(), 3u);
-  // 12 jobs, 3 at a time, 10 cycles each => 40 cycles.
-  EXPECT_EQ(eng.now(), 40u);
+  EXPECT_EQ(done, (std::vector<Cycles>{7, 12, 40}));
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_EQ(resumed[0].second, 40u);
+  EXPECT_EQ(latch.remaining(), 0u);
 }
 
-TEST(SemaphoreTest, ReleaseWithoutWaitersIncrementsCount) {
+TEST(CountdownLatchTest, ZeroCountDoesNotSuspend) {
   Engine eng;
-  Semaphore sem(eng, 0);
-  sem.release();
-  sem.release();
-  EXPECT_EQ(sem.available(), 2u);
-}
-
-Task barrier_participant(Engine& eng, Barrier& barrier, Cycles arrive,
-                         std::vector<Cycles>& release_times) {
-  co_await eng.delay(arrive);
-  co_await barrier.arrive_and_wait();
-  release_times.push_back(eng.now());
-}
-
-TEST(BarrierTest, ReleasesAllAtLastArrival) {
-  Engine eng;
-  Barrier barrier(eng, 3);
-  std::vector<Cycles> times;
-  eng.spawn(barrier_participant(eng, barrier, 5, times));
-  eng.spawn(barrier_participant(eng, barrier, 20, times));
-  eng.spawn(barrier_participant(eng, barrier, 11, times));
+  CountdownLatch latch(eng, 0);
+  std::vector<std::pair<int, Cycles>> resumed;
+  struct Joiner {
+    static Task run(Engine& eng, CountdownLatch& latch,
+                    std::vector<std::pair<int, Cycles>>& resumed) {
+      co_await eng.delay(9);
+      co_await latch.wait();
+      resumed.emplace_back(0, eng.now());
+    }
+  };
+  eng.spawn(Joiner::run(eng, latch, resumed));
   eng.run();
-  ASSERT_EQ(times.size(), 3u);
-  for (Cycles t : times) EXPECT_EQ(t, 20u);
-  EXPECT_EQ(barrier.generation(), 1u);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_EQ(resumed[0].second, 9u);
 }
 
-Task barrier_loop(Engine& eng, Barrier& barrier, int rounds, Cycles step,
-                  std::vector<Cycles>& times) {
-  for (int r = 0; r < rounds; ++r) {
-    co_await eng.delay(step);
-    co_await barrier.arrive_and_wait();
-    times.push_back(eng.now());
-  }
-}
-
-TEST(BarrierTest, IsReusableAcrossRounds) {
+TEST(CountdownLatchTest, OverflowWaitersResumeInArrivalOrder) {
   Engine eng;
-  Barrier barrier(eng, 2);
-  std::vector<Cycles> times;
-  eng.spawn(barrier_loop(eng, barrier, 3, 5, times));   // fast participant
-  eng.spawn(barrier_loop(eng, barrier, 3, 12, times));  // slow participant
+  CountdownLatch latch(eng, 2);
+  std::vector<Cycles> done;
+  std::vector<std::pair<int, Cycles>> resumed;
+  // The first joiner parks in the inline slot, the next two overflow.
+  for (int id = 0; id < 3; ++id) eng.spawn(join(eng, latch, id, resumed));
+  eng.spawn(run_then_count_down(finish_at(eng, 5, done), latch));
+  eng.spawn(run_then_count_down(finish_at(eng, 25, done), latch));
   eng.run();
-  ASSERT_EQ(times.size(), 6u);
-  // Every round completes at the slow participant's schedule.
-  for (std::size_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(times[2 * r], 12u * (r + 1));
-    EXPECT_EQ(times[2 * r + 1], 12u * (r + 1));
+  ASSERT_EQ(resumed.size(), 3u);
+  for (int id = 0; id < 3; ++id) {
+    EXPECT_EQ(resumed[id].first, id);
+    EXPECT_EQ(resumed[id].second, 25u);
   }
-  EXPECT_EQ(barrier.generation(), 3u);
 }
 
 TEST(SignalTest, WaitersReleaseOnSet) {

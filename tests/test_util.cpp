@@ -68,7 +68,6 @@ TEST(StatsTest, MeanAndGeomean) {
 TEST(StatsTest, EmptyInputsAreZero) {
   EXPECT_EQ(mean({}), 0.0);
   EXPECT_EQ(geomean({}), 0.0);
-  EXPECT_EQ(stddev({}), 0.0);
 }
 
 TEST(StatsTest, Percentile) {
@@ -107,17 +106,6 @@ TEST(StatsTest, PercentileSummarySingleElementIsThatElement) {
   EXPECT_DOUBLE_EQ(s.p99, 7.5);
 }
 
-TEST(StatsTest, RunningStatMatchesBatch) {
-  RunningStat rs;
-  const double vals[] = {3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0};
-  for (double v : vals) rs.add(v);
-  EXPECT_EQ(rs.count(), 8u);
-  EXPECT_NEAR(rs.mean(), mean(vals), 1e-12);
-  EXPECT_NEAR(rs.stddev(), stddev(vals), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), 1.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-}
-
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
@@ -141,10 +129,18 @@ TEST(RngTest, UniformDoubleInRange) {
 
 TEST(RngTest, NormalHasRoughlyUnitMoments) {
   Rng r(123);
-  RunningStat rs;
-  for (int i = 0; i < 20000; ++i) rs.add(r.normal());
-  EXPECT_NEAR(rs.mean(), 0.0, 0.05);
-  EXPECT_NEAR(rs.stddev(), 1.0, 0.05);
+  constexpr int kSamples = 20000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < kSamples; ++i) {
+    const double v = r.normal();
+    sum += v;
+    sum_sq += v * v;
+  }
+  const double m = sum / kSamples;
+  const double variance = sum_sq / kSamples - m * m;
+  EXPECT_NEAR(m, 0.0, 0.05);
+  EXPECT_NEAR(std::sqrt(variance), 1.0, 0.05);
 }
 
 TEST(RngTest, UniformIntCoversRangeInclusive) {
