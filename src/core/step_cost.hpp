@@ -5,9 +5,19 @@
 // dataflow pipeline per token. Token cost depends on sequence position only
 // through the KV length and is piecewise-linear in it (the MHA kernel's
 // score/mix loops grow linearly; block quantization rounds to mp_block_rows
-// granularity), so this model probes core::System::token_cycles at a
-// configurable stride of positions and interpolates between probes. With
-// probe_stride == 1 the table is exact.
+// granularity), so this model probes a configurable stride of positions
+// once and interpolates between probes. With probe_stride == 1 the table is
+// exact.
+//
+// A probe does not run the whole model. Every transformer block runs the
+// same eight-stage schedule of reused kernels, so a token's cycles repeat
+// exactly from block to block: step(p) = tail + n_layer * block(p), where
+// the tail is the final LayerNorm. The model simulates a one-layer copy at
+// each probe position, plus a two-layer copy once at position 0 to separate
+// block from tail, which makes the exact table ~25x cheaper than full-depth
+// probes. A guard checks the premise: the constructor also runs the full
+// core::System::token_cycles at the first and last probe and throws
+// std::logic_error, naming the config, if either disagrees.
 #pragma once
 
 #include <cmath>
@@ -24,9 +34,10 @@ namespace looplynx::core {
 
 class StepCostModel {
  public:
-  /// Probes `system.token_cycles` at positions {0, stride, 2*stride, ...,
-  /// max_seq_len - 1} and fills the in-between positions by linear
-  /// interpolation.
+  /// Prices positions {0, stride, 2*stride, ..., max_seq_len - 1} as
+  /// `system.token_cycles` would (per-layer probes, see above) and fills
+  /// the in-between positions by linear interpolation. Throws
+  /// std::invalid_argument if probe_stride == 0.
   explicit StepCostModel(const System& system, std::uint32_t probe_stride = 64);
 
   /// Convenience: constructs the System internally.

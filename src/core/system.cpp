@@ -1,10 +1,10 @@
 #include "core/system.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/node.hpp"
 #include "hw/link.hpp"
@@ -80,9 +80,12 @@ RunResult System::run(std::uint32_t prefill_tokens,
         std::to_string(model_.max_seq_len) + "] (the model context), got " +
         std::to_string(requested));
   }
+  if (options.token_sample_stride == 0) {
+    throw std::invalid_argument(
+        "System::run: token_sample_stride must be >= 1 (1 = every token)");
+  }
   const auto total = static_cast<std::uint32_t>(requested);
-  const std::uint32_t stride = std::max<std::uint32_t>(
-      1, options.token_sample_stride);
+  const std::uint32_t stride = options.token_sample_stride;
 
   sim::Engine engine;
   Deployment deploy = build_deployment(engine, arch_, model_);

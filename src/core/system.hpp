@@ -64,7 +64,7 @@ class System {
 
   /// Simulates a [prefill : decode] request and returns aggregate timing.
   /// Throws std::invalid_argument unless 1 <= prefill + decode <=
-  /// model().max_seq_len.
+  /// model().max_seq_len and options.token_sample_stride >= 1.
   RunResult run(std::uint32_t prefill_tokens, std::uint32_t decode_tokens,
                 const RunOptions& options = {}) const;
 

@@ -198,6 +198,11 @@ void FleetConfig::validate() const {
       throw std::invalid_argument("scheduler max_in_flight must be >= 1" +
                                   where);
     }
+    if (r.cost_probe_stride == 0) {
+      throw std::invalid_argument(
+          "cost_probe_stride must be >= 1 (1 = exact per-position costs)" +
+          where);
+    }
     if (r.kv_block_tokens == 0) {
       throw std::invalid_argument(
           "kv_block_tokens must be >= 1 (1 = token-granular)" + where);

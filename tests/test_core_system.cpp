@@ -57,6 +57,13 @@ TEST(SystemTest, SingleTokenRunProducesPositiveLatency) {
   EXPECT_DOUBLE_EQ(r.total_ms, r.prefill_ms);
 }
 
+TEST(SystemTest, RunRejectsZeroSampleStride) {
+  System sys(ArchConfig::one_node(), small_model());
+  RunOptions opt;
+  opt.token_sample_stride = 0;
+  EXPECT_THROW(sys.run(4, 4, opt), std::invalid_argument);
+}
+
 TEST(SystemTest, RunRejectsEmptyAndOverContextRequests) {
   const model::ModelConfig m = small_model();
   System sys(ArchConfig::one_node(), m);

@@ -520,6 +520,13 @@ TEST(FleetSimTest, RejectsEmptyAndInconsistentFleets) {
   EXPECT_THROW(FleetSim{FleetConfig{}}, std::invalid_argument);
 }
 
+TEST(FleetSimTest, RejectsZeroCostProbeStride) {
+  ServingConfig cfg = base_config();
+  cfg.cost_probe_stride = 0;
+  EXPECT_THROW(FleetConfig::homogeneous(cfg, 2).validate(),
+               std::invalid_argument);
+}
+
 // --------------------------------------------------------- CLI validation
 
 util::Cli make_cli(std::vector<const char*> args) {

@@ -66,13 +66,72 @@ ServingConfig base_config() {
 
 // ---------------------------------------------------------------- StepCost
 
-TEST(StepCostModelTest, ExactStrideMatchesSystemTokenCycles) {
-  const model::ModelConfig m = model::cosim_config();
-  const core::System sys(test_arch(), m);
-  const core::StepCostModel costs(sys, /*probe_stride=*/1);
-  for (std::uint32_t pos : {0u, 1u, 7u, 40u, m.max_seq_len - 1}) {
-    EXPECT_EQ(costs.step_cycles(pos), sys.token_cycles(pos)) << pos;
+/// The six arch variants the identity test sweeps: 1/2/4 nodes, each with
+/// the default switches and with every optimization off.
+std::vector<core::ArchConfig> identity_archs() {
+  std::vector<core::ArchConfig> archs;
+  for (std::uint32_t n : {1u, 2u, 4u}) {
+    archs.push_back(core::ArchConfig::nodes(n));
+    archs.push_back(core::ArchConfig::nodes(n).without_optimizations());
   }
+  return archs;
+}
+
+/// Expects the exact (stride-1) table to equal the full-pipeline DES at
+/// every `every`-th position and at the last one.
+void expect_exact_table(const core::ArchConfig& arch,
+                        const model::ModelConfig& m, std::uint32_t every) {
+  const core::System sys(arch, m);
+  const core::StepCostModel costs(sys, /*probe_stride=*/1);
+  for (std::uint32_t pos = 0; pos < m.max_seq_len; ++pos) {
+    if (pos % every != 0 && pos + 1 != m.max_seq_len) continue;
+    ASSERT_EQ(costs.step_cycles(pos), sys.token_cycles(pos))
+        << m.name << " on " << arch.num_nodes << " node(s), fuse_ln_res="
+        << arch.fuse_ln_res << ", pos " << pos;
+  }
+}
+
+TEST(StepCostModelTest, ExactStrideMatchesSystemTokenCycles) {
+  // The per-layer probes must reproduce the full-depth pipeline position
+  // by position, with and without the optimizations.
+  for (const core::ArchConfig& arch : identity_archs()) {
+    expect_exact_table(arch, model::cosim_config(), 1);
+    expect_exact_table(arch, model::gpt2_medium(), 16);
+  }
+  // Ring latency far above a stage, and four times the MP blocks (sampled
+  // more sparsely: each of its full-pipeline runs is four times longer).
+  core::ArchConfig slow_ring = core::ArchConfig::nodes(4);
+  slow_ring.inter_fpga_hop_cycles = 2048;
+  expect_exact_table(slow_ring, model::gpt2_medium(), 16);
+  core::ArchConfig small_blocks = core::ArchConfig::nodes(4);
+  small_blocks.mp_block_rows = 32;
+  expect_exact_table(small_blocks, model::gpt2_medium(), 64);
+}
+
+TEST(StepCostModelTest, StridedTableInterpolatesFullPipelineProbes) {
+  const model::ModelConfig m = model::cosim_config();
+  const core::System sys(core::ArchConfig::nodes(2), m);
+  const std::uint32_t stride = 16;
+  const core::StepCostModel costs(sys, stride);
+  for (std::uint32_t lo = 0; lo + 1 < m.max_seq_len; lo += stride) {
+    const std::uint32_t hi = std::min(lo + stride, m.max_seq_len - 1);
+    const double a = static_cast<double>(sys.token_cycles(lo));
+    const double b = static_cast<double>(sys.token_cycles(hi));
+    for (std::uint32_t pos = lo; pos < hi; ++pos) {
+      const double t = static_cast<double>(pos - lo) /
+                       static_cast<double>(hi - lo);
+      EXPECT_EQ(costs.step_cycles(pos),
+                static_cast<sim::Cycles>(a * (1.0 - t) + b * t))
+          << pos;
+    }
+  }
+  EXPECT_EQ(costs.step_cycles(m.max_seq_len - 1),
+            sys.token_cycles(m.max_seq_len - 1));
+}
+
+TEST(StepCostModelTest, RejectsZeroStride) {
+  EXPECT_THROW(core::StepCostModel(test_arch(), model::cosim_config(), 0),
+               std::invalid_argument);
 }
 
 TEST(StepCostModelTest, PrefillIsPrefixSumOfSteps) {
