@@ -40,9 +40,6 @@ class Tokenizer {
   /// Decodes ids back to text; EOS terminates decoding.
   std::string decode(const std::vector<std::uint32_t>& ids) const;
 
-  /// The byte string a single token stands for.
-  const std::string& token_text(std::uint32_t id) const { return vocab_[id]; }
-
   std::size_t num_merges() const { return merges_.size(); }
 
  private:

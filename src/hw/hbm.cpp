@@ -27,11 +27,7 @@ sim::Task HbmChannel::transfer(std::uint64_t bytes, bool is_write) {
   const sim::Cycles cost = burst_cycles(bytes);
   co_await engine_->delay(cost);
   busy_cycles_ += cost;
-  if (is_write) {
-    bytes_written_ += bytes;
-  } else {
-    bytes_read_ += bytes;
-  }
+  if (!is_write) bytes_read_ += bytes;
   mutex_.unlock();
 }
 

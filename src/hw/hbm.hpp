@@ -47,7 +47,6 @@ class HbmChannel {
   sim::Task write(std::uint64_t bytes);
 
   std::uint64_t total_bytes_read() const noexcept { return bytes_read_; }
-  std::uint64_t total_bytes_written() const noexcept { return bytes_written_; }
   sim::Cycles busy_cycles() const noexcept { return busy_cycles_; }
   const std::string& name() const noexcept { return name_; }
   const HbmChannelConfig& config() const noexcept { return config_; }
@@ -63,7 +62,6 @@ class HbmChannel {
   sim::Mutex mutex_;
   std::string name_;
   std::uint64_t bytes_read_ = 0;
-  std::uint64_t bytes_written_ = 0;
   sim::Cycles busy_cycles_ = 0;
 };
 

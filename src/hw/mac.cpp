@@ -16,7 +16,6 @@ sim::Task MacArray::compute(std::uint64_t macs) {
   const sim::Cycles cost = compute_cycles(macs);
   co_await engine_->delay(cost);
   busy_cycles_ += cost;
-  total_macs_ += macs;
 }
 
 double MacArray::utilization() const {

@@ -35,7 +35,6 @@ class MacArray {
   /// Simulated execution of `macs` MAC operations.
   sim::Task compute(std::uint64_t macs);
 
-  std::uint64_t total_macs() const noexcept { return total_macs_; }
   sim::Cycles busy_cycles() const noexcept { return busy_cycles_; }
   const MacArrayConfig& config() const noexcept { return config_; }
   const std::string& name() const noexcept { return name_; }
@@ -47,7 +46,6 @@ class MacArray {
   sim::Engine* engine_;
   MacArrayConfig config_;
   std::string name_;
-  std::uint64_t total_macs_ = 0;
   sim::Cycles busy_cycles_ = 0;
 };
 

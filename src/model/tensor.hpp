@@ -64,10 +64,6 @@ class TensorT {
 
   void fill(T value) { data_.assign(data_.size(), value); }
 
-  bool same_shape(const TensorT& other) const noexcept {
-    return rows_ == other.rows_ && cols_ == other.cols_;
-  }
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

@@ -43,7 +43,6 @@ struct QuantizedLinear {
   float input_scale = 1.0f;
 
   std::size_t out_features() const { return weight.rows(); }
-  std::size_t in_features() const { return weight.cols(); }
 
   /// Builds from fp32 weights [out x in] with per-channel scales; the input
   /// scale comes from calibration.

@@ -172,7 +172,6 @@ class Autoscaler {
   const AutoscalerConfig& config() const { return config_; }
   double ttft_high_ms() const { return ttft_high_; }
   double ttft_low_ms() const { return ttft_low_; }
-  std::uint32_t cooldown_remaining() const { return cooldown_; }
 
  private:
   AutoscalerConfig config_;

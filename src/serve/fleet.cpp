@@ -371,6 +371,14 @@ FleetSim::FleetSim(const FleetConfig& config)
 FleetSim::FleetSim(const FleetConfig& config,
                    const core::StepCostModel& costs)
     : config_(normalized(config)) {
+  for (std::size_t i = 0; i < config_.replicas.size(); ++i) {
+    const ServingConfig& r = config_.replicas[i];
+    if (costs.arch() != r.arch || costs.model() != r.model) {
+      throw std::invalid_argument(
+          "replica " + std::to_string(i) +
+          " is not priced by the shared cost model (arch or model differs)");
+    }
+  }
   costs_.assign(config_.replicas.size(), costs);
 }
 

@@ -280,9 +280,9 @@ class FleetSim {
   explicit FleetSim(const FleetConfig& config);
 
   /// Reuses an existing cost model for every replica — sweep harnesses
-  /// over homogeneous fleets should share one across points. All replicas
-  /// must then really be priced by it (same arch + model), which this
-  /// constructor trusts the caller on.
+  /// over homogeneous fleets should share one across points. Throws
+  /// std::invalid_argument, naming the replica, when any replica's arch or
+  /// model differs from the one `costs` was built for.
   FleetSim(const FleetConfig& config, const core::StepCostModel& costs);
 
   const FleetConfig& config() const { return config_; }

@@ -123,7 +123,6 @@ class Observer {
   /// WHICH tier a scale event moved. Never called on symmetric fleets —
   /// their export bytes stay identical to pre-role builds.
   void set_role_names(std::vector<std::string> names);
-  const std::vector<std::string>& role_names() const { return role_names_; }
 
   // ---- Recording hooks (engine room only; all O(1) bookkeeping) ----
   void record(LifecycleEvent kind, sim::Cycles at, std::uint32_t request,

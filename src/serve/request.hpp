@@ -183,7 +183,7 @@ struct Request {
 };
 
 /// Intrusive doubly-linked list over Request::link_prev/link_next[Channel].
-/// push_back/unlink/splice_back are O(1) and allocation-free; traversal is
+/// push_back/unlink/insert_after are O(1) and allocation-free; traversal is
 /// insertion order, which the scheduler keeps equal to the legacy vector
 /// order so selection is byte-identical.
 template <int Channel>
@@ -247,34 +247,6 @@ struct RequestList {
       }
       pos->link_next[Channel] = r;
     }
-  }
-
-  /// Moves every node of `other` to the back of this list, preserving
-  /// order. O(1).
-  void splice_back(RequestList& other) {
-    if (other.head == nullptr) return;
-    if (tail != nullptr) {
-      tail->link_next[Channel] = other.head;
-      other.head->link_prev[Channel] = tail;
-      tail = other.tail;
-    } else {
-      head = other.head;
-      tail = other.tail;
-    }
-    other.head = nullptr;
-    other.tail = nullptr;
-  }
-
-  void clear_links() {
-    Request* r = head;
-    while (r != nullptr) {
-      Request* n = r->link_next[Channel];
-      r->link_prev[Channel] = nullptr;
-      r->link_next[Channel] = nullptr;
-      r = n;
-    }
-    head = nullptr;
-    tail = nullptr;
   }
 };
 

@@ -81,7 +81,9 @@ class ServingSim {
   explicit ServingSim(const ServingConfig& config);
 
   /// Reuses an existing cost model — sweep harnesses that vary only the
-  /// traffic or scheduler knobs should share one across points.
+  /// traffic or scheduler knobs should share one across points. Throws
+  /// std::invalid_argument when `config`'s arch or model differs from the
+  /// one `costs` was built for.
   ServingSim(const ServingConfig& config, const core::StepCostModel& costs);
 
   /// Simulates the replica to completion and returns its metrics.

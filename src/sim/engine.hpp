@@ -97,10 +97,6 @@ class Engine {
   /// co_await engine.delay(n): advance this process by n cycles.
   DelayAwaiter delay(Cycles cycles) { return DelayAwaiter{this, cycles}; }
 
-  /// co_await engine.yield(): re-schedule at the current cycle, after all
-  /// events already queued for this cycle.
-  DelayAwaiter yield() { return DelayAwaiter{this, 0}; }
-
  private:
   struct Item {
     Cycles time;

@@ -56,7 +56,6 @@ class Mutex {
   }
 
   bool locked() const noexcept { return locked_; }
-  std::size_t waiters() const noexcept { return waiters_.size(); }
 
  private:
   Engine* engine_;

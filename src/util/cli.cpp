@@ -8,7 +8,6 @@
 namespace looplynx::util {
 
 Cli::Cli(int argc, const char* const* argv) {
-  if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {

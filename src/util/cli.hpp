@@ -39,10 +39,8 @@ class Cli {
                              std::uint32_t fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
-  const std::string& program() const { return program_; }
 
  private:
-  std::string program_;
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };

@@ -52,11 +52,6 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform float in [0, 1).
-  float next_float() {
-    return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
-  }
-
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) {
     return lo + (hi - lo) * next_double();

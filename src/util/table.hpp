@@ -35,7 +35,6 @@ class Table {
   void add_separator();
 
   std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return header_.size(); }
   const std::string& title() const { return title_; }
 
   /// Renders the table with box-drawing borders.

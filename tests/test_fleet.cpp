@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -518,6 +519,33 @@ TEST(FleetSimTest, RejectsEmptyAndInconsistentFleets) {
                std::invalid_argument);
   // FleetSim's constructor runs the same check.
   EXPECT_THROW(FleetSim{FleetConfig{}}, std::invalid_argument);
+}
+
+TEST(FleetSimTest, SharedCostModelMustPriceEveryReplica) {
+  const ServingConfig cfg = base_config();
+  const core::StepCostModel costs(cfg.arch, cfg.model,
+                                  cfg.cost_probe_stride);
+  ServingConfig two_node = cfg;
+  two_node.arch = core::ArchConfig::two_node();
+  ServingConfig wide = cfg;
+  wide.model = fleet_model();
+
+  // The second replica differs in arch, then in model: the error names it.
+  for (const ServingConfig& odd : {two_node, wide}) {
+    FleetConfig fleet = FleetConfig::homogeneous(cfg, 2);
+    fleet.replicas[1] = odd;
+    try {
+      FleetSim sim(fleet, costs);
+      ADD_FAILURE() << "mismatched cost model accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("replica 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  // ServingSim's shared-cost road is a 1-replica fleet: same check.
+  EXPECT_THROW(ServingSim(two_node, costs), std::invalid_argument);
+  EXPECT_THROW(ServingSim(wide, costs), std::invalid_argument);
+  EXPECT_NO_THROW(ServingSim(cfg, costs));
 }
 
 TEST(FleetSimTest, RejectsZeroCostProbeStride) {

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -548,37 +549,50 @@ TEST(ServeInvariants, CachePointsActuallyHitAndReclaim) {
   EXPECT_GT(tier_events, 0u);
 }
 
-/// Post-refactor non-vacuity at scale: the flat-state hot path (slot-map
-/// arena, class-split ready lists, scheduler-driven stepping) must carry a
-/// 100k-request sweep — three orders of magnitude past the matrix points —
-/// with every conservation and KV invariant intact, comfortably inside
-/// ctest's 300 s timeout (Release wall clock is well under a second per
-/// run; the sanitizer leg has two orders of magnitude of headroom).
-/// Chunked + paged-preemption is the configuration that exercises every
-/// arena transition: admit, defer, preempt, recompute, retire, recycle.
+/// Non-vacuity at scale: the flat-state hot path (slot-map arena,
+/// class-split ready lists, scheduler-driven stepping) must carry
+/// saturated sweeps far past the matrix points with every conservation
+/// and KV invariant intact, inside ctest's 300 s timeout on the sanitizer
+/// leg too. Two rows, both arriving at 5e6 req/s into a queue that sheds
+/// nothing:
+///   - 100k chunked + paged-preemption requests under a 2048-token KV
+///     budget, the configuration that exercises every arena transition:
+///     admit, defer, preempt, recompute, retire, recycle;
+///   - 1M whole-prompt decode-priority requests at the default budget,
+///     the pure continuous-batching loop at million-request scale.
 TEST(ServeInvariants, HundredThousandRequestSweep) {
-  MatrixPoint p;
-  p.name = "100k-chunked-paged";
-  p.policy = BatchPolicy::kChunkedMixed;
-  p.chunk_tokens = 64;
-  p.preempt = PreemptPolicy::kRecomputeYoungest;
-  p.kv_block_tokens = 16;
-  p.kv_budget_tokens = 2048;  // tight enough that eviction actually fires
-  p.replicas = 1;
-  p.rate = 5e6;
-
-  FleetConfig cfg = build_config(p, /*seed=*/42);
-  cfg.traffic.num_requests = 100000;  // the fleet-level arrival stream
-  ServingConfig& base = cfg.replicas.front();
-  base.scheduler.max_batch = 8;
-  base.scheduler.max_in_flight = 64;
-  base.scheduler.queue_capacity = 100000;  // shed nothing at the door
-  // Per-record checks over 100k requests stay O(n); the sample vectors
-  // behind the percentile summaries are exercised at real scale too.
-  const FleetResult r = FleetSim(cfg).run();
-  check_invariants(cfg, r, p.name);
-  EXPECT_EQ(r.fleet.completed, 100000u);
-  EXPECT_GT(r.fleet.preemptions, 0u);  // the paged pressure is non-vacuous
+  const std::pair<MatrixPoint, std::uint32_t> rows[] = {
+      {{.name = "100k-chunked-paged",
+        .policy = BatchPolicy::kChunkedMixed,
+        .chunk_tokens = 64,
+        .preempt = PreemptPolicy::kRecomputeYoungest,
+        .kv_block_tokens = 16,
+        .kv_budget_tokens = 2048,  // tight enough that eviction fires
+        .replicas = 1,
+        .rate = 5e6},
+       100000},
+      {{.name = "1m-decode",
+        .policy = BatchPolicy::kDecodePriority,
+        .replicas = 1,
+        .rate = 5e6},
+       1000000}};
+  for (const auto& [p, requests] : rows) {
+    FleetConfig cfg = build_config(p, /*seed=*/42);
+    cfg.traffic.num_requests = requests;  // the fleet-level arrival stream
+    ServingConfig& base = cfg.replicas.front();
+    base.scheduler.max_batch = 8;
+    base.scheduler.max_in_flight = 64;
+    base.scheduler.queue_capacity = requests;  // shed nothing at the door
+    // Per-record checks stay O(n); the sample vectors behind the
+    // percentile summaries are exercised at real scale too.
+    const FleetResult r = FleetSim(cfg).run();
+    check_invariants(cfg, r, p.name);
+    EXPECT_EQ(r.fleet.completed, requests) << p.name;
+    if (p.preempt != PreemptPolicy::kNone) {
+      // The paged pressure is non-vacuous.
+      EXPECT_GT(r.fleet.preemptions, 0u) << p.name;
+    }
+  }
 }
 
 /// The disaggregated matrix points must actually migrate (and, across the
