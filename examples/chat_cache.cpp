@@ -83,8 +83,6 @@ int run(const looplynx::util::Cli& cli) {
   // next turn arrives.
   base.traffic.process = serve::ArrivalProcess::kPoisson;
   base.traffic.scripted_shapes = serve::chat_turn_shapes(chat);
-  base.traffic.num_requests =
-      static_cast<std::uint32_t>(base.traffic.scripted_shapes.size());
   base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 8.0);
   base.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 21));
   base.scheduler.max_batch = 8;

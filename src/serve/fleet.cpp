@@ -187,6 +187,7 @@ void FleetConfig::validate() const {
   if (replicas.empty()) {
     throw std::invalid_argument("fleet needs at least one replica");
   }
+  traffic.validate();
   const double frequency = replicas.front().arch.frequency_hz;
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     const ServingConfig& r = replicas[i];
@@ -318,16 +319,14 @@ void FleetConfig::validate() const {
 namespace {
 
 /// A validated copy of `config` with what the run machinery reads filled
-/// in: num_requests from an explicit arrival schedule, and — on a
-/// disaggregated autoscaled fleet — explicit per-tier bounds (floor 1,
-/// ceiling the tier's pool where a list was left empty), so the run never
-/// has to guess which scalars to fall back on.
+/// in: num_requests from TrafficConfig::request_budget (an explicit
+/// schedule or a shape script fixes it), and — on a disaggregated
+/// autoscaled fleet — explicit per-tier bounds (floor 1, ceiling the
+/// tier's pool where a list was left empty), so the run never has to
+/// guess which scalars to fall back on.
 FleetConfig normalized(FleetConfig config) {
   config.validate();
-  if (!config.traffic.explicit_arrivals.empty()) {
-    config.traffic.num_requests =
-        static_cast<std::uint32_t>(config.traffic.explicit_arrivals.size());
-  }
+  config.traffic.num_requests = config.traffic.request_budget();
   AutoscalerConfig& as = config.autoscale;
   if (as.enabled && config.disaggregated()) {
     const std::vector<TierSpec> tiers =
@@ -768,10 +767,11 @@ FleetResult FleetSim::run(Observer* observer) const {
   for (auto& r : run.replicas) {
     run.engine.spawn(detail::scheduler_proc(*r));
   }
-  if (config_.traffic.process == ArrivalProcess::kClosedLoop) {
-    const std::uint32_t clients =
-        std::max<std::uint32_t>(1, config_.traffic.clients);
-    for (std::uint32_t c = 0; c < clients; ++c) {
+  // An explicit schedule overrides the arrival process, closed loop
+  // included: it is replayed open-loop like any other schedule.
+  if (config_.traffic.process == ArrivalProcess::kClosedLoop &&
+      config_.traffic.explicit_arrivals.empty()) {
+    for (std::uint32_t c = 0; c < config_.traffic.clients; ++c) {
       run.engine.spawn(client_proc(run));
     }
   } else {

@@ -1,6 +1,7 @@
 // Fleet-level serving metrics: what the load benches sweep and the tests
 // assert on. All latencies are reported in milliseconds of accelerator
-// wall-clock (cycles / frequency); percentiles use util::percentile_summary.
+// wall-clock (cycles / frequency); percentiles use detail::cycle_summary_ms
+// (cycle-domain series) or util::percentile_summary (token latency).
 #pragma once
 
 #include <cstdint>

@@ -87,20 +87,7 @@ void Replica::record_completion(Request& r) {
   --active;
   --shared.active;
   ++completed;
-  decode_tokens += r.decoded;
   total_tokens += r.decoded;
-  prefill_chunk_steps += r.prefill_chunks;
-  if (r.prefill_chunks > 1) ++chunked_prompts;
-  const double ttft = ms(r.first_token - r.arrival);
-  const double token =
-      r.decoded > 0 ? ms(r.completed - r.first_token) /
-                          static_cast<double>(r.decoded)
-                    : 0.0;
-  ttft_cycles.push_back(r.first_token - r.arrival);
-  token_ms.push_back(token);
-  e2e_cycles.push_back(r.completed - r.arrival);
-  queue_wait_cycles.push_back(r.admitted - r.arrival);
-  if (ttft <= cfg.slo.ttft_ms && token <= cfg.slo.token_ms) ++good;
   if (shared.observer != nullptr) {
     shared.observer->record(LifecycleEvent::kFinish, engine.now(), r.id, id,
                             r.decoded, r.preempt_count);
@@ -906,39 +893,6 @@ void teardown(Replica& f) {
   }
 }
 
-namespace {
-
-template <typename T>
-void append(std::vector<T>& pool, const std::vector<T>& samples) {
-  pool.insert(pool.end(), samples.begin(), samples.end());
-}
-
-void append_records(std::vector<RequestRecord>& out, const Replica& f) {
-  for (const FinishedRequest& r : f.finished) {
-    RequestRecord rec;
-    rec.id = r.id;
-    rec.replica = f.id;
-    rec.prefill_tokens = r.prefill_tokens;
-    rec.decode_tokens = r.decoded;
-    rec.prefill_chunks = r.prefill_chunks;
-    rec.preemptions = r.preempt_count;
-    rec.cached_prefix_tokens = r.cached_prefix;
-    rec.live_replicas = r.live_at_route;
-    rec.rejected = r.rejected;
-    rec.migrated = r.migrated;
-    rec.stolen = r.stolen;
-    if (!rec.rejected) {
-      rec.queue_wait_ms = f.ms(r.admitted - r.arrival);
-      rec.ttft_ms = f.ms(r.first_token - r.arrival);
-      rec.e2e_ms = f.ms(r.completed - r.arrival);
-      rec.max_token_gap_ms = f.ms(r.max_token_gap);
-    }
-    out.push_back(rec);
-  }
-}
-
-}  // namespace
-
 FleetMetrics summarize(const std::vector<const Replica*>& group,
                        sim::Cycles makespan, std::uint32_t peak_in_flight) {
   const Replica& front = *group.front();
@@ -949,19 +903,52 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
   sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
   double batch_members = 0;
   for (const Replica* r : group) {
-    append(ttft, r->ttft_cycles);
-    append(token, r->token_ms);
-    append(e2e, r->e2e_cycles);
-    append(queue_wait, r->queue_wait_cycles);
-    append(gap, r->gap_cycles);
+    // One walk over the retirement log yields every per-request series,
+    // counter and record. Each entry is priced by the replica that retired
+    // it (its clock and its SLO).
+    for (const FinishedRequest& e : r->finished) {
+      RequestRecord rec;
+      rec.id = e.id;
+      rec.replica = r->id;
+      rec.prefill_tokens = e.prefill_tokens;
+      rec.decode_tokens = e.decoded;
+      rec.prefill_chunks = e.prefill_chunks;
+      rec.preemptions = e.preempt_count;
+      rec.cached_prefix_tokens = e.cached_prefix;
+      rec.live_replicas = e.live_at_route;
+      rec.rejected = e.rejected;
+      rec.migrated = e.migrated;
+      rec.stolen = e.stolen;
+      if (!e.rejected) {
+        ttft.push_back(e.first_token - e.arrival);
+        e2e.push_back(e.completed - e.arrival);
+        queue_wait.push_back(e.admitted - e.arrival);
+        rec.queue_wait_ms = r->ms(e.admitted - e.arrival);
+        rec.ttft_ms = r->ms(e.first_token - e.arrival);
+        rec.e2e_ms = r->ms(e.completed - e.arrival);
+        rec.max_token_gap_ms = r->ms(e.max_token_gap);
+        const double token_ms =
+            e.decoded > 0 ? r->ms(e.completed - e.first_token) /
+                                static_cast<double>(e.decoded)
+                          : 0.0;
+        token.push_back(token_ms);
+        if (rec.ttft_ms <= r->cfg.slo.ttft_ms &&
+            token_ms <= r->cfg.slo.token_ms) {
+          ++m.slo_good;
+        }
+        m.decode_tokens += e.decoded;
+        m.prefill_chunk_steps += e.prefill_chunks;
+        if (e.prefill_chunks > 1) ++m.chunked_prompts;
+      }
+      if (r->cfg.keep_request_records) m.requests.push_back(rec);
+    }
+    gap.insert(gap.end(), r->gap_cycles.begin(), r->gap_cycles.end());
     busy += r->busy_cycles;
     decode_stall += r->decode_stall_cycles;
     recompute += r->recompute_cycles;
     m.offered += r->routed;
     m.completed += r->completed;
     m.rejected += r->rejected;
-    m.slo_good += r->good;
-    m.decode_tokens += r->decode_tokens;
     m.total_tokens += r->total_tokens;
     m.iterations += r->sched.iteration_count();
     // Pool through mean_batch_size() x iterations: dividing the product by
@@ -969,8 +956,6 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
     // bit, so a one-replica group reports its scheduler's own mean.
     batch_members += r->sched.mean_batch_size() *
                      static_cast<double>(r->sched.iteration_count());
-    m.prefill_chunk_steps += r->prefill_chunk_steps;
-    m.chunked_prompts += r->chunked_prompts;
     m.decode_stall_iterations += r->decode_stall_iterations;
     m.peak_queue_depth = std::max(m.peak_queue_depth, r->queue.peak_depth());
     m.kv_peak_occupancy =
@@ -1012,7 +997,6 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
     m.steal_wire_bytes += r->steal_wire_bytes;
     m.handoffs_in += r->handoffs_in;
     m.handoffs_out += r->handoffs_out;
-    if (r->cfg.keep_request_records) append_records(m.requests, *r);
   }
   m.slo = front.cfg.slo;
   m.preempt = front.cfg.scheduler.preempt;

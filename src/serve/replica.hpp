@@ -87,8 +87,10 @@ struct DisaggShared {
 
 /// Plain-data snapshot of a retired request, appended the moment it
 /// completes or is rejected. The Request object itself is recycled into the
-/// arena right away; everything read after the run — RequestRecords,
-/// the fleet timeline's occupancy integral — comes from this log.
+/// arena right away; everything read after the run comes from this log:
+/// summarize() derives the TTFT / token / e2e / queue-wait series, the SLO
+/// count, the decode-token and prefill-chunk counters and the
+/// RequestRecords from it, and the fleet timeline its occupancy integral.
 struct FinishedRequest {
   std::uint32_t id = 0;
   std::uint32_t prefill_tokens = 0;
@@ -197,12 +199,8 @@ struct Replica {
   std::uint32_t peak_active = 0;
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
-  std::uint64_t good = 0;       // completed within both SLOs
-  std::uint64_t decode_tokens = 0;
   std::uint64_t total_tokens = 0;
   sim::Cycles busy_cycles = 0;  // summed iteration spans
-  std::uint64_t prefill_chunk_steps = 0;
-  std::uint64_t chunked_prompts = 0;
   std::uint64_t decode_stall_iterations = 0;
   sim::Cycles decode_stall_cycles = 0;
   std::uint64_t preemptions = 0;
@@ -249,19 +247,10 @@ struct Replica {
   sim::Cycles cache_saved_prefill_cycles = 0;  // prefill_cycles(hit) saved
   std::uint64_t cache_blocks_at_end = 0;  // resident when teardown() drained
 
-  // ---- Latency samples (one per completed request) ----
-  /// Mean decode-token latency in ms. This is the one latency series that
-  /// must stay in the double domain: each sample divides a cycle span by
-  /// the request's decode count, so there is no single integer key whose
-  /// order matches the converted values.
-  std::vector<double> token_ms;
-  /// TTFT / end-to-end / queue-wait spans and inter-token gaps, kept in raw
-  /// cycles and summarized through cycle_summary_ms — the integers
-  /// radix-sort in O(n) where the legacy per-sample ms doubles paid a
-  /// comparison sort that dominated finalize.
-  std::vector<sim::Cycles> ttft_cycles, e2e_cycles, queue_wait_cycles;
-  /// Gaps between consecutive host-visible tokens, pooled replica-wide
-  /// (one sample per decode-class token, the largest population by far).
+  /// Gaps between consecutive host-visible tokens in raw cycles, pooled
+  /// replica-wide (one sample per decode-class token, the largest
+  /// population by far). The only latency series not derivable from the
+  /// retirement log; summarized through cycle_summary_ms.
   std::vector<sim::Cycles> gap_cycles;
 
   /// Requests routed here and not yet finished or rejected — the "queued +
@@ -282,6 +271,9 @@ struct Replica {
   /// enqueue_request_event for it.
   Request& make_request(workload::Scenario shape);
 
+  /// Finishes `r`: final state and timestamp, KV release, the live
+  /// counters, the observer's kFinish, then retire(). Latency samples and
+  /// the SLO verdict are not taken here; summarize() reads them off the log.
   void record_completion(Request& r);
 
   /// Appends the retirement snapshot for `r` (state and timestamps must be
@@ -326,7 +318,8 @@ void teardown(Replica& f);
 
 /// Builds the FleetMetrics of any group of torn-down replicas — one replica
 /// or the whole fleet, by the same rules: counters and tokens sum, latency
-/// samples pool, rates divide by the shared makespan, `peak_queue_depth`
+/// samples pool (all but the inter-token gaps are read off each member's
+/// `finished` log), rates divide by the shared makespan, `peak_queue_depth`
 /// and `kv_peak_occupancy` take the worst replica, and `peak_in_flight` is
 /// the group's concurrent peak, which only the caller knows. Echo fields
 /// (`slo`, `preempt`, `kv_block_tokens`) come from the first replica.

@@ -1,36 +1,55 @@
 #include "serve/traffic.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 namespace looplynx::serve {
 
-TrafficGen::TrafficGen(TrafficConfig config, double frequency_hz)
-    : config_(std::move(config)),
-      frequency_hz_(frequency_hz),
-      rng_(config_.seed) {
-  if (config_.mix.entries.empty()) {
+void TrafficConfig::validate() const {
+  if (mix.entries.empty()) {
     throw std::invalid_argument("traffic mix has no scenarios");
   }
-  if (!config_.scripted_shapes.empty()) {
-    // A script defines both shapes and request count; arrival times still
-    // come from the configured process.
-    config_.num_requests =
-        static_cast<std::uint32_t>(config_.scripted_shapes.size());
-  }
-  if (config_.process != ArrivalProcess::kClosedLoop &&
-      config_.arrival_rate_per_s <= 0) {
+  if (process != ArrivalProcess::kClosedLoop && arrival_rate_per_s <= 0) {
     throw std::invalid_argument("open-loop arrival rate must be positive");
   }
-  if (config_.process == ArrivalProcess::kBursty) {
-    if (config_.burst_period_s <= 0 || config_.burst_factor <= 0 ||
-        config_.burst_fraction <= 0 || config_.burst_fraction >= 1) {
+  if (process == ArrivalProcess::kBursty) {
+    if (burst_period_s <= 0 || burst_factor <= 0 || burst_fraction <= 0 ||
+        burst_fraction >= 1) {
       throw std::invalid_argument(
           "bursty traffic needs burst_period_s > 0, burst_factor > 0 and "
           "burst_fraction in (0, 1)");
     }
   }
+  if (process == ArrivalProcess::kClosedLoop && clients == 0) {
+    throw std::invalid_argument("closed-loop traffic needs clients >= 1");
+  }
+  if (!std::is_sorted(explicit_arrivals.begin(), explicit_arrivals.end(),
+                      [](const Arrival& a, const Arrival& b) {
+                        return a.at < b.at;
+                      })) {
+    throw std::invalid_argument(
+        "explicit_arrivals must be sorted by arrival time");
+  }
+}
+
+std::uint32_t TrafficConfig::request_budget() const {
+  if (!explicit_arrivals.empty()) {
+    return static_cast<std::uint32_t>(explicit_arrivals.size());
+  }
+  if (!scripted_shapes.empty()) {
+    return static_cast<std::uint32_t>(scripted_shapes.size());
+  }
+  return num_requests;
+}
+
+TrafficGen::TrafficGen(TrafficConfig config, double frequency_hz)
+    : config_(std::move(config)),
+      frequency_hz_(frequency_hz),
+      rng_(config_.seed) {
+  config_.validate();
+  config_.num_requests = config_.request_budget();
 }
 
 double TrafficGen::exponential_s(double rate_per_s) {

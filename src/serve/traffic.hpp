@@ -48,16 +48,19 @@ struct TrafficConfig {
 
   /// When non-empty, this exact schedule is replayed instead of sampling an
   /// arrival process (host::Host batch submission, deterministic tests).
-  /// Must be sorted by time; overrides `process` and `num_requests`.
+  /// Must be sorted by time (validate() rejects it otherwise). Overrides
+  /// `process` — a closed loop spawns no clients, the schedule is replayed
+  /// open-loop — and `num_requests` (see request_budget()).
   std::vector<Arrival> explicit_arrivals;
 
   /// When non-empty, arrival i takes `scripted_shapes[i]` instead of a mix
-  /// sample and `num_requests` is the script length — arrival *times* are
-  /// still drawn from `process`. This is how ordered workloads (multi-turn
-  /// conversations, where turn t must arrive before turn t+1) ride the
-  /// open-loop processes; `chat_turn_shapes` below builds such a script.
-  /// Ignored when `explicit_arrivals` is set. Empty (the default) leaves
-  /// the sampling path — and its RNG draw sequence — untouched.
+  /// sample and the script length overrides `num_requests` (see
+  /// request_budget()) — arrival *times* are still drawn from `process`.
+  /// This is how ordered workloads (multi-turn conversations, where turn t
+  /// must arrive before turn t+1) ride the open-loop processes;
+  /// `chat_turn_shapes` below builds such a script. Ignored when
+  /// `explicit_arrivals` is set. Empty (the default) leaves the sampling
+  /// path — and its RNG draw sequence — untouched.
   std::vector<workload::Scenario> scripted_shapes;
 
   // ---- Open-loop (Poisson / bursty) ----
@@ -69,8 +72,19 @@ struct TrafficConfig {
   double burst_period_s = 2.0;  // on + off period length
 
   // ---- Closed loop ----
-  std::uint32_t clients = 8;
+  std::uint32_t clients = 8;   // >= 1 (validate() rejects 0)
   double think_time_s = 0.25;  // mean exponential think time
+
+  /// Requests this config injects: the explicit schedule's length, else
+  /// the script's, else `num_requests`. FleetSim and TrafficGen both write
+  /// it back into `num_requests`.
+  std::uint32_t request_budget() const;
+
+  /// Throws std::invalid_argument on an empty mix, an open-loop rate <= 0,
+  /// degenerate bursty parameters, a closed loop without clients or an
+  /// unsorted explicit schedule. FleetConfig::validate() calls it, so a
+  /// FleetSim is never built with bad traffic; so does TrafficGen.
+  void validate() const;
 };
 
 /// Multi-turn chatbot traffic: `conversations` independent conversations,
@@ -105,8 +119,9 @@ class TrafficGen {
 
   const TrafficConfig& config() const { return config_; }
 
-  /// The full arrival schedule for the open-loop processes (Poisson or
-  /// bursty), sorted by time. Must not be called for kClosedLoop.
+  /// The full arrival schedule: the explicit one when set, else drawn from
+  /// the open-loop process (Poisson or bursty), sorted by time. Without an
+  /// explicit schedule it must not be called for kClosedLoop.
   std::vector<Arrival> open_loop_schedule();
 
   /// Draws the next request shape from the mix (used by closed-loop

@@ -464,6 +464,44 @@ TEST(FleetSimTest, ClosedLoopFleetRoutesAndCompletes) {
   expect_identical(a, FleetSim(fleet_cfg).run());
 }
 
+/// A shape script sets the request budget: the fleet replays all of it
+/// whatever `num_requests` says, and its schedulers drain every turn.
+TEST(FleetSimTest, ScriptSetsTheRequestBudget) {
+  ServingConfig cfg = base_config();
+  ChatTrafficConfig chat;
+  chat.conversations = 8;
+  chat.turns = 4;
+  chat.system_prompt_tokens = 8;
+  chat.user_turn_tokens = 4;
+  chat.reply_tokens = 4;
+  cfg.traffic.scripted_shapes = chat_turn_shapes(chat);
+  cfg.traffic.num_requests = 5;  // stale: the script is 32 turns long
+  cfg.traffic.arrival_rate_per_s = 0.5;
+  const FleetResult r = FleetSim(FleetConfig::homogeneous(cfg, 2)).run();
+  EXPECT_EQ(r.fleet.offered, 32u);
+  EXPECT_EQ(r.fleet.completed, 32u);
+}
+
+/// An explicit schedule overrides the arrival process, closed loop
+/// included: no client samples the mix, the schedule is replayed as is.
+TEST(FleetSimTest, ExplicitArrivalsOverrideClosedLoop) {
+  ServingConfig cfg = base_config();
+  cfg.keep_request_records = true;
+  cfg.traffic.explicit_arrivals = {{0, workload::make_scenario(40, 4)},
+                                   {1000, workload::make_scenario(41, 4)},
+                                   {2000, workload::make_scenario(42, 4)}};
+  const FleetConfig open = FleetConfig::homogeneous(cfg, 2);
+  cfg.traffic.process = ArrivalProcess::kClosedLoop;
+  const FleetConfig closed = FleetConfig::homogeneous(cfg, 2);
+  const FleetResult a = FleetSim(open).run();
+  const FleetResult b = FleetSim(closed).run();
+  ASSERT_EQ(b.fleet.requests.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(b.fleet.requests[i].prefill_tokens, 40 + i);
+  }
+  expect_identical(a, b);
+}
+
 // ------------------------------------------------- The acceptance pin
 
 /// The PR's acceptance criterion: on a skewed scenario mix at a fixed
@@ -519,6 +557,30 @@ TEST(FleetSimTest, RejectsEmptyAndInconsistentFleets) {
                std::invalid_argument);
   // FleetSim's constructor runs the same check.
   EXPECT_THROW(FleetSim{FleetConfig{}}, std::invalid_argument);
+}
+
+/// Traffic is checked when the fleet is built, not when it first runs.
+TEST(FleetSimTest, RejectsZeroOpenLoopRateAtConstruction) {
+  ServingConfig cfg = base_config();
+  cfg.traffic.arrival_rate_per_s = 0;
+  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 2)},
+               std::invalid_argument);
+}
+
+TEST(FleetSimTest, RejectsUnsortedExplicitArrivalsAtConstruction) {
+  ServingConfig cfg = base_config();
+  cfg.traffic.explicit_arrivals = {{1000, workload::make_scenario(8, 8)},
+                                   {0, workload::make_scenario(8, 8)}};
+  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 2)},
+               std::invalid_argument);
+}
+
+TEST(FleetSimTest, RejectsClientlessClosedLoopAtConstruction) {
+  ServingConfig cfg = base_config();
+  cfg.traffic.process = ArrivalProcess::kClosedLoop;
+  cfg.traffic.clients = 0;
+  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 2)},
+               std::invalid_argument);
 }
 
 TEST(FleetSimTest, SharedCostModelMustPriceEveryReplica) {

@@ -14,6 +14,10 @@
 //    <= TTFT <= end-to-end latency, and the serving replica's index is
 //    always below the live replica count at routing time (the live set
 //    is the index prefix).
+//  - Rollup vs records: the decode-token and prefill-chunk counters sum
+//    the completed records, every per-request latency summary counts
+//    each completion once, and the TTFT p50/p99 equal util::percentile
+//    over the records' TTFTs.
 //  - Scale-event log: monotone fleet clock, single-step transitions
 //    chained from min_replicas, never outside [min, max], and the
 //    time-weighted live stats / replica-cycle cost are consistent with
@@ -39,6 +43,7 @@
 #include "serve/observe.hpp"
 #include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
+#include "util/stats.hpp"
 #include "workload/mix.hpp"
 
 namespace looplynx::serve {
@@ -378,6 +383,30 @@ void check_invariants(const FleetConfig& cfg, const FleetResult& r,
     EXPECT_LE(rec.queue_wait_ms, rec.ttft_ms);
     EXPECT_LE(rec.ttft_ms, rec.e2e_ms);
   }
+
+  // ---- Rollup == the records of completed requests ----
+  // Both are read off the same retirement logs, so the counters match
+  // exactly and the TTFT percentiles match bit for bit (same doubles, same
+  // interpolation).
+  std::uint64_t decode_tokens = 0, chunk_steps = 0, chunked = 0;
+  std::vector<double> ttft;
+  for (const RequestRecord& rec : fleet.requests) {
+    if (rec.rejected) continue;
+    decode_tokens += rec.decode_tokens;
+    chunk_steps += rec.prefill_chunks;
+    chunked += rec.prefill_chunks > 1 ? 1 : 0;
+    ttft.push_back(rec.ttft_ms);
+  }
+  EXPECT_EQ(fleet.decode_tokens, decode_tokens);
+  EXPECT_EQ(fleet.prefill_chunk_steps, chunk_steps);
+  EXPECT_EQ(fleet.chunked_prompts, chunked);
+  for (const util::PercentileSummary* s :
+       {&fleet.ttft_ms, &fleet.token_ms, &fleet.e2e_ms,
+        &fleet.queue_wait_ms}) {
+    EXPECT_EQ(s->count, fleet.completed);
+  }
+  EXPECT_EQ(fleet.ttft_ms.p50, util::percentile(ttft, 50.0));
+  EXPECT_EQ(fleet.ttft_ms.p99, util::percentile(std::move(ttft), 99.0));
 
   // ---- KV-transfer conservation (disaggregated fleets) ----
   EXPECT_EQ(r.disaggregated, cfg.disaggregated());
