@@ -90,15 +90,21 @@ int run(const looplynx::util::Cli& cli) {
   eff.render(std::cout);
 
   // ---- Headline averages over long-generation scenarios. ----
+  // The paper's averages are over the long-generation ([*:512]) columns;
+  // the all-scenario geomeans are printed with their own label.
   std::map<std::uint32_t, std::vector<double>> speedups, eff_ratios;
-  std::map<std::uint32_t, std::vector<double>> long_speedups;
+  std::map<std::uint32_t, std::vector<double>> long_speedups, long_eff_ratios;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     for (std::uint32_t nodes : node_counts) {
       const double sp = gpu_cells[i].total_ms / fpga[nodes][i].total_ms;
+      const double eff_ratio =
+          fpga[nodes][i].tokens_per_joule / gpu_cells[i].tokens_per_joule;
       speedups[nodes].push_back(sp);
-      eff_ratios[nodes].push_back(fpga[nodes][i].tokens_per_joule /
-                                  gpu_cells[i].tokens_per_joule);
-      if (scenarios[i].decode >= 512) long_speedups[nodes].push_back(sp);
+      eff_ratios[nodes].push_back(eff_ratio);
+      if (scenarios[i].decode >= 512) {
+        long_speedups[nodes].push_back(sp);
+        long_eff_ratios[nodes].push_back(eff_ratio);
+      }
     }
   }
   std::cout << "\nAverages vs A100 (paper: 2-node 1.67x speed-up / 37.3% "
@@ -107,9 +113,11 @@ int run(const looplynx::util::Cli& cli) {
   for (std::uint32_t nodes : node_counts) {
     std::cout << "  " << nodes << "-node: long-generation speed-up "
               << util::fmt_speedup(util::geomean(long_speedups[nodes]))
-              << ", all-scenario geomean "
+              << ", long-generation energy efficiency "
+              << util::fmt_speedup(util::geomean(long_eff_ratios[nodes]))
+              << "; all-scenario geomeans: speed-up "
               << util::fmt_speedup(util::geomean(speedups[nodes]))
-              << ", energy-efficiency geomean "
+              << ", energy efficiency "
               << util::fmt_speedup(util::geomean(eff_ratios[nodes])) << "\n";
   }
 

@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/trace.hpp"
+
 namespace looplynx::serve {
 
 const char* lifecycle_event_name(LifecycleEvent kind) {
@@ -53,6 +55,39 @@ const char* lifecycle_event_name(LifecycleEvent kind) {
   return "unknown";
 }
 
+namespace {
+
+/// Stable sort by `at`, cheap on a nearly sorted log. The engine room
+/// records almost in time order (an iteration's chunk events a few places
+/// early), so an insertion pass, which moves each event back only past
+/// events stamped strictly later, costs O(n + moves). A migrated
+/// request's re-admission can sit thousands of places early, so once the
+/// moves exceed kMaxMovesPerEvent per event the pass hands over to
+/// std::stable_sort. The partial pass is itself a stable permutation of
+/// the input, so the final order is std::stable_sort's either way.
+void sort_by_time(std::vector<ObservedEvent>& events) {
+  constexpr std::size_t kMaxMovesPerEvent = 16;
+  const std::size_t budget = kMaxMovesPerEvent * events.size();
+  std::size_t moves = 0;
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    if (events[i - 1].at <= events[i].at) continue;
+    const ObservedEvent e = events[i];
+    std::size_t j = i;
+    for (; j > 0 && events[j - 1].at > e.at; --j) events[j] = events[j - 1];
+    events[j] = e;
+    moves += i - j;
+    if (moves > budget) {
+      std::stable_sort(events.begin(), events.end(),
+                       [](const ObservedEvent& a, const ObservedEvent& b) {
+                         return a.at < b.at;
+                       });
+      return;
+    }
+  }
+}
+
+}  // namespace
+
 Observer::Observer(std::uint32_t replicas, double frequency_hz)
     : frequency_hz_(frequency_hz),
       frequency_hz_int_(static_cast<std::uint64_t>(std::llround(frequency_hz))),
@@ -81,12 +116,21 @@ void Observer::record(LifecycleEvent kind, sim::Cycles at,
   events_.push_back(ObservedEvent{at, kind, request, replica, a, b});
 }
 
-void Observer::add_span(std::uint32_t replica, const char* cat,
-                        sim::Cycles begin, sim::Cycles end) {
-  per_replica_.at(replica).trace.add(cat, begin, end);
+void Observer::PerReplica::add(Category cat, sim::Cycles begin,
+                               sim::Cycles end) {
+  if (end < begin) end = begin;
+  const auto c = static_cast<std::size_t>(cat);
+  totals[c] += end - begin;
+  seen[c] = true;
+  if (end > begin) spans.push_back(Span{begin, end, cat});
 }
 
-void Observer::begin_wait(std::uint32_t replica, const char* cat,
+void Observer::add_span(std::uint32_t replica, Category cat,
+                        sim::Cycles begin, sim::Cycles end) {
+  per_replica_.at(replica).add(cat, begin, end);
+}
+
+void Observer::begin_wait(std::uint32_t replica, Category cat,
                           sim::Cycles at) {
   PerReplica& r = per_replica_.at(replica);
   if (r.waiting) {
@@ -103,7 +147,7 @@ void Observer::end_wait(std::uint32_t replica, sim::Cycles at) {
     throw std::logic_error("Observer::end_wait: no wait open");
   }
   r.waiting = false;
-  r.trace.add(r.wait_category, r.wait_start, at);
+  r.add(r.wait_category, r.wait_start, at);
 }
 
 void Observer::mark_exit(std::uint32_t replica, sim::Cycles at) {
@@ -133,11 +177,15 @@ void Observer::finalize(sim::Cycles makespan) {
     // at sleep time. A replica whose loop exited drains from the exit.
     if (r.waiting) {
       r.waiting = false;
-      r.trace.add(category::kDrain, r.wait_start, makespan);
+      r.add(Category::kDrain, r.wait_start, makespan);
     } else if (r.exited) {
-      r.trace.add(category::kDrain, r.exit_at, makespan);
+      r.add(Category::kDrain, r.exit_at, makespan);
     }
-    const sim::Cycles total = r.trace.grand_total();
+    sim::Cycles total = 0;
+    for (std::size_t c = 0; c < kNumCategories; ++c) {
+      total += r.totals[c];
+      if (r.seen[c]) r.breakdown.emplace(kCategories[c], r.totals[c]);
+    }
     if (total != makespan) {
       throw std::logic_error(
           "observability tiling violated: replica " + std::to_string(i) +
@@ -146,21 +194,15 @@ void Observer::finalize(sim::Cycles makespan) {
           " (the breakdown must partition the timeline exactly)");
     }
   }
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const ObservedEvent& a, const ObservedEvent& b) {
-                     return a.at < b.at;
-                   });
+  sort_by_time(events_);
   makespan_ = makespan;
   finalized_ = true;
 }
 
-const sim::Trace& Observer::replica_trace(std::uint32_t replica) const {
-  return per_replica_.at(replica).trace;
-}
-
 const std::map<std::string, sim::Cycles>& Observer::breakdown(
     std::uint32_t replica) const {
-  return per_replica_.at(replica).trace.totals();
+  require_finalized("breakdown");
+  return per_replica_.at(replica).breakdown;
 }
 
 void Observer::require_finalized(const char* what) const {
@@ -187,19 +229,19 @@ void Observer::write_chrome_trace(std::ostream& os) const {
     writer.process_name(i, name);
   }
   // One track per replica: the cycle-accounting spans, in recording order
-  // (chronological per replica). Zero-width spans carry no cycles and
-  // would only be viewer noise.
+  // (chronological per replica). Zero-width spans were never kept: they
+  // carry no cycles and would only be viewer noise.
   for (std::uint32_t i = 0; i < replicas(); ++i) {
-    for (const sim::Trace::Span& s : per_replica_[i].trace.spans()) {
-      if (s.end == s.begin) continue;
-      writer.complete(s.category, "breakdown", i, /*tid=*/0, s.begin, s.end);
+    for (const Span& s : per_replica_[i].spans) {
+      writer.complete(category_name(s.category), "breakdown", i, /*tid=*/0,
+                      s.begin, s.end);
     }
   }
   // One async span per request (opened at routing, closed at finish or
   // rejection), lifecycle instants nested inside; scheduler decisions as
   // instant events on the affected replica's track.
   for (const ObservedEvent& e : events_) {
-    const std::string name = lifecycle_event_name(e.kind);
+    const char* name = lifecycle_event_name(e.kind);
     switch (e.kind) {
       case LifecycleEvent::kRoute:
         writer.async_begin("request", "request", e.replica, e.request, e.at);
@@ -219,14 +261,14 @@ void Observer::write_chrome_trace(std::ostream& os) const {
       case LifecycleEvent::kScaleUp:
       case LifecycleEvent::kScaleDown:
         writer.instant(role_names_.empty()
-                           ? name
-                           : name + " (" + role_names_[e.replica] + ")",
+                           ? std::string(name)
+                           : name + (" (" + role_names_[e.replica] + ")"),
                        "decision", e.replica, /*tid=*/0, e.at, 'g');
         break;
       case LifecycleEvent::kDrain:
         writer.instant(role_names_.empty()
-                           ? name
-                           : name + " (" + role_names_[e.replica] + ")",
+                           ? std::string(name)
+                           : name + (" (" + role_names_[e.replica] + ")"),
                        "decision", e.replica, /*tid=*/0, e.at, 'p');
         break;
       default:
@@ -436,10 +478,10 @@ void Observer::write_prometheus(std::ostream& os) const {
         "per replica the categories tile [0, makespan] exactly.\n";
   os << "# TYPE looplynx_replica_cycles_total counter\n";
   for (std::uint32_t i = 0; i < n; ++i) {
-    for (const char* cat : kCategories) {
+    for (std::size_t c = 0; c < kNumCategories; ++c) {
       os << "looplynx_replica_cycles_total{replica=\"" << i
-         << "\",category=\"" << cat << "\"} "
-         << per_replica_[i].trace.total(cat) << "\n";
+         << "\",category=\"" << kCategories[c] << "\"} "
+         << per_replica_[i].totals[c] << "\n";
     }
   }
 

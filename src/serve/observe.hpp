@@ -26,14 +26,16 @@
 // emitted bytes are identical across compilers, build modes and re-runs.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace looplynx::serve {
 
@@ -80,28 +82,36 @@ struct ObservedEvent {
 };
 
 /// Cycle-accounting categories. Together they tile each replica's
-/// [0, makespan] timeline exactly (asserted by finalize()).
-namespace category {
-inline constexpr char kPrefill[] = "prefill";          // whole-prompt chunk
-inline constexpr char kChunkedPrefill[] = "chunked-prefill";  // partial chunk
-inline constexpr char kDecode[] = "decode";            // decode group pass
-inline constexpr char kRecompute[] = "recompute";      // post-preempt rebuild
-inline constexpr char kHostSync[] = "host-sync";       // PCIe egress sync
-inline constexpr char kKvStall[] = "kv-stall";  // idle w/ queued, unadmittable
-inline constexpr char kKvSwap[] = "kv-swap";  // cache block DMA to/from host
-inline constexpr char kKvMigrate[] = "kv-migrate";  // migrated-KV ingest DMA
-inline constexpr char kSchedulerIdle[] = "scheduler-idle";  // idle, no work
-inline constexpr char kDrain[] = "drain";  // trailing idle until run end
-}  // namespace category
+/// [0, makespan] timeline exactly (asserted by finalize()). Declared in
+/// canonical (lexicographic name) order, so a category's value indexes
+/// kCategories.
+enum class Category : std::uint8_t {
+  kChunkedPrefill,  // partial prompt chunk
+  kDecode,          // decode group pass
+  kDrain,           // trailing idle until run end
+  kHostSync,        // PCIe egress sync
+  kKvMigrate,       // migrated-KV ingest DMA
+  kKvStall,         // idle with queued, unadmittable work
+  kKvSwap,          // cache block DMA to/from host
+  kPrefill,         // whole-prompt chunk
+  kRecompute,       // post-preempt rebuild
+  kSchedulerIdle,   // idle, no work
+};
 
-/// Every category in canonical (lexicographic) order — the exporters'
+/// Every category's export name, indexed by Category — the exporters'
 /// iteration order, so metric line sets are stable across runs.
 inline constexpr const char* kCategories[] = {
-    category::kChunkedPrefill, category::kDecode,    category::kDrain,
-    category::kHostSync,       category::kKvMigrate, category::kKvStall,
-    category::kKvSwap,         category::kPrefill,   category::kRecompute,
-    category::kSchedulerIdle,
+    "chunked-prefill", "decode",   "drain",     "host-sync",
+    "kv-migrate",      "kv-stall", "kv-swap",   "prefill",
+    "recompute",       "scheduler-idle",
 };
+inline constexpr std::size_t kNumCategories = std::size(kCategories);
+static_assert(static_cast<std::size_t>(Category::kSchedulerIdle) + 1 ==
+              kNumCategories);
+
+constexpr const char* category_name(Category c) {
+  return kCategories[static_cast<std::size_t>(c)];
+}
 
 /// One run's observability state. Construct with the run's replica pool
 /// width and clock, attach via ServingSim::run(&obs) / FleetSim::run(&obs)
@@ -127,12 +137,12 @@ class Observer {
   // ---- Recording hooks (engine room only; all O(1) bookkeeping) ----
   void record(LifecycleEvent kind, sim::Cycles at, std::uint32_t request,
               std::uint32_t replica, std::uint32_t a = 0, std::uint32_t b = 0);
-  /// Attributes [begin, end) of `replica`'s timeline to `category`.
-  void add_span(std::uint32_t replica, const char* cat, sim::Cycles begin,
+  /// Attributes [begin, end) of `replica`'s timeline to `cat`.
+  void add_span(std::uint32_t replica, Category cat, sim::Cycles begin,
                 sim::Cycles end);
   /// The replica's scheduler parks on its work signal; the span is closed
   /// by end_wait() — or, if the wake never comes, by finalize() as drain.
-  void begin_wait(std::uint32_t replica, const char* cat, sim::Cycles at);
+  void begin_wait(std::uint32_t replica, Category cat, sim::Cycles at);
   void end_wait(std::uint32_t replica, sim::Cycles at);
   /// The replica's scheduler loop exited; [at, makespan] becomes drain.
   void mark_exit(std::uint32_t replica, sim::Cycles at);
@@ -143,20 +153,22 @@ class Observer {
 
   /// Closes open waits and post-exit tails as drain, asserts the tiling
   /// identity — per replica, the category totals sum to `makespan`
-  /// exactly — and stable-sorts the event log by `at`: the engine room
-  /// records an iteration's chunk events ahead of their instant, and a
-  /// migrated request's re-admission carries its first admission's stamp,
-  /// so recording order is not time order. Ties keep recording order.
-  /// Throws std::logic_error on violation or double finalize.
+  /// exactly — builds the breakdown() maps, and stable-sorts the event log
+  /// by `at`: the engine room records an iteration's chunk events ahead of
+  /// their instant, and a migrated request's re-admission carries its
+  /// first admission's stamp, so recording order is not time order. Ties
+  /// keep recording order. Throws std::logic_error on violation or double
+  /// finalize.
   void finalize(sim::Cycles makespan);
   bool finalized() const { return finalized_; }
   sim::Cycles makespan() const { return makespan_; }
 
   // ---- Inspection (tests and the host-layer breakdown exposure) ----
   const std::vector<ObservedEvent>& events() const { return events_; }
-  const sim::Trace& replica_trace(std::uint32_t replica) const;
-  /// Category → cycles for one replica (missing categories are 0 cycles
-  /// and omitted here; the exporters emit them explicitly).
+  /// Category name → cycles for one replica, keyed by every category that
+  /// any span touched (a zero-width one included, at 0 cycles); untouched
+  /// categories are omitted here and emitted explicitly by the exporters.
+  /// Requires finalize().
   const std::map<std::string, sim::Cycles>& breakdown(
       std::uint32_t replica) const;
 
@@ -173,16 +185,28 @@ class Observer {
   void write_prometheus(std::ostream& os) const;
 
  private:
+  /// One cycle-accounting span; zero-width spans are counted in `seen`
+  /// but not kept (they carry no cycles and the trace skips them).
+  struct Span {
+    sim::Cycles begin = 0;
+    sim::Cycles end = 0;
+    Category category = Category::kDrain;
+  };
   struct PerReplica {
-    sim::Trace trace{/*keep_spans=*/true};
+    std::array<sim::Cycles, kNumCategories> totals{};
+    std::array<bool, kNumCategories> seen{};
+    std::vector<Span> spans;  // recording order (chronological)
+    std::map<std::string, sim::Cycles> breakdown;  // built by finalize()
     bool waiting = false;
     sim::Cycles wait_start = 0;
-    std::string wait_category;
+    Category wait_category = Category::kSchedulerIdle;
     bool exited = false;
     sim::Cycles exit_at = 0;
     std::uint64_t kv_capacity_blocks = 0;
     std::uint64_t kv_peak_used_blocks = 0;
     std::uint32_t kv_block_tokens = 0;
+
+    void add(Category cat, sim::Cycles begin, sim::Cycles end);
   };
 
   void require_finalized(const char* what) const;

@@ -592,8 +592,8 @@ sim::Task scheduler_proc(Replica& f) {
         // nothing to do yet (scheduler-idle). A wait still open at run end
         // is reclassified as drain by Observer::finalize().
         obs->begin_wait(f.id,
-                        f.queue.empty() ? category::kSchedulerIdle
-                                        : category::kKvStall,
+                        f.queue.empty() ? Category::kSchedulerIdle
+                                        : Category::kKvStall,
                         f.engine.now());
       }
       co_await f.work.wait();
@@ -639,7 +639,7 @@ sim::Task scheduler_proc(Replica& f) {
       const sim::Cycles swap = f.cache->take_pending_swap_cycles();
       if (swap > 0) {
         if (obs != nullptr) {
-          obs->add_span(f.id, category::kKvSwap, rec.start + offset,
+          obs->add_span(f.id, Category::kKvSwap, rec.start + offset,
                         rec.start + offset + swap);
         }
         offset += swap;
@@ -653,7 +653,7 @@ sim::Task scheduler_proc(Replica& f) {
       f.pending_migrate_cycles = 0;
       f.migrate_ingest_cycles += mig;
       if (obs != nullptr) {
-        obs->add_span(f.id, category::kKvMigrate, rec.start + offset,
+        obs->add_span(f.id, Category::kKvMigrate, rec.start + offset,
                       rec.start + offset + mig);
       }
       offset += mig;
@@ -669,7 +669,7 @@ sim::Task scheduler_proc(Replica& f) {
       }
       if (!f.decodes.empty()) {
         if (obs != nullptr && decode_group > 0) {
-          obs->add_span(f.id, category::kDecode, rec.start + offset,
+          obs->add_span(f.id, Category::kDecode, rec.start + offset,
                         rec.start + offset + decode_group);
         }
         offset += decode_group;
@@ -686,12 +686,12 @@ sim::Task scheduler_proc(Replica& f) {
           // Classified from the request's pre-execution state: a recovery
           // re-prefill is recompute; a chunk covering the whole prompt at
           // once is plain prefill; anything else is chunked prefill.
-          const char* cat =
-              r->recovering ? category::kRecompute
+          const Category cat =
+              r->recovering ? Category::kRecompute
               : (r->prompt_done == 0 &&
                  s.prompt_tokens == r->prompt_remaining())
-                  ? category::kPrefill
-                  : category::kChunkedPrefill;
+                  ? Category::kPrefill
+                  : Category::kChunkedPrefill;
           obs->add_span(f.id, cat, rec.start + offset,
                         rec.start + offset + r->step_cycles);
         }
@@ -721,7 +721,7 @@ sim::Task scheduler_proc(Replica& f) {
     // Tokens become host-visible at batch egress + one PCIe sync.
     const sim::Cycles egress = offset + f.costs.host_sync_cycles();
     if (obs != nullptr && egress > offset) {
-      obs->add_span(f.id, category::kHostSync, rec.start + offset,
+      obs->add_span(f.id, Category::kHostSync, rec.start + offset,
                     rec.start + egress);
     }
     // One engine event per iteration: every member's step is booked now,

@@ -1,13 +1,15 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 
 namespace looplynx::sim {
 
 void Trace::add(const std::string& category, Cycles begin, Cycles end) {
   if (end < begin) end = begin;
   totals_[category] += end - begin;
-  if (keep_spans_) spans_.push_back(Span{category, begin, end});
 }
 
 void Trace::add_cycles(const std::string& category, Cycles cycles) {
@@ -25,8 +27,16 @@ Cycles Trace::grand_total() const {
   return sum;
 }
 
+namespace {
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+}  // namespace
+
 ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(&os) {
-  *os_ << "{\"traceEvents\":[";
+  put("{\"traceEvents\":[");
 }
 
 ChromeTraceWriter::~ChromeTraceWriter() { finish(); }
@@ -35,95 +45,160 @@ void ChromeTraceWriter::finish() {
   if (finished_) return;
   finished_ = true;
   // The time-unit declaration keeps cycle-count timestamps self-describing.
-  *os_ << "],\"otherData\":{\"clock\":\"simulated-cycles\","
-          "\"timeUnit\":\"1 trace-us == 1 cycle\"}}\n";
+  put("],\"otherData\":{\"clock\":\"simulated-cycles\","
+      "\"timeUnit\":\"1 trace-us == 1 cycle\"}}\n");
+  flush();
 }
 
-std::string ChromeTraceWriter::json_escape(const std::string& s) {
+std::string ChromeTraceWriter::json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+    if (!needs_escape(c)) {
+      out += c;
+    } else if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
     }
   }
   return out;
 }
 
-void ChromeTraceWriter::begin_event() {
-  if (!first_) *os_ << ',';
-  first_ = false;
-  *os_ << '\n';
+void ChromeTraceWriter::flush() {
+  os_->write(buf_.data(), static_cast<std::streamsize>(used_));
+  used_ = 0;
 }
 
-void ChromeTraceWriter::complete(const std::string& name,
-                                 const std::string& cat, std::uint32_t pid,
-                                 std::uint32_t tid, Cycles begin, Cycles end) {
+void ChromeTraceWriter::put(std::string_view s) {
+  if (s.size() > buf_.size() - used_) {
+    flush();
+    if (s.size() > buf_.size()) {  // would never fit: write it through
+      os_->write(s.data(), static_cast<std::streamsize>(s.size()));
+      return;
+    }
+  }
+  std::memcpy(buf_.data() + used_, s.data(), s.size());
+  used_ += s.size();
+}
+
+void ChromeTraceWriter::put(char c) {
+  if (used_ == buf_.size()) flush();
+  buf_[used_++] = c;
+}
+
+void ChromeTraceWriter::put_uint(std::uint64_t v) {
+  constexpr std::size_t kMaxDigits = 20;  // 2^64 - 1
+  if (buf_.size() - used_ < kMaxDigits) flush();
+  const std::to_chars_result r =
+      std::to_chars(buf_.data() + used_, buf_.data() + buf_.size(), v);
+  used_ = static_cast<std::size_t>(r.ptr - buf_.data());
+}
+
+void ChromeTraceWriter::put_escaped(std::string_view s) {
+  if (std::none_of(s.begin(), s.end(), needs_escape)) {
+    put(s);
+  } else {
+    put(json_escape(s));
+  }
+}
+
+void ChromeTraceWriter::begin_event() {
+  if (!first_) put(',');
+  first_ = false;
+  put('\n');
+}
+
+void ChromeTraceWriter::complete(std::string_view name, std::string_view cat,
+                                 std::uint32_t pid, std::uint32_t tid,
+                                 Cycles begin, Cycles end) {
   if (end < begin) end = begin;
   begin_event();
-  *os_ << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-       << json_escape(cat) << "\",\"ph\":\"X\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"ts\":" << begin
-       << ",\"dur\":" << (end - begin) << "}";
+  put("{\"name\":\"");
+  put_escaped(name);
+  put("\",\"cat\":\"");
+  put_escaped(cat);
+  put("\",\"ph\":\"X\",\"pid\":");
+  put_uint(pid);
+  put(",\"tid\":");
+  put_uint(tid);
+  put(",\"ts\":");
+  put_uint(begin);
+  put(",\"dur\":");
+  put_uint(end - begin);
+  put('}');
 }
 
-void ChromeTraceWriter::instant(const std::string& name,
-                                const std::string& cat, std::uint32_t pid,
-                                std::uint32_t tid, Cycles at, char scope) {
+void ChromeTraceWriter::instant(std::string_view name, std::string_view cat,
+                                std::uint32_t pid, std::uint32_t tid,
+                                Cycles at, char scope) {
   begin_event();
-  *os_ << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-       << json_escape(cat) << "\",\"ph\":\"i\",\"s\":\"" << scope
-       << "\",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":" << at
-       << "}";
+  put("{\"name\":\"");
+  put_escaped(name);
+  put("\",\"cat\":\"");
+  put_escaped(cat);
+  put("\",\"ph\":\"i\",\"s\":\"");
+  put(scope);
+  put("\",\"pid\":");
+  put_uint(pid);
+  put(",\"tid\":");
+  put_uint(tid);
+  put(",\"ts\":");
+  put_uint(at);
+  put('}');
 }
 
-void ChromeTraceWriter::async_event(char phase, const std::string& name,
-                                    const std::string& cat, std::uint32_t pid,
+void ChromeTraceWriter::async_event(char phase, std::string_view name,
+                                    std::string_view cat, std::uint32_t pid,
                                     std::uint64_t id, Cycles at) {
   begin_event();
-  *os_ << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-       << json_escape(cat) << "\",\"ph\":\"" << phase << "\",\"id\":" << id
-       << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << at << "}";
+  put("{\"name\":\"");
+  put_escaped(name);
+  put("\",\"cat\":\"");
+  put_escaped(cat);
+  put("\",\"ph\":\"");
+  put(phase);
+  put("\",\"id\":");
+  put_uint(id);
+  put(",\"pid\":");
+  put_uint(pid);
+  put(",\"tid\":0,\"ts\":");
+  put_uint(at);
+  put('}');
 }
 
-void ChromeTraceWriter::async_begin(const std::string& name,
-                                    const std::string& cat, std::uint32_t pid,
+void ChromeTraceWriter::async_begin(std::string_view name,
+                                    std::string_view cat, std::uint32_t pid,
                                     std::uint64_t id, Cycles at) {
   async_event('b', name, cat, pid, id, at);
 }
 
-void ChromeTraceWriter::async_instant(const std::string& name,
-                                      const std::string& cat,
+void ChromeTraceWriter::async_instant(std::string_view name,
+                                      std::string_view cat,
                                       std::uint32_t pid, std::uint64_t id,
                                       Cycles at) {
   async_event('n', name, cat, pid, id, at);
 }
 
-void ChromeTraceWriter::async_end(const std::string& name,
-                                  const std::string& cat, std::uint32_t pid,
-                                  std::uint64_t id, Cycles at) {
+void ChromeTraceWriter::async_end(std::string_view name, std::string_view cat,
+                                  std::uint32_t pid, std::uint64_t id,
+                                  Cycles at) {
   async_event('e', name, cat, pid, id, at);
 }
 
 void ChromeTraceWriter::process_name(std::uint32_t pid,
-                                     const std::string& name) {
+                                     std::string_view name) {
   begin_event();
-  *os_ << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
+  put("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
+  put_uint(pid);
+  put(",\"tid\":0,\"args\":{\"name\":\"");
+  put_escaped(name);
+  put("\"}}");
 }
 
 }  // namespace looplynx::sim

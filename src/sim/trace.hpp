@@ -3,15 +3,16 @@
 // The stage scheduler wraps each MDK invocation in a span; the accumulator
 // sums wall-clock cycles per category. Because LoopLynx reuses kernels
 // *temporally*, top-level stage spans tile the timeline and the per-category
-// totals are exactly the paper's breakdown. Optionally retains the full span
-// list for debugging.
+// totals are exactly the paper's breakdown.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "sim/engine.hpp"
 
@@ -19,19 +20,9 @@ namespace looplynx::sim {
 
 class Trace {
  public:
-  struct Span {
-    std::string category;
-    Cycles begin = 0;
-    Cycles end = 0;
-  };
-
-  /// If `keep_spans` is false only per-category totals are retained (cheap
-  /// enough for full-sequence simulations).
-  explicit Trace(bool keep_spans = false) : keep_spans_(keep_spans) {}
-
   void add(const std::string& category, Cycles begin, Cycles end);
 
-  /// Adds `cycles` to a category without span bookkeeping.
+  /// Adds `cycles` to a category without a span.
   void add_cycles(const std::string& category, Cycles cycles);
 
   /// Total cycles attributed to `category` (0 if unknown).
@@ -40,13 +31,8 @@ class Trace {
   /// Sum over all categories.
   Cycles grand_total() const;
 
-  const std::map<std::string, Cycles>& totals() const { return totals_; }
-  const std::vector<Span>& spans() const { return spans_; }
-
  private:
-  bool keep_spans_;
   std::map<std::string, Cycles> totals_;
-  std::vector<Span> spans_;
 };
 
 /// Minimal streaming writer for the Chrome trace-event JSON format
@@ -58,49 +44,63 @@ class Trace {
 /// otherData), so the bytes produced depend only on the event sequence —
 /// no doubles, no locale, no wall clock. finish() closes the document and
 /// is idempotent; the destructor calls it.
+///
+/// Events are formatted into a fixed kBufferBytes buffer (integers via
+/// std::to_chars, strings copied as-is unless a character needs escaping)
+/// and reach the stream in chunks as the buffer fills, and at finish().
+/// Read the stream only after finish().
 class ChromeTraceWriter {
  public:
+  static constexpr std::size_t kBufferBytes = 64 * 1024;
+
   explicit ChromeTraceWriter(std::ostream& os);
   ChromeTraceWriter(const ChromeTraceWriter&) = delete;
   ChromeTraceWriter& operator=(const ChromeTraceWriter&) = delete;
   ~ChromeTraceWriter();
 
   /// Duration event ("ph":"X") on track (pid, tid) over [begin, end].
-  void complete(const std::string& name, const std::string& cat,
+  void complete(std::string_view name, std::string_view cat,
                 std::uint32_t pid, std::uint32_t tid, Cycles begin,
                 Cycles end);
 
   /// Instant event ("ph":"i"); `scope` is "t" (thread), "p" (process) or
   /// "g" (global).
-  void instant(const std::string& name, const std::string& cat,
+  void instant(std::string_view name, std::string_view cat,
                std::uint32_t pid, std::uint32_t tid, Cycles at,
                char scope = 't');
 
   /// Async span events ("ph":"b"/"n"/"e"), correlated by `id` within
   /// `cat`.
-  void async_begin(const std::string& name, const std::string& cat,
+  void async_begin(std::string_view name, std::string_view cat,
                    std::uint32_t pid, std::uint64_t id, Cycles at);
-  void async_instant(const std::string& name, const std::string& cat,
+  void async_instant(std::string_view name, std::string_view cat,
                      std::uint32_t pid, std::uint64_t id, Cycles at);
-  void async_end(const std::string& name, const std::string& cat,
+  void async_end(std::string_view name, std::string_view cat,
                  std::uint32_t pid, std::uint64_t id, Cycles at);
 
   /// Metadata event naming a process track in the viewer.
-  void process_name(std::uint32_t pid, const std::string& name);
+  void process_name(std::uint32_t pid, std::string_view name);
 
-  /// Writes the closing brackets (idempotent; no events may follow).
+  /// Writes the closing brackets and flushes the buffer to the stream
+  /// (idempotent; no events may follow).
   void finish();
 
   /// Escapes a string for embedding in a JSON string literal.
-  static std::string json_escape(const std::string& s);
+  static std::string json_escape(std::string_view s);
 
  private:
   void begin_event();  // comma separation between events
-  void async_event(char phase, const std::string& name,
-                   const std::string& cat, std::uint32_t pid,
-                   std::uint64_t id, Cycles at);
+  void async_event(char phase, std::string_view name, std::string_view cat,
+                   std::uint32_t pid, std::uint64_t id, Cycles at);
+  void put(std::string_view s);
+  void put(char c);
+  void put_uint(std::uint64_t v);
+  void put_escaped(std::string_view s);  // a JSON string literal's body
+  void flush();
 
   std::ostream* os_;
+  std::array<char, kBufferBytes> buf_;
+  std::size_t used_ = 0;
   bool first_ = true;
   bool finished_ = false;
 };

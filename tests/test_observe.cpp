@@ -6,6 +6,7 @@
 // and the CLI flag plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -119,7 +120,6 @@ void check_observer_invariants(const Observer& obs) {
     sim::Cycles total = 0;
     for (const auto& [cat, cycles] : obs.breakdown(r)) total += cycles;
     EXPECT_EQ(total, obs.makespan()) << "replica " << r;
-    EXPECT_EQ(obs.replica_trace(r).grand_total(), obs.makespan());
   }
   // Event-log ordering.
   sim::Cycles prev = 0;
@@ -234,10 +234,10 @@ TEST(ObserverTest, LifecycleEventNamesAreStable) {
 TEST(ObserverTest, WaitPairingMisuseThrows) {
   Observer obs(1, 285e6);
   EXPECT_THROW(obs.end_wait(0, 10), std::logic_error);  // no open wait
-  obs.begin_wait(0, category::kSchedulerIdle, 0);
-  EXPECT_THROW(obs.begin_wait(0, category::kKvStall, 5), std::logic_error);
+  obs.begin_wait(0, Category::kSchedulerIdle, 0);
+  EXPECT_THROW(obs.begin_wait(0, Category::kKvStall, 5), std::logic_error);
   obs.end_wait(0, 10);
-  EXPECT_NO_THROW(obs.begin_wait(0, category::kKvStall, 10));
+  EXPECT_NO_THROW(obs.begin_wait(0, Category::kKvStall, 10));
 }
 
 TEST(ObserverTest, ExportBeforeFinalizeThrows) {
@@ -252,13 +252,95 @@ TEST(ObserverTest, ExportBeforeFinalizeThrows) {
 
 TEST(ObserverTest, FinalizeAssertsTheTilingIdentity) {
   Observer obs(1, 285e6);
-  obs.add_span(0, category::kDecode, 0, 50);  // 50-cycle gap to makespan...
+  obs.add_span(0, Category::kDecode, 0, 50);  // 50-cycle gap to makespan...
   EXPECT_THROW(obs.finalize(100), std::logic_error);
   Observer ok(1, 285e6);
-  ok.add_span(0, category::kDecode, 0, 50);
+  ok.add_span(0, Category::kDecode, 0, 50);
   ok.mark_exit(0, 50);  // ...unless the tail is accounted as drain
   ok.finalize(100);
-  EXPECT_EQ(ok.breakdown(0).at(category::kDrain), 50u);
+  EXPECT_EQ(ok.breakdown(0).at(category_name(Category::kDrain)), 50u);
+}
+
+TEST(ObserverTest, BreakdownListsZeroWidthCategoriesAtZeroCycles) {
+  Observer obs(1, 285e6);
+  obs.add_span(0, Category::kDecode, 0, 50);
+  obs.add_span(0, Category::kKvSwap, 50, 50);     // zero-width span
+  obs.begin_wait(0, Category::kSchedulerIdle, 50);
+  obs.end_wait(0, 50);                            // zero-width wait
+  obs.mark_exit(0, 50);
+  EXPECT_THROW(obs.breakdown(0), std::logic_error);  // built by finalize
+  obs.finalize(100);
+  const std::map<std::string, sim::Cycles> want = {
+      {"decode", 50}, {"drain", 50}, {"kv-swap", 0}, {"scheduler-idle", 0}};
+  EXPECT_EQ(obs.breakdown(0), want);
+}
+
+// ------------------------------------------- Time sort of the event log
+
+/// Records `log` through Observer::record, finalizes, and requires the
+/// sorted log to equal std::stable_sort of the recording by `at`, field
+/// by field. Each event's `request` is its recording index, so a tie
+/// broken out of recording order shows.
+void expect_finalize_matches_stable_sort(
+    const std::vector<ObservedEvent>& log) {
+  Observer obs(1, 285e6);
+  for (const ObservedEvent& e : log) {
+    obs.record(e.kind, e.at, e.request, e.replica, e.a, e.b);
+  }
+  obs.finalize(0);
+  std::vector<ObservedEvent> want = log;
+  std::stable_sort(want.begin(), want.end(),
+                   [](const ObservedEvent& x, const ObservedEvent& y) {
+                     return x.at < y.at;
+                   });
+  const std::vector<ObservedEvent>& got = obs.events();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const ObservedEvent& g = got[i];
+    const ObservedEvent& w = want[i];
+    if (g.at != w.at || g.kind != w.kind || g.request != w.request ||
+        g.replica != w.replica || g.a != w.a || g.b != w.b) {
+      ADD_FAILURE() << "first mismatch at sorted index " << i << ": got at="
+                    << g.at << " request=" << g.request << ", want at="
+                    << w.at << " request=" << w.request;
+      return;
+    }
+  }
+}
+
+ObservedEvent event_at(sim::Cycles at, std::uint32_t index) {
+  return ObservedEvent{at, LifecycleEvent::kDecode, index, index % 3,
+                       index * 7, index ^ 0x5a5au};
+}
+
+TEST(ObserverSortTest, LocalDisorderWithManyTiesMatchesStableSort) {
+  // Stamps advance every fourth event and jitter a few stamps either way:
+  // events sit a handful of places from their slot, among many equals.
+  util::Rng rng(7);
+  std::vector<ObservedEvent> log;
+  for (std::uint32_t i = 0; i < 20000; ++i) {
+    log.push_back(event_at(i / 4 + rng.next_below(4), i));
+  }
+  expect_finalize_matches_stable_sort(log);
+}
+
+TEST(ObserverSortTest, FarDisplacedEventMatchesStableSort) {
+  // A migrated request's re-admission keeps its first admission's stamp
+  // but is recorded much later: one event thousands of places early.
+  std::vector<ObservedEvent> log;
+  for (std::uint32_t i = 0; i < 10000; ++i) log.push_back(event_at(i / 3, i));
+  log.insert(log.begin() + 8000, event_at(500, 10000));
+  expect_finalize_matches_stable_sort(log);
+}
+
+TEST(ObserverSortTest, ReverseSortedLogMatchesStableSort) {
+  // Every event moves past all earlier ones: far beyond the insertion
+  // pass's move budget, so the sort falls back to std::stable_sort.
+  std::vector<ObservedEvent> log;
+  for (std::uint32_t i = 0; i < 4096; ++i) {
+    log.push_back(event_at((4096 - i) / 2, i));
+  }
+  expect_finalize_matches_stable_sort(log);
 }
 
 // ------------------------------------- Observed runs and the tiling law
@@ -309,7 +391,7 @@ TEST(ObserveRunTest, PreemptionEventsAndRecomputeCyclesAppear) {
   // Every preemption implies a recovery: recompute-start events and
   // recompute cycles in the breakdown.
   EXPECT_GT(count_kind(obs, LifecycleEvent::kRecomputeStart), 0u);
-  EXPECT_GT(obs.breakdown(0).at(category::kRecompute), 0u);
+  EXPECT_GT(obs.breakdown(0).at(category_name(Category::kRecompute)), 0u);
 }
 
 TEST(ObserveRunTest, FleetRunTilesEveryReplica) {

@@ -1,8 +1,11 @@
 // Unit tests for the discrete-event engine and coroutine Task plumbing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -249,24 +252,10 @@ TEST(TraceTest, BackwardsSpanClampsToZeroWidth) {
   EXPECT_EQ(trace.total("x"), 0u);
 }
 
-TEST(TraceTest, KeepSpansRetainsSpanListAndDefaultDoesNot) {
-  Trace bare;
-  bare.add("a", 0, 5);
-  EXPECT_TRUE(bare.spans().empty());  // totals-only mode
-
-  Trace kept(/*keep_spans=*/true);
-  kept.add("a", 0, 5);
-  kept.add("b", 5, 9);
-  ASSERT_EQ(kept.spans().size(), 2u);
-  EXPECT_EQ(kept.spans()[1].category, "b");
-  EXPECT_EQ(kept.spans()[1].begin, 5u);
-  EXPECT_EQ(kept.spans()[1].end, 9u);
-}
-
 TEST(TraceTest, AdjacentSpansTileTheTimeline) {
-  // The serve-layer observer's tiling identity rests on this: category
-  // totals of back-to-back spans sum exactly to the covered interval.
-  Trace trace(/*keep_spans=*/true);
+  // Fig. 5's breakdown rests on this: category totals of back-to-back
+  // spans sum exactly to the covered interval.
+  Trace trace;
   const Cycles edges[] = {0, 7, 7, 19, 64, 101};
   const char* cats[] = {"a", "b", "c", "a", "b"};
   for (std::size_t i = 0; i + 1 < std::size(edges); ++i) {
@@ -301,6 +290,74 @@ TEST(TraceTest, ChromeExportEmitsIntegerCycleTimestamps) {
 TEST(TraceTest, ChromeTraceWriterEscapesJsonStrings) {
   EXPECT_EQ(ChromeTraceWriter::json_escape("a\"b\\c\nd"),
             "a\\\"b\\\\c\\u000ad");
+}
+
+constexpr char kTraceHead[] = "{\"traceEvents\":[";
+constexpr char kTraceTail[] =
+    "],\"otherData\":{\"clock\":\"simulated-cycles\","
+    "\"timeUnit\":\"1 trace-us == 1 cycle\"}}\n";
+
+/// The expected bytes of a document holding `events`, one per line.
+std::string trace_document(const std::vector<std::string>& events) {
+  std::string doc = kTraceHead;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    doc += i == 0 ? "\n" : ",\n";
+    doc += events[i];
+  }
+  return doc + kTraceTail;
+}
+
+TEST(TraceTest, BufferedWriterFlushesEveryEventInOrder) {
+  std::ostringstream os;
+  std::vector<std::string> want;
+  std::size_t bytes = 0;
+  {
+    ChromeTraceWriter writer(os);
+    for (std::uint32_t i = 0; bytes < 4 * ChromeTraceWriter::kBufferBytes;
+         ++i) {
+      // Alternate small stamps with 20-digit ones near 2^64.
+      const Cycles begin =
+          i % 2 == 0 ? i : std::numeric_limits<Cycles>::max() - 7ull * i;
+      const Cycles end = begin + i % 5;
+      const std::string name = "span-" + std::to_string(i % 11);
+      writer.complete(name, "breakdown", i % 3, i % 2, begin, end);
+      want.push_back("{\"name\":\"" + name +
+                     "\",\"cat\":\"breakdown\",\"ph\":\"X\",\"pid\":" +
+                     std::to_string(i % 3) + ",\"tid\":" +
+                     std::to_string(i % 2) + ",\"ts\":" +
+                     std::to_string(begin) + ",\"dur\":" +
+                     std::to_string(end - begin) + "}");
+      bytes += want.back().size();
+    }
+    // Everything but the last partial buffer reached the stream already.
+    EXPECT_GE(static_cast<std::size_t>(os.tellp()),
+              3 * ChromeTraceWriter::kBufferBytes);
+  }
+  EXPECT_EQ(os.str(), trace_document(want));
+}
+
+TEST(TraceTest, BufferedWriterEscapesLikeJsonEscape) {
+  const std::string quoted = "a\"b\\c\nd";
+  std::string long_name(ChromeTraceWriter::kBufferBytes + 100, 'x');
+  long_name[10] = '"';
+  long_name[ChromeTraceWriter::kBufferBytes] = '\\';
+  long_name.back() = '\n';
+  const std::string long_plain(2 * ChromeTraceWriter::kBufferBytes, 'y');
+  std::ostringstream os;
+  {
+    ChromeTraceWriter writer(os);
+    writer.process_name(0, quoted);
+    writer.process_name(1, long_name);
+    writer.process_name(2, long_plain);
+  }
+  std::vector<std::string> want;
+  for (const std::string& name : {quoted, long_name, long_plain}) {
+    want.push_back("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
+                   std::to_string(want.size()) +
+                   ",\"tid\":0,\"args\":{\"name\":\"" +
+                   ChromeTraceWriter::json_escape(name) + "\"}}");
+  }
+  EXPECT_EQ(os.str(), trace_document(want));
 }
 
 }  // namespace
