@@ -14,31 +14,27 @@ namespace {
 
 using namespace looplynx;
 
-double run_ms(const core::ArchConfig& arch, const model::ModelConfig& model,
-              const core::RunOptions& opt) {
-  return core::System(arch, model).run(32, 128, opt).avg_token_ms;
+double run_ms(const core::ArchConfig& arch, const model::ModelConfig& model) {
+  return core::System(arch, model).run(32, 128).avg_token_ms;
 }
 
 }  // namespace
 
 int run(const util::Cli& cli) {
   const auto model = bench::model_from_cli(cli);
-  core::RunOptions opt;
-  opt.token_sample_stride = cli.get_count_or("stride", 16);
-
   // ---- 1. Optimization switch lattice (2 nodes). ----
   {
     util::Table t("Ablation 1: optimization switches (2-node, ms/token)");
     t.set_header({"fused LN&Res", "head-wise pipe", "sync hiding",
                   "ms/token", "vs all-on"});
     const core::ArchConfig all_on = core::ArchConfig::two_node();
-    const double best = run_ms(all_on, model, opt);
+    const double best = run_ms(all_on, model);
     for (int mask = 0; mask < 8; ++mask) {
       core::ArchConfig arch = all_on;
       arch.fuse_ln_res = mask & 1;
       arch.headwise_pipeline = mask & 2;
       arch.hide_network_sync = mask & 4;
-      const double ms = run_ms(arch, model, opt);
+      const double ms = run_ms(arch, model);
       t.add_row({arch.fuse_ln_res ? "on" : "off",
                  arch.headwise_pipeline ? "on" : "off",
                  arch.hide_network_sync ? "on" : "off",
@@ -56,7 +52,7 @@ int run(const util::Cli& cli) {
       core::ArchConfig arch = core::ArchConfig::four_node();
       arch.mp_block_rows = rows;
       t.add_row({std::to_string(rows),
-                 util::fmt_fixed(run_ms(arch, model, opt), 3)});
+                 util::fmt_fixed(run_ms(arch, model), 3)});
     }
     t.render(std::cout);
   }
@@ -69,7 +65,7 @@ int run(const util::Cli& cli) {
       core::ArchConfig arch = core::ArchConfig::one_node();
       arch.n_channel = ch;
       t.add_row({std::to_string(ch),
-                 util::fmt_fixed(run_ms(arch, model, opt), 3)});
+                 util::fmt_fixed(run_ms(arch, model), 3)});
     }
     t.render(std::cout);
   }
@@ -82,7 +78,7 @@ int run(const util::Cli& cli) {
       core::ArchConfig arch = core::ArchConfig::four_node();
       arch.inter_fpga_hop_cycles = hop;
       t.add_row({std::to_string(hop),
-                 util::fmt_fixed(run_ms(arch, model, opt), 3)});
+                 util::fmt_fixed(run_ms(arch, model), 3)});
     }
     t.render(std::cout);
   }
@@ -91,12 +87,11 @@ int run(const util::Cli& cli) {
   {
     util::Table t("Ablation 5: KV-cache HBM channels (1-node, seq 512+)");
     t.set_header({"kv channels", "ms/token"});
-    core::RunOptions long_opt = opt;
     for (std::uint32_t ch : {1u, 2u, 4u, 8u}) {
       core::ArchConfig arch = core::ArchConfig::one_node();
       arch.kv_channels = ch;
       const double ms =
-          core::System(arch, model).run(32, 480, long_opt).avg_token_ms;
+          core::System(arch, model).run(32, 480).avg_token_ms;
       t.add_row({std::to_string(ch), util::fmt_fixed(ms, 3)});
     }
     t.render(std::cout);

@@ -13,8 +13,6 @@
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
   const auto model = bench::model_from_cli(cli);
-  core::RunOptions opt;  // stride 1: breakdown needs every token
-  opt.token_sample_stride = cli.get_count_or("stride", 8);
   const auto prefill = cli.get_count_or("prefill", 32);
   const auto decode = cli.get_count_or("decode", 128);
 
@@ -43,7 +41,7 @@ int run(const looplynx::util::Cli& cli) {
   double base_ms = 0;
   for (const Config& cfg : configs) {
     core::System sys(cfg.arch, model);
-    const core::RunResult r = sys.run(prefill, decode, opt);
+    const core::RunResult r = sys.run(prefill, decode);
     if (base_ms == 0) base_ms = r.avg_token_ms;
 
     const auto& t = r.trace;

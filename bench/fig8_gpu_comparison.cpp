@@ -21,7 +21,6 @@
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
   const auto model = bench::model_from_cli(cli);
-  const core::RunOptions opt = bench::fast_options(cli);
   const baseline::A100Model gpu(model);
   const core::PowerModel power;
 
@@ -43,7 +42,7 @@ int run(const looplynx::util::Cli& cli) {
     for (std::uint32_t nodes : node_counts) {
       const core::ArchConfig arch = core::ArchConfig::nodes(nodes);
       core::System sys(arch, model);
-      const double fpga_ms = sys.run(sc.prefill, sc.decode, opt).total_ms;
+      const double fpga_ms = sys.run(sc.prefill, sc.decode).total_ms;
       const core::EnergyComparison cmp = compare_energy(
           power, arch, fpga_ms / 1e3, gpu_s, sc.total());
       fpga[nodes].push_back(Cell{fpga_ms, cmp.fpga_tokens_per_joule});

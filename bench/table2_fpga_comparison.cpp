@@ -1,7 +1,7 @@
 // Regenerates paper Table II: per-token latency and resource utilization of
 // LoopLynx (1/2/4 nodes) against the temporal (DFX) and spatial baselines.
 //
-// Usage: table2_fpga_comparison [--stride=N] [--prefill=64] [--decode=512]
+// Usage: table2_fpga_comparison [--prefill=64] [--decode=512]
 #include <iostream>
 
 #include "baseline/spatial_arch.hpp"
@@ -16,7 +16,6 @@ int run(const looplynx::util::Cli& cli) {
   const auto model = bench::model_from_cli(cli);
   const auto prefill = cli.get_count_or("prefill", bench::kMixPrefill);
   const auto decode = cli.get_count_or("decode", bench::kMixDecode);
-  const core::RunOptions opt = bench::fast_options(cli);
 
   util::Table table("Table II: Comparison of FPGA implementations (" +
                     model.name + ", [" + std::to_string(prefill) + ":" +
@@ -35,7 +34,7 @@ int run(const looplynx::util::Cli& cli) {
   for (std::uint32_t nodes : {4u, 2u, 1u}) {
     const core::ArchConfig arch = core::ArchConfig::nodes(nodes);
     core::System sys(arch, model);
-    const double ms = sys.run(prefill, decode, opt).avg_token_ms;
+    const double ms = sys.run(prefill, decode).avg_token_ms;
     if (nodes == 2) two_node_ms = ms;
     if (nodes == 4) four_node_ms = ms;
     const core::ResourceModel rm(arch, model);

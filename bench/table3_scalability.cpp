@@ -12,7 +12,6 @@
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
   const auto model = bench::model_from_cli(cli);
-  const core::RunOptions opt = bench::fast_options(cli);
 
   util::Table table("Table III: Throughput and scalability (" + model.name +
                     ")");
@@ -24,18 +23,18 @@ int run(const looplynx::util::Cli& cli) {
   if (cli.has("extended")) node_counts = {1, 2, 4, 8};
   for (std::uint32_t nodes : node_counts) {
     core::System sys(core::ArchConfig::nodes(nodes), model);
-    const core::RunResult r =
-        sys.run(bench::kMixPrefill, bench::kMixDecode, opt);
+    const core::RunResult r = sys.run(bench::kMixPrefill, bench::kMixDecode);
     tput.push_back(r.decode_tokens_per_s);
-    const double sync_ms = core::ArchConfig::nodes(nodes).cycles_to_ms(
-        r.trace.total(core::category::kSync));
+    const double sync_us_per_token =
+        1e3 * sys.arch().cycles_to_ms(r.trace.total(core::category::kSync)) /
+        (r.prefill_tokens + r.decode_tokens);
     table.add_row(
         {std::to_string(nodes) + "-node",
          util::fmt_fixed(r.decode_tokens_per_s, 1) + " token/s",
          tput.size() > 1
              ? util::fmt_speedup(tput.back() / tput[tput.size() - 2])
              : "-",
-         util::fmt_fixed(sync_ms, 2) + " ms (sampled)"});
+         util::fmt_fixed(sync_us_per_token, 1) + " us"});
   }
   table.render(std::cout);
 

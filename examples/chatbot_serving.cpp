@@ -3,7 +3,7 @@
 // the A100 on latency, throughput, energy per reply, and time-to-last-token
 // for interactive sessions of several reply lengths.
 //
-//   ./chatbot_serving [--stride=16]
+//   ./chatbot_serving
 #include <iostream>
 #include <vector>
 
@@ -15,11 +15,9 @@
 #include "util/table.hpp"
 #include "workload/scenario.hpp"
 
-int run(const looplynx::util::Cli& cli) {
+int run(const looplynx::util::Cli& /*cli*/) {
   using namespace looplynx;
   const model::ModelConfig gpt2 = model::gpt2_medium();
-  core::RunOptions opt;
-  opt.token_sample_stride = cli.get_count_or("stride", 16);
 
   const baseline::A100Model gpu(gpt2);
   const core::PowerModel power;
@@ -42,7 +40,7 @@ int run(const looplynx::util::Cli& cli) {
     for (std::uint32_t nodes : {1u, 2u, 4u}) {
       const core::ArchConfig arch = core::ArchConfig::nodes(nodes);
       core::System sys(arch, gpt2);
-      const core::RunResult r = sys.run(prompt_len, reply, opt);
+      const core::RunResult r = sys.run(prompt_len, reply);
       const double fpga_s = r.total_ms / 1e3;
       const core::EnergyComparison cmp =
           compare_energy(power, arch, fpga_s, gpu_s, prompt_len + reply);

@@ -3,7 +3,7 @@
 // and where the dataflow accelerator takes over (paper Fig. 8's [128:32]
 // inversion, explored as a full surface).
 //
-//   ./codegen_crossover [--nodes=2] [--stride=16]
+//   ./codegen_crossover [--nodes=2]
 #include <iostream>
 #include <vector>
 
@@ -17,8 +17,6 @@ int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
   const auto nodes = cli.get_count_or("nodes", 2);
   const model::ModelConfig gpt2 = model::gpt2_medium();
-  core::RunOptions opt;
-  opt.token_sample_stride = cli.get_count_or("stride", 16);
 
   const baseline::A100Model gpu(gpt2);
   core::System sys(core::ArchConfig::nodes(nodes), gpt2);
@@ -36,7 +34,7 @@ int run(const looplynx::util::Cli& cli) {
   for (std::uint32_t p : prompts) {
     std::vector<std::string> row{std::to_string(p)};
     for (std::uint32_t g : gens) {
-      const double fpga_ms = sys.run(p, g, opt).total_ms;
+      const double fpga_ms = sys.run(p, g).total_ms;
       const double gpu_ms = gpu.request_seconds(p, g) * 1e3;
       const double speedup = gpu_ms / fpga_ms;
       row.push_back(util::fmt_fixed(speedup, 2) + "x");

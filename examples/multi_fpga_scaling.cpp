@@ -3,7 +3,7 @@
 // synchronization and non-distributable critical-path work cap the speed-up
 // (the "future work" direction of Section III-A).
 //
-//   ./multi_fpga_scaling [--stride=16] [--decode=256]
+//   ./multi_fpga_scaling [--decode=256]
 #include <iostream>
 #include <vector>
 
@@ -17,8 +17,6 @@
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  core::RunOptions opt;
-  opt.token_sample_stride = cli.get_count_or("stride", 16);
   const auto decode = cli.get_count_or("decode", 256);
   const core::PowerModel power;
 
@@ -26,8 +24,8 @@ int run(const looplynx::util::Cli& cli) {
        {model::gpt2_small(), model::gpt2_medium(), model::gpt2_xl()}) {
     util::Table t("Scaling " + m.name + " ([32:" + std::to_string(decode) +
                   "] request)");
-    t.set_header({"nodes", "FPGAs", "token/s", "scaling eff.", "exposed sync",
-                  "power", "token/J"});
+    t.set_header({"nodes", "FPGAs", "token/s", "scaling eff.",
+                  "exposed sync/token", "power", "token/J"});
     double base_tput = 0;
     for (std::uint32_t nodes : {1u, 2u, 4u, 8u}) {
       if (m.n_head % nodes != 0 || m.d_model % nodes != 0 ||
@@ -38,16 +36,17 @@ int run(const looplynx::util::Cli& cli) {
       }
       const core::ArchConfig arch = core::ArchConfig::nodes(nodes);
       core::System sys(arch, m);
-      const core::RunResult r = sys.run(32, decode, opt);
+      const core::RunResult r = sys.run(32, decode);
       if (nodes == 1) base_tput = r.decode_tokens_per_s;
       const double ideal = base_tput * nodes;
       const double watts = power.fpga_power_watts(arch);
-      const double sync_ms =
-          arch.cycles_to_ms(r.trace.total(core::category::kSync));
+      const double sync_us_per_token =
+          1e3 * arch.cycles_to_ms(r.trace.total(core::category::kSync)) /
+          (r.prefill_tokens + r.decode_tokens);
       t.add_row({std::to_string(nodes), std::to_string(arch.num_fpgas()),
                  util::fmt_fixed(r.decode_tokens_per_s, 1),
                  util::fmt_percent(r.decode_tokens_per_s / ideal),
-                 util::fmt_fixed(sync_ms, 2) + " ms",
+                 util::fmt_fixed(sync_us_per_token, 1) + " us",
                  util::fmt_fixed(watts, 0) + " W",
                  util::fmt_fixed(
                      r.decode_tokens_per_s / watts, 2)});

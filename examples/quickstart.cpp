@@ -43,9 +43,7 @@ int run(const looplynx::util::Cli& cli) {
   //    architecture at the paper's scale.
   const model::ModelConfig gpt2 = model::gpt2_medium();
   core::System sys(core::ArchConfig::nodes(nodes), gpt2);
-  core::RunOptions opt;
-  opt.token_sample_stride = 8;
-  const core::RunResult r = sys.run(prefill, decode, opt);
+  const core::RunResult r = sys.run(prefill, decode);
 
   const core::PowerModel power;
   util::Table t("LoopLynx " + std::to_string(nodes) + "-node, " + gpt2.name +
@@ -62,7 +60,7 @@ int run(const looplynx::util::Cli& cli) {
                  " W"});
   t.add_row({"HBM traffic", util::fmt_int(static_cast<long long>(
                                 r.hbm_bytes / (1 << 20))) +
-                                " MiB (sampled)"});
+                                " MiB"});
   t.render(std::cout);
   return 0;
 }

@@ -52,7 +52,6 @@ class Node {
   std::uint64_t hbm_bytes() const {
     return weight_stream_->total_bytes_read() + kv_stream_->total_bytes_read();
   }
-  double mpu_utilization() const { return mpu_->utilization(); }
   std::uint32_t node_id() const { return id_; }
 
  private:

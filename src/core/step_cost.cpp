@@ -3,20 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
-#include <string>
 
 namespace looplynx::core {
-
-namespace {
-
-/// `model` cut down to its first `n_layer` transformer blocks.
-model::ModelConfig with_layers(model::ModelConfig model,
-                               std::uint32_t n_layer) {
-  model.n_layer = n_layer;
-  return model;
-}
-
-}  // namespace
 
 StepCostModel::StepCostModel(const System& system, std::uint32_t probe_stride)
     : arch_(system.arch()), model_(system.model()) {
@@ -30,33 +18,7 @@ StepCostModel::StepCostModel(const System& system, std::uint32_t probe_stride)
     probes.push_back(pos);
   }
   if (probes.back() != max_seq - 1) probes.push_back(max_seq - 1);
-
-  // Every block runs the same stage schedule, so a token's cycles are
-  // n_layer equal block periods plus the final-LN tail. Two shallow
-  // copies at position 0 separate the two: one(0) = block + tail and
-  // two(0) = 2 * block + tail.
-  const System one_layer(arch_, with_layers(model_, 1));
-  const sim::Cycles tail =
-      2 * one_layer.token_cycles(0) -
-      System(arch_, with_layers(model_, 2)).token_cycles(0);
-  std::vector<sim::Cycles> probed(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    probed[i] =
-        tail + model_.n_layer * (one_layer.token_cycles(probes[i]) - tail);
-  }
-
-  // Premise guard: the full pipeline must agree at both ends of the table.
-  for (std::size_t i : {std::size_t{0}, probes.size() - 1}) {
-    const sim::Cycles full = system.token_cycles(probes[i]);
-    if (full != probed[i]) {
-      throw std::logic_error(
-          "StepCostModel: " + model_.name + " on " +
-          std::to_string(arch_.num_nodes) + " node(s) is not layer-periodic "
-          "at position " + std::to_string(probes[i]) + ": full pipeline " +
-          std::to_string(full) + " cycles, per-layer extrapolation " +
-          std::to_string(probed[i]));
-    }
-  }
+  const std::vector<TokenCost> probed = system.token_costs(probes);
 
   step_.resize(max_seq);
   for (std::size_t i = 0; i + 1 < probes.size(); ++i) {
@@ -66,11 +28,11 @@ StepCostModel::StepCostModel(const System& system, std::uint32_t probe_stride)
       const double t = static_cast<double>(pos - lo) /
                        static_cast<double>(hi - lo);
       step_[pos] = static_cast<sim::Cycles>(
-          static_cast<double>(probed[i]) * (1.0 - t) +
-          static_cast<double>(probed[i + 1]) * t);
+          static_cast<double>(probed[i].cycles) * (1.0 - t) +
+          static_cast<double>(probed[i + 1].cycles) * t);
     }
   }
-  step_[max_seq - 1] = probed.back();
+  step_[max_seq - 1] = probed.back().cycles;
 
   prefix_.resize(max_seq + 1);
   prefix_[0] = 0;

@@ -9,15 +9,9 @@
 // once and interpolates between probes. With probe_stride == 1 the table is
 // exact.
 //
-// A probe does not run the whole model. Every transformer block runs the
-// same eight-stage schedule of reused kernels, so a token's cycles repeat
-// exactly from block to block: step(p) = tail + n_layer * block(p), where
-// the tail is the final LayerNorm. The model simulates a one-layer copy at
-// each probe position, plus a two-layer copy once at position 0 to separate
-// block from tail, which makes the exact table ~25x cheaper than full-depth
-// probes. A guard checks the premise: the constructor also runs the full
-// core::System::token_cycles at the first and last probe and throws
-// std::logic_error, naming the config, if either disagrees.
+// Probes are priced by core::System::token_costs, which extrapolates a
+// one-layer copy of the model to full depth and guards the result against
+// the full pipeline (core/system.hpp), so the exact table is cheap.
 #pragma once
 
 #include <cmath>
@@ -35,7 +29,7 @@ namespace looplynx::core {
 class StepCostModel {
  public:
   /// Prices positions {0, stride, 2*stride, ..., max_seq_len - 1} as
-  /// `system.token_cycles` would (per-layer probes, see above) and fills
+  /// `system.token_cycles` would (via `system.token_costs`) and fills
   /// the in-between positions by linear interpolation. Throws
   /// std::invalid_argument if probe_stride == 0.
   explicit StepCostModel(const System& system, std::uint32_t probe_stride = 64);

@@ -13,15 +13,7 @@ sim::Cycles MacArray::compute_cycles(std::uint64_t macs) const {
 
 sim::Task MacArray::compute(std::uint64_t macs) {
   if (macs == 0) co_return;
-  const sim::Cycles cost = compute_cycles(macs);
-  co_await engine_->delay(cost);
-  busy_cycles_ += cost;
-}
-
-double MacArray::utilization() const {
-  const sim::Cycles now = engine_->now();
-  if (now == 0) return 0.0;
-  return static_cast<double>(busy_cycles_) / static_cast<double>(now);
+  co_await engine_->delay(compute_cycles(macs));
 }
 
 }  // namespace looplynx::hw

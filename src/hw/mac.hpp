@@ -35,18 +35,13 @@ class MacArray {
   /// Simulated execution of `macs` MAC operations.
   sim::Task compute(std::uint64_t macs);
 
-  sim::Cycles busy_cycles() const noexcept { return busy_cycles_; }
   const MacArrayConfig& config() const noexcept { return config_; }
   const std::string& name() const noexcept { return name_; }
-
-  /// MAC-lane utilization over [0, now].
-  double utilization() const;
 
  private:
   sim::Engine* engine_;
   MacArrayConfig config_;
   std::string name_;
-  sim::Cycles busy_cycles_ = 0;
 };
 
 }  // namespace looplynx::hw

@@ -31,6 +31,9 @@ class Trace {
   /// Sum over all categories.
   Cycles grand_total() const;
 
+  /// Every recorded category with its total.
+  const std::map<std::string, Cycles>& totals() const { return totals_; }
+
  private:
   std::map<std::string, Cycles> totals_;
 };

@@ -96,9 +96,7 @@ class PaperShapeTest : public ::testing::Test {
  protected:
   static double looplynx_ms(std::uint32_t nodes) {
     core::System sys(core::ArchConfig::nodes(nodes), model::gpt2_medium());
-    core::RunOptions opt;
-    opt.token_sample_stride = 32;
-    return sys.run(64, 512, opt).avg_token_ms;
+    return sys.run(64, 512).avg_token_ms;
   }
 };
 
@@ -135,20 +133,18 @@ TEST_F(PaperShapeTest, GpuWinsShortDecodeLosesLongDecode) {
   const A100Model gpu(model::gpt2_medium());
   const model::ModelConfig m = model::gpt2_medium();
   core::System two(core::ArchConfig::two_node(), m);
-  core::RunOptions opt;
-  opt.token_sample_stride = 16;
 
   // [128:32]: prefill-heavy — A100 wins (paper Fig. 8(a)).
   const auto sum128 = workload::summarization();
   const double fpga_short =
-      two.run(sum128.prefill, sum128.decode, opt).total_ms;
+      two.run(sum128.prefill, sum128.decode).total_ms;
   const double gpu_short =
       gpu.request_seconds(sum128.prefill, sum128.decode) * 1e3;
   EXPECT_LT(gpu_short, fpga_short);
 
   // [32:512]: long generation — LoopLynx wins by ~1.7x.
   const auto chat = workload::chatbot();
-  const double fpga_long = two.run(chat.prefill, chat.decode, opt).total_ms;
+  const double fpga_long = two.run(chat.prefill, chat.decode).total_ms;
   const double gpu_long =
       gpu.request_seconds(chat.prefill, chat.decode) * 1e3;
   EXPECT_NEAR(gpu_long / fpga_long, 1.67, 0.25);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/arch_config.hpp"
 #include "core/node.hpp"
@@ -57,35 +59,64 @@ TEST(SystemTest, SingleTokenRunProducesPositiveLatency) {
   EXPECT_DOUBLE_EQ(r.total_ms, r.prefill_ms);
 }
 
-TEST(SystemTest, RunRejectsZeroSampleStride) {
-  System sys(ArchConfig::one_node(), small_model());
-  RunOptions opt;
-  opt.token_sample_stride = 0;
-  EXPECT_THROW(sys.run(4, 4, opt), std::invalid_argument);
-}
-
 TEST(SystemTest, RunRejectsEmptyAndOverContextRequests) {
   const model::ModelConfig m = small_model();
   System sys(ArchConfig::one_node(), m);
   EXPECT_THROW(sys.run(0, 0), std::invalid_argument);
   EXPECT_THROW(sys.run(m.max_seq_len, 1), std::invalid_argument);
-  // The last in-context request still runs (sampled sparsely for speed).
-  RunOptions opt;
-  opt.token_sample_stride = 256;
-  const RunResult r = sys.run(m.max_seq_len - 1, 1, opt);
+  // The last in-context request still runs.
+  const RunResult r = sys.run(m.max_seq_len - 1, 1);
   EXPECT_EQ(r.prefill_tokens + r.decode_tokens, m.max_seq_len);
   EXPECT_GT(r.decode_cycles, 0u);
 }
 
 TEST(SystemTest, LatencyGrowsWithSequencePosition) {
   System sys(ArchConfig::one_node(), small_model());
-  RunOptions opt;
-  opt.keep_token_timings = true;
-  const RunResult r = sys.run(1, 16, opt);
-  ASSERT_EQ(r.tokens.size(), 17u);
   // KV reads grow with position: later tokens cannot be cheaper.
-  EXPECT_GE(r.tokens.back().cycles, r.tokens.front().cycles);
-  EXPECT_GT(r.tokens.back().cycles, 0u);
+  EXPECT_GE(sys.token_cycles(16), sys.token_cycles(0));
+  EXPECT_GT(sys.token_cycles(16), 0u);
+}
+
+/// Expects run(prefill, decode) to equal the full-depth pipeline summed
+/// token by token, plus one host sync per token.
+void expect_run_matches_full_depth(const ArchConfig& arch,
+                                   const model::ModelConfig& m,
+                                   std::uint32_t prefill,
+                                   std::uint32_t decode) {
+  const System sys(arch, m);
+  sim::Cycles prefill_cycles = 0;
+  sim::Cycles decode_cycles = 0;
+  for (std::uint32_t pos = 0; pos < prefill + decode; ++pos) {
+    const sim::Cycles cycles = sys.token_cycles(pos) + arch.host_sync_cycles;
+    (pos < prefill ? prefill_cycles : decode_cycles) += cycles;
+  }
+  const RunResult r = sys.run(prefill, decode);
+  const std::string where = m.name + " on " + std::to_string(arch.num_nodes) +
+                            " node(s), fuse_ln_res=" +
+                            std::to_string(arch.fuse_ln_res) + ", hop " +
+                            std::to_string(arch.inter_fpga_hop_cycles);
+  EXPECT_EQ(r.prefill_cycles, prefill_cycles) << where;
+  EXPECT_EQ(r.decode_cycles, decode_cycles) << where;
+  EXPECT_EQ(r.total_cycles, prefill_cycles + decode_cycles) << where;
+  EXPECT_EQ(r.trace.total(category::kHost),
+            (prefill + decode) * arch.host_sync_cycles)
+      << where;
+}
+
+TEST(SystemTest, RunMatchesFullDepthTokens) {
+  // The per-layer identity must reproduce the full pipeline token by token,
+  // with and without the optimizations and with a slow inter-FPGA ring.
+  std::vector<ArchConfig> archs;
+  for (std::uint32_t n : {1u, 2u, 4u}) {
+    archs.push_back(ArchConfig::nodes(n));
+    archs.push_back(ArchConfig::nodes(n).without_optimizations());
+  }
+  archs.push_back(ArchConfig::nodes(4));
+  archs.back().inter_fpga_hop_cycles = 2048;
+  for (const ArchConfig& arch : archs) {
+    expect_run_matches_full_depth(arch, model::cosim_config(), 16, 32);
+    expect_run_matches_full_depth(arch, model::gpt2_small(), 4, 12);
+  }
 }
 
 TEST(SystemTest, MoreNodesAreFasterButSubLinear) {
@@ -104,17 +135,6 @@ TEST(SystemTest, MoreNodesAreFasterButSubLinear) {
   // But still substantial: above 1.2x per doubling.
   EXPECT_GT(t1 / t2, 1.2);
   EXPECT_GT(t2 / t4, 1.2);
-}
-
-TEST(SystemTest, SampledRunApproximatesExactRun) {
-  System sys(ArchConfig::two_node(), small_model());
-  RunOptions exact;
-  RunOptions sampled;
-  sampled.token_sample_stride = 8;
-  const double t_exact = sys.run(8, 48, exact).total_ms;
-  const double t_sampled = sys.run(8, 48, sampled).total_ms;
-  EXPECT_NEAR(t_sampled, t_exact, 0.02 * t_exact)
-      << "stride interpolation deviates >2%";
 }
 
 TEST(SystemTest, OptimizationsReduceLatency) {
@@ -245,8 +265,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Paper-shape regression: the full GPT-2 345M configuration reproduces the
-// published per-token latencies within tolerance. Uses stride sampling to
-// stay fast; bands are deliberately wide (±12%) — this guards the shape,
+// published per-token latencies within tolerance. Bands are deliberately wide (±12%) — this guards the shape,
 // not the decimals.
 struct PaperPoint {
   std::uint32_t nodes;
@@ -258,9 +277,7 @@ class PaperLatencyTest : public ::testing::TestWithParam<PaperPoint> {};
 TEST_P(PaperLatencyTest, TableIITokenLatencyWithinBand) {
   const PaperPoint p = GetParam();
   System sys(ArchConfig::nodes(p.nodes), model::gpt2_medium());
-  RunOptions opt;
-  opt.token_sample_stride = 32;
-  const double ms = sys.run(64, 512, opt).avg_token_ms;
+  const double ms = sys.run(64, 512).avg_token_ms;
   EXPECT_NEAR(ms, p.expected_ms, 0.12 * p.expected_ms);
 }
 
