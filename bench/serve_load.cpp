@@ -16,7 +16,7 @@
 //                [--replicas=1] [--balancer=rr|jsq|kv]
 //                [--roles=prefill,decode,...] [--kv-link-gbps=100]
 //                [--autoscale=queue|slo|hybrid] [--min-replicas=N[,N...]]
-//                [--max-replicas=N[,N...]] [--scale-interval-ms=50]
+//                [--max-replicas=N] [--scale-interval-ms=50]
 //                [--trace-out=PATH] [--metrics-out=PATH]
 //
 // --chunk-tokens=N sets the per-iteration token budget (requires
@@ -102,11 +102,13 @@ void print_usage() {
       "                       the fleet between --min-replicas and\n"
       "                       --max-replicas; conflicts with --replicas\n"
       "  --min-replicas=N[,N...]  autoscale floor, >= 1 (default 1); with\n"
-      "                       --roles a comma list names one floor per\n"
-      "                       tier (distinct roles in order)\n"
-      "  --max-replicas=N[,N...]  autoscale ceiling, >= min (default 4);\n"
-      "                       with --roles a comma list names one ceiling\n"
-      "                       per tier, each equal to its tier's pool\n"
+      "                       --roles it floors every tier, or a comma\n"
+      "                       list names one floor per tier (distinct\n"
+      "                       roles in order)\n"
+      "  --max-replicas=N     autoscale ceiling and pool width, >= min\n"
+      "                       (default 4); conflicts with --roles (the\n"
+      "                       role list is the pool, each tier's ceiling\n"
+      "                       its member count)\n"
       "  --scale-interval-ms=T  control-loop period in ms, > 0 (default "
       "50)\n"
       "  --trace-out=PATH     write a Chrome/Perfetto trace-event JSON of\n"
@@ -168,36 +170,10 @@ int run(const looplynx::util::Cli& cli) {
   if (opts.fleet()) {
     if (opts.autoscale.enabled) {
       title += ", autoscale " +
-               std::string(serve::scale_policy_name(opts.autoscale.policy));
-      if (opts.disaggregated()) {
-        // Per-tier bounds live in the tier lists (empty = the per-tier
-        // defaults: floor 1, ceiling = tier pool).
-        const auto join = [](const std::vector<std::uint32_t>& v) {
-          std::string s;
-          for (std::size_t i = 0; i < v.size(); ++i) {
-            if (i > 0) s += ",";
-            s += std::to_string(v[i]);
-          }
-          return s;
-        };
-        title += " per-tier";
-        if (!opts.autoscale.tier_min.empty() ||
-            !opts.autoscale.tier_max.empty()) {
-          title += " " +
-                   (opts.autoscale.tier_min.empty()
-                        ? "1"
-                        : join(opts.autoscale.tier_min)) +
-                   ".." +
-                   (opts.autoscale.tier_max.empty()
-                        ? "pool"
-                        : join(opts.autoscale.tier_max));
-        }
-      } else {
-        title += " " + std::to_string(opts.autoscale.min_replicas) + ".." +
-                 std::to_string(opts.autoscale.max_replicas);
-      }
-      title += " @" + util::fmt_fixed(opts.autoscale.eval_interval_ms, 0) +
-               "ms, " + serve::balancer_policy_name(opts.balancer);
+               std::string(serve::scale_policy_name(opts.autoscale.policy)) +
+               " " + opts.bounds_label() + " @" +
+               util::fmt_fixed(opts.autoscale.eval_interval_ms, 0) + "ms, " +
+               serve::balancer_policy_name(opts.balancer);
     } else {
       title += ", " + std::to_string(opts.replicas) + " replicas, " +
                serve::balancer_policy_name(opts.balancer);

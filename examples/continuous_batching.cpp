@@ -19,7 +19,8 @@
 // deterministic control loop (queue|slo|hybrid policies). --roles
 // disaggregates the fleet into prefill/decode tiers (KV ships over the
 // ring fabric priced by --kv-link-gbps), and composed with --autoscale
-// each role tier runs its own control loop under comma-list bounds.
+// each role tier runs its own control loop between its floor and its
+// member count.
 //
 //   ./continuous_batching [--requests=12] [--batch=8] [--rate=12]
 //                         [--policy=prefill|decode|chunked]
@@ -31,7 +32,7 @@
 //                         [--roles=R,R,...] [--kv-link-gbps=100]
 //                         [--autoscale=queue|slo|hybrid]
 //                         [--min-replicas=1[,1...]]
-//                         [--max-replicas=4[,4...]]
+//                         [--max-replicas=4]
 //                         [--scale-interval-ms=50]
 //                         [--trace-out=PATH] [--metrics-out=PATH] [--help]
 #include <iostream>
@@ -75,12 +76,12 @@ void print_usage() {
       "                       > 0; requires --roles (default 100)\n"
       "  --autoscale=P        queue|slo|hybrid (bare = hybrid): autoscale\n"
       "                       the fleet; conflicts with --replicas\n"
-      "  --min-replicas=N[,N...]  autoscale floor, >= 1 (default 1); a\n"
-      "                       comma list gives per-tier floors (requires\n"
-      "                       --roles)\n"
-      "  --max-replicas=N[,N...]  autoscale ceiling, >= min (default 4);\n"
-      "                       a comma list gives per-tier ceilings, each\n"
-      "                       equal to its tier's pool (requires --roles)\n"
+      "  --min-replicas=N[,N...]  autoscale floor, >= 1 (default 1); with\n"
+      "                       --roles it floors every tier, or a comma\n"
+      "                       list gives per-tier floors\n"
+      "  --max-replicas=N     autoscale ceiling and pool width, >= min\n"
+      "                       (default 4); conflicts with --roles (the\n"
+      "                       role list is the pool)\n"
       "  --scale-interval-ms=T  control-loop period in ms, > 0 (default "
       "50)\n"
       "  --trace-out=PATH     write a Chrome/Perfetto trace-event JSON of\n"
@@ -132,28 +133,11 @@ int run(const looplynx::util::Cli& cli) {
       "Continuous batching, " + cfg.traffic.mix.name + " mix, batch " +
       std::to_string(cfg.scheduler.max_batch);
   if (opts.fleet()) {
-    // Per-tier bounds print as comma lists (empty lists = the per-tier
-    // defaults); the symmetric scalars keep the legacy spelling.
-    const auto join = [](const std::vector<std::uint32_t>& v,
-                         const std::string& fallback) {
-      if (v.empty()) return fallback;
-      std::string s;
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        s += (i ? "," : "") + std::to_string(v[i]);
-      }
-      return s;
-    };
-    const std::string bounds =
-        opts.disaggregated()
-            ? join(opts.autoscale.tier_min, "1") + ".." +
-                  join(opts.autoscale.tier_max, "pool")
-            : std::to_string(opts.autoscale.min_replicas) + ".." +
-                  std::to_string(opts.autoscale.max_replicas);
     const std::string fleet_title =
         opts.autoscale.enabled
             ? mix_title + ", autoscale " +
-                  serve::scale_policy_name(opts.autoscale.policy) +
-                  (opts.disaggregated() ? " per-tier " : " ") + bounds
+                  serve::scale_policy_name(opts.autoscale.policy) + " " +
+                  opts.bounds_label()
             : mix_title + ", " + std::to_string(opts.replicas) +
                   " replicas, " +
                   serve::balancer_policy_name(opts.balancer);

@@ -109,8 +109,7 @@ int run(const looplynx::util::Cli& cli) {
   serve::AutoscalerConfig autoscale;
   autoscale.enabled = true;
   autoscale.policy = serve::ScalePolicy::kHybrid;  // decode tiers force queue
-  autoscale.tier_min = {1, 1};
-  autoscale.tier_max = {3, 2};
+  autoscale.max_replicas = width;  // each tier's ceiling is its own pool
   autoscale.eval_interval_ms = cli.get_double_or("scale-interval-ms", 25.0);
   // React fast, release slowly — same shape as the symmetric walkthrough
   // (examples/autoscale_serving): a burst must light the prefill tier

@@ -39,25 +39,18 @@ const char* scale_trigger_name(ScaleTrigger trigger) {
 }
 
 AutoscalerConfig tier_autoscaler_config(const AutoscalerConfig& fleet,
-                                        std::size_t tier, bool decode_tier) {
+                                        std::size_t tier, std::uint32_t pool,
+                                        bool decode_tier) {
   AutoscalerConfig cfg = fleet;
-  if (!fleet.tier_min.empty()) {
-    cfg.min_replicas = fleet.tier_min.at(tier);
-  }
-  if (!fleet.tier_max.empty()) {
-    cfg.max_replicas = fleet.tier_max.at(tier);
-  }
+  if (!fleet.tier_min.empty()) cfg.min_replicas = fleet.tier_min.at(tier);
+  cfg.max_replicas = pool;
   cfg.tier_min.clear();
-  cfg.tier_max.clear();
   if (decode_tier) cfg.policy = ScalePolicy::kQueueDepth;
   return cfg;
 }
 
 Autoscaler::Autoscaler(const AutoscalerConfig& config, const SloConfig& slo)
-    : config_(config),
-      ttft_high_(config.ttft_high_ms > 0 ? config.ttft_high_ms : slo.ttft_ms),
-      ttft_low_(config.ttft_low_ms > 0 ? config.ttft_low_ms
-                                       : 0.5 * slo.ttft_ms) {}
+    : config_(config), ttft_high_(slo.ttft_ms), ttft_low_(0.5 * slo.ttft_ms) {}
 
 Autoscaler::Decision Autoscaler::evaluate(const ScaleSignals& signals) {
   if (cooldown_ > 0) {

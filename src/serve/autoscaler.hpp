@@ -55,7 +55,7 @@ enum class ScalePolicy : std::uint8_t {
   /// `queue_low`. Reacts before latency degrades, but blind to SLO slack.
   kQueueDepth,
   /// Rolling-window p99 TTFT against the fleet SLO: up when the window
-  /// p99 exceeds `ttft_high_ms`, down when it is below `ttft_low_ms` (or
+  /// p99 exceeds SloConfig::ttft_ms, down when it is below half of it (or
   /// the window is empty — an idle fleet has no tail to defend).
   /// Tracks the contract directly, but lags the queue signal by the
   /// service time already committed.
@@ -77,22 +77,19 @@ struct AutoscalerConfig {
   /// (byte-identical output — the CI gate's baseline).
   bool enabled = false;
   ScalePolicy policy = ScalePolicy::kHybrid;
-  /// Live-replica bounds (symmetric fleets). The fleet starts at
-  /// min_replicas; FleetConfig::replicas must hold exactly max_replicas
-  /// configs. On a disaggregated fleet these scalars are ignored — the
-  /// per-tier lists below rule.
+  /// Live-replica bounds, one rule for every fleet (a symmetric fleet is
+  /// one tier holding every replica): FleetConfig::replicas must hold
+  /// exactly max_replicas configs, each tier's ceiling is its own member
+  /// count, and each tier's floor is `tier_min[t]` when the list is given,
+  /// else min_replicas. Every tier starts at its floor.
   std::uint32_t min_replicas = 1;
   std::uint32_t max_replicas = 1;
-  /// Per-tier live bounds for disaggregated fleets, aligned with the
-  /// fleet's tier order (distinct FleetConfig::roles in first-appearance
-  /// order — `--min-replicas=2,1 --max-replicas=4,3` with
-  /// `--roles=prefill,...,decode,...`). Empty (the default) selects
-  /// min 1 / max <tier pool size> per tier; non-empty lists must name
-  /// every tier, and each tier's max must equal its pool size (the roles
-  /// list is the scale ceiling). Ignored on symmetric fleets, where the
-  /// scalar bounds above rule.
+  /// Per-tier floors for disaggregated fleets, aligned with the fleet's
+  /// tier order (distinct FleetConfig::roles in first-appearance order —
+  /// `--min-replicas=2,1` with `--roles=prefill,...,decode,...`). Empty
+  /// (the default) gives every tier the floor min_replicas; a non-empty
+  /// list must name every tier and is rejected on a symmetric fleet.
   std::vector<std::uint32_t> tier_min;
-  std::vector<std::uint32_t> tier_max;
   /// Control-loop period on the shared fleet clock.
   double eval_interval_ms = 50.0;
 
@@ -101,12 +98,10 @@ struct AutoscalerConfig {
   double queue_low = 0.5;
 
   // ---- SLO-TTFT watermarks ----
-  /// Rolling TTFT sample window the p99 is computed over.
+  /// Rolling TTFT sample window the p99 is computed over. The scale-up
+  /// threshold is the fleet's SloConfig::ttft_ms, the scale-down one half
+  /// of it.
   double ttft_window_ms = 250.0;
-  /// Scale-up / scale-down thresholds for the window p99 TTFT. 0 selects
-  /// the defaults: the fleet's SloConfig::ttft_ms, and half of it.
-  double ttft_high_ms = 0;
-  double ttft_low_ms = 0;
 
   // ---- Hysteresis ----
   std::uint32_t up_evals = 2;    // consecutive high evals before growing
@@ -156,8 +151,8 @@ struct ScaleSignals {
 /// signal sequence always produces the same decision sequence.
 class Autoscaler {
  public:
-  /// `slo` supplies the ttft_high_ms / ttft_low_ms defaults when the
-  /// config leaves them at 0.
+  /// `slo.ttft_ms` is the TTFT scale-up threshold; half of it is the
+  /// scale-down one.
   Autoscaler(const AutoscalerConfig& config, const SloConfig& slo);
 
   struct Decision {
@@ -170,8 +165,6 @@ class Autoscaler {
   Decision evaluate(const ScaleSignals& signals);
 
   const AutoscalerConfig& config() const { return config_; }
-  double ttft_high_ms() const { return ttft_high_; }
-  double ttft_low_ms() const { return ttft_low_; }
 
  private:
   AutoscalerConfig config_;
@@ -183,16 +176,17 @@ class Autoscaler {
 };
 
 /// The per-tier controller config one fleet-level AutoscalerConfig
-/// expands into: shared knobs (policy, interval, watermarks, hysteresis)
-/// copied verbatim, the tier's own min/max bounds promoted into the
-/// scalar fields (tier lists empty ⇒ the scalars pass through untouched,
-/// which is exactly the symmetric single-tier case), and — for decode
-/// tiers — the policy forced to kQueueDepth: decode replicas receive no
-/// fresh arrivals, so no TTFT ever forms on them (the shared rolling
-/// window samples first tokens, which are emitted on the prefill side);
-/// their natural control signal is the migrated-in backlog depth. A pure
+/// expands into, and the one place a tier's bounds resolve: shared knobs
+/// (policy, interval, watermarks, hysteresis) copied verbatim, the floor
+/// `tier_min[tier]` when the list is given and min_replicas otherwise, the
+/// ceiling the tier's `pool` (its member count), and — for decode tiers —
+/// the policy forced to kQueueDepth: decode replicas receive no fresh
+/// arrivals, so no TTFT ever forms on them (the shared rolling window
+/// samples first tokens, which are emitted on the prefill side); their
+/// natural control signal is the migrated-in backlog depth. A pure
 /// function, unit-tested without an engine (tests/test_autoscaler.cpp).
 AutoscalerConfig tier_autoscaler_config(const AutoscalerConfig& fleet,
-                                        std::size_t tier, bool decode_tier);
+                                        std::size_t tier, std::uint32_t pool,
+                                        bool decode_tier);
 
 }  // namespace looplynx::serve

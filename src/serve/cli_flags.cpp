@@ -8,10 +8,10 @@ namespace looplynx::serve {
 
 namespace {
 
-/// Splits a --min-replicas/--max-replicas value into per-entry counts: a
-/// bare count is a one-entry list (the legacy scalar form), a comma list
-/// names one bound per tier. Entries follow the count-flag syntax
-/// (util::parse_count); their meaning is FleetConfig::validate's.
+/// Splits a --min-replicas value into per-entry counts: a bare count is a
+/// one-entry list (the floor of every tier), a comma list names one floor
+/// per tier. Entries follow the count-flag syntax (util::parse_count);
+/// their meaning is FleetConfig::validate's.
 std::vector<std::uint32_t> parse_bounds_list(const std::string& flag,
                                              const std::string& spec) {
   std::vector<std::uint32_t> out;
@@ -47,6 +47,18 @@ FleetConfig SchedulerCliOptions::fleet_config(
   fleet.kv_link.bytes_per_cycle =
       kv_link_gbps * 1e9 / base.arch.frequency_hz;
   return fleet;
+}
+
+std::string SchedulerCliOptions::bounds_label() const {
+  std::string floors = autoscale.tier_min.empty()
+                           ? std::to_string(autoscale.min_replicas)
+                           : std::string();
+  for (std::size_t t = 0; t < autoscale.tier_min.size(); ++t) {
+    floors += (t ? "," : "") + std::to_string(autoscale.tier_min[t]);
+  }
+  return disaggregated() ? "per-tier " + floors + "..pool"
+                         : floors + ".." +
+                               std::to_string(autoscale.max_replicas);
 }
 
 SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
@@ -135,24 +147,29 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
     }
   }
   if (opts.autoscale.enabled) {
-    // Resolved after --roles so the bounds know whether they are the
-    // legacy fleet-wide scalars (symmetric fleet) or per-tier lists
-    // (disaggregated fleet).
+    // Resolved after --roles: a disaggregated fleet's pool is its role
+    // list, and only a disaggregated fleet has more than one tier to give
+    // a floor list to.
+    if (!opts.disaggregated()) {
+      opts.autoscale.max_replicas = cli.get_count_or("max-replicas", 4);
+    } else if (cli.has("max-replicas")) {
+      throw std::invalid_argument(
+          "--max-replicas conflicts with --roles: the role list is the "
+          "replica pool and each tier's ceiling is its member count");
+    } else {
+      opts.autoscale.max_replicas =
+          static_cast<std::uint32_t>(opts.roles.size());
+    }
     const std::vector<std::uint32_t> mins =
         parse_bounds_list("min-replicas", cli.get_or("min-replicas", "1"));
-    const std::vector<std::uint32_t> maxs =
-        parse_bounds_list("max-replicas", cli.get_or("max-replicas", "4"));
-    if (opts.disaggregated()) {
-      if (cli.has("min-replicas")) opts.autoscale.tier_min = mins;
-      if (cli.has("max-replicas")) opts.autoscale.tier_max = maxs;
-    } else {
-      if (mins.size() != 1 || maxs.size() != 1) {
-        throw std::invalid_argument(
-            "--min-replicas/--max-replicas comma lists are per-tier "
-            "bounds and require --roles (a symmetric fleet has one tier)");
-      }
+    if (mins.size() == 1) {
       opts.autoscale.min_replicas = mins.front();
-      opts.autoscale.max_replicas = maxs.front();
+    } else if (opts.disaggregated()) {
+      opts.autoscale.tier_min = mins;
+    } else {
+      throw std::invalid_argument(
+          "--min-replicas comma lists are per-tier floors and require "
+          "--roles (a symmetric fleet has one tier)");
     }
   }
   if (cli.has("kv-link-gbps") && !opts.disaggregated()) {

@@ -85,15 +85,17 @@ struct SchedulerCliOptions {
   /// as paged()).
   bool cached() const { return prefix_cache; }
 
-  /// Replica pool size the surfaces should build: the role list when a
-  /// disaggregated fleet autoscales (each tier's ceiling lives inside the
-  /// list), the autoscaler's fleet-wide ceiling on a symmetric autoscaled
-  /// fleet, the fixed width otherwise.
+  /// Replica pool size the surfaces should build: the autoscaler's pool
+  /// width (--max-replicas, or the role list's length with --roles) on an
+  /// autoscaled fleet, the fixed width otherwise.
   std::uint32_t fleet_width() const {
-    if (!autoscale.enabled) return replicas;
-    return roles.empty() ? autoscale.max_replicas
-                         : static_cast<std::uint32_t>(roles.size());
+    return autoscale.enabled ? autoscale.max_replicas : replicas;
   }
+
+  /// The autoscale bounds as the CLI surfaces print them: "min..max" on
+  /// a symmetric fleet, "per-tier <floors>..pool" on a disaggregated one
+  /// (one floor or the per-tier list; each tier's ceiling is its pool).
+  std::string bounds_label() const;
 
   /// True when the run should attach an Observer and write exports.
   bool observed() const { return !trace_out.empty() || !metrics_out.empty(); }
@@ -121,7 +123,9 @@ struct SchedulerCliOptions {
 ///  - --autoscale (queue|slo|hybrid; bare selects hybrid) conflicts with
 ///    an explicit --replicas, and --min-replicas/--max-replicas/
 ///    --scale-interval-ms require --autoscale;
-///  - comma-list bounds (one floor/ceiling per role tier) require --roles;
+///  - --max-replicas (the symmetric pool width) conflicts with --roles
+///    (the role list is the pool), and a --min-replicas comma list (one
+///    floor per role tier) requires --roles;
 ///  - --kv-link-gbps requires --roles;
 ///  - --trace-out/--metrics-out need a non-empty =<path> value;
 ///  - --prefix-cache/--kv-swap take an optional on/off value (bare == on;

@@ -5,7 +5,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "net/fabric.hpp"
@@ -90,22 +89,6 @@ std::vector<TierSpec> tier_spec(const std::vector<ReplicaRole>& roles,
     tiers[t].members.push_back(static_cast<std::uint32_t>(i));
   }
   return tiers;
-}
-
-/// The tier's effective live bounds: the per-tier lists when given, else
-/// min 1 / max <tier pool> on disaggregated fleets, else the legacy
-/// scalars (symmetric single tier).
-std::pair<std::uint32_t, std::uint32_t> tier_bounds(
-    const AutoscalerConfig& as, const std::vector<TierSpec>& tiers,
-    std::size_t t, bool disaggregated) {
-  const auto pool = static_cast<std::uint32_t>(tiers[t].members.size());
-  const std::uint32_t lo =
-      as.tier_min.empty() ? (disaggregated ? 1u : as.min_replicas)
-                          : as.tier_min[t];
-  const std::uint32_t hi =
-      as.tier_max.empty() ? (disaggregated ? pool : as.max_replicas)
-                          : as.tier_max[t];
-  return {lo, hi};
 }
 
 }  // namespace
@@ -275,42 +258,47 @@ void FleetConfig::validate() const {
     }
   }
   if (as.enabled) {
-    // Per-tier live bounds, checked after the role shape so tier pools
-    // are well-defined. A symmetric fleet is one tier bounded by the
-    // legacy scalars, so these checks reduce to the fleet-wide ones
-    // exactly; empty per-tier lists check as their defaults (tier_bounds).
+    // Live bounds, checked after the role shape so tier pools are
+    // well-defined. One rule for every fleet (a symmetric fleet is one
+    // tier): max_replicas is the pool width, each tier's ceiling is its
+    // member count, and its floor resolves in tier_autoscaler_config.
+    if (as.max_replicas != replicas.size()) {
+      // A silent mismatch would leave configured replicas unreachable (or
+      // index out of range).
+      throw std::invalid_argument(
+          "autoscale max_replicas must equal the replica pool size (" +
+          std::to_string(replicas.size()) + " replicas)");
+    }
     const std::vector<TierSpec> tiers = tier_spec(roles, replicas.size());
-    for (const auto* list : {&as.tier_min, &as.tier_max}) {
-      if (!list->empty() && list->size() != tiers.size()) {
+    if (!as.tier_min.empty()) {
+      if (!disaggregated()) {
         throw std::invalid_argument(
-            "autoscale per-tier bounds must name every tier: got " +
-            std::to_string(list->size()) + " entries for " +
+            "autoscale tier_min requires roles: a symmetric fleet is one "
+            "tier, whose floor is min_replicas");
+      }
+      if (as.tier_min.size() != tiers.size()) {
+        throw std::invalid_argument(
+            "autoscale tier_min must name every tier: got " +
+            std::to_string(as.tier_min.size()) + " entries for " +
             std::to_string(tiers.size()) +
             " tiers (distinct roles in first-appearance order)");
       }
     }
     for (std::size_t t = 0; t < tiers.size(); ++t) {
-      const auto [lo, hi] = tier_bounds(as, tiers, t, disaggregated());
+      const AutoscalerConfig tier = tier_autoscaler_config(
+          as, t, static_cast<std::uint32_t>(tiers[t].members.size()), false);
       const std::string where =
           disaggregated()
               ? std::string(" (tier ") + std::to_string(t) + ", " +
                     replica_role_name(tiers[t].role) + ")"
               : std::string();
-      if (lo < 1) {
+      if (tier.min_replicas < 1) {
         throw std::invalid_argument("autoscale min_replicas must be >= 1" +
                                     where);
       }
-      if (lo > hi) {
+      if (tier.min_replicas > tier.max_replicas) {
         throw std::invalid_argument(
             "autoscale min_replicas exceeds max_replicas" + where);
-      }
-      if (hi != tiers[t].members.size()) {
-        // The replica pool is the scale ceiling — per tier, its role's
-        // member count: a silent mismatch would leave configured replicas
-        // unreachable (or index out of range).
-        throw std::invalid_argument(
-            "autoscale max_replicas must equal the replica pool size" +
-            where);
       }
     }
   }
@@ -318,26 +306,12 @@ void FleetConfig::validate() const {
 
 namespace {
 
-/// A validated copy of `config` with what the run machinery reads filled
-/// in: num_requests from TrafficConfig::request_budget (an explicit
-/// schedule or a shape script fixes it), and — on a disaggregated
-/// autoscaled fleet — explicit per-tier bounds (floor 1, ceiling the
-/// tier's pool where a list was left empty), so the run never has to
-/// guess which scalars to fall back on.
+/// A validated copy of `config` with num_requests filled in from
+/// TrafficConfig::request_budget (an explicit schedule or a shape script
+/// fixes it).
 FleetConfig normalized(FleetConfig config) {
   config.validate();
   config.traffic.num_requests = config.traffic.request_budget();
-  AutoscalerConfig& as = config.autoscale;
-  if (as.enabled && config.disaggregated()) {
-    const std::vector<TierSpec> tiers =
-        tier_spec(config.roles, config.replicas.size());
-    std::vector<std::uint32_t> lo(tiers.size()), hi(tiers.size());
-    for (std::size_t t = 0; t < tiers.size(); ++t) {
-      std::tie(lo[t], hi[t]) = tier_bounds(as, tiers, t, true);
-    }
-    as.tier_min = std::move(lo);
-    as.tier_max = std::move(hi);
-  }
   return config;
 }
 
@@ -429,11 +403,11 @@ struct FleetRun {
       Tier tier;
       tier.role = spec[t].role;
       tier.members = spec[t].members;
+      const auto pool = static_cast<std::uint32_t>(tier.members.size());
       tier.live = cfg_.autoscale.enabled
-                      ? tier_bounds(cfg_.autoscale, spec, t,
-                                    cfg_.disaggregated())
-                            .first
-                      : static_cast<std::uint32_t>(tier.members.size());
+                      ? tier_autoscaler_config(cfg_.autoscale, t, pool, false)
+                            .min_replicas
+                      : pool;
       for (std::size_t p = tier.live; p < tier.members.size(); ++p) {
         replicas[tier.members[p]]->live = false;
       }
@@ -569,8 +543,9 @@ sim::Task autoscaler_proc(FleetRun& run) {
   controllers.reserve(run.tiers.size());
   for (std::size_t t = 0; t < run.tiers.size(); ++t) {
     controllers.emplace_back(
-        tier_autoscaler_config(cfg, t,
-                               run.tiers[t].role == ReplicaRole::kDecode),
+        tier_autoscaler_config(
+            cfg, t, static_cast<std::uint32_t>(run.tiers[t].members.size()),
+            run.tiers[t].role == ReplicaRole::kDecode),
         run.cfg.replicas.front().slo);
   }
   const auto interval = std::max<sim::Cycles>(

@@ -139,13 +139,13 @@ struct FleetConfig {
   BalancerPolicy balancer = BalancerPolicy::kRoundRobin;
   /// Fleet-level autoscaling (serve/autoscaler.hpp). Disabled by default:
   /// every replica is live for the whole run and output is byte-identical
-  /// to the static fleet engine. When enabled on a symmetric fleet,
-  /// `replicas` must hold exactly autoscale.max_replicas configs and the
-  /// run starts with the first autoscale.min_replicas of them live. When
-  /// enabled together with `roles`, one controller runs per tier
-  /// (replicas grouped by role) and the per-tier `tier_min`/`tier_max`
-  /// bounds rule — each tier starts at its own minimum, live as a prefix
-  /// of that tier's members in fleet-index order. DESIGN.md §11.
+  /// to the static fleet engine. When enabled, `replicas` must hold
+  /// exactly autoscale.max_replicas configs and one controller runs per
+  /// tier (replicas grouped by role; a symmetric fleet is one tier). Each
+  /// tier scales between its floor — `autoscale.tier_min[t]` when given
+  /// (disaggregated fleets only), else autoscale.min_replicas — and its
+  /// member count, starting at its floor, live as a prefix of its members
+  /// in fleet-index order. DESIGN.md §11.
   AutoscalerConfig autoscale;
 
   /// Disaggregated prefill/decode roles, one per replica. Empty (the
@@ -164,8 +164,7 @@ struct FleetConfig {
   /// The one check of a config's meaning, shared by every road into
   /// FleetSim (library callers, ServingSim, host::Host, the CLI flags).
   /// Throws std::invalid_argument naming the first violated rule; never
-  /// mutates — per-tier bounds left empty stay empty (FleetSim fills them
-  /// after validating).
+  /// mutates.
   void validate() const;
 
   /// N identical replicas of `base`; the fleet traffic is base.traffic.

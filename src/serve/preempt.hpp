@@ -25,7 +25,7 @@ enum class PreemptPolicy : std::uint8_t {
   /// (recompute, not swap). Eviction pressure only flows old -> young and
   /// re-prefills wait for free blocks instead of evicting, so the oldest
   /// request always drains to completion — livelock-free by construction
-  /// (see ensure_kv_blocks in serving_sim.cpp).
+  /// (see ensure_kv_blocks in serve/replica.cpp).
   kRecomputeYoungest,
   /// Same admission discipline and eviction *eligibility* as
   /// kRecomputeYoungest (only strictly-younger decode-phase block holders

@@ -16,7 +16,7 @@ enum class Align { kLeft, kRight };
 ///
 /// Cells are stored as strings; helpers format numeric values. The table can
 /// be rendered as aligned ASCII (for terminals) or GitHub markdown (for
-/// EXPERIMENTS.md).
+/// pasting into the docs).
 class Table {
  public:
   explicit Table(std::string title = "");

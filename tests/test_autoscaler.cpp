@@ -102,20 +102,26 @@ TEST(AutoscalerTest, ShrinksAfterDownEvalsAndClampsAtBounds) {
   }
 }
 
-TEST(AutoscalerTest, SloPolicyThresholdsDefaultFromTheSlo) {
+TEST(AutoscalerTest, SloPolicyThresholdsComeFromTheSlo) {
   AutoscalerConfig cfg = controller_config();
   cfg.policy = ScalePolicy::kSloTtft;
   cfg.up_evals = 1;
   cfg.down_evals = 1;
+  cfg.cooldown_evals = 0;
   SloConfig slo;
   slo.ttft_ms = 200.0;
   Autoscaler ctl(cfg, slo);
-  EXPECT_DOUBLE_EQ(ctl.ttft_high_ms(), 200.0);
-  EXPECT_DOUBLE_EQ(ctl.ttft_low_ms(), 100.0);
   // Above the SLO: grow (with the ttft trigger recorded).
   const auto up = ctl.evaluate({2, 0.0, 250.0, 8});
   EXPECT_EQ(up.delta, +1);
   EXPECT_EQ(up.trigger, ScaleTrigger::kTtftHigh);
+  // Between half the SLO and the SLO: hold.
+  EXPECT_EQ(ctl.evaluate({2, 0.0, 200.0, 8}).delta, 0);
+  EXPECT_EQ(ctl.evaluate({2, 0.0, 100.0, 8}).delta, 0);
+  // Under half the SLO: shrink.
+  const auto down = ctl.evaluate({2, 0.0, 99.0, 8});
+  EXPECT_EQ(down.delta, -1);
+  EXPECT_EQ(down.trigger, ScaleTrigger::kTtftLow);
 }
 
 TEST(AutoscalerTest, SloPolicyTreatsAnEmptyWindowAsIdle) {
@@ -171,18 +177,16 @@ TEST(AutoscalerTest, ScalePolicyNamesRoundTrip) {
 
 // ---------------------------------------- Per-tier controller expansion
 
-TEST(TierConfigTest, PromotesTierBoundsIntoScalars) {
+TEST(TierConfigTest, ResolvesTheFloorAndCapsAtThePool) {
   AutoscalerConfig fleet = controller_config();
   fleet.policy = ScalePolicy::kHybrid;
   fleet.tier_min = {1, 2};
-  fleet.tier_max = {3, 2};
-  const AutoscalerConfig prefill = tier_autoscaler_config(fleet, 0, false);
+  const AutoscalerConfig prefill = tier_autoscaler_config(fleet, 0, 3, false);
   EXPECT_EQ(prefill.min_replicas, 1u);
-  EXPECT_EQ(prefill.max_replicas, 3u);
+  EXPECT_EQ(prefill.max_replicas, 3u);  // the tier's pool
   EXPECT_EQ(prefill.policy, ScalePolicy::kHybrid);
-  EXPECT_TRUE(prefill.tier_min.empty());  // lists consumed, not inherited
-  EXPECT_TRUE(prefill.tier_max.empty());
-  const AutoscalerConfig decode = tier_autoscaler_config(fleet, 1, true);
+  EXPECT_TRUE(prefill.tier_min.empty());  // list consumed, not inherited
+  const AutoscalerConfig decode = tier_autoscaler_config(fleet, 1, 2, true);
   EXPECT_EQ(decode.min_replicas, 2u);
   EXPECT_EQ(decode.max_replicas, 2u);
   // Decode tiers force the queue policy: no TTFT ever forms on them.
@@ -190,7 +194,7 @@ TEST(TierConfigTest, PromotesTierBoundsIntoScalars) {
   // Shared knobs copy verbatim.
   EXPECT_DOUBLE_EQ(decode.queue_high, fleet.queue_high);
   EXPECT_EQ(decode.up_evals, fleet.up_evals);
-  // A pinned tier (min == max) never moves in either direction.
+  // A pinned tier (floor == pool) never moves in either direction.
   Autoscaler pinned(decode, SloConfig{});
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(pinned.evaluate(busy(2, 50.0)).delta, 0);
@@ -198,23 +202,24 @@ TEST(TierConfigTest, PromotesTierBoundsIntoScalars) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(pinned.evaluate(quiet(2)).delta, 0);
 }
 
-TEST(TierConfigTest, EmptyListsPassTheScalarsThrough) {
+TEST(TierConfigTest, WithoutAListEveryTierFloorsAtMinReplicas) {
   AutoscalerConfig fleet = controller_config();
   fleet.min_replicas = 2;
   fleet.max_replicas = 4;
-  const AutoscalerConfig only = tier_autoscaler_config(fleet, 0, false);
+  const AutoscalerConfig only = tier_autoscaler_config(fleet, 0, 4, false);
   EXPECT_EQ(only.min_replicas, 2u);
   EXPECT_EQ(only.max_replicas, 4u);
   // The symmetric single-tier case: the policy is whatever was asked for.
   EXPECT_EQ(only.policy, fleet.policy);
+  // Every tier of a disaggregated fleet takes the same floor.
+  EXPECT_EQ(tier_autoscaler_config(fleet, 1, 3, true).min_replicas, 2u);
 }
 
 TEST(TierControllersTest, KeepIndependentStreaksAndCooldowns) {
   AutoscalerConfig fleet = controller_config();  // queue policy, up 2
-  fleet.tier_min = {1, 1};
-  fleet.tier_max = {4, 4};
-  Autoscaler prefill(tier_autoscaler_config(fleet, 0, false), SloConfig{});
-  Autoscaler decode(tier_autoscaler_config(fleet, 1, true), SloConfig{});
+  Autoscaler prefill(tier_autoscaler_config(fleet, 0, 4, false),
+                     SloConfig{});
+  Autoscaler decode(tier_autoscaler_config(fleet, 1, 4, true), SloConfig{});
   // The prefill tier builds its up streak while the decode tier idles at
   // its floor — the decode tier's quiet evals must not reset it.
   EXPECT_EQ(prefill.evaluate(busy(1, 10.0)).delta, 0);
@@ -230,10 +235,9 @@ TEST(TierControllersTest, KeepIndependentStreaksAndCooldowns) {
 TEST(TierControllersTest, TiersCanMoveInOppositeDirectionsOnOneRound) {
   AutoscalerConfig fleet = controller_config();
   fleet.up_evals = 3;  // align with down_evals so both fire together
-  fleet.tier_min = {1, 1};
-  fleet.tier_max = {4, 4};
-  Autoscaler prefill(tier_autoscaler_config(fleet, 0, false), SloConfig{});
-  Autoscaler decode(tier_autoscaler_config(fleet, 1, true), SloConfig{});
+  Autoscaler prefill(tier_autoscaler_config(fleet, 0, 4, false),
+                     SloConfig{});
+  Autoscaler decode(tier_autoscaler_config(fleet, 1, 4, true), SloConfig{});
   // Same shared-clock eval rounds, opposite verdicts: a prompt burst
   // hammers the prefill tier while the decode backlog drains.
   int up_delta = 0, down_delta = 0;
@@ -438,6 +442,11 @@ TEST(AutoscaledFleetTest, ValidatesAutoscaleConfig) {
   EXPECT_THROW(
       FleetSim{with([](AutoscalerConfig& a) { a.max_replicas = 2; })},
       std::invalid_argument);  // pool size mismatch
+  // A symmetric fleet is one tier, floored by min_replicas: a per-tier
+  // floor list has no second tier to name and is rejected, even when its
+  // one entry agrees with min_replicas.
+  EXPECT_THROW(FleetSim{with([](AutoscalerConfig& a) { a.tier_min = {1}; })},
+               std::invalid_argument);
   EXPECT_THROW(
       FleetSim{with([](AutoscalerConfig& a) { a.eval_interval_ms = 0; })},
       std::invalid_argument);
@@ -529,7 +538,6 @@ TEST(AutoscaledFleetTest, DisaggregatedTierRunsAreDeterministic) {
                ReplicaRole::kDecode};
   cfg.kv_link.bytes_per_cycle = 32.0;
   cfg.autoscale.tier_min = {1, 1};
-  cfg.autoscale.tier_max = {2, 1};
   const FleetResult a = FleetSim(cfg).run();
   const FleetResult b = FleetSim(cfg).run();
   expect_identical_scaled(a, b);

@@ -504,8 +504,8 @@ std::string canonical_disagg_sweep() {
                  ReplicaRole::kDecode};
     cfg.autoscale.enabled = true;
     cfg.autoscale.policy = ScalePolicy::kHybrid;
+    cfg.autoscale.max_replicas = 3;
     cfg.autoscale.tier_min = {1, 1};
-    cfg.autoscale.tier_max = {2, 1};
     cfg.autoscale.eval_interval_ms = 2.0;
     cfg.autoscale.ttft_window_ms = 10.0;
     cfg.autoscale.queue_high = 1.5;

@@ -752,42 +752,55 @@ TEST(FleetCliTest, RejectsBadRoleNamesAndLinkRates) {
 
 TEST(FleetCliTest, ParsesRolesWithAutoscale) {
   // --roles + --autoscale is legal: the role list sizes the pool (no
-  // --replicas needed) and the comma lists become per-tier bounds in
-  // role-first-appearance order.
+  // --replicas needed) and a --min-replicas comma list becomes per-tier
+  // floors in role-first-appearance order.
   const SchedulerCliOptions tiered = parse_scheduler_cli(
       make_cli({"--autoscale=hybrid", "--roles=prefill,prefill,decode",
-                "--min-replicas=1,1", "--max-replicas=2,1"}));
+                "--min-replicas=2,1"}));
   EXPECT_TRUE(tiered.autoscale.enabled);
   EXPECT_TRUE(tiered.disaggregated());
   EXPECT_EQ(tiered.fleet_width(), 3u);
-  ASSERT_EQ(tiered.autoscale.tier_min.size(), 2u);
-  EXPECT_EQ(tiered.autoscale.tier_min[0], 1u);
-  EXPECT_EQ(tiered.autoscale.tier_max[0], 2u);
-  EXPECT_EQ(tiered.autoscale.tier_max[1], 1u);
+  EXPECT_EQ(tiered.autoscale.max_replicas, 3u);
+  EXPECT_EQ(tiered.autoscale.tier_min, (std::vector<std::uint32_t>{2, 1}));
+  EXPECT_EQ(tiered.bounds_label(), "per-tier 2,1..pool");
 
-  // Bounds left unset stay as empty lists: FleetSim fills the defaults (floor 1 per tier, ceiling = the tier's pool).
+  // A single count floors every tier; unset, every tier floors at 1.
+  const SchedulerCliOptions floored = parse_scheduler_cli(make_cli(
+      {"--autoscale=queue", "--roles=prefill,prefill,decode,decode",
+       "--min-replicas=2"}));
+  EXPECT_EQ(floored.autoscale.min_replicas, 2u);
+  EXPECT_TRUE(floored.autoscale.tier_min.empty());
+  EXPECT_EQ(floored.bounds_label(), "per-tier 2..pool");
   const SchedulerCliOptions defaulted = parse_scheduler_cli(
       make_cli({"--autoscale=queue", "--roles=prefill,decode"}));
+  EXPECT_EQ(defaulted.autoscale.min_replicas, 1u);
   EXPECT_TRUE(defaulted.autoscale.tier_min.empty());
-  EXPECT_TRUE(defaulted.autoscale.tier_max.empty());
   EXPECT_EQ(defaulted.fleet_width(), 2u);
 
-  // The legacy scalar spelling still works on a symmetric fleet.
+  // A symmetric fleet is bounded by one floor and its pool width.
   const SchedulerCliOptions scalar = parse_scheduler_cli(
       make_cli({"--autoscale=queue", "--min-replicas=2",
                 "--max-replicas=6"}));
   EXPECT_EQ(scalar.autoscale.min_replicas, 2u);
   EXPECT_EQ(scalar.autoscale.max_replicas, 6u);
   EXPECT_TRUE(scalar.autoscale.tier_min.empty());
+  EXPECT_EQ(scalar.bounds_label(), "2..6");
 }
 
 TEST(FleetCliTest, RejectsBadPerTierBoundSpecs) {
-  // Comma lists are per-tier bounds: meaningless without --roles.
+  // Floor lists are per-tier: meaningless without --roles.
   EXPECT_THROW(parse_scheduler_cli(
                    make_cli({"--autoscale=queue", "--min-replicas=1,1"})),
                std::invalid_argument);
+  // --max-replicas is one count: the symmetric pool width.
   EXPECT_THROW(parse_scheduler_cli(
                    make_cli({"--autoscale=queue", "--max-replicas=2,2"})),
+               std::invalid_argument);
+  // With --roles the role list is the pool: a width flag would be a
+  // second, possibly contradicting, way to size it.
+  EXPECT_THROW(parse_scheduler_cli(
+                   make_cli({"--autoscale", "--roles=prefill,decode",
+                             "--max-replicas=2"})),
                std::invalid_argument);
   // Zero, junk, and empty entries are rejected at parse time.
   EXPECT_THROW(parse_scheduler_cli(
@@ -796,7 +809,7 @@ TEST(FleetCliTest, RejectsBadPerTierBoundSpecs) {
                std::invalid_argument);
   EXPECT_THROW(parse_scheduler_cli(
                    make_cli({"--autoscale", "--roles=prefill,decode",
-                             "--max-replicas=two,1"})),
+                             "--min-replicas=two,1"})),
                std::invalid_argument);
   EXPECT_THROW(parse_scheduler_cli(
                    make_cli({"--autoscale", "--roles=prefill,decode",
@@ -812,56 +825,61 @@ TEST(FleetSimTest, ValidatesPerTierBounds) {
                  ReplicaRole::kDecode};
     cfg.kv_link.bytes_per_cycle = 32.0;
     cfg.autoscale.enabled = true;
+    cfg.autoscale.max_replicas = 3;
     cfg.autoscale.tier_min = {1, 1};
-    cfg.autoscale.tier_max = {2, 1};
     mutate(cfg.autoscale);
     return cfg;
   };
   EXPECT_NO_THROW(with([](AutoscalerConfig&) {}).validate());
-  // Unset lists are valid (they mean the per-tier defaults), and
-  // validation leaves them unset: only FleetSim fills them in.
-  const FleetConfig unset = with([](AutoscalerConfig& a) {
-    a.tier_min.clear();
-    a.tier_max.clear();
-  });
+  // An unset list is valid (every tier floors at min_replicas), and
+  // validation leaves it unset.
+  const FleetConfig unset =
+      with([](AutoscalerConfig& a) { a.tier_min.clear(); });
   EXPECT_NO_THROW(unset.validate());
   EXPECT_TRUE(unset.autoscale.tier_min.empty());
-  EXPECT_TRUE(unset.autoscale.tier_max.empty());
   // A list must name every tier (two tiers here: prefill, decode).
   EXPECT_THROW(with([](AutoscalerConfig& a) { a.tier_min = {1}; }).validate(),
                std::invalid_argument);
   EXPECT_THROW(
-      with([](AutoscalerConfig& a) { a.tier_max = {2, 1, 1}; }).validate(),
+      with([](AutoscalerConfig& a) { a.tier_min = {1, 1, 1}; }).validate(),
       std::invalid_argument);
-  // The ceiling is the tier's pool, exactly — same contract as the
-  // symmetric max_replicas == pool rule.
-  EXPECT_THROW(
-      with([](AutoscalerConfig& a) { a.tier_max = {3, 1}; }).validate(),
-      std::invalid_argument);
-  EXPECT_THROW(
-      with([](AutoscalerConfig& a) { a.tier_max = {1, 1}; }).validate(),
-      std::invalid_argument);
-  // Floors: >= 1, <= the tier ceiling.
+  // Floors: >= 1, <= the tier's pool — from the list or from min_replicas.
   EXPECT_THROW(
       with([](AutoscalerConfig& a) { a.tier_min = {0, 1}; }).validate(),
       std::invalid_argument);
   EXPECT_THROW(
       with([](AutoscalerConfig& a) { a.tier_min = {1, 2}; }).validate(),
       std::invalid_argument);
+  EXPECT_THROW(with([](AutoscalerConfig& a) {
+                 a.tier_min.clear();
+                 a.min_replicas = 2;  // the decode tier holds one replica
+               }).validate(),
+               std::invalid_argument);
+  // max_replicas is the pool width on every fleet, never ignored.
+  EXPECT_THROW(
+      with([](AutoscalerConfig& a) { a.max_replicas = 99; }).validate(),
+      std::invalid_argument);
 }
 
-TEST(FleetSimTest, FillsUnsetTierBoundsAfterValidating) {
-  FleetConfig cfg = FleetConfig::homogeneous(base_config(), 3);
+/// Regression: min_replicas floors every tier of a disaggregated fleet.
+/// It used to be ignored there, so a 2p+2d fleet asked for floors of 2
+/// ran with tier floors of 1.
+TEST(FleetSimTest, MinReplicasFloorsEveryDisaggregatedTier) {
+  FleetConfig cfg = FleetConfig::homogeneous(base_config(), 4);
   cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
-               ReplicaRole::kDecode};
+               ReplicaRole::kDecode, ReplicaRole::kDecode};
   cfg.kv_link.bytes_per_cycle = 32.0;
   cfg.autoscale.enabled = true;
-  const FleetSim sim(cfg);
-  // Floor 1 and ceiling = pool, per tier in first-appearance order.
-  EXPECT_EQ(sim.config().autoscale.tier_min,
-            (std::vector<std::uint32_t>{1, 1}));
-  EXPECT_EQ(sim.config().autoscale.tier_max,
-            (std::vector<std::uint32_t>{2, 1}));
+  cfg.autoscale.min_replicas = 2;
+  cfg.autoscale.max_replicas = 4;
+  cfg.autoscale.eval_interval_ms = 2.0;
+  const FleetResult r = FleetSim(cfg).run();
+  ASSERT_EQ(r.tiers.size(), 2u);
+  for (const FleetResult::TierStats& tier : r.tiers) {
+    EXPECT_EQ(tier.min_live, 2u);
+    EXPECT_EQ(tier.peak_live, 2u);
+  }
+  EXPECT_TRUE(r.scale_events.empty());
 }
 
 /// Satellite regression: load_imbalance averages over routing-eligible

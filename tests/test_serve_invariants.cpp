@@ -83,10 +83,9 @@ struct MatrixPoint {
   /// Disaggregated prefill/decode roles (empty = symmetric fleet, no
   /// fabric). Size must equal `replicas`.
   std::vector<ReplicaRole> roles = {};
-  /// Per-tier autoscale bounds (disaggregated + autoscale points only;
-  /// empty = the per-tier defaults: floor 1, ceiling = tier pool).
+  /// Per-tier autoscale floors (disaggregated + autoscale points only;
+  /// empty = every tier floors at min_replicas).
   std::vector<std::uint32_t> tier_min = {};
-  std::vector<std::uint32_t> tier_max = {};
 };
 
 /// The matrix: every batch policy, both preempt policies, every balancer,
@@ -208,8 +207,7 @@ std::vector<MatrixPoint> matrix() {
                     .scale_policy = ScalePolicy::kHybrid,
                     .roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
                               ReplicaRole::kDecode},
-                    .tier_min = {1, 1},
-                    .tier_max = {2, 1}});
+                    .tier_min = {1, 1}});
   points.push_back({.name = "autoscale-hybrid-floor2",
                     .policy = BatchPolicy::kChunkedMixed,
                     .chunk_tokens = 24,
@@ -281,7 +279,6 @@ FleetConfig build_config(const MatrixPoint& p, std::uint64_t seed) {
     cfg.autoscale.min_replicas = p.min_replicas;
     cfg.autoscale.max_replicas = p.replicas;
     cfg.autoscale.tier_min = p.tier_min;
-    cfg.autoscale.tier_max = p.tier_max;
     cfg.autoscale.eval_interval_ms = 2.0;
     cfg.autoscale.ttft_window_ms = 10.0;
     cfg.autoscale.queue_high = 1.5;
@@ -357,7 +354,8 @@ void check_invariants(const FleetConfig& cfg, const FleetResult& r,
       live_floor = cfg.autoscale.min_replicas;
       live_ceiling = cfg.autoscale.max_replicas;
     } else if (cfg.autoscale.tier_min.empty()) {
-      live_floor = static_cast<std::uint32_t>(ntiers);  // default: 1 per tier
+      live_floor = static_cast<std::uint32_t>(ntiers) *
+                   cfg.autoscale.min_replicas;
     } else {
       live_floor = 0;
       for (const std::uint32_t m : cfg.autoscale.tier_min) live_floor += m;
@@ -473,7 +471,7 @@ void check_invariants(const FleetConfig& cfg, const FleetResult& r,
   } else {
     // Per-tier chains: each tier's from -> to transitions chain from its
     // own floor, step by one replica, and never leave [floor, tier pool].
-    std::vector<std::uint32_t> floors(ntiers, 1);
+    std::vector<std::uint32_t> floors(ntiers, cfg.autoscale.min_replicas);
     if (!cfg.autoscale.tier_min.empty()) {
       ASSERT_EQ(cfg.autoscale.tier_min.size(), ntiers);
       floors = cfg.autoscale.tier_min;
