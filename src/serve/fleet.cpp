@@ -766,9 +766,6 @@ FleetResult FleetSim::run(Observer* observer) const {
     everyone.push_back(r.get());
     indices.push_back(r->id);
   }
-  // Fleet first: its pooled samples are the largest buffers of the run, and
-  // allocating them before the short-lived per-replica copies keeps them
-  // out of a fragmented heap (peak RSS of wide fleets).
   result.fleet =
       detail::summarize(everyone, makespan, run.shared.peak_active);
   result.replicas.reserve(run.replicas.size());

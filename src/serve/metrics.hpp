@@ -1,7 +1,10 @@
 // Fleet-level serving metrics: what the load benches sweep and the tests
 // assert on. All latencies are reported in milliseconds of accelerator
-// wall-clock (cycles / frequency); percentiles use detail::cycle_summary_ms
-// (cycle-domain series) or util::percentile_summary (token latency).
+// wall-clock (cycles / frequency). The cycle-domain series (TTFT, e2e,
+// queue wait, inter-token gap) are held as exact util::ValueCounts stores
+// and summarized by detail::cycle_summary_ms; token latency goes through
+// util::percentile_summary. Both give the same bits a sort of every
+// per-sample millisecond value would.
 #pragma once
 
 #include <cstdint>

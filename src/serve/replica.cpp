@@ -797,7 +797,7 @@ sim::Task scheduler_proc(Replica& f) {
         if (r->emitted_token) {
           const sim::Cycles gap = now - r->last_token;
           r->max_token_gap = std::max(r->max_token_gap, gap);
-          f.gap_cycles.push_back(gap);
+          f.gap_cycles.add(gap);
         }
         r->emitted_token = true;
         r->last_token = now;
@@ -846,35 +846,10 @@ sim::Task scheduler_proc(Replica& f) {
   if (obs != nullptr) obs->mark_exit(f.id, f.engine.now());
 }
 
-util::PercentileSummary cycle_summary_ms(std::vector<sim::Cycles> cycles,
+util::PercentileSummary cycle_summary_ms(const util::ValueCounts& cycles,
                                          const core::ArchConfig& arch) {
-  util::PercentileSummary s;
-  if (cycles.empty()) return s;
-  util::radix_sort(cycles);
-  // cycles_to_ms multiplies by a positive constant — monotone, so the
-  // converted values come out ascending-sorted and every accumulation
-  // below sees exactly the sequence percentile_summary would have built:
-  // the mean sums the converted samples in ascending order, and each
-  // percentile interpolates between the two converted neighbors. No
-  // intermediate double vector is materialized (for the inter-token gap
-  // series that vector would be millions of elements).
-  double sum = 0.0;
-  for (sim::Cycles c : cycles) sum += arch.cycles_to_ms(c);
-  s.count = cycles.size();
-  s.mean = sum / static_cast<double>(cycles.size());
-  const auto interp = [&](double p) {
-    const double rank =
-        (p / 100.0) * static_cast<double>(cycles.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, cycles.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return arch.cycles_to_ms(cycles[lo]) * (1.0 - frac) +
-           arch.cycles_to_ms(cycles[hi]) * frac;
-  };
-  s.p50 = interp(50.0);
-  s.p95 = interp(95.0);
-  s.p99 = interp(99.0);
-  return s;
+  return cycles.summary(
+      [&arch](std::uint64_t c) { return arch.cycles_to_ms(c); });
 }
 
 void teardown(Replica& f) {
@@ -891,6 +866,7 @@ void teardown(Replica& f) {
     // forgot to release" — pinned at 0.
     f.cache->drain();
   }
+  f.gap_cycles.compact();
 }
 
 FleetMetrics summarize(const std::vector<const Replica*>& group,
@@ -899,7 +875,7 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
   const core::ArchConfig& arch = front.cfg.arch;
   FleetMetrics m;
   std::vector<double> token;
-  std::vector<sim::Cycles> ttft, e2e, queue_wait, gap;
+  util::ValueCounts ttft, e2e, queue_wait, gap;
   sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
   double batch_members = 0;
   for (const Replica* r : group) {
@@ -920,9 +896,9 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
       rec.migrated = e.migrated;
       rec.stolen = e.stolen;
       if (!e.rejected) {
-        ttft.push_back(e.first_token - e.arrival);
-        e2e.push_back(e.completed - e.arrival);
-        queue_wait.push_back(e.admitted - e.arrival);
+        ttft.add(e.first_token - e.arrival);
+        e2e.add(e.completed - e.arrival);
+        queue_wait.add(e.admitted - e.arrival);
         rec.queue_wait_ms = r->ms(e.admitted - e.arrival);
         rec.ttft_ms = r->ms(e.first_token - e.arrival);
         rec.e2e_ms = r->ms(e.completed - e.arrival);
@@ -942,7 +918,7 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
       }
       if (r->cfg.keep_request_records) m.requests.push_back(rec);
     }
-    gap.insert(gap.end(), r->gap_cycles.begin(), r->gap_cycles.end());
+    gap.merge(r->gap_cycles);
     busy += r->busy_cycles;
     decode_stall += r->decode_stall_cycles;
     recompute += r->recompute_cycles;
@@ -1014,11 +990,14 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
         static_cast<double>(busy) /
         (static_cast<double>(makespan) * static_cast<double>(group.size()));
   }
-  m.ttft_ms = cycle_summary_ms(std::move(ttft), arch);
+  ttft.compact();
+  e2e.compact();
+  queue_wait.compact();
+  m.ttft_ms = cycle_summary_ms(ttft, arch);
   m.token_ms = util::percentile_summary(std::move(token));
-  m.e2e_ms = cycle_summary_ms(std::move(e2e), arch);
-  m.queue_wait_ms = cycle_summary_ms(std::move(queue_wait), arch);
-  m.inter_token_gap_ms = cycle_summary_ms(std::move(gap), arch);
+  m.e2e_ms = cycle_summary_ms(e2e, arch);
+  m.queue_wait_ms = cycle_summary_ms(queue_wait, arch);
+  m.inter_token_gap_ms = cycle_summary_ms(gap, arch);
   if (m.iterations > 0) {
     m.mean_batch_size = batch_members / static_cast<double>(m.iterations);
   }

@@ -248,10 +248,12 @@ struct Replica {
   std::uint64_t cache_blocks_at_end = 0;  // resident when teardown() drained
 
   /// Gaps between consecutive host-visible tokens in raw cycles, pooled
-  /// replica-wide (one sample per decode-class token, the largest
-  /// population by far). The only latency series not derivable from the
-  /// retirement log; summarized through cycle_summary_ms.
-  std::vector<sim::Cycles> gap_cycles;
+  /// replica-wide: one sample per decode-class token, the largest
+  /// population by far, held as exact (cycles, count) runs so memory
+  /// follows the distinct gaps, not the tokens. The only latency series
+  /// not derivable from the retirement log; teardown() compacts it and
+  /// summarize() merges and reads it through cycle_summary_ms.
+  util::ValueCounts gap_cycles;
 
   /// Requests routed here and not yet finished or rejected — the "queued +
   /// running" load the join-shortest-queue balancer compares. Counted from
@@ -313,26 +315,27 @@ void enqueue_request_event(void* replica, void* request);
 
 /// End-of-run step for one replica, after engine.run() returned and before
 /// any summarize() reads it: hands the KV gauges to the observer, records
-/// the resident cache blocks and drains the prefix cache.
+/// the resident cache blocks, drains the prefix cache and compacts the
+/// inter-token gap store.
 void teardown(Replica& f);
 
 /// Builds the FleetMetrics of any group of torn-down replicas — one replica
 /// or the whole fleet, by the same rules: counters and tokens sum, latency
-/// samples pool (all but the inter-token gaps are read off each member's
-/// `finished` log), rates divide by the shared makespan, `peak_queue_depth`
-/// and `kv_peak_occupancy` take the worst replica, and `peak_in_flight` is
-/// the group's concurrent peak, which only the caller knows. Echo fields
-/// (`slo`, `preempt`, `kv_block_tokens`) come from the first replica.
+/// samples pool (the inter-token gaps by merging each member's store, the
+/// rest read off each member's `finished` log), rates divide by the shared
+/// makespan, `peak_queue_depth` and `kv_peak_occupancy` take the worst
+/// replica, and `peak_in_flight` is the group's concurrent peak, which only
+/// the caller knows. Echo fields (`slo`, `preempt`, `kv_block_tokens`) come
+/// from the first replica.
 FleetMetrics summarize(const std::vector<const Replica*>& group,
                        sim::Cycles makespan, std::uint32_t peak_in_flight);
 
-/// Percentile summary of integer cycle-domain latency samples, reported in
-/// milliseconds. Radix-sorts the cycles and converts ascending: cycles_to_ms
-/// is a monotone non-decreasing map, so the converted sequence is exactly
-/// the ascending-sorted ms sequence and the mean/percentile arithmetic
-/// reproduces util::percentile_summary over the per-sample ms values bit
-/// for bit — at O(n) instead of a comparison sort over millions of doubles.
-util::PercentileSummary cycle_summary_ms(std::vector<sim::Cycles> cycles,
+/// Percentile summary of a compacted store of cycle-domain latency
+/// samples, reported in milliseconds. cycles_to_ms is monotone
+/// non-decreasing, so ValueCounts::summary reproduces
+/// util::percentile_summary over the per-sample ms values bit for bit
+/// without ever materializing them.
+util::PercentileSummary cycle_summary_ms(const util::ValueCounts& cycles,
                                          const core::ArchConfig& arch);
 
 }  // namespace looplynx::serve::detail

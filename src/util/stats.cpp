@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 namespace looplynx::util {
 
@@ -77,24 +78,92 @@ void radix_sort(std::vector<std::uint64_t>& keys) {
   }
   std::uint64_t max_key = 0;
   for (std::uint64_t k : keys) max_key = std::max(max_key, k);
+  // A 64Ki-entry table costs more to clear and scan than a few thousand
+  // keys, so smaller inputs take more passes over a 256-entry table.
+  const unsigned bits = keys.size() < (1u << 16) ? 8 : 16;
+  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
   std::vector<std::uint64_t> buf(keys.size());
-  std::vector<std::size_t> count(1u << 16);
+  std::vector<std::size_t> count(std::size_t{1} << bits);
   std::vector<std::uint64_t>* src = &keys;
   std::vector<std::uint64_t>* dst = &buf;
   for (unsigned shift = 0; shift < 64 && (max_key >> shift) != 0;
-       shift += 16) {
+       shift += bits) {
     std::fill(count.begin(), count.end(), 0);
-    for (std::uint64_t k : *src) ++count[(k >> shift) & 0xffff];
+    for (std::uint64_t k : *src) ++count[(k >> shift) & mask];
     std::size_t total = 0;
     for (std::size_t& c : count) {
       const std::size_t n = c;
       c = total;
       total += n;
     }
-    for (std::uint64_t k : *src) (*dst)[count[(k >> shift) & 0xffff]++] = k;
+    for (std::uint64_t k : *src) (*dst)[count[(k >> shift) & mask]++] = k;
     std::swap(src, dst);
   }
   if (src != &keys) keys.swap(buf);
+}
+
+template <class Item>
+void ValueCounts::merge_ascending(std::size_t n, std::size_t distinct,
+                                  Item item) {
+  // Backward merge in place: grow by the new distinct values, fill from
+  // the back and fold each value equal to the entry written last into it.
+  // The write cursor never passes the unread prefix runs_[0, i), which
+  // stays where it is; the slack between it and the merged tail (one slot
+  // per incoming value the runs already held) is erased at the end.
+  const std::size_t end = runs_.size() + distinct;
+  std::size_t i = runs_.size();
+  std::size_t k = end;
+  runs_.resize(end);
+  for (std::size_t j = n; j > 0;) {
+    const Run next = i > 0 && runs_[i - 1].value >= item(j - 1).value
+                         ? runs_[--i]
+                         : item(--j);
+    if (k < end && runs_[k].value == next.value) {
+      runs_[k].count += next.count;
+    } else {
+      runs_[--k] = next;
+    }
+  }
+  runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(i),
+              runs_.begin() + static_cast<std::ptrdiff_t>(k));
+}
+
+void ValueCounts::flush() {
+  radix_sort(pending_);
+  std::size_t distinct = 0;
+  for (std::size_t j = 0; j < pending_.size(); ++j) {
+    if (j == 0 || pending_[j] != pending_[j - 1]) ++distinct;
+  }
+  merge_ascending(pending_.size(), distinct,
+                  [&](std::size_t j) { return Run{pending_[j], 1}; });
+  count_ += pending_.size();
+  pending_.clear();
+}
+
+void ValueCounts::compact() {
+  if (!pending_.empty()) flush();
+  std::vector<std::uint64_t>().swap(pending_);
+}
+
+void ValueCounts::merge(const ValueCounts& other) {
+  other.require_compacted();
+  merge_ascending(other.runs_.size(), other.runs_.size(),
+                  [&](std::size_t j) { return other.runs_[j]; });
+  count_ += other.count_;
+}
+
+void ValueCounts::require_compacted() const {
+  if (!pending_.empty()) {
+    throw std::logic_error("ValueCounts: read before compact()");
+  }
+}
+
+std::uint64_t ValueCounts::value_at(std::size_t rank) const {
+  for (const Run& r : runs_) {
+    if (rank < r.count) return r.value;
+    rank -= r.count;
+  }
+  throw std::logic_error("ValueCounts: rank past the last sample");
 }
 
 void SlidingWindow::push(double at, double value) {

@@ -1,6 +1,7 @@
 // Small statistics helpers shared by benchmarks and reports.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -33,11 +34,93 @@ struct PercentileSummary {
 
 PercentileSummary percentile_summary(std::vector<double> values);
 
-/// In-place ascending LSD radix sort (16-bit digits, high passes skipped
-/// once the maximum key is exhausted). The serve layer's million-sample
-/// cycle-domain latency vectors sort here in O(n) instead of O(n log n);
-/// small inputs fall back to std::sort.
+/// In-place ascending LSD radix sort (high passes skipped once the maximum
+/// key is exhausted). Inputs below 64Ki keys use 8-bit digits, larger
+/// ones 16-bit digits, so the counting table never outweighs the keys;
+/// inputs below 4096 keys fall back to std::sort.
 void radix_sort(std::vector<std::uint64_t>& keys);
+
+/// Exact multiset of integer samples held as ascending (value, count)
+/// runs, so memory grows with the number of distinct values rather than
+/// with the number of samples. add() appends to a pending buffer; once
+/// the buffer holds max(4096, runs held) samples it is radix-sorted and
+/// merged into the runs. Every flush therefore moves at least as many new
+/// samples as old runs, and a sample costs amortized O(1) however many
+/// distinct values accumulate. compact() merges what is left; merge() and
+/// summary() read only a compacted store. Construction allocates nothing.
+class ValueCounts {
+ public:
+  struct Run {
+    std::uint64_t value = 0;
+    std::size_t count = 0;
+  };
+
+  void add(std::uint64_t value) {
+    pending_.push_back(value);
+    if (pending_.size() >= std::max(kMinFlush, runs_.size())) flush();
+  }
+
+  /// Merges the pending buffer into the runs and releases it.
+  void compact();
+
+  /// Adds every sample of `other` (compacted) by merging its runs.
+  void merge(const ValueCounts& other);
+
+  /// Entries held: runs plus pending samples.
+  std::size_t held() const { return runs_.size() + pending_.size(); }
+  const std::vector<Run>& runs() const { return runs_; }
+
+  /// The percentile summary of the samples mapped through the monotone
+  /// non-decreasing `convert`, bit-identical to percentile_summary over
+  /// the converted samples: the mean adds one converted sample at a time
+  /// in ascending order, the same additions mean() makes over the sorted
+  /// vector, and each percentile interpolates between the converted
+  /// samples at the same ranks.
+  template <class Convert>
+  PercentileSummary summary(Convert convert) const;
+
+ private:
+  static constexpr std::size_t kMinFlush = 4096;
+
+  void flush();
+  void require_compacted() const;
+  /// The sample at ascending rank `rank` (< count()).
+  std::uint64_t value_at(std::size_t rank) const;
+  /// Merges `n` ascending items, `item(j)` for j in [0, n), holding at
+  /// most `distinct` distinct values, into runs_ in place.
+  template <class Item>
+  void merge_ascending(std::size_t n, std::size_t distinct, Item item);
+
+  std::vector<Run> runs_;
+  std::vector<std::uint64_t> pending_;
+  std::size_t count_ = 0;  // samples in runs_
+};
+
+template <class Convert>
+PercentileSummary ValueCounts::summary(Convert convert) const {
+  require_compacted();
+  PercentileSummary s;
+  if (count_ == 0) return s;
+  double sum = 0.0;
+  for (const Run& r : runs_) {
+    const double x = convert(r.value);
+    for (std::size_t k = 0; k < r.count; ++k) sum += x;
+  }
+  s.count = count_;
+  s.mean = sum / static_cast<double>(count_);
+  const auto interp = [&](double p) {
+    const double rank = (p / 100.0) * static_cast<double>(count_ - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const auto hi = std::min(lo + 1, count_ - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return convert(value_at(lo)) * (1.0 - frac) +
+           convert(value_at(hi)) * frac;
+  };
+  s.p50 = interp(50.0);
+  s.p95 = interp(95.0);
+  s.p99 = interp(99.0);
+  return s;
+}
 
 /// Ascending sort of doubles, radix-accelerated when every value is
 /// finite and non-negative with a clear sign bit (IEEE-754 orders such

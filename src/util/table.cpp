@@ -88,26 +88,6 @@ void Table::render(std::ostream& os) const {
   render_rule(os, widths, '+', '+', '+');
 }
 
-void Table::render_markdown(std::ostream& os) const {
-  if (!title_.empty()) os << "### " << title_ << "\n\n";
-  os << '|';
-  for (const std::string& h : header_) os << ' ' << h << " |";
-  os << "\n|";
-  for (std::size_t c = 0; c < header_.size(); ++c) {
-    os << (column_align(c) == Align::kRight ? " ---: |" : " --- |");
-  }
-  os << '\n';
-  for (const Row& row : rows_) {
-    if (row.separator) continue;
-    os << '|';
-    for (std::size_t c = 0; c < header_.size(); ++c) {
-      os << ' ' << (c < row.cells.size() ? row.cells[c] : std::string())
-         << " |";
-    }
-    os << '\n';
-  }
-}
-
 std::string Table::to_string() const {
   std::ostringstream os;
   render(os);

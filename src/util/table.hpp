@@ -1,4 +1,4 @@
-// ASCII / markdown table rendering used by every benchmark harness to print
+// ASCII table rendering used by every benchmark harness to print
 // the rows of the paper's tables and figures.
 #pragma once
 
@@ -14,9 +14,8 @@ enum class Align { kLeft, kRight };
 
 /// A simple string-cell table with a title, one header row and N data rows.
 ///
-/// Cells are stored as strings; helpers format numeric values. The table can
-/// be rendered as aligned ASCII (for terminals) or GitHub markdown (for
-/// pasting into the docs).
+/// Cells are stored as strings; helpers format numeric values. The table
+/// renders as aligned ASCII for terminals.
 class Table {
  public:
   explicit Table(std::string title = "");
@@ -39,9 +38,6 @@ class Table {
 
   /// Renders the table with box-drawing borders.
   void render(std::ostream& os) const;
-
-  /// Renders as GitHub-flavored markdown.
-  void render_markdown(std::ostream& os) const;
 
   /// Convenience: render() into a string.
   std::string to_string() const;

@@ -28,9 +28,14 @@
 //    every migrated request finishes on a decode-role replica, and the
 //    per-replica cycle tiling (now including kv-migrate) still equals the
 //    makespan under observation.
+//  - Inter-token gaps: the fleet's gap summary equals the one rebuilt from
+//    the observer's token-emission stamps, and every record's worst gap is
+//    its largest rebuilt gap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -665,6 +670,73 @@ TEST(ServeInvariants, DisaggTilingHoldsAndObservationIsNeutral) {
     EXPECT_EQ(observed.fabric_bytes, plain.fabric_bytes);
     EXPECT_DOUBLE_EQ(observed.fleet.duration_s, plain.fleet.duration_s);
   }
+}
+
+/// Independent oracle for the inter-token gap series: every request's
+/// gaps are rebuilt from the Observer's emission stamps (kFirstToken and
+/// kDecode, one per host-visible token) as the differences between
+/// consecutive emissions, pooled, sorted and summarized the way
+/// util::percentile_summary would summarize their millisecond values. The
+/// fleet's `inter_token_gap_ms`, built by an entirely different road
+/// (per-replica value->count stores, compacted and merged), must equal it
+/// bit for bit, and every record's `max_token_gap_ms` must be the
+/// request's largest rebuilt gap.
+TEST(ServeInvariants, InterTokenGapsMatchObservedEmissions) {
+  std::size_t gaps_checked = 0;
+  for (const MatrixPoint& p : matrix()) {
+    for (const std::uint64_t seed : {1ull, 7ull, 13ull}) {
+      SCOPED_TRACE(p.name + " seed " + std::to_string(seed));
+      const FleetConfig cfg = build_config(p, seed);
+      const core::ArchConfig& arch = cfg.replicas.front().arch;
+      Observer obs(cfg.replicas.size(), arch.frequency_hz);
+      const FleetResult r = FleetSim(cfg).run(&obs);
+
+      std::map<std::uint32_t, sim::Cycles> last_emission, max_gap;
+      std::vector<sim::Cycles> gaps;
+      for (const ObservedEvent& e : obs.events()) {
+        if (e.kind != LifecycleEvent::kFirstToken &&
+            e.kind != LifecycleEvent::kDecode) {
+          continue;
+        }
+        const auto last = last_emission.find(e.request);
+        if (last != last_emission.end()) {
+          const sim::Cycles gap = e.at - last->second;
+          gaps.push_back(gap);
+          max_gap[e.request] = std::max(max_gap[e.request], gap);
+        }
+        last_emission[e.request] = e.at;
+      }
+      gaps_checked += gaps.size();
+
+      std::sort(gaps.begin(), gaps.end());
+      const util::PercentileSummary& got = r.fleet.inter_token_gap_ms;
+      ASSERT_EQ(got.count, gaps.size());
+      if (!gaps.empty()) {
+        double sum = 0.0;
+        for (sim::Cycles g : gaps) sum += arch.cycles_to_ms(g);
+        EXPECT_EQ(got.mean, sum / static_cast<double>(gaps.size()));
+        for (const auto& [pct, value] :
+             {std::pair{50.0, got.p50}, std::pair{95.0, got.p95},
+              std::pair{99.0, got.p99}}) {
+          const double rank =
+              (pct / 100.0) * static_cast<double>(gaps.size() - 1);
+          const auto lo = static_cast<std::size_t>(rank);
+          const auto hi = std::min(lo + 1, gaps.size() - 1);
+          const double frac = rank - static_cast<double>(lo);
+          EXPECT_EQ(value, arch.cycles_to_ms(gaps[lo]) * (1.0 - frac) +
+                               arch.cycles_to_ms(gaps[hi]) * frac)
+              << "p" << pct;
+        }
+      }
+      for (const RequestRecord& rec : r.fleet.requests) {
+        const auto g = max_gap.find(rec.id);
+        EXPECT_EQ(rec.max_token_gap_ms,
+                  arch.cycles_to_ms(g == max_gap.end() ? 0 : g->second))
+            << "request " << rec.id;
+      }
+    }
+  }
+  EXPECT_GT(gaps_checked, 0u);
 }
 
 /// And the autoscaled points must actually scale for at least one seed —

@@ -1,9 +1,12 @@
 // Tests for util: tables, stats, rng, cli, units, csv.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -25,15 +28,6 @@ TEST(TableTest, RendersAlignedAscii) {
   EXPECT_NE(s.find("| Arch     |"), std::string::npos);
   EXPECT_NE(s.find("| LoopLynx |"), std::string::npos);
   EXPECT_NE(s.find("|    2.55 |"), std::string::npos);  // right aligned
-}
-
-TEST(TableTest, MarkdownOutputHasAlignmentRow) {
-  Table t;
-  t.set_header({"a", "b"});
-  t.add_row({"x", "1"});
-  std::ostringstream os;
-  t.render_markdown(os);
-  EXPECT_NE(os.str().find("| --- | ---: |"), std::string::npos);
 }
 
 TEST(TableTest, ShortRowsArePadded) {
@@ -104,6 +98,149 @@ TEST(StatsTest, PercentileSummarySingleElementIsThatElement) {
   EXPECT_DOUBLE_EQ(s.p50, 7.5);
   EXPECT_DOUBLE_EQ(s.p95, 7.5);
   EXPECT_DOUBLE_EQ(s.p99, 7.5);
+}
+
+TEST(StatsTest, RadixSortMatchesStdSort) {
+  // Sizes that take std::sort, 8-bit digits and 16-bit digits, with keys
+  // past 2^32 so the high digits run too.
+  Rng rng(11);
+  for (const std::size_t n : {100u, 5000u, 70000u}) {
+    std::vector<std::uint64_t> keys(n);
+    for (std::uint64_t& k : keys) k = rng.next_u64() >> (rng.next_below(64));
+    std::vector<std::uint64_t> expected = keys;
+    std::sort(expected.begin(), expected.end());
+    radix_sort(keys);
+    EXPECT_EQ(keys, expected) << n;
+  }
+}
+
+/// Cycles to milliseconds at 200 MHz, the shape of
+/// core::ArchConfig::cycles_to_ms.
+double to_ms(std::uint64_t c) { return static_cast<double>(c) / 200e6 * 1e3; }
+
+/// The summary ValueCounts replaces: sort every sample, sum the converted
+/// samples in ascending order, interpolate between converted neighbors.
+PercentileSummary reference_summary(std::vector<std::uint64_t> samples) {
+  PercentileSummary s;
+  if (samples.empty()) return s;
+  std::sort(samples.begin(), samples.end());
+  double sum = 0.0;
+  for (std::uint64_t c : samples) sum += to_ms(c);
+  s.count = samples.size();
+  s.mean = sum / static_cast<double>(samples.size());
+  const auto interp = [&](double p) {
+    const double rank = (p / 100.0) * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const auto hi = std::min(lo + 1, samples.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return to_ms(samples[lo]) * (1.0 - frac) + to_ms(samples[hi]) * frac;
+  };
+  s.p50 = interp(50.0);
+  s.p95 = interp(95.0);
+  s.p99 = interp(99.0);
+  return s;
+}
+
+void expect_same_summary(const PercentileSummary& got,
+                         const PercentileSummary& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+}
+
+PercentileSummary store_summary(const std::vector<std::uint64_t>& samples) {
+  ValueCounts store;
+  for (std::uint64_t c : samples) store.add(c);
+  store.compact();
+  return store.summary(to_ms);
+}
+
+TEST(ValueCountsTest, EmptyOneSampleAndTiesMatchReference) {
+  for (const std::vector<std::uint64_t>& samples :
+       {std::vector<std::uint64_t>{}, std::vector<std::uint64_t>{12345},
+        std::vector<std::uint64_t>(20000, 777)}) {
+    SCOPED_TRACE(samples.size());
+    expect_same_summary(store_summary(samples), reference_summary(samples));
+  }
+}
+
+TEST(ValueCountsTest, ManyCompactionsAndGrowingDistinctMatchReference) {
+  // Each draw comes from a range that widens with the stream, so the
+  // distinct count passes the 4096-sample buffer and the flush threshold
+  // follows the runs held.
+  Rng rng(3);
+  ValueCounts store;
+  std::vector<std::uint64_t> samples;
+  std::size_t rounds = 0;
+  for (std::uint64_t i = 0; i < 200000; ++i) {
+    const std::uint64_t c = 1000 + rng.next_below(1 + i / 8);
+    samples.push_back(c);
+    store.add(c);
+    if (store.held() == store.runs().size()) ++rounds;  // just flushed
+  }
+  EXPECT_GT(rounds, 10u);
+  EXPECT_GT(store.runs().size(), 4096u);
+  store.compact();
+  expect_same_summary(store.summary(to_ms), reference_summary(samples));
+}
+
+TEST(ValueCountsTest, ValuesPastTwoToTheThirtyTwoMatchReference) {
+  Rng rng(5);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 50000; ++i) {
+    samples.push_back((std::uint64_t{1} << 40) + rng.next_below(3000) *
+                                                     (std::uint64_t{1} << 20));
+  }
+  samples.push_back(std::uint64_t{1} << 62);
+  expect_same_summary(store_summary(samples), reference_summary(samples));
+}
+
+TEST(ValueCountsTest, MergedPartsEqualTheWhole) {
+  Rng rng(9);
+  std::vector<std::uint64_t> samples;
+  for (int i = 0; i < 30000; ++i) samples.push_back(rng.next_below(5000));
+  ValueCounts whole, merged;
+  ValueCounts parts[3];
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    whole.add(samples[i]);
+    parts[i * 3 / samples.size()].add(samples[i]);
+  }
+  whole.compact();
+  for (ValueCounts& part : parts) {
+    part.compact();
+    merged.merge(part);
+  }
+  ASSERT_EQ(merged.runs().size(), whole.runs().size());
+  for (std::size_t i = 0; i < whole.runs().size(); ++i) {
+    EXPECT_EQ(merged.runs()[i].value, whole.runs()[i].value);
+    EXPECT_EQ(merged.runs()[i].count, whole.runs()[i].count);
+  }
+  expect_same_summary(merged.summary(to_ms), whole.summary(to_ms));
+  expect_same_summary(merged.summary(to_ms), reference_summary(samples));
+}
+
+TEST(ValueCountsTest, MemoryFollowsDistinctValues) {
+  Rng rng(13);
+  ValueCounts store;
+  std::size_t most_held = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    store.add(50000 + 37 * rng.next_below(100));
+    most_held = std::max(most_held, store.held());
+  }
+  EXPECT_LE(most_held, 4096u + 100u);
+  store.compact();
+  EXPECT_EQ(store.runs().size(), 100u);
+  EXPECT_EQ(store.summary(to_ms).count, 1000000u);
+}
+
+TEST(ValueCountsTest, ReadingAnUncompactedStoreThrows) {
+  ValueCounts store;
+  store.add(1);
+  EXPECT_THROW(store.summary(to_ms), std::logic_error);
+  ValueCounts other;
+  EXPECT_THROW(other.merge(store), std::logic_error);
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

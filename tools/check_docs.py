@@ -17,7 +17,9 @@ Three checks, run by CI's `docs` job (and runnable locally):
    fenced ```sh blocks is re-run and must exit 0, so quoted commands
    cannot drift from the current CLI. serve_load invocations get
    `--requests=16` appended (the Cli parser's last-one-wins rule) to keep
-   the smoke fast without weakening the flag parsing under test.
+   the smoke fast without weakening the flag parsing under test. Output
+   paths under `/tmp/` are rewritten into `<build-dir>/docs-snippets/`,
+   so the smoke leaves nothing outside its build directory.
 
 Usage: tools/check_docs.py [--build-dir build] [--skip-run]
 """
@@ -115,8 +117,11 @@ def check_snippets(build_dir):
     if not commands:
         return ["snippet smoke: README.md quotes no ./build/ commands "
                 "(extraction broke?)"]
+    scratch = os.path.join(build_dir, "docs-snippets")
+    os.makedirs(scratch, exist_ok=True)
     for command in commands:
-        args = shlex.split(command)
+        args = [arg.replace("/tmp/", scratch + os.sep)
+                for arg in shlex.split(command)]
         args[0] = os.path.join(build_dir, os.path.relpath(args[0], "./build"))
         if os.path.basename(args[0]) == "serve_load":
             args.append("--requests=16")
