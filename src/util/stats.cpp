@@ -78,25 +78,22 @@ void radix_sort(std::vector<std::uint64_t>& keys) {
   }
   std::uint64_t max_key = 0;
   for (std::uint64_t k : keys) max_key = std::max(max_key, k);
-  // A 64Ki-entry table costs more to clear and scan than a few thousand
-  // keys, so smaller inputs take more passes over a 256-entry table.
-  const unsigned bits = keys.size() < (1u << 16) ? 8 : 16;
-  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+  // 8-bit digits: a 256-entry table stays in L1 and is cheap to clear.
   std::vector<std::uint64_t> buf(keys.size());
-  std::vector<std::size_t> count(std::size_t{1} << bits);
+  std::vector<std::size_t> count(256);
   std::vector<std::uint64_t>* src = &keys;
   std::vector<std::uint64_t>* dst = &buf;
   for (unsigned shift = 0; shift < 64 && (max_key >> shift) != 0;
-       shift += bits) {
+       shift += 8) {
     std::fill(count.begin(), count.end(), 0);
-    for (std::uint64_t k : *src) ++count[(k >> shift) & mask];
+    for (std::uint64_t k : *src) ++count[(k >> shift) & 0xff];
     std::size_t total = 0;
     for (std::size_t& c : count) {
       const std::size_t n = c;
       c = total;
       total += n;
     }
-    for (std::uint64_t k : *src) (*dst)[count[(k >> shift) & mask]++] = k;
+    for (std::uint64_t k : *src) (*dst)[count[(k >> shift) & 0xff]++] = k;
     std::swap(src, dst);
   }
   if (src != &keys) keys.swap(buf);

@@ -35,9 +35,8 @@ struct PercentileSummary {
 PercentileSummary percentile_summary(std::vector<double> values);
 
 /// In-place ascending LSD radix sort (high passes skipped once the maximum
-/// key is exhausted). Inputs below 64Ki keys use 8-bit digits, larger
-/// ones 16-bit digits, so the counting table never outweighs the keys;
-/// inputs below 4096 keys fall back to std::sort.
+/// key is exhausted) over 8-bit digits; inputs below 4096 keys fall back
+/// to std::sort.
 void radix_sort(std::vector<std::uint64_t>& keys);
 
 /// Exact multiset of integer samples held as ascending (value, count)

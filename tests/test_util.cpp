@@ -101,8 +101,8 @@ TEST(StatsTest, PercentileSummarySingleElementIsThatElement) {
 }
 
 TEST(StatsTest, RadixSortMatchesStdSort) {
-  // Sizes that take std::sort, 8-bit digits and 16-bit digits, with keys
-  // past 2^32 so the high digits run too.
+  // Sizes on both sides of the std::sort cut-over and one past 64Ki keys,
+  // with keys past 2^32 so the high digits run too.
   Rng rng(11);
   for (const std::size_t n : {100u, 5000u, 70000u}) {
     std::vector<std::uint64_t> keys(n);
