@@ -491,17 +491,20 @@ struct FleetRun {
 };
 
 /// Open-loop injector: replays the pre-generated arrival schedule,
-/// routing each arrival the moment it lands.
+/// routing each arrival the moment it lands. Before each sleep it
+/// publishes the cycle it sleeps to as the fleet's arrival horizon.
 sim::Task arrivals_proc(FleetRun& run) {
   const std::vector<Arrival> schedule = run.traffic.open_loop_schedule();
   for (const Arrival& a : schedule) {
     if (a.at > run.engine.now()) {
+      run.shared.next_arrival = a.at;
       co_await run.engine.delay(a.at - run.engine.now());
     }
     detail::Replica& rep = run.route();
     Request& r = rep.make_request(a.shape);
     run.engine.schedule_call(0, &detail::enqueue_request_event, &rep, &r);
   }
+  run.shared.next_arrival = detail::FleetShared::kNoArrival;
 }
 
 /// Closed-loop client: submit (routed fresh each iteration, so a client's
@@ -766,12 +769,12 @@ FleetResult FleetSim::run(Observer* observer) const {
     everyone.push_back(r.get());
     indices.push_back(r->id);
   }
-  result.fleet =
-      detail::summarize(everyone, makespan, run.shared.peak_active);
+  result.fleet = detail::summarize(everyone, makespan,
+                                   run.shared.peak_active, /*records=*/true);
   result.replicas.reserve(run.replicas.size());
   for (const auto& r : run.replicas) {
-    result.replicas.push_back(
-        detail::summarize({r.get()}, makespan, r->peak_active));
+    result.replicas.push_back(detail::summarize(
+        {r.get()}, makespan, r->peak_active, /*records=*/false));
   }
 
   result.disaggregated = config_.disaggregated();

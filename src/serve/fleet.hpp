@@ -179,20 +179,22 @@ struct FleetConfig {
 struct FleetResult {
   /// Per-replica metrics, in replica order. `offered` is the requests
   /// routed to that replica; latency percentiles are over its own
-  /// completions.
+  /// completions. `requests` stays empty here: the records live on
+  /// `fleet` only, each carrying its `replica`.
   std::vector<FleetMetrics> replicas;
 
   /// Fleet-level rollup, built by the same summary as each entry of
-  /// `replicas` — so a 1-replica fleet's rollup IS replicas[0]. Counters,
-  /// tokens, KV capacity and cache/preemption counters sum across replicas;
-  /// rates use the shared makespan; latency percentiles pool every
-  /// replica's per-request samples; `peak_in_flight` is the true
-  /// fleet-wide concurrent peak; `busy_fraction` is summed busy cycles over
-  /// makespan x replicas; `peak_queue_depth` and `kv_peak_occupancy` report
-  /// the worst single replica. `slo`/`preempt`/`kv_block_tokens` echo
-  /// replica 0 (display only — replicas may differ). `requests` pools every
-  /// replica's records sorted by id (== fleet-wide injection order), each
-  /// carrying its `replica` index.
+  /// `replicas` — so a 1-replica fleet's rollup IS replicas[0], records
+  /// apart. Counters, tokens, KV capacity and cache/preemption counters
+  /// sum across replicas; rates use the shared makespan; latency
+  /// percentiles pool every replica's per-request samples;
+  /// `peak_in_flight` is the true fleet-wide concurrent peak;
+  /// `busy_fraction` is summed busy cycles over makespan x replicas;
+  /// `peak_queue_depth` and `kv_peak_occupancy` report the worst single
+  /// replica. `slo`/`preempt`/`kv_block_tokens` echo replica 0 (display
+  /// only — replicas may differ). `requests` (when keep_request_records
+  /// is set) holds every replica's records sorted by id (== fleet-wide
+  /// injection order), each carrying its `replica` index.
   FleetMetrics fleet;
 
   /// Arrivals the balancer routed to each replica (sums to fleet.offered).

@@ -59,11 +59,15 @@ struct RequestRecord {
   /// Worst gap between consecutive host-visible tokens of this request —
   /// the jitter a long prompt landing mid-stream inflicts on a decode.
   double max_token_gap_ms = 0;
+
+  bool operator==(const RequestRecord&) const = default;
 };
 
 struct SloConfig {
   double ttft_ms = 500.0;   // time to first token
   double token_ms = 100.0;  // mean per-decode-token latency
+
+  bool operator==(const SloConfig&) const = default;
 };
 
 struct FleetMetrics {
@@ -194,6 +198,10 @@ struct FleetMetrics {
 
   /// Two-column summary table for examples and reports.
   util::Table to_table(const std::string& title) const;
+
+  /// Field-for-field equality, the request records included (doubles
+  /// compare with ==) — what "two runs agree" means in the tests.
+  bool operator==(const FleetMetrics&) const = default;
 };
 
 }  // namespace looplynx::serve

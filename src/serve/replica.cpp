@@ -454,6 +454,83 @@ void maybe_steal(Replica& f) {
   f.engine.spawn(steal_proc(f, *victim, *r));
 }
 
+/// Books the selected batch's decode-only iterations inline, starting now,
+/// and returns the start of the first iteration it did not book: the one
+/// that closes the run (now when it booked none). Each booked iteration
+/// does what the ordinary path does for a decode-only batch — KV growth
+/// (paged), the step price, `decoded`, the inter-token gap stamped at its
+/// egress, `busy_cycles` and the iteration record — in the same order.
+///
+/// Eligibility. Only arrivals reach a replica that has no observer, no
+/// autoscaler, no prefix cache and no disaggregation peers; the observer
+/// records every iteration at its own instant, and the other three read
+/// or write replica state between arrivals. On such a replica, with the
+/// queue empty, nothing routed here still on its way to the queue (an
+/// arrival enqueues through a zero-delay callback after it is routed), no
+/// preempted request recovering, and the batch being the whole ready pool,
+/// every iteration before the next arrival re-selects this same batch in
+/// the same order.
+///
+/// Run rule. An iteration is booked while it finishes no member, its KV
+/// growth fits `free_blocks()` (iteration 1's was granted by
+/// ensure_kv_blocks; a failed try_grow would count a stall, so none is
+/// attempted) and its egress lies strictly before
+/// `FleetShared::next_arrival`. The first iteration that breaks a rule
+/// closes the run and is left to the ordinary path.
+sim::Cycles book_decode_run(Replica& f) {
+  const sim::Cycles now = f.engine.now();
+  if (f.shared.observer != nullptr || f.shared.ttft_window != nullptr ||
+      f.cache || f.disagg != nullptr) {
+    return now;
+  }
+  if (!f.ready.empty() || !f.queue.empty() || f.recovering != 0 ||
+      f.outstanding() != f.active) {
+    return now;
+  }
+  for (const ScheduledStep& s : f.batch) {
+    if (s.is_prefill()) return now;
+  }
+  const bool paged = f.paged_admission();
+  IterationRecord rec;
+  rec.start = now;
+  rec.decodes = static_cast<std::uint32_t>(f.batch.size());
+  for (bool granted = true;; granted = false) {
+    std::uint32_t grow = 0;
+    f.decode_positions.clear();
+    for (const ScheduledStep& s : f.batch) {
+      const Request& r = *s.request;
+      if (r.decoded + 1 >= r.shape.decode) return rec.start;
+      if (paged && !granted) {
+        const std::uint32_t want = f.kv.blocks_for(r.kv_len() + 1);
+        if (want > r.kv.blocks) grow += want - r.kv.blocks;
+      }
+      f.decode_positions.push_back(
+          std::min(r.kv_len(), f.costs.max_positions() - 1));
+    }
+    if (grow > f.kv.free_blocks()) return rec.start;
+    const sim::Cycles egress = rec.start +
+                               f.costs.decode_batch_cycles(f.decode_positions) +
+                               f.costs.host_sync_cycles();
+    if (egress >= f.shared.next_arrival) return rec.start;
+    for (const ScheduledStep& s : f.batch) {
+      Request& r = *s.request;
+      if (paged && !granted) f.kv.try_grow(r.kv, r.kv_len() + 1);
+      ++r.decoded;
+      if (r.emitted_token) {
+        const sim::Cycles gap = egress - r.last_token;
+        r.max_token_gap = std::max(r.max_token_gap, gap);
+        f.gap_cycles.add(gap);
+      }
+      r.emitted_token = true;
+      r.last_token = egress;
+    }
+    rec.span = egress - rec.start;
+    f.busy_cycles += rec.span;
+    f.sched.record(rec);
+    rec.start = egress;
+  }
+}
+
 }  // namespace
 
 sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
@@ -574,8 +651,11 @@ sim::Task scheduler_proc(Replica& f) {
       }
     }
     if (f.batch.empty()) {
-      if (f.shared.arrivals_done() && f.queue.empty() && f.ready.empty() &&
+      if (f.shared.arrivals_done() && f.outstanding() == 0 &&
           f.disagg == nullptr) {
+        // Nothing routed here is left. outstanding() also counts a request
+        // routed at this very cycle whose enqueue callback has not fired
+        // yet; the replica parks for it below instead of exiting.
         // Disaggregated replicas never take this exit: a hand-off can
         // still land as long as any peer holds work (a prompt finishing
         // later will pick this decode replica as its target). They park
@@ -599,6 +679,21 @@ sim::Task scheduler_proc(Replica& f) {
       co_await f.work.wait();
       f.work.reset();
       if (obs != nullptr) obs->end_wait(f.id, f.engine.now());
+      continue;
+    }
+
+    const sim::Cycles close = book_decode_run(f);
+    if (close > f.engine.now()) {
+      // Close rule: the closing iteration takes the ordinary path. The
+      // batch goes back to the ready pool in order, and one sleep to the
+      // closing iteration's start lets the loop admit, select and secure
+      // it there — so its egress wake is scheduled at the same instant as
+      // when every iteration takes its own wake. Same-cycle events of
+      // different replicas then keep their relative order, which the
+      // fleet's concurrent peak (peak_in_flight) and join-shortest-queue
+      // routing both read.
+      for (const ScheduledStep& s : f.batch) f.ready.push_back(s.request);
+      co_await f.engine.delay(close - f.engine.now());
       continue;
     }
 
@@ -724,13 +819,13 @@ sim::Task scheduler_proc(Replica& f) {
       obs->add_span(f.id, Category::kHostSync, rec.start + offset,
                     rec.start + egress);
     }
-    // One engine event per iteration: every member's step is booked now,
-    // then the scheduler sleeps to egress. Batch order is pipeline-slot
-    // order (prefill offsets are cumulative, decode members share one
-    // slot), each step's records carry the instant its slot ends, and
-    // Observer::finalize time-sorts the log. The prefix cache orders its
-    // LRU by insertion tick, so committing before the slot ends is
-    // indistinguishable from committing at it.
+    // One engine wake per ordinary iteration: every member's step is
+    // booked now, then the scheduler sleeps to egress. Batch order is
+    // pipeline-slot order (prefill offsets are cumulative, decode members
+    // share one slot), each step's records carry the instant its slot
+    // ends, and Observer::finalize time-sorts the log. The prefix cache
+    // orders its LRU by insertion tick, so committing before the slot
+    // ends is indistinguishable from committing at it.
     for (const ScheduledStep& s : f.batch) {
       Request* r = s.request;
       if (r->step_tokens == 0) {
@@ -870,7 +965,8 @@ void teardown(Replica& f) {
 }
 
 FleetMetrics summarize(const std::vector<const Replica*>& group,
-                       sim::Cycles makespan, std::uint32_t peak_in_flight) {
+                       sim::Cycles makespan, std::uint32_t peak_in_flight,
+                       bool records) {
   const Replica& front = *group.front();
   const core::ArchConfig& arch = front.cfg.arch;
   FleetMetrics m;
@@ -916,7 +1012,7 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
         m.prefill_chunk_steps += e.prefill_chunks;
         if (e.prefill_chunks > 1) ++m.chunked_prompts;
       }
-      if (r->cfg.keep_request_records) m.requests.push_back(rec);
+      if (records && r->cfg.keep_request_records) m.requests.push_back(rec);
     }
     gap.merge(r->gap_cycles);
     busy += r->busy_cycles;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -68,6 +69,16 @@ struct FleetShared {
   /// metrics. Null (the default) means zero observability overhead and
   /// byte-identical output to an unobserved build.
   Observer* observer = nullptr;
+  /// Cycle of the next open-loop arrival still to be routed: arrivals_proc
+  /// publishes it before each sleep and kNoArrival after the last one.
+  /// Until then no request can reach a replica, so its scheduler may book
+  /// decode-only iterations that end strictly before this cycle in one
+  /// wake (scheduler_proc). Closed-loop clients never publish it, so it
+  /// stays 0 and every iteration takes its own wake.
+  sim::Cycles next_arrival = 0;
+
+  static constexpr sim::Cycles kNoArrival =
+      std::numeric_limits<sim::Cycles>::max();
 
   bool arrivals_done() const { return injected >= target; }
 };
@@ -285,8 +296,11 @@ struct Replica {
 
 /// The replica's continuous-batching loop: admit, select a batch, price
 /// the members' back-to-back pipeline slots, pay host sync once, repeat.
-/// It steps every admitted request itself — one engine event per
-/// iteration — and owns the completion and pop-reject paths. Exits when
+/// It steps every admitted request itself and owns the completion and
+/// pop-reject paths. An iteration normally takes one engine wake; a
+/// decode-only stretch between arrivals is booked as a run of iterations
+/// in one wake, with results identical to stepping it (book_decode_run in
+/// replica.cpp states the run rules, the loop the close rule). Exits when
 /// the fleet-wide arrival stream is exhausted and this replica has
 /// drained. Livelock-freedom under kRecomputeYoungest holds per replica
 /// (eviction never crosses replicas — each owns its KV pool).
@@ -326,9 +340,12 @@ void teardown(Replica& f);
 /// makespan, `peak_queue_depth` and `kv_peak_occupancy` take the worst
 /// replica, and `peak_in_flight` is the group's concurrent peak, which only
 /// the caller knows. Echo fields (`slo`, `preempt`, `kv_block_tokens`) come
-/// from the first replica.
+/// from the first replica. `records` builds the group's RequestRecords (for
+/// replicas with keep_request_records set); FleetSim::run asks for them on
+/// the fleet rollup only.
 FleetMetrics summarize(const std::vector<const Replica*>& group,
-                       sim::Cycles makespan, std::uint32_t peak_in_flight);
+                       sim::Cycles makespan, std::uint32_t peak_in_flight,
+                       bool records);
 
 /// Percentile summary of a compacted store of cycle-domain latency
 /// samples, reported in milliseconds. cycles_to_ms is monotone

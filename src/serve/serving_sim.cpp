@@ -18,7 +18,7 @@ ServingSim::ServingSim(const ServingConfig& config,
 FleetMetrics ServingSim::run() const { return run(nullptr); }
 
 FleetMetrics ServingSim::run(Observer* observer) const {
-  return std::move(fleet_->run(observer).replicas.front());
+  return std::move(fleet_->run(observer).fleet);
 }
 
 }  // namespace looplynx::serve

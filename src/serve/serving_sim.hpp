@@ -9,12 +9,14 @@
 // set. Batch members occupy the time-shared pipeline back to back inside
 // an iteration — each priced by core::StepCostModel rather than
 // re-simulated — and the host PCIe sync is paid once per iteration; the
-// replica's scheduler loop steps every member itself, one engine event
-// per iteration (serve/replica.hpp).
+// replica's scheduler loop steps every member itself, one engine wake per
+// iteration, except that a decode-only stretch between arrivals is booked
+// in one wake with identical results (serve/replica.hpp).
 //
 // ServingSim is a 1-replica FleetSim (serve/fleet.hpp): it holds the
 // fleet built from FleetConfig::homogeneous(config, 1) — validated at
-// construction — and returns that run's only replica's metrics.
+// construction — and returns that run's fleet rollup (its only replica's
+// metrics plus the request records).
 //
 // Invariants:
 //  - Determinism: same ServingConfig (including traffic seed) =>

@@ -30,6 +30,8 @@ struct PercentileSummary {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
+
+  bool operator==(const PercentileSummary&) const = default;
 };
 
 PercentileSummary percentile_summary(std::vector<double> values);

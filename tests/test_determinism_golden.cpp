@@ -229,27 +229,45 @@ std::uint64_t token_budget(const ServingConfig& cfg, std::uint32_t tokens) {
   return tokens * probe.bytes_per_token_per_node();
 }
 
+/// One sweep point's run, with an Observer attached when `observed` is
+/// set. An observed replica gives every scheduler iteration its own engine
+/// wake, so an observed sweep is the stepped oracle for the unobserved
+/// one, whose replicas book decode-only stretches between arrivals in one
+/// wake.
+FleetMetrics run_single(const ServingConfig& cfg, bool observed) {
+  if (!observed) return ServingSim(cfg).run();
+  Observer obs(1, cfg.arch.frequency_hz);
+  return ServingSim(cfg).run(&obs);
+}
+
+FleetResult run_fleet(const FleetConfig& cfg, bool observed) {
+  if (!observed) return FleetSim(cfg).run();
+  Observer obs(static_cast<std::uint32_t>(cfg.replicas.size()),
+               cfg.replicas.front().arch.frequency_hz);
+  return FleetSim(cfg).run(&obs);
+}
+
 /// The canonical suite. Mirrors the CI determinism gate's coverage
 /// (policies x chunking x paged preemption x fleet x autoscale) at cosim
 /// scale, plus an explicit-arrival fleet point whose output involves no
 /// RNG or libm at all.
-std::string canonical_sweep() {
+std::string canonical_sweep(bool observed = false) {
   std::string out;
 
   {
     ServingConfig cfg = golden_base();
-    serialize(out, "single-prefill-poisson", ServingSim(cfg).run());
+    serialize(out, "single-prefill-poisson", run_single(cfg, observed));
   }
   {
     ServingConfig cfg = golden_base();
     cfg.scheduler.policy = BatchPolicy::kDecodePriority;
-    serialize(out, "single-decode-poisson", ServingSim(cfg).run());
+    serialize(out, "single-decode-poisson", run_single(cfg, observed));
   }
   {
     ServingConfig cfg = golden_base();
     cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
     cfg.scheduler.max_tokens_per_iter = 16;
-    serialize(out, "single-chunked-poisson", ServingSim(cfg).run());
+    serialize(out, "single-chunked-poisson", run_single(cfg, observed));
   }
   {
     ServingConfig cfg = golden_base();
@@ -259,7 +277,7 @@ std::string canonical_sweep() {
     cfg.kv_block_tokens = 4;
     cfg.kv_budget_bytes_per_node = token_budget(cfg, 288);
     cfg.traffic.arrival_rate_per_s = 1200.0;
-    serialize(out, "single-paged-recompute", ServingSim(cfg).run());
+    serialize(out, "single-paged-recompute", run_single(cfg, observed));
   }
   {
     ServingConfig cfg = golden_base();
@@ -267,12 +285,12 @@ std::string canonical_sweep() {
     cfg.traffic.burst_factor = 4.0;
     cfg.traffic.burst_fraction = 0.25;
     cfg.traffic.burst_period_s = 0.05;
-    serialize(out, "single-bursty", ServingSim(cfg).run());
+    serialize(out, "single-bursty", run_single(cfg, observed));
   }
   {
     const FleetConfig cfg = FleetConfig::homogeneous(
         golden_base(), 3, BalancerPolicy::kJoinShortestQueue);
-    serialize(out, "fleet-jsq-3", FleetSim(cfg).run());
+    serialize(out, "fleet-jsq-3", run_fleet(cfg, observed));
   }
   {
     ServingConfig base = golden_base();
@@ -284,7 +302,7 @@ std::string canonical_sweep() {
     base.traffic.arrival_rate_per_s = 1200.0;
     const FleetConfig cfg =
         FleetConfig::homogeneous(base, 2, BalancerPolicy::kKvAware);
-    serialize(out, "fleet-kv-paged-2", FleetSim(cfg).run());
+    serialize(out, "fleet-kv-paged-2", run_fleet(cfg, observed));
   }
   {
     ServingConfig base = golden_base();
@@ -308,9 +326,9 @@ std::string canonical_sweep() {
     cfg.autoscale.up_evals = 1;
     cfg.autoscale.down_evals = 2;
     cfg.autoscale.cooldown_evals = 1;
-    serialize(out, "fleet-autoscale-queue", FleetSim(cfg).run());
+    serialize(out, "fleet-autoscale-queue", run_fleet(cfg, observed));
     cfg.autoscale.policy = ScalePolicy::kHybrid;
-    serialize(out, "fleet-autoscale-hybrid", FleetSim(cfg).run());
+    serialize(out, "fleet-autoscale-hybrid", run_fleet(cfg, observed));
   }
   {
     // Explicit schedule: integer arrival cycles, no RNG, no libm — this
@@ -327,7 +345,7 @@ std::string canonical_sweep() {
     }
     const FleetConfig cfg =
         FleetConfig::homogeneous(base, 2, BalancerPolicy::kRoundRobin);
-    serialize(out, "fleet-explicit-rr", FleetSim(cfg).run());
+    serialize(out, "fleet-explicit-rr", run_fleet(cfg, observed));
   }
   {
     // Closed-loop clients: each re-submits on its request's completion, so
@@ -343,10 +361,10 @@ std::string canonical_sweep() {
     base.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
     base.kv_block_tokens = 4;
     base.kv_budget_bytes_per_node = token_budget(base, 288);
-    serialize(out, "single-closed-loop-paged", ServingSim(base).run());
+    serialize(out, "single-closed-loop-paged", run_single(base, observed));
     const FleetConfig cfg = FleetConfig::homogeneous(
         base, 3, BalancerPolicy::kJoinShortestQueue);
-    serialize(out, "fleet-closed-loop-jsq-3", FleetSim(cfg).run());
+    serialize(out, "fleet-closed-loop-jsq-3", run_fleet(cfg, observed));
   }
   return out;
 }
@@ -358,7 +376,7 @@ std::string canonical_sweep() {
 /// counter set and every request's cached-prefix split on top of the base
 /// record; kept separate from canonical_sweep() so the pre-cache digest
 /// never moves.
-std::string canonical_cache_sweep() {
+std::string canonical_cache_sweep(bool observed = false) {
   std::string out;
   const auto chat_base = [] {
     ServingConfig cfg = golden_base();
@@ -380,20 +398,23 @@ std::string canonical_cache_sweep() {
   };
   {
     ServingConfig cfg = chat_base();
-    serialize_cache(out, "cache-chat-whole-footprint", ServingSim(cfg).run());
+    serialize_cache(out, "cache-chat-whole-footprint",
+                    run_single(cfg, observed));
   }
   {
     ServingConfig cfg = chat_base();
     cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
     cfg.kv_budget_bytes_per_node = token_budget(cfg, 96);
-    serialize_cache(out, "cache-chat-paged-youngest", ServingSim(cfg).run());
+    serialize_cache(out, "cache-chat-paged-youngest",
+                    run_single(cfg, observed));
   }
   {
     ServingConfig cfg = chat_base();
     cfg.scheduler.preempt = PreemptPolicy::kRecomputeCostAware;
     cfg.kv_budget_bytes_per_node = token_budget(cfg, 96);
     cfg.kv_swap = true;
-    serialize_cache(out, "cache-chat-swap-cost-aware", ServingSim(cfg).run());
+    serialize_cache(out, "cache-chat-swap-cost-aware",
+                    run_single(cfg, observed));
   }
   {
     ServingConfig base = chat_base();
@@ -401,7 +422,7 @@ std::string canonical_cache_sweep() {
     base.kv_budget_bytes_per_node = token_budget(base, 96);
     const FleetConfig cfg =
         FleetConfig::homogeneous(base, 2, BalancerPolicy::kJoinShortestQueue);
-    const FleetResult r = FleetSim(cfg).run();
+    const FleetResult r = run_fleet(cfg, observed);
     serialize_cache(out, "cache-chat-fleet-jsq-2", r.fleet);
   }
   // Heavy pressure: 16 conversations x 5 turns whose histories far outgrow
@@ -428,14 +449,14 @@ std::string canonical_cache_sweep() {
     // this scale, so victims swap out and come back on a later turn's hit.
     ServingConfig cfg = pressure_base();
     cfg.kv_swap = true;
-    const FleetMetrics m = ServingSim(cfg).run();
+    const FleetMetrics m = run_single(cfg, observed);
     EXPECT_GT(m.cache_swap_out_blocks, 0u);
     EXPECT_GT(m.cache_swap_in_blocks, 0u);
     serialize_cache(out, "cache-chat-pressure-swap", m);
   }
   {
     // Swap tier off: every victim takes the discard/erase path.
-    const FleetMetrics m = ServingSim(pressure_base()).run();
+    const FleetMetrics m = run_single(pressure_base(), observed);
     EXPECT_GT(m.cache_evict_blocks, 0u);
     serialize_cache(out, "cache-chat-pressure-discard", m);
   }
@@ -449,7 +470,7 @@ std::string canonical_cache_sweep() {
 /// the per-tier live stats and the tier-tagged scale log on top of the
 /// base fleet record; kept separate from canonical_sweep() so the
 /// symmetric digest never moves.
-std::string canonical_disagg_sweep() {
+std::string canonical_disagg_sweep(bool observed = false) {
   std::string out;
   const auto disagg_base = [](std::uint32_t n) {
     FleetConfig cfg = FleetConfig::homogeneous(
@@ -461,14 +482,14 @@ std::string canonical_disagg_sweep() {
   {
     FleetConfig cfg = disagg_base(2);
     cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kDecode};
-    serialize_disagg(out, "disagg-1p1d-jsq", FleetSim(cfg).run());
+    serialize_disagg(out, "disagg-1p1d-jsq", run_fleet(cfg, observed));
   }
   {
     FleetConfig cfg = disagg_base(3);
     cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
                  ReplicaRole::kDecode};
     cfg.balancer = BalancerPolicy::kRoundRobin;
-    serialize_disagg(out, "disagg-2p1d-rr", FleetSim(cfg).run());
+    serialize_disagg(out, "disagg-2p1d-rr", run_fleet(cfg, observed));
   }
   {
     // Paged + chunked prefill on the prefill side: migration fires on the
@@ -482,7 +503,8 @@ std::string canonical_disagg_sweep() {
     cfg.kv_link.bytes_per_cycle = 16.0;
     cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kGeneral,
                  ReplicaRole::kDecode};
-    serialize_disagg(out, "disagg-paged-mixed-roles", FleetSim(cfg).run());
+    serialize_disagg(out, "disagg-paged-mixed-roles",
+                     run_fleet(cfg, observed));
   }
   {
     // Per-tier autoscaling (PR 10): two controllers on the shared fleet
@@ -514,7 +536,7 @@ std::string canonical_disagg_sweep() {
     cfg.autoscale.down_evals = 2;
     cfg.autoscale.cooldown_evals = 1;
     serialize_disagg(out, "disagg-autoscale-2p1d-hybrid",
-                     FleetSim(cfg).run());
+                     run_fleet(cfg, observed));
   }
   return out;
 }
@@ -642,6 +664,34 @@ TEST(DeterminismGolden, CanonicalCacheSweepMatchesCheckedInDigest) {
          "./test_determinism_golden) and regenerate with "
          "tools/regen_determinism_golden.sh; anything else is a "
          "determinism regression in the cache path.";
+}
+
+/// Fails with the first line where two canonical texts part, rather than
+/// printing both whole.
+void expect_same_text(const std::string& observed,
+                      const std::string& unobserved) {
+  std::istringstream a(observed), b(unobserved);
+  std::string la, lb;
+  for (std::size_t line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(a, la));
+    const bool more_b = static_cast<bool>(std::getline(b, lb));
+    if (!more_a && !more_b) return;
+    if (more_a != more_b || la != lb) {
+      ADD_FAILURE() << "line " << line << ": observed \"" << la
+                    << "\", unobserved \"" << lb << "\"";
+      return;
+    }
+  }
+}
+
+/// Stepped oracle: with an Observer attached every scheduler iteration
+/// takes its own engine wake, so each sweep re-run observed must print
+/// the unobserved run's canonical text byte for byte — every decode-only
+/// stretch the unobserved replicas booked in one wake included.
+TEST(DeterminismGolden, ObservedSweepsMatchUnobservedByteForByte) {
+  expect_same_text(canonical_sweep(true), canonical_sweep());
+  expect_same_text(canonical_cache_sweep(true), canonical_cache_sweep());
+  expect_same_text(canonical_disagg_sweep(true), canonical_disagg_sweep());
 }
 
 /// The suite itself must be reproducible within one process (fresh cost

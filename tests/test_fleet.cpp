@@ -174,9 +174,10 @@ TEST(LoadBalancerTest, KvAwarePicksMostFreeTokensThenJsqThenIndex) {
 /// A width-1 fleet summarizes its one replica with the same function that
 /// builds replicas[0], and ServingSim is a 1-replica FleetSim — so on every
 /// config the fleet rollup, the lone replica's metrics and ServingSim must
-/// agree bit for bit. The CLI surfaces and host::Host report
-/// FleetResult::fleet at every width, which keeps single-replica output
-/// byte-stable. The cases span the open loop under every balancer, the
+/// agree bit for bit (the replica's summary carries no records: they live
+/// on the rollup, which ServingSim returns). The CLI surfaces and
+/// host::Host report FleetResult::fleet at every width, which keeps
+/// single-replica output byte-stable. The cases span the open loop under every balancer, the
 /// closed loop, and paged KV with recompute preemption (the whole eviction
 /// path through the shared replica machinery).
 TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
@@ -217,8 +218,13 @@ TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
         FleetSim(FleetConfig::homogeneous(c.cfg, 1, c.policy)).run();
     const FleetMetrics lone = ServingSim(c.cfg).run();
     ASSERT_EQ(fleet.replicas.size(), 1u);
-    expect_identical(fleet.fleet, fleet.replicas[0]);
-    expect_identical(fleet.replicas[0], lone);
+    expect_identical(fleet.fleet, lone);
+    // The lone replica's own summary is the rollup without the records,
+    // which live on the rollup only.
+    EXPECT_TRUE(fleet.replicas[0].requests.empty());
+    FleetMetrics bare = lone;
+    bare.requests.clear();
+    expect_identical(fleet.replicas[0], bare);
     EXPECT_EQ(fleet.load_imbalance, 1.0);
     EXPECT_EQ(fleet.ttft_p99_spread_ms, 0.0);
     EXPECT_EQ(lone.requests.size(), lone.offered);
@@ -231,7 +237,8 @@ TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
 /// The rollup rules on a fleet whose replicas differ: counters sum,
 /// per-replica peaks take the worst replica, latency samples pool (so
 /// every summary's count is the sum of the replicas'), and the request
-/// records are the id-sorted union of the replicas' own.
+/// records, kept on the rollup only, split by replica into each replica's
+/// completions and sheds.
 TEST(FleetSimTest, RollupPoolsEveryReplica) {
   ServingConfig base;
   base.arch = test_arch();
@@ -322,21 +329,23 @@ TEST(FleetSimTest, RollupPoolsEveryReplica) {
     EXPECT_EQ((fleet.*summary).count, count);
   }
 
-  std::vector<RequestRecord> pooled;
-  for (const FleetMetrics& rm : r.replicas) {
-    pooled.insert(pooled.end(), rm.requests.begin(), rm.requests.end());
-  }
-  std::sort(pooled.begin(), pooled.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.id < b.id;
-            });
+  // The records live on the rollup only, id-sorted; partitioned by their
+  // `replica`, they account for each replica's own completions and sheds.
   ASSERT_EQ(fleet.requests.size(), fleet.offered);
-  ASSERT_EQ(fleet.requests.size(), pooled.size());
-  for (std::size_t i = 0; i < pooled.size(); ++i) {
-    EXPECT_EQ(fleet.requests[i].id, pooled[i].id);
-    EXPECT_EQ(fleet.requests[i].replica, pooled[i].replica);
-    EXPECT_EQ(fleet.requests[i].ttft_ms, pooled[i].ttft_ms);
-    EXPECT_EQ(fleet.requests[i].e2e_ms, pooled[i].e2e_ms);
+  std::vector<std::uint64_t> done(r.replicas.size(), 0);
+  std::vector<std::uint64_t> shed(r.replicas.size(), 0);
+  for (std::size_t i = 0; i < fleet.requests.size(); ++i) {
+    const RequestRecord& rec = fleet.requests[i];
+    if (i > 0) {
+      EXPECT_LT(fleet.requests[i - 1].id, rec.id);
+    }
+    ASSERT_LT(rec.replica, r.replicas.size());
+    ++(rec.rejected ? shed : done)[rec.replica];
+  }
+  for (std::size_t i = 0; i < r.replicas.size(); ++i) {
+    EXPECT_TRUE(r.replicas[i].requests.empty());
+    EXPECT_EQ(done[i], r.replicas[i].completed);
+    EXPECT_EQ(shed[i], r.replicas[i].rejected);
   }
 
   // The fixture exercises what it claims to: unequal pools, every replica

@@ -17,7 +17,9 @@
 #include "model/weights.hpp"
 #include "quant/int8_model.hpp"
 #include "serve/cli_flags.hpp"
+#include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
+#include "serve/observe.hpp"
 #include "serve/queue.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/serving_sim.hpp"
@@ -1121,6 +1123,174 @@ TEST(ServingSimTest, ClosedLoopSelfLimits) {
   EXPECT_LE(m.peak_queue_depth, 4u);
   const FleetMetrics n = ServingSim(cfg).run();
   expect_identical(m, n);
+}
+
+// ------------------------------------------ Decode runs booked in one wake
+
+/// Runs `cfg` unobserved, where a replica books a decode-only stretch
+/// between arrivals in one engine wake, and with an Observer attached,
+/// which gives every iteration its own wake: the stepped oracle. Every
+/// FleetMetrics field and record must agree, iterations included. Returns
+/// the unobserved run.
+FleetResult expect_matches_stepped(const FleetConfig& cfg) {
+  const FleetResult run = FleetSim(cfg).run();
+  Observer obs(static_cast<std::uint32_t>(cfg.replicas.size()),
+               cfg.replicas.front().arch.frequency_hz);
+  const FleetResult stepped = FleetSim(cfg).run(&obs);
+  EXPECT_EQ(run.fleet.iterations, stepped.fleet.iterations);
+  EXPECT_EQ(run.fleet.peak_in_flight, stepped.fleet.peak_in_flight);
+  EXPECT_EQ(run.fleet.duration_s, stepped.fleet.duration_s);
+  EXPECT_TRUE(run.fleet == stepped.fleet)
+      << "a fleet metric or request record differs";
+  EXPECT_EQ(run.replicas.size(), stepped.replicas.size());
+  for (std::size_t i = 0;
+       i < run.replicas.size() && i < stepped.replicas.size(); ++i) {
+    EXPECT_TRUE(run.replicas[i] == stepped.replicas[i]) << "replica " << i;
+  }
+  EXPECT_EQ(run.routed, stepped.routed);
+  return run;
+}
+
+/// Egress cycles of request `id`'s decode iterations (the prefill's
+/// token #1 excluded), read off an observed run of `cfg`.
+std::vector<sim::Cycles> decode_emissions(const FleetConfig& cfg,
+                                          std::uint32_t id) {
+  Observer obs(static_cast<std::uint32_t>(cfg.replicas.size()),
+               cfg.replicas.front().arch.frequency_hz);
+  FleetSim(cfg).run(&obs);
+  std::vector<sim::Cycles> at;
+  for (const ObservedEvent& e : obs.events()) {
+    if (e.request == id && e.kind == LifecycleEvent::kDecode) {
+      at.push_back(e.at);
+    }
+  }
+  return at;
+}
+
+/// One [8:40] stream alone at cycle 0 on a paged, chunked replica: after
+/// its prompt it decodes 40 iterations with nothing else to do.
+ServingConfig lone_stream_config() {
+  ServingConfig cfg = paged_config();
+  cfg.traffic.explicit_arrivals = {{0, workload::make_scenario(8, 40)}};
+  cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
+  return cfg;
+}
+
+TEST(DecodeRunTest, KvPoolRunningDryEndsTheRunBeforeTheFailingGrow) {
+  // Two decode-heavy streams share a pool that fits ~1.3 of their final
+  // footprints: decode growth drains it mid-run, so the run must close
+  // before the grow that would fail and leave that grow — its stall, the
+  // preemption and the recompute — to the ordinary path.
+  for (const std::uint32_t block_tokens : {1u, 4u}) {
+    SCOPED_TRACE(block_tokens);
+    ServingConfig cfg = paged_config();
+    cfg.traffic.explicit_arrivals = {
+        {0, workload::make_scenario(8, 40)},
+        {0, workload::make_scenario(8, 40)},
+    };
+    KvBlockManager probe(cfg.arch, cfg.model, 1);
+    cfg.kv_budget_bytes_per_node = 64 * probe.bytes_per_token_per_node();
+    cfg.kv_block_tokens = block_tokens;
+    cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
+    const FleetResult r =
+        expect_matches_stepped(FleetConfig::homogeneous(cfg, 1));
+    EXPECT_EQ(r.fleet.completed, 2u);
+    EXPECT_GT(r.fleet.preemptions, 0u);
+    EXPECT_GT(r.fleet.kv_stall_events, 0u);
+  }
+}
+
+TEST(DecodeRunTest, ArrivalOnARunEgressCycleClosesTheRun) {
+  // A second request lands exactly on the cycle one of the stream's
+  // decode iterations leaves the pipeline — the first, one mid-run, the
+  // second-to-last and the completing one. On two replicas under JSQ the
+  // routing decision reads the stream's replica at that very cycle.
+  const ServingConfig lone = lone_stream_config();
+  const std::vector<sim::Cycles> egress =
+      decode_emissions(FleetConfig::homogeneous(lone, 1), 0);
+  ASSERT_EQ(egress.size(), 40u);
+  for (const std::size_t k : {std::size_t{0}, std::size_t{12},
+                              egress.size() - 2, egress.size() - 1}) {
+    for (const std::uint32_t replicas : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message() << "egress " << k << ", "
+                                        << replicas << " replica(s)");
+      ServingConfig cfg = lone;
+      cfg.traffic.explicit_arrivals.push_back(
+          {egress[k], workload::make_scenario(4, 24)});
+      const FleetResult r = expect_matches_stepped(FleetConfig::homogeneous(
+          cfg, replicas, BalancerPolicy::kJoinShortestQueue));
+      ASSERT_EQ(r.fleet.requests.size(), 2u);
+      EXPECT_EQ(r.fleet.completed, 2u);
+    }
+  }
+}
+
+TEST(DecodeRunTest, BurstArrivalsSharingOneCycle) {
+  // Three requests land on one cycle in the middle of a decode run, on
+  // paged replicas: the kv-aware balancer reads free KV that the run's
+  // booked grows have changed, JSQ reads outstanding work.
+  const ServingConfig lone = lone_stream_config();
+  const std::vector<sim::Cycles> egress =
+      decode_emissions(FleetConfig::homogeneous(lone, 1), 0);
+  ASSERT_GT(egress.size(), 20u);
+  for (const sim::Cycles at : {egress[20], egress[20] + 1}) {
+    for (const BalancerPolicy policy :
+         {BalancerPolicy::kJoinShortestQueue, BalancerPolicy::kKvAware}) {
+      SCOPED_TRACE(::testing::Message() << "burst at " << at << ", "
+                                        << balancer_policy_name(policy));
+      ServingConfig cfg = lone;
+      for (int i = 0; i < 3; ++i) {
+        cfg.traffic.explicit_arrivals.push_back(
+            {at, workload::make_scenario(4, 24)});
+      }
+      const FleetResult r =
+          expect_matches_stepped(FleetConfig::homogeneous(cfg, 2, policy));
+      EXPECT_EQ(r.fleet.completed, 4u);
+      EXPECT_GT(r.routed[1], 0u);
+    }
+  }
+}
+
+TEST(DecodeRunTest, MultiMemberDecodeBatchesUnderAChunkedBudget) {
+  // Four streams of different lengths decode together under a token
+  // budget below the stream count: while the budget leaves a stream out
+  // of the batch every iteration takes its own wake, and once enough
+  // streams finish, the survivors' whole ready pool runs as one batch.
+  for (const std::uint32_t budget : {2u, 3u, 16u}) {
+    SCOPED_TRACE(budget);
+    ServingConfig cfg = paged_config();
+    cfg.scheduler.max_tokens_per_iter = budget;
+    cfg.traffic.explicit_arrivals = {
+        {0, workload::make_scenario(4, 24)},
+        {0, workload::make_scenario(4, 16)},
+        {0, workload::make_scenario(4, 12)},
+        {0, workload::make_scenario(4, 20)},
+    };
+    const FleetResult r =
+        expect_matches_stepped(FleetConfig::homogeneous(cfg, 1));
+    EXPECT_EQ(r.fleet.completed, 4u);
+    EXPECT_GT(r.fleet.mean_batch_size, 1.0);
+  }
+}
+
+TEST(DecodeRunTest, DrainAfterTheLastArrival) {
+  // Every request has arrived within the first few thousand cycles; the
+  // long decode tails then drain with no arrival left to bound a run, on
+  // whole-footprint and paged replicas alike.
+  for (const PreemptPolicy preempt :
+       {PreemptPolicy::kNone, PreemptPolicy::kRecomputeYoungest}) {
+    SCOPED_TRACE(preempt_policy_name(preempt));
+    ServingConfig cfg = paged_config();
+    cfg.scheduler.preempt = preempt;
+    cfg.traffic.explicit_arrivals.clear();
+    for (sim::Cycles i = 0; i < 6; ++i) {
+      cfg.traffic.explicit_arrivals.push_back(
+          {i * 1000, workload::make_scenario(8, 40 - 4 * i)});
+    }
+    const FleetResult r = expect_matches_stepped(
+        FleetConfig::homogeneous(cfg, 2, BalancerPolicy::kRoundRobin));
+    EXPECT_EQ(r.fleet.completed, 6u);
+  }
 }
 
 // ---------------------------------------------------------- RequestQueue
