@@ -5,6 +5,7 @@
 //   4. inter-FPGA hop latency (ring sensitivity at 4 nodes)
 //   5. KV-cache channel count (MHA bound)
 #include <iostream>
+#include <string>
 
 #include "bench/bench_common.hpp"
 #include "core/system.hpp"
@@ -35,11 +36,13 @@ int run(const util::Cli& cli) {
       arch.headwise_pipeline = mask & 2;
       arch.hide_network_sync = mask & 4;
       const double ms = run_ms(arch, model);
+      std::string slowdown = "+";
+      slowdown += util::fmt_percent(ms / best - 1.0);
       t.add_row({arch.fuse_ln_res ? "on" : "off",
                  arch.headwise_pipeline ? "on" : "off",
                  arch.hide_network_sync ? "on" : "off",
                  util::fmt_fixed(ms, 3),
-                 "+" + util::fmt_percent(ms / best - 1.0)});
+                 slowdown});
     }
     t.render(std::cout);
   }

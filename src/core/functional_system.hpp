@@ -34,7 +34,6 @@ class FunctionalSystem {
   /// consistent after every ring synchronization.
   std::vector<float> forward_token(std::uint32_t token_id);
 
-  std::vector<float> logits(std::span<const float> hidden) const;
   std::uint32_t argmax_token(std::span<const float> hidden) const;
   std::vector<std::uint32_t> generate(std::span<const std::uint32_t> prompt,
                                       std::uint32_t num_tokens);
@@ -48,6 +47,9 @@ class FunctionalSystem {
   std::uint64_t kv_bytes_per_node() const;
 
  private:
+  /// Tied-embedding output projection of a final hidden state.
+  std::vector<float> logits(std::span<const float> hidden) const;
+
   /// Ring all-gather over per-node fp32 chunks; returns the full vector and
   /// checks inter-node consistency.
   std::vector<float> gather_f32(std::vector<std::vector<float>> chunks);

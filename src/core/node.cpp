@@ -30,6 +30,11 @@ Node::Node(sim::Engine& engine, const ArchConfig& arch,
   assert(model_.d_ff % arch_.num_nodes == 0);
   assert(arch_.num_nodes == 1 || fabric_ != nullptr);
 
+  // Unit names are "n<id>.<unit>". Built by appends: GCC 12's -Wrestrict
+  // false positive (PR105651) fires on `literal + std::string&&`.
+  std::string prefix = "n";
+  prefix += std::to_string(id_);
+
   // The n_channel weight channels (and the KV channels) are private to this
   // node and always transfer symmetric shards in lockstep, so they are
   // modeled as one aggregated channel of n x the per-channel bandwidth.
@@ -38,33 +43,33 @@ Node::Node(sim::Engine& engine, const ArchConfig& arch,
       .burst_setup_cycles = arch_.dma_setup_cycles,
       .burst_efficiency = arch_.hbm_efficiency};
   weight_stream_ = std::make_unique<hw::HbmChannel>(
-      engine, weight_cfg, "n" + std::to_string(id_) + ".weights");
+      engine, weight_cfg, prefix + ".weights");
 
   hw::HbmChannelConfig kv_cfg{
       .bytes_per_cycle = arch_.hbm_bytes_per_cycle() * arch_.kv_channels,
       .burst_setup_cycles = arch_.dma_setup_cycles,
       .burst_efficiency = arch_.hbm_efficiency};
   kv_stream_ = std::make_unique<hw::HbmChannel>(
-      engine, kv_cfg, "n" + std::to_string(id_) + ".kv");
+      engine, kv_cfg, prefix + ".kv");
 
   mpu_ = std::make_unique<hw::MacArray>(
       engine,
       hw::MacArrayConfig{.lanes = arch_.mpu_lanes(),
                          .pipeline_depth = arch_.mac_pipeline_depth,
                          .drain_cycles = 4},
-      "n" + std::to_string(id_) + ".mpu");
+      prefix + ".mpu");
   score_mac_ = std::make_unique<hw::MacArray>(
       engine,
       hw::MacArrayConfig{.lanes = arch_.score_lanes,
                          .pipeline_depth = arch_.mac_pipeline_depth,
                          .drain_cycles = 4},
-      "n" + std::to_string(id_) + ".score");
+      prefix + ".score");
   mix_mac_ = std::make_unique<hw::MacArray>(
       engine,
       hw::MacArrayConfig{.lanes = arch_.mix_lanes,
                          .pipeline_depth = arch_.mac_pipeline_depth,
                          .drain_cycles = 4},
-      "n" + std::to_string(id_) + ".mix");
+      prefix + ".mix");
 }
 
 // ---------------------------------------------------------------------------

@@ -54,7 +54,8 @@ std::string SchedulerCliOptions::bounds_label() const {
                            ? std::to_string(autoscale.min_replicas)
                            : std::string();
   for (std::size_t t = 0; t < autoscale.tier_min.size(); ++t) {
-    floors += (t ? "," : "") + std::to_string(autoscale.tier_min[t]);
+    if (t) floors += ',';
+    floors += std::to_string(autoscale.tier_min[t]);
   }
   return disaggregated() ? "per-tier " + floors + "..pool"
                          : floors + ".." +

@@ -162,7 +162,7 @@ struct FleetConfig {
   bool disaggregated() const { return !roles.empty(); }
 
   /// The one check of a config's meaning, shared by every road into
-  /// FleetSim (library callers, ServingSim, host::Host, the CLI flags).
+  /// FleetSim (library callers, ServingSim, the CLI flags).
   /// Throws std::invalid_argument naming the first violated rule; never
   /// mutates.
   void validate() const;

@@ -18,8 +18,8 @@
 namespace looplynx::serve {
 
 /// Per-request outcome, kept when ServingConfig::keep_request_records is
-/// set (host::Host batch submission needs to map fleet timing back onto
-/// individual callers). Ordered by request id == injection order.
+/// set (the golden digests and the invariant harness read them). Ordered
+/// by request id == injection order.
 struct RequestRecord {
   std::uint32_t id = 0;
   /// Index of the fleet replica that served this request (0 for

@@ -43,8 +43,8 @@ namespace looplynx::serve::detail {
 /// Fleet-wide counters shared by every replica of one run. Request ids are
 /// allocated from here so they are unique across the fleet and strictly
 /// increasing in injection order — the property the age-ordered preemption
-/// policy (oldest == lowest id) and the Host submit/flush record mapping
-/// both rely on.
+/// policy (oldest == lowest id) and the id-sorted request records both
+/// rely on.
 struct FleetShared {
   std::uint32_t target = 0;     // traffic.num_requests, the injection budget
   std::uint32_t injected = 0;   // requests created fleet-wide so far

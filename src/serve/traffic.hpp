@@ -47,7 +47,7 @@ struct TrafficConfig {
   std::uint64_t seed = 1;
 
   /// When non-empty, this exact schedule is replayed instead of sampling an
-  /// arrival process (host::Host batch submission, deterministic tests).
+  /// arrival process (deterministic tests and goldens).
   /// Must be sorted by time (validate() rejects it otherwise). Overrides
   /// `process` — a closed loop spawns no clients, the schedule is replayed
   /// open-loop — and `num_requests` (see request_budget()).

@@ -30,7 +30,11 @@ std::uint64_t prompt_token_id(const Scenario& scenario, std::uint64_t unique,
 
 Scenario make_scenario(std::uint32_t prefill, std::uint32_t decode) {
   Scenario s;
-  s.name = "[" + std::to_string(prefill) + ":" + std::to_string(decode) + "]";
+  s.name += '[';
+  s.name += std::to_string(prefill);
+  s.name += ':';
+  s.name += std::to_string(decode);
+  s.name += ']';
   s.prefill = prefill;
   s.decode = decode;
   return s;

@@ -16,17 +16,13 @@
 
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
-#include "host/serving.hpp"
-#include "host/tokenizer.hpp"
-#include "model/weights.hpp"
-#include "quant/int8_model.hpp"
+#include "model/config.hpp"
 #include "serve/autoscaler.hpp"
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/queue.hpp"
 #include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "workload/mix.hpp"
 
@@ -641,45 +637,6 @@ TEST(AutoscaledFleetTest, BeatsStaticFleetsOnBurstyWhaleTraffic) {
   EXPECT_LE(static_cast<double>(scaled.replica_cycles),
             0.8 * static_cast<double>(ceiling_fleet.replica_cycles));
   EXPECT_LT(scaled.fleet.ttft_ms.p99, floor_fleet.fleet.ttft_ms.p99);
-}
-
-// --------------------------------------------------- Host flush wiring
-
-TEST(AutoscaledFleetTest, HostFlushAutoscalesAndRecordsLiveReplicas) {
-  model::ModelConfig cfg = model::cosim_config();
-  cfg.vocab_size = 512;
-  const auto w = model::Gpt2Weights::random(cfg, 77);
-  util::Rng rng(78);
-  std::vector<std::uint32_t> calib(24);
-  for (auto& t : calib) {
-    t = static_cast<std::uint32_t>(rng.next_below(cfg.vocab_size));
-  }
-  const auto weights = quant::Gpt2Int8Weights::build_with_calibration(w, calib);
-  host::Host h(weights, host::Tokenizer::byte_level(),
-               core::ArchConfig::two_node());
-
-  host::ServeRequest req{.prompt = "loop", .max_new_tokens = 4,
-                         .sampling = {}};
-  for (int i = 0; i < 4; ++i) h.submit(req);
-  serve::AutoscalerConfig autoscale;
-  autoscale.enabled = true;
-  autoscale.min_replicas = 1;
-  autoscale.max_replicas = 2;
-  const auto results = h.flush({}, autoscale);
-  ASSERT_EQ(results.size(), 4u);
-  for (const auto& r : results) {
-    EXPECT_FALSE(r.rejected);
-    // The cycle-0 burst lands before the first control eval: everything
-    // routes into the min_replicas prefix, and the record proves it.
-    EXPECT_LT(r.replica, r.live_replicas);
-    EXPECT_LE(r.live_replicas, 2u);
-  }
-  // The overload refuses a disabled config instead of silently running
-  // the static path.
-  h.submit(req);
-  EXPECT_THROW(h.flush({}, serve::AutoscalerConfig{}),
-               std::invalid_argument);
-  h.flush();  // drain the pending request for a clean teardown
 }
 
 }  // namespace

@@ -137,6 +137,18 @@ TEST(SystemTest, MoreNodesAreFasterButSubLinear) {
   EXPECT_GT(t2 / t4, 1.2);
 }
 
+TEST(SystemTest, TinyModelDoesNotBenefitFromScaleOut) {
+  // At d_model 64 the per-node matrix blocks are so small that ring
+  // synchronization outweighs the split compute: the inverse of the
+  // GPT-2-scale behaviour above, and the paper's "increase the workload
+  // assigned to each node" remark.
+  const model::ModelConfig m = model::cosim_config();
+  const RunResult one = System(ArchConfig::one_node(), m).run(3, 6);
+  const RunResult four = System(ArchConfig::four_node(), m).run(3, 6);
+  EXPECT_LT(one.total_ms, four.total_ms);
+  EXPECT_LT(one.decode_ms, four.decode_ms);
+}
+
 TEST(SystemTest, OptimizationsReduceLatency) {
   const model::ModelConfig m = small_model();
   const ArchConfig opt = ArchConfig::one_node();

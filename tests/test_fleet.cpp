@@ -175,9 +175,9 @@ TEST(LoadBalancerTest, KvAwarePicksMostFreeTokensThenJsqThenIndex) {
 /// builds replicas[0], and ServingSim is a 1-replica FleetSim — so on every
 /// config the fleet rollup, the lone replica's metrics and ServingSim must
 /// agree bit for bit (the replica's summary carries no records: they live
-/// on the rollup, which ServingSim returns). The CLI surfaces and
-/// host::Host report FleetResult::fleet at every width, which keeps
-/// single-replica output byte-stable. The cases span the open loop under every balancer, the
+/// on the rollup, which ServingSim returns). The CLI surfaces report
+/// FleetResult::fleet at every width, which keeps single-replica output
+/// byte-stable. The cases span the open loop under every balancer, the
 /// closed loop, and paged KV with recompute preemption (the whole eviction
 /// path through the shared replica machinery).
 TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
@@ -436,6 +436,22 @@ TEST(FleetSimTest, BalancerTieBreakIsLowestIndexOnSimultaneousBurst) {
     EXPECT_EQ(r.fleet.requests[1].replica, 1u);
     EXPECT_EQ(r.routed, (std::vector<std::uint64_t>{1, 1}));
   }
+}
+
+TEST(FleetSimTest, JsqShardsACycleZeroBurstOfFour) {
+  // Four simultaneous arrivals on two idle replicas behind JSQ: request 0
+  // takes the lowest-index tie, and the outstanding counts then keep the
+  // burst split two and two, every request completing.
+  ServingConfig cfg = base_config();
+  cfg.keep_request_records = true;
+  cfg.traffic.explicit_arrivals.assign(4, {0, workload::make_scenario(4, 4)});
+  const FleetResult r = FleetSim(FleetConfig::homogeneous(
+                                     cfg, 2, BalancerPolicy::kJoinShortestQueue))
+                            .run();
+  ASSERT_EQ(r.fleet.requests.size(), 4u);
+  EXPECT_EQ(r.fleet.requests[0].replica, 0u);
+  EXPECT_EQ(r.routed, (std::vector<std::uint64_t>{2, 2}));
+  EXPECT_EQ(r.fleet.completed, 4u);
 }
 
 TEST(FleetSimTest, KvAwareRoutesTowardTheBiggerPool) {

@@ -2,8 +2,7 @@
 // lifecycle event log's ordering invariants, the cycle-accounting tiling
 // identity across the {batch policy x preempt policy x autoscale} matrix,
 // byte-identical exports across repeated runs, the observed-run ==
-// unobserved-run metrics guarantee, the host-layer breakdown exposure,
-// and the CLI flag plumbing.
+// unobserved-run metrics guarantee, and the CLI flag plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,10 +15,7 @@
 
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
-#include "host/serving.hpp"
 #include "model/config.hpp"
-#include "model/weights.hpp"
-#include "quant/int8_model.hpp"
 #include "serve/autoscaler.hpp"
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
@@ -520,50 +516,6 @@ TEST(ObserveExportTest, PrometheusEmitsAllCategoriesForEveryReplica) {
             std::string::npos);
   EXPECT_NE(text.find("looplynx_ttft_ms_bucket{le=\"+Inf\"}"),
             std::string::npos);
-}
-
-// ---------------------------------------------- Host-layer exposure
-
-class ObserveHostTest : public ::testing::Test {
- protected:
-  static quant::Gpt2Int8Weights make_weights() {
-    model::ModelConfig cfg = model::cosim_config();
-    cfg.vocab_size = 512;
-    const auto w = model::Gpt2Weights::random(cfg, 77);
-    util::Rng rng(78);
-    std::vector<std::uint32_t> calib(24);
-    for (auto& t : calib) {
-      t = static_cast<std::uint32_t>(rng.next_below(cfg.vocab_size));
-    }
-    return quant::Gpt2Int8Weights::build_with_calibration(w, calib);
-  }
-};
-
-TEST_F(ObserveHostTest, FlushObservedFillsTheBreakdown) {
-  const auto weights = make_weights();
-  host::Host host(weights, host::Tokenizer::byte_level(),
-                  core::ArchConfig::one_node());
-  host::ServeRequest req;
-  req.prompt = "loop";
-  req.max_new_tokens = 6;
-  host.submit(req);
-  host.submit(req);
-  const std::vector<host::ServeResult> results = host.flush_observed();
-  ASSERT_EQ(results.size(), 2u);
-  for (const host::ServeResult& r : results) {
-    ASSERT_FALSE(r.replica_breakdown_ms.empty());
-    double total_ms = 0.0;
-    for (const auto& [cat, ms] : r.replica_breakdown_ms) {
-      EXPECT_GE(ms, 0.0) << cat;
-      total_ms += ms;
-    }
-    EXPECT_GT(total_ms, 0.0);  // categories tile the replica's makespan
-  }
-  // The plain flush leaves the breakdown empty (observer never built).
-  host.submit(req);
-  const std::vector<host::ServeResult> plain = host.flush();
-  ASSERT_EQ(plain.size(), 1u);
-  EXPECT_TRUE(plain[0].replica_breakdown_ms.empty());
 }
 
 // ------------------------------------------------------- CLI plumbing

@@ -1,6 +1,6 @@
 // Tests for the continuous-batching serve layer: step-cost model, paged
 // KV-block accounting, traffic generation, scheduler policies + preemption,
-// fleet determinism and backpressure, and the Host submit/flush path.
+// fleet determinism and backpressure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,11 +11,7 @@
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "core/system.hpp"
-#include "host/serving.hpp"
-#include "host/tokenizer.hpp"
 #include "model/config.hpp"
-#include "model/weights.hpp"
-#include "quant/int8_model.hpp"
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
@@ -25,7 +21,6 @@
 #include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "util/cli.hpp"
-#include "util/rng.hpp"
 #include "workload/mix.hpp"
 
 namespace looplynx::serve {
@@ -802,6 +797,34 @@ TEST(ServingSimTest, QueueCapacityShedsLoad) {
   EXPECT_LE(m.peak_queue_depth, 4u);
 }
 
+TEST(ServingSimTest, QueueBoundOfOneShedsASimultaneousBurst) {
+  // Three cycle-0 arrivals at one replica with room for one waiting
+  // request: the first is queued, the other two are shed at the door, and
+  // their records say so, so a caller cannot read their zero latency as
+  // a measurement.
+  ServingConfig cfg = base_config();
+  cfg.keep_request_records = true;
+  cfg.scheduler.queue_capacity = 1;
+  cfg.traffic.explicit_arrivals = {
+      {0, workload::make_scenario(4, 6)},
+      {0, workload::make_scenario(8, 4)},
+      {0, workload::make_scenario(4, 6)},
+  };
+  const FleetMetrics m = ServingSim(cfg).run();
+  EXPECT_EQ(m.offered, 3u);
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.rejected, 2u);
+  ASSERT_EQ(m.requests.size(), 3u);
+  EXPECT_FALSE(m.requests[0].rejected);
+  EXPECT_EQ(m.requests[0].queue_wait_ms, 0.0);  // admitted on arrival
+  EXPECT_GT(m.requests[0].e2e_ms, m.requests[0].ttft_ms);
+  EXPECT_GE(m.requests[0].prefill_chunks, 1u);
+  for (std::size_t i = 1; i < 3; ++i) {
+    EXPECT_TRUE(m.requests[i].rejected) << i;
+    EXPECT_EQ(m.requests[i].e2e_ms, 0.0) << i;
+  }
+}
+
 TEST(ServingSimTest, BatchingRespectsMaxBatchAndInterleaves) {
   for (const BatchPolicy policy :
        {BatchPolicy::kPrefillPriority, BatchPolicy::kDecodePriority}) {
@@ -1309,103 +1332,6 @@ TEST(RequestQueueTest, BoundedFifoWithPeakTracking) {
   q.pop();
   EXPECT_EQ(q.front(), &b);
   EXPECT_TRUE(q.push(&c));
-}
-
-// ------------------------------------------------------------- Host batch
-
-TEST(HostBatchTest, SubmitFlushTimesRequestsThroughOneFleet) {
-  model::ModelConfig cfg = model::cosim_config();
-  cfg.vocab_size = 512;
-  const auto w = model::Gpt2Weights::random(cfg, 77);
-  util::Rng rng(78);
-  std::vector<std::uint32_t> calib(24);
-  for (auto& t : calib) {
-    t = static_cast<std::uint32_t>(rng.next_below(cfg.vocab_size));
-  }
-  const auto weights = quant::Gpt2Int8Weights::build_with_calibration(w, calib);
-  host::Host h(weights, host::Tokenizer::byte_level(),
-               core::ArchConfig::two_node());
-
-  host::ServeRequest r1{.prompt = "loop", .max_new_tokens = 6, .sampling = {}};
-  host::ServeRequest r2{.prompt = "lynx fox", .max_new_tokens = 4,
-                        .sampling = {}};
-  EXPECT_EQ(h.submit(r1), 0u);
-  EXPECT_EQ(h.submit(r2), 1u);
-  EXPECT_EQ(h.pending(), 2u);
-  const auto results = h.flush();
-  EXPECT_EQ(h.pending(), 0u);
-  ASSERT_EQ(results.size(), 2u);
-  for (const auto& r : results) {
-    EXPECT_GT(r.total_ms, 0.0);
-    EXPECT_NEAR(r.total_ms, r.prefill_ms + r.decode_ms, 1e-9);
-    EXPECT_GE(r.queue_ms, 0.0);
-    EXPECT_GE(r.prefill_chunks, 1u);  // unchunked default: exactly one step
-    EXPECT_GE(r.max_token_gap_ms, 0.0);
-  }
-  // Single-request serve matches the documented invariants too.
-  const auto lone = h.serve(r1);
-  EXPECT_GT(lone.decode_tokens_per_s, 0.0);
-  EXPECT_DOUBLE_EQ(lone.queue_ms, 0.0);
-  EXPECT_FALSE(lone.rejected);
-
-  // A queue bound of 1 sheds the overflow; shed results are flagged so
-  // callers cannot mistake their zero timing for a measurement.
-  h.submit(r1);
-  h.submit(r2);
-  h.submit(r1);
-  serve::SchedulerConfig tight;
-  tight.queue_capacity = 1;
-  const auto shed = h.flush(tight);
-  ASSERT_EQ(shed.size(), 3u);
-  int rejected = 0;
-  for (const auto& r : shed) {
-    if (r.rejected) {
-      ++rejected;
-      EXPECT_DOUBLE_EQ(r.total_ms, 0.0);
-      EXPECT_FALSE(r.text.empty());  // generation still happened
-    } else {
-      EXPECT_GT(r.total_ms, 0.0);
-    }
-  }
-  EXPECT_EQ(rejected, 2);
-}
-
-TEST(HostBatchTest, FleetFlushShardsAcrossReplicas) {
-  model::ModelConfig cfg = model::cosim_config();
-  cfg.vocab_size = 512;
-  const auto w = model::Gpt2Weights::random(cfg, 77);
-  util::Rng rng(78);
-  std::vector<std::uint32_t> calib(24);
-  for (auto& t : calib) {
-    t = static_cast<std::uint32_t>(rng.next_below(cfg.vocab_size));
-  }
-  const auto weights = quant::Gpt2Int8Weights::build_with_calibration(w, calib);
-  host::Host h(weights, host::Tokenizer::byte_level(),
-               core::ArchConfig::two_node());
-
-  host::ServeRequest req{.prompt = "loop", .max_new_tokens = 4,
-                         .sampling = {}};
-  for (int i = 0; i < 4; ++i) h.submit(req);
-  // A cycle-0 burst of four requests over two replicas behind JSQ must
-  // alternate (tie -> replica 0, then the loaded replica loses each
-  // subsequent tie-break round).
-  const auto results =
-      h.flush({}, /*replicas=*/2, serve::BalancerPolicy::kJoinShortestQueue);
-  ASSERT_EQ(results.size(), 4u);
-  std::uint32_t on_replica_1 = 0;
-  for (const auto& r : results) {
-    EXPECT_FALSE(r.rejected);
-    EXPECT_GT(r.total_ms, 0.0);
-    EXPECT_LE(r.replica, 1u);
-    on_replica_1 += r.replica;
-  }
-  EXPECT_EQ(results[0].replica, 0u);  // deterministic tie-break
-  EXPECT_EQ(on_replica_1, 2u);        // the burst actually sharded
-  // Identical single-replica flushes still report replica 0 everywhere.
-  h.submit(req);
-  const auto lone = h.flush();
-  ASSERT_EQ(lone.size(), 1u);
-  EXPECT_EQ(lone[0].replica, 0u);
 }
 
 }  // namespace
