@@ -380,7 +380,6 @@ struct FleetRun {
   FleetRun(const FleetConfig& cfg_,
            const std::vector<core::StepCostModel>& costs)
       : cfg(cfg_),
-        traffic(cfg_.traffic, cfg_.replicas.front().arch.frequency_hz),
         balancer(cfg_.balancer) {
     shared.target = cfg_.traffic.num_requests;
     // The window hook stays null on static runs: the scheduler then never
@@ -441,7 +440,6 @@ struct FleetRun {
   /// KV-migration ring (disaggregated fleets only; null otherwise).
   std::unique_ptr<net::RingFabric> fabric;
   std::unique_ptr<detail::DisaggShared> disagg;
-  TrafficGen traffic;
   LoadBalancer balancer;
 
   // ---- Autoscaler state (inert when cfg.autoscale.enabled is false) ----
@@ -490,11 +488,13 @@ struct FleetRun {
   }
 };
 
-/// Open-loop injector: replays the pre-generated arrival schedule,
-/// routing each arrival the moment it lands. Before each sleep it
-/// publishes the cycle it sleeps to as the fleet's arrival horizon.
+/// The fleet's one injector: draws the open-loop arrival schedule and
+/// replays it, routing each arrival the moment it lands. Before each sleep
+/// it publishes the cycle it sleeps to as the fleet's arrival horizon.
 sim::Task arrivals_proc(FleetRun& run) {
-  const std::vector<Arrival> schedule = run.traffic.open_loop_schedule();
+  const std::vector<Arrival> schedule =
+      TrafficGen(run.cfg.traffic, run.cfg.replicas.front().arch.frequency_hz)
+          .open_loop_schedule();
   for (const Arrival& a : schedule) {
     if (a.at > run.engine.now()) {
       run.shared.next_arrival = a.at;
@@ -505,21 +505,6 @@ sim::Task arrivals_proc(FleetRun& run) {
     run.engine.schedule_call(0, &detail::enqueue_request_event, &rep, &r);
   }
   run.shared.next_arrival = detail::FleetShared::kNoArrival;
-}
-
-/// Closed-loop client: submit (routed fresh each iteration, so a client's
-/// requests follow the balancer), await completion, think, repeat. The
-/// global request budget is shared across clients through FleetShared.
-sim::Task client_proc(FleetRun& run) {
-  while (!run.shared.arrivals_done()) {
-    detail::Replica& rep = run.route();
-    Request& r = rep.make_request(run.traffic.next_shape());
-    run.engine.schedule_call(0, &detail::enqueue_request_event, &rep, &r);
-    co_await r.done.wait();
-    if (run.shared.arrivals_done()) break;
-    co_await run.engine.delay(
-        run.traffic.exponential_cycles(run.cfg.traffic.think_time_s));
-  }
 }
 
 /// The autoscaling control loop: one evaluation every eval_interval_ms on
@@ -745,16 +730,7 @@ FleetResult FleetSim::run(Observer* observer) const {
   for (auto& r : run.replicas) {
     run.engine.spawn(detail::scheduler_proc(*r));
   }
-  // An explicit schedule overrides the arrival process, closed loop
-  // included: it is replayed open-loop like any other schedule.
-  if (config_.traffic.process == ArrivalProcess::kClosedLoop &&
-      config_.traffic.explicit_arrivals.empty()) {
-    for (std::uint32_t c = 0; c < config_.traffic.clients; ++c) {
-      run.engine.spawn(client_proc(run));
-    }
-  } else {
-    run.engine.spawn(arrivals_proc(run));
-  }
+  run.engine.spawn(arrivals_proc(run));
   run.engine.run();
 
   const sim::Cycles makespan = run.engine.now();

@@ -9,10 +9,8 @@
 // every retirement path must erase exactly once, and only after nobody
 // holds a pointer that will be dereferenced again:
 //  - Reject paths (queue-full at arrival; pop-reject at admission):
-//    reject_request releases the slot right after done.set() — signals
-//    *schedule* waiters through the engine queue (never resume them
-//    synchronously), so destroying the request there is safe, and no list
-//    or batch ever held it.
+//    reject_request releases the slot at once — no list or batch ever
+//    held the request.
 //  - Finished batch members: completed at batch egress, but released only
 //    in scheduler_proc's requeue walk — the batch vector still holds the
 //    pointer until that walk has read it.
@@ -22,8 +20,8 @@ namespace looplynx::serve::detail {
 namespace {
 
 /// Sheds `r` for good: records the drop (`reason` 0 = queue full at
-/// arrival, 1 = oversized for the KV budget), wakes a closed-loop client
-/// waiting on it and recycles its slot. No list or batch holds `r`.
+/// arrival, 1 = oversized for the KV budget) and recycles its slot. No
+/// list or batch holds `r`.
 void reject_request(Replica& f, Request& r, std::uint32_t reason) {
   r.state = RequestState::kRejected;
   ++f.rejected;
@@ -32,7 +30,6 @@ void reject_request(Replica& f, Request& r, std::uint32_t reason) {
                               f.id, reason);
   }
   f.retire(r);
-  r.done.set();
   r.owner->pool.erase(r.self);
 }
 
@@ -43,7 +40,7 @@ Request& Replica::make_request(workload::Scenario shape) {
     throw std::invalid_argument("traffic shape " + shape.name +
                                 " exceeds the model context window");
   }
-  auto [slot, r] = pool.emplace(engine, shared.injected++, std::move(shape));
+  auto [slot, r] = pool.emplace(shared.injected++, std::move(shape));
   r.self = slot;
   r.owner = this;
   r.home = this;
@@ -900,7 +897,6 @@ sim::Task scheduler_proc(Replica& f) {
       if (r->finished()) {
         f.record_completion(*r);
         f.work.set();  // freed KV slots may unblock the queue head
-        r->done.set();
       }
     }
     rec.span = now - rec.start;
@@ -936,8 +932,8 @@ sim::Task scheduler_proc(Replica& f) {
     }
   }
   // Anything after the loop's last activity is drain: finalize() extends
-  // [exit, makespan] — non-empty whenever another replica (or a closed-loop
-  // client's think time) outlives this one.
+  // [exit, makespan] — non-empty whenever another replica outlives this
+  // one.
   if (obs != nullptr) obs->mark_exit(f.id, f.engine.now());
 }
 

@@ -69,12 +69,11 @@ struct FleetShared {
   /// metrics. Null (the default) means zero observability overhead and
   /// byte-identical output to an unobserved build.
   Observer* observer = nullptr;
-  /// Cycle of the next open-loop arrival still to be routed: arrivals_proc
+  /// Cycle of the next arrival still to be routed: arrivals_proc
   /// publishes it before each sleep and kNoArrival after the last one.
   /// Until then no request can reach a replica, so its scheduler may book
   /// decode-only iterations that end strictly before this cycle in one
-  /// wake (scheduler_proc). Closed-loop clients never publish it, so it
-  /// stays 0 and every iteration takes its own wake.
+  /// wake (scheduler_proc).
   sim::Cycles next_arrival = 0;
 
   static constexpr sim::Cycles kNoArrival =
@@ -179,10 +178,9 @@ struct Replica {
   }
 
   /// Flat request arena: requests live in recycled slots with stable
-  /// addresses (lists, batches and closed-loop clients hold Request*
-  /// across engine events) and zero steady-state allocation. Whoever
-  /// retires a request erases its slot — see the release protocol notes
-  /// in replica.cpp.
+  /// addresses (lists and batches hold Request* across engine events)
+  /// and zero steady-state allocation. Whoever retires a request erases
+  /// its slot — see the release protocol notes in replica.cpp.
   util::SlotMap<Request> pool;
   /// Admitted requests awaiting an iteration turn, FIFO by stamp and
   /// pre-split into the scheduler's selection classes (see ReadyQueue). A
@@ -321,9 +319,9 @@ sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
 /// kv-migrate ledger — the wire time on the shared fabric is the price.
 sim::Task steal_proc(Replica& thief, Replica& victim, Request& r);
 
-/// Engine callback (`Engine::schedule_call`) through which every arrival,
-/// open- or closed-loop, enters its replica: stamp and record the
-/// arrival, enqueue (or reject when the queue is full), signal work.
+/// Engine callback (`Engine::schedule_call`) through which every arrival
+/// enters its replica: stamp and record the arrival, enqueue (or reject
+/// when the queue is full), signal work.
 /// `replica`/`request` are the type-erased Replica* / Request*.
 void enqueue_request_event(void* replica, void* request);
 

@@ -4,8 +4,7 @@
 //
 // Lifecycle: Queued -> Running -> Finished, or Queued -> Rejected when
 // admission control drops it. The request is passive data: its replica's
-// scheduler loop advances it once per iteration it is batched in, and
-// `done` wakes a closed-loop client when it retires.
+// scheduler loop advances it once per iteration it is batched in.
 //
 // Preemption (PreemptPolicy::kRecomputeYoungest) keeps the request Running
 // but frees its KV block list and folds the decode tokens it had produced
@@ -17,11 +16,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 
 #include "serve/kv_block.hpp"
 #include "sim/engine.hpp"
-#include "sim/sync.hpp"
 #include "util/slot_map.hpp"
 #include "workload/scenario.hpp"
 
@@ -52,8 +49,8 @@ inline constexpr std::uint8_t kReadyStarted = 2;  // mid-prefill prompt
 inline constexpr std::uint8_t kReadyFresh = 3;    // prompt not yet started
 
 struct Request {
-  Request(sim::Engine& engine, std::uint32_t id_, workload::Scenario shape_)
-      : shape(std::move(shape_)), id(id_), done(engine) {}
+  Request(std::uint32_t id_, workload::Scenario shape_)
+      : shape(std::move(shape_)), id(id_) {}
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
 
@@ -173,8 +170,6 @@ struct Request {
   /// Stolen from a neighbor's admission queue while still Queued (work
   /// stealing); at most once — a stolen request is never re-stolen.
   bool stolen = false;
-
-  sim::Signal done;  // completion/rejection broadcast (closed-loop clients)
 
   // ---- Flat-state arena plumbing (Replica::pool) ----
   /// This request's own slot in the replica's arena; whoever retires the

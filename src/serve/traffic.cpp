@@ -1,7 +1,6 @@
 #include "serve/traffic.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,19 +10,22 @@ void TrafficConfig::validate() const {
   if (mix.entries.empty()) {
     throw std::invalid_argument("traffic mix has no scenarios");
   }
-  if (process != ArrivalProcess::kClosedLoop && arrival_rate_per_s <= 0) {
-    throw std::invalid_argument("open-loop arrival rate must be positive");
+  // Bounds are written as !(x > 0) so NaN fails them too; a NaN reaching
+  // open_loop_schedule's cast to sim::Cycles is undefined behaviour.
+  // Infinities are rejected as well: an infinite rate lands every arrival
+  // on cycle 0, and an infinite period makes a NaN (0 x inf).
+  if (!(arrival_rate_per_s > 0) || !std::isfinite(arrival_rate_per_s)) {
+    throw std::invalid_argument(
+        "arrival rate must be a finite positive number");
   }
   if (process == ArrivalProcess::kBursty) {
-    if (burst_period_s <= 0 || burst_factor <= 0 || burst_fraction <= 0 ||
-        burst_fraction >= 1) {
+    if (!(burst_period_s > 0) || !std::isfinite(burst_period_s) ||
+        !(burst_factor > 0) || !std::isfinite(burst_factor) ||
+        !(burst_fraction > 0) || !(burst_fraction < 1)) {
       throw std::invalid_argument(
-          "bursty traffic needs burst_period_s > 0, burst_factor > 0 and "
-          "burst_fraction in (0, 1)");
+          "bursty traffic needs finite burst_period_s > 0, finite "
+          "burst_factor > 0 and burst_fraction in (0, 1)");
     }
-  }
-  if (process == ArrivalProcess::kClosedLoop && clients == 0) {
-    throw std::invalid_argument("closed-loop traffic needs clients >= 1");
   }
   if (!std::is_sorted(explicit_arrivals.begin(), explicit_arrivals.end(),
                       [](const Arrival& a, const Arrival& b) {
@@ -55,12 +57,6 @@ TrafficGen::TrafficGen(TrafficConfig config, double frequency_hz)
 double TrafficGen::exponential_s(double rate_per_s) {
   // Inverse-CDF; next_double() < 1 so the log argument is positive.
   return -std::log(1.0 - rng_.next_double()) / rate_per_s;
-}
-
-sim::Cycles TrafficGen::exponential_cycles(double mean_s) {
-  if (mean_s <= 0) return 0;
-  return static_cast<sim::Cycles>(exponential_s(1.0 / mean_s) *
-                                  frequency_hz_);
 }
 
 workload::Scenario TrafficGen::next_shape() {
@@ -125,7 +121,6 @@ std::vector<workload::Scenario> chat_turn_shapes(const ChatTrafficConfig& c) {
 
 std::vector<Arrival> TrafficGen::open_loop_schedule() {
   if (!config_.explicit_arrivals.empty()) return config_.explicit_arrivals;
-  assert(config_.process != ArrivalProcess::kClosedLoop);
   std::vector<Arrival> schedule;
   schedule.reserve(config_.num_requests);
 

@@ -1,15 +1,12 @@
 // Deterministic traffic generation for the serving fleet.
 //
-// Three arrival processes over a workload::Mix of request shapes:
-//  - kPoisson:    open-loop, exponential inter-arrival times at a fixed
-//                 mean rate (the classic serving-benchmark arrival model).
-//  - kBursty:     open-loop Markov-modulated Poisson: the generator
-//                 alternates between an "on" phase at burst_factor x the
-//                 nominal rate and a quieter "off" phase, stressing queue
-//                 depth and tail latency the way diurnal traffic spikes do.
-//  - kClosedLoop: `clients` concurrent users, each submitting a request,
-//                 waiting for completion, thinking (exponential), and
-//                 resubmitting — throughput self-limits to the fleet speed.
+// Two open-loop arrival processes over a workload::Mix of request shapes:
+//  - kPoisson: exponential inter-arrival times at a fixed mean rate (the
+//              classic serving-benchmark arrival model).
+//  - kBursty:  Markov-modulated Poisson: the generator alternates between
+//              an "on" phase at burst_factor x the nominal rate and a
+//              quieter "off" phase, stressing queue depth and tail latency
+//              the way diurnal traffic spikes do.
 //
 // All randomness flows through util::Rng from a single seed, so a given
 // TrafficConfig reproduces the exact same request sequence on every run —
@@ -31,7 +28,6 @@ namespace looplynx::serve {
 enum class ArrivalProcess : std::uint8_t {
   kPoisson,
   kBursty,
-  kClosedLoop,
 };
 
 /// One open-loop arrival: when (engine cycles) and what shape.
@@ -49,8 +45,7 @@ struct TrafficConfig {
   /// When non-empty, this exact schedule is replayed instead of sampling an
   /// arrival process (deterministic tests and goldens).
   /// Must be sorted by time (validate() rejects it otherwise). Overrides
-  /// `process` — a closed loop spawns no clients, the schedule is replayed
-  /// open-loop — and `num_requests` (see request_budget()).
+  /// `process` and `num_requests` (see request_budget()).
   std::vector<Arrival> explicit_arrivals;
 
   /// When non-empty, arrival i takes `scripted_shapes[i]` instead of a mix
@@ -63,7 +58,6 @@ struct TrafficConfig {
   /// path — and its RNG draw sequence — untouched.
   std::vector<workload::Scenario> scripted_shapes;
 
-  // ---- Open-loop (Poisson / bursty) ----
   double arrival_rate_per_s = 4.0;  // nominal mean arrival rate
 
   // ---- Bursty modulation ----
@@ -71,19 +65,15 @@ struct TrafficConfig {
   double burst_fraction = 0.25; // fraction of each period spent "on"
   double burst_period_s = 2.0;  // on + off period length
 
-  // ---- Closed loop ----
-  std::uint32_t clients = 8;   // >= 1 (validate() rejects 0)
-  double think_time_s = 0.25;  // mean exponential think time
-
   /// Requests this config injects: the explicit schedule's length, else
   /// the script's, else `num_requests`. FleetSim and TrafficGen both write
   /// it back into `num_requests`.
   std::uint32_t request_budget() const;
 
-  /// Throws std::invalid_argument on an empty mix, an open-loop rate <= 0,
-  /// degenerate bursty parameters, a closed loop without clients or an
-  /// unsorted explicit schedule. FleetConfig::validate() calls it, so a
-  /// FleetSim is never built with bad traffic; so does TrafficGen.
+  /// Throws std::invalid_argument on an empty mix, a rate that is not a
+  /// finite positive number, degenerate or non-finite bursty parameters
+  /// or an unsorted explicit schedule. FleetConfig::validate() calls it,
+  /// so a FleetSim is never built with bad traffic; so does TrafficGen.
   void validate() const;
 };
 
@@ -117,22 +107,13 @@ class TrafficGen {
  public:
   TrafficGen(TrafficConfig config, double frequency_hz);
 
-  const TrafficConfig& config() const { return config_; }
-
   /// The full arrival schedule: the explicit one when set, else drawn from
-  /// the open-loop process (Poisson or bursty), sorted by time. Without an
-  /// explicit schedule it must not be called for kClosedLoop.
+  /// the arrival process (Poisson or bursty), sorted by time.
   std::vector<Arrival> open_loop_schedule();
 
-  /// Draws the next request shape from the mix (used by closed-loop
-  /// clients, and internally by open_loop_schedule).
-  workload::Scenario next_shape();
-
-  /// Exponential sample with mean `mean_s`, in cycles (closed-loop think
-  /// times).
-  sim::Cycles exponential_cycles(double mean_s);
-
  private:
+  /// The next request shape: the script's next entry, else a mix sample.
+  workload::Scenario next_shape();
   double exponential_s(double rate_per_s);
 
   TrafficConfig config_;

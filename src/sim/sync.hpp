@@ -127,12 +127,9 @@ inline Task run_then_count_down(Task task, CountdownLatch& latch) {
 ///
 /// Waiters are *scheduled*, never resumed synchronously: set() enqueues
 /// each waiter through the engine's event queue, so the object a waiter was
-/// parked on may be destroyed as soon as set() returns (the serve arena
-/// recycles request slots on exactly this guarantee). The first waiter
-/// parks inline — a request's done signal has at most one waiter (its
-/// closed-loop client), so steady-state request recycling never touches
-/// the heap; extra waiters
-/// overflow into a vector, and release order stays arrival order.
+/// parked on may be destroyed as soon as set() returns. Waiters are
+/// released in arrival order; set() clears the waiter vector but keeps its
+/// capacity, so a re-armed signal stops allocating once it has grown.
 class Signal {
  public:
   explicit Signal(Engine& engine) : engine_(&engine) {}
@@ -143,11 +140,7 @@ class Signal {
     Signal* signal;
     bool await_ready() const noexcept { return signal->set_; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (!signal->first_waiter_) {
-        signal->first_waiter_ = h;
-      } else {
-        signal->overflow_waiters_.push_back(h);
-      }
+      signal->waiters_.push_back(h);
     }
     void await_resume() const noexcept {}
   };
@@ -157,14 +150,8 @@ class Signal {
   void set() {
     if (set_) return;
     set_ = true;
-    if (first_waiter_) {
-      engine_->schedule(0, first_waiter_);
-      first_waiter_ = nullptr;
-    }
-    for (std::coroutine_handle<> h : overflow_waiters_) {
-      engine_->schedule(0, h);
-    }
-    overflow_waiters_.clear();
+    for (std::coroutine_handle<> h : waiters_) engine_->schedule(0, h);
+    waiters_.clear();
   }
 
   void reset() noexcept { set_ = false; }
@@ -173,8 +160,7 @@ class Signal {
  private:
   Engine* engine_;
   bool set_ = false;
-  std::coroutine_handle<> first_waiter_ = nullptr;
-  std::vector<std::coroutine_handle<>> overflow_waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace looplynx::sim

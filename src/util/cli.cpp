@@ -1,9 +1,10 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <iostream>
 #include <limits>
 #include <stdexcept>
+#include <system_error>
 
 namespace looplynx::util {
 
@@ -43,16 +44,37 @@ std::string Cli::get_or(const std::string& name, std::string fallback) const {
   return v ? *v : std::move(fallback);
 }
 
+namespace {
+
+[[noreturn]] void reject_value(const std::string& name,
+                               const std::string& expects,
+                               const std::string& text) {
+  throw std::invalid_argument("--" + name + " expects " + expects +
+                              ", got \"" + text + "\"");
+}
+
+/// The whole of `text` read as a T: no blanks, no trailing junk, in range.
+/// std::from_chars ignores the locale, so "1.5" means the same everywhere.
+template <typename T>
+T read_whole(const std::string& name, const std::string& text,
+             const char* expects) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc() || ptr != last) reject_value(name, expects, text);
+  return value;
+}
+
+}  // namespace
+
 long long Cli::get_int_or(const std::string& name, long long fallback) const {
   const auto v = get(name);
-  if (!v || v->empty()) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return v ? read_whole<long long>(name, *v, "a whole number") : fallback;
 }
 
 double Cli::get_double_or(const std::string& name, double fallback) const {
   const auto v = get(name);
-  if (!v || v->empty()) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  return v ? read_whole<double>(name, *v, "a number") : fallback;
 }
 
 std::uint32_t Cli::get_count_or(const std::string& name,
@@ -67,7 +89,8 @@ bool Cli::get_bool_or(const std::string& name, bool fallback) const {
   if (v->empty() || *v == "1" || *v == "true" || *v == "yes" || *v == "on") {
     return true;
   }
-  return false;
+  if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
+  reject_value(name, "1/true/yes/on or 0/false/no/off", *v);
 }
 
 std::uint32_t parse_count(const std::string& name, const std::string& text) {
@@ -85,10 +108,10 @@ std::uint32_t parse_count(const std::string& name, const std::string& text) {
     }
   }
   if (!ok) {
-    throw std::invalid_argument(
-        "--" + name + " expects a count in 0.." +
-        std::to_string(std::numeric_limits<std::uint32_t>::max()) +
-        ", got \"" + text + "\"");
+    reject_value(name,
+                 "a count in 0.." + std::to_string(
+                     std::numeric_limits<std::uint32_t>::max()),
+                 text);
   }
   return static_cast<std::uint32_t>(value);
 }

@@ -28,6 +28,10 @@ class Cli {
   std::optional<std::string> get(const std::string& name) const;
 
   std::string get_or(const std::string& name, std::string fallback) const;
+  /// Typed value of --name, or `fallback` when it is unset. The whole
+  /// value must read as an in-range integer, a number ("nan" and "inf"
+  /// parse; config validation judges them) or 1/true/yes/on/bare vs
+  /// 0/false/no/off; else std::invalid_argument names the flag.
   long long get_int_or(const std::string& name, long long fallback) const;
   double get_double_or(const std::string& name, double fallback) const;
   bool get_bool_or(const std::string& name, bool fallback) const;

@@ -8,7 +8,7 @@
 namespace looplynx::golden {
 
 inline constexpr char kServeSweepSha256[] =
-    "e6d888337ecbc25a4b9cd1e2c31aada83c74e81e38e14c4a687d3512aef1b223";
+    "cf29e60925ba80b757830c239ca3a536e0690809e5f44f4f6a154386f21faa41";
 
 /// Canonical Chrome-trace + Prometheus exports of two observed sweep
 /// points; pins every byte both exporters emit (DESIGN.md §7).

@@ -286,10 +286,9 @@ TEST(MaskedBalancerTest, KvAwareIgnoresMaskedPoolsAndTiesOnLowestActive) {
 
 TEST(WindowSignalTest, QueueWindowPeakResetsWithoutTouchingAllTimePeak) {
   RequestQueue q(8);
-  sim::Engine engine;
-  Request a(engine, 0, workload::make_scenario(4, 4));
-  Request b(engine, 1, workload::make_scenario(4, 4));
-  Request c(engine, 2, workload::make_scenario(4, 4));
+  Request a(0, workload::make_scenario(4, 4));
+  Request b(1, workload::make_scenario(4, 4));
+  Request c(2, workload::make_scenario(4, 4));
   q.push(&a);
   q.push(&b);
   q.push(&c);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -177,9 +178,9 @@ TEST(LoadBalancerTest, KvAwarePicksMostFreeTokensThenJsqThenIndex) {
 /// agree bit for bit (the replica's summary carries no records: they live
 /// on the rollup, which ServingSim returns). The CLI surfaces report
 /// FleetResult::fleet at every width, which keeps single-replica output
-/// byte-stable. The cases span the open loop under every balancer, the
-/// closed loop, and paged KV with recompute preemption (the whole eviction
-/// path through the shared replica machinery).
+/// byte-stable. The cases span Poisson arrivals under every balancer,
+/// bursty arrivals, and paged KV with recompute preemption (the whole
+/// eviction path through the shared replica machinery).
 TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
   struct Case {
     const char* name;
@@ -193,12 +194,10 @@ TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
   cases.push_back({"open-jsq", open, BalancerPolicy::kJoinShortestQueue});
   cases.push_back({"open-kv", open, BalancerPolicy::kKvAware});
 
-  ServingConfig closed = base_config();
-  closed.traffic.process = ArrivalProcess::kClosedLoop;
-  closed.traffic.clients = 4;
-  closed.traffic.think_time_s = 0.001;
-  closed.traffic.num_requests = 16;
-  cases.push_back({"closed-loop", closed});
+  ServingConfig bursty = base_config();
+  bursty.traffic.process = ArrivalProcess::kBursty;
+  bursty.traffic.burst_period_s = 0.05;
+  cases.push_back({"bursty", bursty});
 
   ServingConfig paged = base_config();
   paged.scheduler.policy = BatchPolicy::kChunkedMixed;
@@ -473,22 +472,6 @@ TEST(FleetSimTest, KvAwareRoutesTowardTheBiggerPool) {
   EXPECT_GT(r.routed[1], r.routed[0]);
 }
 
-TEST(FleetSimTest, ClosedLoopFleetRoutesAndCompletes) {
-  ServingConfig cfg = base_config();
-  cfg.traffic.process = ArrivalProcess::kClosedLoop;
-  cfg.traffic.clients = 6;
-  cfg.traffic.think_time_s = 0.001;
-  cfg.traffic.num_requests = 18;
-  const FleetConfig fleet_cfg =
-      FleetConfig::homogeneous(cfg, 2, BalancerPolicy::kJoinShortestQueue);
-  const FleetResult a = FleetSim(fleet_cfg).run();
-  EXPECT_EQ(a.fleet.offered, 18u);
-  EXPECT_EQ(a.fleet.completed, 18u);
-  EXPECT_GT(a.routed[0], 0u);
-  EXPECT_GT(a.routed[1], 0u);
-  expect_identical(a, FleetSim(fleet_cfg).run());
-}
-
 /// A shape script sets the request budget: the fleet replays all of it
 /// whatever `num_requests` says, and its schedulers drain every turn.
 TEST(FleetSimTest, ScriptSetsTheRequestBudget) {
@@ -505,26 +488,6 @@ TEST(FleetSimTest, ScriptSetsTheRequestBudget) {
   const FleetResult r = FleetSim(FleetConfig::homogeneous(cfg, 2)).run();
   EXPECT_EQ(r.fleet.offered, 32u);
   EXPECT_EQ(r.fleet.completed, 32u);
-}
-
-/// An explicit schedule overrides the arrival process, closed loop
-/// included: no client samples the mix, the schedule is replayed as is.
-TEST(FleetSimTest, ExplicitArrivalsOverrideClosedLoop) {
-  ServingConfig cfg = base_config();
-  cfg.keep_request_records = true;
-  cfg.traffic.explicit_arrivals = {{0, workload::make_scenario(40, 4)},
-                                   {1000, workload::make_scenario(41, 4)},
-                                   {2000, workload::make_scenario(42, 4)}};
-  const FleetConfig open = FleetConfig::homogeneous(cfg, 2);
-  cfg.traffic.process = ArrivalProcess::kClosedLoop;
-  const FleetConfig closed = FleetConfig::homogeneous(cfg, 2);
-  const FleetResult a = FleetSim(open).run();
-  const FleetResult b = FleetSim(closed).run();
-  ASSERT_EQ(b.fleet.requests.size(), 3u);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(b.fleet.requests[i].prefill_tokens, 40 + i);
-  }
-  expect_identical(a, b);
 }
 
 // ------------------------------------------------- The acceptance pin
@@ -585,25 +548,36 @@ TEST(FleetSimTest, RejectsEmptyAndInconsistentFleets) {
 }
 
 /// Traffic is checked when the fleet is built, not when it first runs.
-TEST(FleetSimTest, RejectsZeroOpenLoopRateAtConstruction) {
-  ServingConfig cfg = base_config();
-  cfg.traffic.arrival_rate_per_s = 0;
-  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 2)},
-               std::invalid_argument);
+/// NaN passes a `x <= 0` bound unnoticed, so NaN and infinite rates and
+/// burst parameters each get a case.
+TEST(FleetSimTest, RejectsBadTrafficAtConstruction) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double rate : {0.0, nan, inf, -inf}) {
+    ServingConfig cfg = base_config();
+    cfg.traffic.arrival_rate_per_s = rate;
+    EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 2)},
+                 std::invalid_argument)
+        << rate;
+  }
+  for (double TrafficConfig::*field :
+       {&TrafficConfig::burst_factor, &TrafficConfig::burst_fraction,
+        &TrafficConfig::burst_period_s}) {
+    for (const double bad : {nan, inf}) {
+      ServingConfig cfg = base_config();
+      cfg.traffic.process = ArrivalProcess::kBursty;
+      cfg.traffic.*field = bad;
+      EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 2)},
+                   std::invalid_argument)
+          << bad;
+    }
+  }
 }
 
 TEST(FleetSimTest, RejectsUnsortedExplicitArrivalsAtConstruction) {
   ServingConfig cfg = base_config();
   cfg.traffic.explicit_arrivals = {{1000, workload::make_scenario(8, 8)},
                                    {0, workload::make_scenario(8, 8)}};
-  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 2)},
-               std::invalid_argument);
-}
-
-TEST(FleetSimTest, RejectsClientlessClosedLoopAtConstruction) {
-  ServingConfig cfg = base_config();
-  cfg.traffic.process = ArrivalProcess::kClosedLoop;
-  cfg.traffic.clients = 0;
   EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 2)},
                std::invalid_argument);
 }

@@ -381,10 +381,9 @@ TEST(MixTest, SamplingCoversEntriesDeterministically) {
 // --------------------------------------------------------------- Scheduler
 
 TEST(SchedulerTest, PrefillPriorityPicksPrefillsFirst) {
-  sim::Engine engine;
-  Request p1(engine, 0, workload::make_scenario(8, 8));
-  Request p2(engine, 1, workload::make_scenario(8, 8));
-  Request d1(engine, 2, workload::make_scenario(8, 8));
+  Request p1(0, workload::make_scenario(8, 8));
+  Request p2(1, workload::make_scenario(8, 8));
+  Request d1(2, workload::make_scenario(8, 8));
   mark_prefilled(d1);
   SchedulerConfig cfg;
   cfg.max_batch = 2;
@@ -401,10 +400,9 @@ TEST(SchedulerTest, PrefillPriorityPicksPrefillsFirst) {
 }
 
 TEST(SchedulerTest, DecodePriorityPicksDecodesFirst) {
-  sim::Engine engine;
-  Request p1(engine, 0, workload::make_scenario(8, 8));
-  Request d1(engine, 1, workload::make_scenario(8, 8));
-  Request d2(engine, 2, workload::make_scenario(8, 8));
+  Request p1(0, workload::make_scenario(8, 8));
+  Request d1(1, workload::make_scenario(8, 8));
+  Request d2(2, workload::make_scenario(8, 8));
   mark_prefilled(d1);
   mark_prefilled(d2);
   SchedulerConfig cfg;
@@ -423,10 +421,9 @@ TEST(SchedulerTest, DecodePriorityPicksDecodesFirst) {
 }
 
 TEST(SchedulerTest, TokenBudgetBoundsWholePromptMembers) {
-  sim::Engine engine;
-  Request p1(engine, 0, workload::make_scenario(8, 8));
-  Request p2(engine, 1, workload::make_scenario(8, 8));
-  Request d1(engine, 2, workload::make_scenario(8, 8));
+  Request p1(0, workload::make_scenario(8, 8));
+  Request p2(1, workload::make_scenario(8, 8));
+  Request d1(2, workload::make_scenario(8, 8));
   mark_prefilled(d1);
   SchedulerConfig cfg;
   cfg.max_batch = 8;
@@ -443,9 +440,8 @@ TEST(SchedulerTest, TokenBudgetBoundsWholePromptMembers) {
 }
 
 TEST(SchedulerTest, OversizedPromptRunsAloneUnderBudget) {
-  sim::Engine engine;
-  Request big(engine, 0, workload::make_scenario(32, 4));
-  Request d1(engine, 1, workload::make_scenario(8, 8));
+  Request big(0, workload::make_scenario(32, 4));
+  Request d1(1, workload::make_scenario(8, 8));
   mark_prefilled(d1);
   SchedulerConfig cfg;
   cfg.max_batch = 8;
@@ -463,10 +459,9 @@ TEST(SchedulerTest, OversizedPromptRunsAloneUnderBudget) {
 }
 
 TEST(SchedulerTest, OversizedPromptCannotStarveUnderDecodePriority) {
-  sim::Engine engine;
-  Request d1(engine, 0, workload::make_scenario(8, 8));
-  Request big(engine, 1, workload::make_scenario(32, 4));
-  Request small(engine, 2, workload::make_scenario(4, 4));
+  Request d1(0, workload::make_scenario(8, 8));
+  Request big(1, workload::make_scenario(32, 4));
+  Request small(2, workload::make_scenario(4, 4));
   mark_prefilled(d1);
   SchedulerConfig cfg;
   cfg.max_batch = 8;
@@ -487,17 +482,16 @@ TEST(SchedulerTest, OversizedPromptCannotStarveUnderDecodePriority) {
 }
 
 TEST(SchedulerTest, BudgetedPromptKeepsFifoOrderAgainstYoungerPrompts) {
-  sim::Engine engine;
   std::vector<std::unique_ptr<Request>> pool;
   std::vector<Request*> runnable;
   for (std::uint32_t i = 0; i < 6; ++i) {  // six decode streams
     pool.push_back(
-        std::make_unique<Request>(engine, i, workload::make_scenario(4, 8)));
+        std::make_unique<Request>(i, workload::make_scenario(4, 8)));
     mark_prefilled(*pool.back());
     runnable.push_back(pool.back().get());
   }
-  Request mid(engine, 6, workload::make_scenario(12, 4));
-  Request small(engine, 7, workload::make_scenario(4, 4));
+  Request mid(6, workload::make_scenario(12, 4));
+  Request small(7, workload::make_scenario(4, 4));
   runnable.push_back(&mid);
   runnable.push_back(&small);
   SchedulerConfig cfg;
@@ -518,10 +512,9 @@ TEST(SchedulerTest, BudgetedPromptKeepsFifoOrderAgainstYoungerPrompts) {
 }
 
 TEST(SchedulerTest, ChunkedMixedSplitsPromptsUnderBudget) {
-  sim::Engine engine;
-  Request d1(engine, 0, workload::make_scenario(8, 8));
-  Request d2(engine, 1, workload::make_scenario(8, 8));
-  Request p1(engine, 2, workload::make_scenario(30, 4));
+  Request d1(0, workload::make_scenario(8, 8));
+  Request d2(1, workload::make_scenario(8, 8));
+  Request p1(2, workload::make_scenario(30, 4));
   mark_prefilled(d1);
   mark_prefilled(d2);
   SchedulerConfig cfg;
@@ -558,9 +551,8 @@ TEST(SchedulerTest, ChunkedMixedSplitsPromptsUnderBudget) {
 }
 
 TEST(SchedulerTest, ChunkedMixedFinishesHeadPromptBeforeStartingNext) {
-  sim::Engine engine;
-  Request a(engine, 0, workload::make_scenario(40, 4));
-  Request b(engine, 1, workload::make_scenario(40, 4));
+  Request a(0, workload::make_scenario(40, 4));
+  Request b(1, workload::make_scenario(40, 4));
   SchedulerConfig cfg;
   cfg.max_batch = 8;
   cfg.max_tokens_per_iter = 16;
@@ -596,12 +588,11 @@ TEST(SchedulerTest, ChunkedMixedFinishesHeadPromptBeforeStartingNext) {
 }
 
 TEST(SchedulerTest, ChunkedMixedNeverExceedsTokenBudget) {
-  sim::Engine engine;
   std::vector<std::unique_ptr<Request>> pool;
   std::vector<Request*> runnable;
   for (std::uint32_t i = 0; i < 6; ++i) {
-    pool.push_back(std::make_unique<Request>(
-        engine, i, workload::make_scenario(16 + i, 8)));
+    pool.push_back(
+        std::make_unique<Request>(i, workload::make_scenario(16 + i, 8)));
     if (i % 2 == 0) mark_prefilled(*pool.back());
     runnable.push_back(pool.back().get());
   }
@@ -1133,21 +1124,6 @@ TEST(ServingSimTest, RejectsZeroKvBlockTokens) {
   EXPECT_THROW(ServingSim{cfg}, std::invalid_argument);
 }
 
-TEST(ServingSimTest, ClosedLoopSelfLimits) {
-  ServingConfig cfg = base_config();
-  cfg.traffic.process = ArrivalProcess::kClosedLoop;
-  cfg.traffic.clients = 4;
-  cfg.traffic.think_time_s = 0.001;
-  cfg.traffic.num_requests = 16;
-  const FleetMetrics m = ServingSim(cfg).run();
-  EXPECT_EQ(m.offered, 16u);
-  EXPECT_EQ(m.completed, 16u);
-  // At most `clients` requests can ever be waiting.
-  EXPECT_LE(m.peak_queue_depth, 4u);
-  const FleetMetrics n = ServingSim(cfg).run();
-  expect_identical(m, n);
-}
-
 // ------------------------------------------ Decode runs booked in one wake
 
 /// Runs `cfg` unobserved, where a replica books a decode-only stretch
@@ -1319,10 +1295,9 @@ TEST(DecodeRunTest, DrainAfterTheLastArrival) {
 // ---------------------------------------------------------- RequestQueue
 
 TEST(RequestQueueTest, BoundedFifoWithPeakTracking) {
-  sim::Engine engine;
-  Request a(engine, 0, workload::make_scenario(1, 1));
-  Request b(engine, 1, workload::make_scenario(1, 1));
-  Request c(engine, 2, workload::make_scenario(1, 1));
+  Request a(0, workload::make_scenario(1, 1));
+  Request b(1, workload::make_scenario(1, 1));
+  Request c(2, workload::make_scenario(1, 1));
   RequestQueue q(2);
   EXPECT_TRUE(q.push(&a));
   EXPECT_TRUE(q.push(&b));

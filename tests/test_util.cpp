@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -349,6 +350,60 @@ TEST(CliTest, CountFlags) {
   }
   EXPECT_EQ(parse_count("requests", "64"), 64u);
   EXPECT_THROW(parse_count("requests", ""), std::invalid_argument);
+}
+
+TEST(CliTest, IntFlagsMustBeWholeNumbers) {
+  const char* argv[] = {"prog",      "--neg=-3",   "--plus=+4", "--word=abc",
+                        "--junk=12x", "--frac=1.5", "--space= 7", "--bare",
+                        "--wide=99999999999999999999"};
+  Cli cli(9, argv);
+  EXPECT_EQ(cli.get_int_or("neg", 0), -3);
+  EXPECT_EQ(cli.get_int_or("missing", 5), 5);
+  // The whole value must be the number: "12x" is not 12 and "abc" is not
+  // 0. A plus sign is rejected, as count flags reject it.
+  for (const char* name :
+       {"plus", "word", "junk", "frac", "space", "bare", "wide"}) {
+    EXPECT_THROW(cli.get_int_or(name, 1), std::invalid_argument) << name;
+  }
+}
+
+TEST(CliTest, DoubleFlagsMustParseWhole) {
+  const char* argv[] = {"prog",       "--rate=12",    "--exp=2.5e-1",
+                        "--nan=nan",  "--junk=12abc", "--word=abc",
+                        "--bare",     "--space= 1",   "--huge=1e999"};
+  Cli cli(9, argv);
+  EXPECT_DOUBLE_EQ(cli.get_double_or("rate", 0), 12.0);
+  EXPECT_DOUBLE_EQ(cli.get_double_or("exp", 0), 0.25);
+  // A whole-text NaN parses; config validation is what rejects it.
+  EXPECT_TRUE(std::isnan(cli.get_double_or("nan", 0)));
+  EXPECT_DOUBLE_EQ(cli.get_double_or("missing", 1.5), 1.5);
+  for (const char* name : {"junk", "word", "bare", "space", "huge"}) {
+    EXPECT_THROW(cli.get_double_or(name, 1), std::invalid_argument) << name;
+  }
+  try {
+    cli.get_double_or("junk", 1);
+    ADD_FAILURE() << "--junk=12abc accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "--junk expects a number, got \"12abc\"");
+  }
+}
+
+TEST(CliTest, BoolFlagsTakeOnlyKnownSpellings) {
+  const char* argv[] = {"prog",    "--bare",  "--a=1",   "--b=yes",
+                        "--c=on",  "--d=0",   "--e=no",  "--f=off",
+                        "--g=false", "--typo=of", "--word=maybe"};
+  Cli cli(11, argv);
+  for (const char* name : {"bare", "a", "b", "c"}) {
+    EXPECT_TRUE(cli.get_bool_or(name, false)) << name;
+  }
+  for (const char* name : {"d", "e", "f", "g"}) {
+    EXPECT_FALSE(cli.get_bool_or(name, true)) << name;
+  }
+  EXPECT_TRUE(cli.get_bool_or("missing", true));
+  // A typo such as "of" must not read as off.
+  for (const char* name : {"typo", "word"}) {
+    EXPECT_THROW(cli.get_bool_or(name, true), std::invalid_argument) << name;
+  }
 }
 
 TEST(CliTest, RunMainMapsRejectedFlagsToExitTwo) {
