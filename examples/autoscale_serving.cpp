@@ -36,7 +36,6 @@
 #include "serve/autoscaler.hpp"
 #include "serve/fleet.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/mix.hpp"

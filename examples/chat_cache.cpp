@@ -31,8 +31,8 @@
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "model/config.hpp"
+#include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -116,7 +116,9 @@ int run(const looplynx::util::Cli& cli) {
     serve::ServingConfig cfg = base;
     cfg.prefix_cache = cache;
     cfg.kv_swap = swap;
-    return serve::ServingSim(cfg, costs).run();
+    return serve::FleetSim(serve::FleetConfig::homogeneous(cfg, 1), costs)
+        .run()
+        .fleet;
   };
   const serve::FleetMetrics off = run(false, false);
   const serve::FleetMetrics on = run(true, false);

@@ -31,7 +31,6 @@
 #include "model/config.hpp"
 #include "serve/autoscaler.hpp"
 #include "serve/fleet.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/mix.hpp"

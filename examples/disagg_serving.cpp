@@ -26,7 +26,6 @@
 #include "core/arch_config.hpp"
 #include "model/config.hpp"
 #include "serve/fleet.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/mix.hpp"

@@ -94,21 +94,16 @@ std::vector<TierSpec> tier_spec(const std::vector<ReplicaRole>& roles,
 }  // namespace
 
 std::uint32_t LoadBalancer::pick(const std::vector<ReplicaLoad>& loads) {
-  std::uint32_t n_active = 0;
-  for (const ReplicaLoad& l : loads) n_active += l.active ? 1 : 0;
-  return pick(loads, n_active);
-}
-
-std::uint32_t LoadBalancer::pick(const std::vector<ReplicaLoad>& loads,
-                                 std::uint32_t n_active) {
   const auto n = static_cast<std::uint32_t>(loads.size());
-  if (n_active == 0) return 0;  // unreachable: autoscale min_replicas >= 1
   switch (policy_) {
     case BalancerPolicy::kRoundRobin: {
       // The counter advances once per pick regardless of the mask, and
       // selects the k-th *active* replica in index order: with every
       // replica active this is exactly the legacy `counter % n`, and under
       // a mask the cycle walks the live prefix deterministically.
+      std::uint32_t n_active = 0;
+      for (const ReplicaLoad& l : loads) n_active += l.active ? 1 : 0;
+      if (n_active == 0) return 0;  // unreachable: min_replicas >= 1
       std::uint32_t k = round_robin_next_ % n_active;
       ++round_robin_next_;
       for (std::uint32_t i = 0; i < n; ++i) {
@@ -449,8 +444,7 @@ struct FleetRun {
   util::SlidingWindow ttft_window;
   std::vector<ScaleEvent> scale_log;
   /// Reused load-snapshot buffer for route(): refreshed in place per
-  /// arrival, so steady-state routing never allocates. The live count is
-  /// the active count (active == index < live), handed to pick() directly.
+  /// arrival, so steady-state routing never allocates.
   std::vector<LoadBalancer::ReplicaLoad> loads;
 
   /// One routing decision: snapshot every replica's load, ask the
@@ -462,19 +456,15 @@ struct FleetRun {
   /// tier's live prefix, so symmetric routing is untouched).
   detail::Replica& route() {
     loads.resize(replicas.size());
-    std::uint32_t routable = 0;
     for (std::size_t i = 0; i < replicas.size(); ++i) {
       const auto& r = replicas[i];
-      const bool active =
-          r->live &&
-          (disagg == nullptr || cfg.roles[i] != ReplicaRole::kDecode);
-      routable += active ? 1 : 0;
       loads[i] = {r->outstanding(),
                   static_cast<std::uint64_t>(r->kv.free_blocks()) *
                       r->kv.block_tokens(),
-                  active};
+                  r->live && (disagg == nullptr ||
+                              cfg.roles[i] != ReplicaRole::kDecode)};
     }
-    return *replicas[balancer.pick(loads, routable)];
+    return *replicas[balancer.pick(loads)];
   }
 
   /// True once the arrival stream is exhausted and every routed request
@@ -488,13 +478,11 @@ struct FleetRun {
   }
 };
 
-/// The fleet's one injector: draws the open-loop arrival schedule and
-/// replays it, routing each arrival the moment it lands. Before each sleep
-/// it publishes the cycle it sleeps to as the fleet's arrival horizon.
-sim::Task arrivals_proc(FleetRun& run) {
-  const std::vector<Arrival> schedule =
-      TrafficGen(run.cfg.traffic, run.cfg.replicas.front().arch.frequency_hz)
-          .open_loop_schedule();
+/// The fleet's one injector: replays the open-loop arrival schedule,
+/// routing each arrival the moment it lands. Before each sleep it
+/// publishes the cycle it sleeps to as the fleet's arrival horizon.
+sim::Task arrivals_proc(FleetRun& run,
+                         const std::vector<Arrival>& schedule) {
   for (const Arrival& a : schedule) {
     if (a.at > run.engine.now()) {
       run.shared.next_arrival = a.at;
@@ -502,7 +490,7 @@ sim::Task arrivals_proc(FleetRun& run) {
     }
     detail::Replica& rep = run.route();
     Request& r = rep.make_request(a.shape);
-    run.engine.schedule_call(0, &detail::enqueue_request_event, &rep, &r);
+    run.engine.schedule_call(&detail::enqueue_request_event, &rep, &r);
   }
   run.shared.next_arrival = detail::FleetShared::kNoArrival;
 }
@@ -698,8 +686,6 @@ std::uint64_t occupied_cycles(const LiveTimeline& timeline,
 
 }  // namespace
 
-FleetResult FleetSim::run() const { return run(nullptr); }
-
 FleetResult FleetSim::run(Observer* observer) const {
   if (observer != nullptr &&
       observer->replicas() != config_.replicas.size()) {
@@ -707,6 +693,18 @@ FleetResult FleetSim::run(Observer* observer) const {
         "FleetSim::run observer must be built for the fleet width (" +
         std::to_string(config_.replicas.size()) + " replicas)");
   }
+  // The schedule is a pure function of the config; drawing it before the
+  // engine starts lets an unrepresentable arrival stamp surface as a
+  // config error instead of a failed root process. An explicit schedule
+  // is replayed in place, not copied.
+  const std::vector<Arrival>& given = config_.traffic.explicit_arrivals;
+  std::vector<Arrival> drawn;
+  if (given.empty()) {
+    drawn = TrafficGen(config_.traffic,
+                       config_.replicas.front().arch.frequency_hz)
+                .open_loop_schedule();
+  }
+  const std::vector<Arrival>& schedule = given.empty() ? drawn : given;
   if (observer != nullptr && config_.disaggregated()) {
     // Tag the exports with each replica's role so scale/drain instants
     // and the Prometheus scale counters say WHICH tier moved. Symmetric
@@ -730,7 +728,7 @@ FleetResult FleetSim::run(Observer* observer) const {
   for (auto& r : run.replicas) {
     run.engine.spawn(detail::scheduler_proc(*r));
   }
-  run.engine.spawn(arrivals_proc(run));
+  run.engine.spawn(arrivals_proc(run, schedule));
   run.engine.run();
 
   const sim::Cycles makespan = run.engine.now();

@@ -1,47 +1,95 @@
-// Multi-deployment serving fleet: N replica deployments behind a
-// load balancer, fed by one shared traffic stream.
+// The serving engine: N replica deployments behind a load balancer, fed
+// by one shared traffic stream. A lone replica is the width-1 fleet,
+// FleetSim(FleetConfig::homogeneous(config, 1)).
 //
-// FleetSim is the serving engine at every width (ServingSim is its
-// 1-replica case): it owns N independent replicas (each a full
-// ServingConfig — its own scheduler, KV budget, even a different
-// ArchConfig) on ONE shared sim::Engine, and a LoadBalancer that routes
-// every arrival of a single TrafficGen stream to a replica the moment it
-// lands. Replicas never share KV or pipeline state — in a symmetric fleet a
-// request lives and dies on the replica it was routed to, so each
-// replica's scheduling, paging and preemption behavior is exactly a lone
-// replica's. Disaggregated fleets (FleetConfig::roles) relax exactly one
-// thing: a finished prompt's KV can move, whole, from a prefill replica to
-// a decode replica over a timed net::RingFabric (and an idle replica can
-// steal queued work the same way) — the pools themselves are still never
-// shared.
+// Each replica is a continuous-batching deployment (serve/replica.hpp): a
+// RequestQueue holds arrivals until the paged KvBlockManager has room
+// (whole footprint under PreemptPolicy::kNone, prompt blocks only under the
+// recompute policies, which grow decode blocks on demand and preempt a
+// victim when the pool runs dry), and the Scheduler runs iteration-level
+// continuous batching over the admitted set, pricing every step with
+// core::StepCostModel.
+//
+// FleetSim owns N independent replicas (each a full ServingConfig — its
+// own scheduler, KV budget, even a different ArchConfig) on ONE shared
+// sim::Engine, and a LoadBalancer that routes every arrival of a single
+// TrafficGen stream to a replica the moment it lands. Replicas never share
+// KV or pipeline state — in a symmetric fleet a request lives and dies on
+// the replica it was routed to, so each replica's scheduling, paging and
+// preemption behavior is exactly a lone replica's. Disaggregated fleets
+// (FleetConfig::roles) relax exactly one thing: a finished prompt's KV can
+// move, whole, from a prefill replica to a decode replica over a timed
+// net::RingFabric (and an idle replica can steal queued work the same way)
+// — the pools themselves are still never shared.
 //
 // Invariants:
 //  - Determinism: a FleetConfig fully determines FleetResult. All
 //    randomness flows through the one seeded TrafficGen, the engine
 //    resolves same-cycle events in scheduling order, and every balancer
-//    tie-break is by lowest replica index — byte-identical sweeps, same as
-//    the single-replica engine.
-//  - ServingSim IS a 1-replica fleet: it runs FleetSim on
-//    FleetConfig::homogeneous(config, 1), so the two cannot drift.
+//    tie-break is by lowest replica index — byte-identical sweeps.
+//  - Legacy identity: kv_block_tokens == 1 with PreemptPolicy::kNone
+//    reproduces the pre-paging whole-footprint accounting bit for bit.
+//  - Livelock-freedom: under kRecomputeYoungest every admitted request
+//    completes — preconditioned on age-ordered, decode-only eviction and
+//    admission-pause-while-recovering (see scheduler_proc in
+//    serve/replica.cpp for the argument).
 //  - All replicas must share one clock frequency (arch.frequency_hz): the
 //    engine has a single cycle-granular clock. Heterogeneity means node
 //    counts, KV budgets and scheduler knobs — not clock domains.
 //
-// Architecture notes: DESIGN.md §5.
+// Architecture notes: DESIGN.md §4 (one replica), §5 (fleets).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "hw/link.hpp"
+#include "model/config.hpp"
 #include "serve/autoscaler.hpp"
 #include "serve/metrics.hpp"
-#include "serve/serving_sim.hpp"
+#include "serve/scheduler.hpp"
+#include "serve/traffic.hpp"
 #include "util/table.hpp"
 
 namespace looplynx::serve {
+
+class Observer;  // serve/observe.hpp
+
+/// One replica deployment: its hardware, model, scheduler and KV knobs.
+struct ServingConfig {
+  core::ArchConfig arch = core::ArchConfig::two_node();
+  model::ModelConfig model = model::gpt2_medium();
+  SchedulerConfig scheduler;
+  /// The arrival stream FleetConfig::homogeneous gives the fleet; ignored
+  /// on a replica inside a FleetConfig (see FleetConfig::replicas).
+  TrafficConfig traffic;
+  /// 0 selects the architecture default (kv_channels x 256 MiB per node).
+  std::uint64_t kv_budget_bytes_per_node = 0;
+  /// Paged-KV block granularity in tokens (KvBlockManager). 1 ==
+  /// token-granular, which with SchedulerConfig::preempt == kNone is
+  /// bit-identical to the pre-paging whole-footprint reservation.
+  std::uint32_t kv_block_tokens = 1;
+  /// Probe stride for the StepCostModel (1 = exact per-position costs).
+  std::uint32_t cost_probe_stride = 64;
+  /// Content-addressed prefix caching (serve/kv_block.hpp PrefixCache):
+  /// admission skips prompt tokens whose KV is already cached, completed
+  /// prompt blocks are published for later requests, and refcount-zero
+  /// blocks stay cached-idle until pool pressure reclaims them. false (the
+  /// default) constructs no cache at all — the run is byte-identical to a
+  /// build without the feature.
+  bool prefix_cache = false;
+  /// Swap-to-host eviction tier: a reclaimed cache block whose prefill
+  /// rebuild costs more than a DMA round-trip moves to host DRAM instead
+  /// of being discarded, and is restored (transfer priced into the next
+  /// iteration's `kv-swap` span) when hit again. Requires prefix_cache.
+  bool kv_swap = false;
+  SloConfig slo;
+  /// Fill FleetMetrics::requests with per-request outcomes.
+  bool keep_request_records = false;
+};
 
 /// Replica specialization in a disaggregated fleet (FleetConfig::roles).
 /// General replicas behave exactly like the symmetric fleets of PR 4-8.
@@ -115,12 +163,6 @@ class LoadBalancer {
   /// balancer — what keeps static-fleet sweeps byte-stable.
   std::uint32_t pick(const std::vector<ReplicaLoad>& loads);
 
-  /// Same pick with the active count supplied by the caller — the fleet
-  /// keeps it incrementally (the live prefix size), so the per-arrival
-  /// counting scan disappears from the routing hot path.
-  std::uint32_t pick(const std::vector<ReplicaLoad>& loads,
-                     std::uint32_t n_active);
-
   BalancerPolicy policy() const { return policy_; }
 
  private:
@@ -162,7 +204,7 @@ struct FleetConfig {
   bool disaggregated() const { return !roles.empty(); }
 
   /// The one check of a config's meaning, shared by every road into
-  /// FleetSim (library callers, ServingSim, the CLI flags).
+  /// FleetSim (library callers and the CLI flags).
   /// Throws std::invalid_argument naming the first violated rule; never
   /// mutates.
   void validate() const;
@@ -289,17 +331,15 @@ class FleetSim {
   const FleetConfig& config() const { return config_; }
 
   /// Simulates the whole fleet to completion and returns its results.
-  FleetResult run() const;
-
-  /// Same run with an observer attached (serve/observe.hpp): every
-  /// replica's lifecycle events and cycle-accounting spans — plus the
-  /// autoscaler's scale/drain decisions — are recorded into it, and the
-  /// observer is finalized (per-replica tiling asserted, exports unlocked)
-  /// before returning. `observer` may be null (identical to run()); when
-  /// non-null it must be freshly constructed for the fleet width at the
-  /// fleet clock. Observation is pure bookkeeping: the returned result is
-  /// identical to an unobserved run's.
-  FleetResult run(Observer* observer) const;
+  /// With a non-null `observer` (serve/observe.hpp) every replica's
+  /// lifecycle events and cycle-accounting spans — plus the autoscaler's
+  /// scale/drain decisions — are recorded into it, and it is finalized
+  /// (per-replica tiling asserted, exports unlocked) before returning; it
+  /// must be freshly constructed for the fleet width at the fleet clock.
+  /// Observation is pure bookkeeping: the result is identical to an
+  /// unobserved run's. Throws std::invalid_argument when the observer's
+  /// width is wrong or an arrival lands past the 64-bit cycle clock.
+  FleetResult run(Observer* observer = nullptr) const;
 
  private:
   FleetConfig config_;

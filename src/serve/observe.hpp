@@ -114,9 +114,9 @@ constexpr const char* category_name(Category c) {
 }
 
 /// One run's observability state. Construct with the run's replica pool
-/// width and clock, attach via ServingSim::run(&obs) / FleetSim::run(&obs),
-/// then export. Single-use: finalize() runs once, after which the event log
-/// and breakdowns are frozen.
+/// width and clock, attach via FleetSim::run(&obs), then export.
+/// Single-use: finalize() runs once, after which the event log and
+/// breakdowns are frozen.
 class Observer {
  public:
   Observer(std::uint32_t replicas, double frequency_hz);

@@ -552,7 +552,6 @@ sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
   r.home = &dst;
   ++src.handoffs_out;
   ++dst.handoffs_in;
-  ++dst.migrations_in;
   dst.pending_migrate_cycles += dst.costs.kv_ingest_cycles(block_bytes *
                                                            blocks);
   if (dst.shared.observer != nullptr) {
@@ -576,7 +575,6 @@ sim::Task steal_proc(Replica& thief, Replica& victim, Request& r) {
   r.home = &thief;
   ++victim.handoffs_out;
   ++thief.handoffs_in;
-  ++thief.steals_in;
   thief.steal_inflight = false;
   if (thief.shared.observer != nullptr) {
     thief.shared.observer->record(LifecycleEvent::kSteal, thief.engine.now(),

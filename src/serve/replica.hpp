@@ -1,6 +1,6 @@
 // One serving replica's engine room: the machinery FleetSim runs once per
-// replica on one shared engine behind a LoadBalancer (ServingSim is a
-// 1-replica FleetSim).
+// replica on one shared engine behind a LoadBalancer (a lone replica is
+// the width-1 fleet).
 //
 // A Replica owns everything one deployment needs per run: the admission
 // queue, the paged KvBlockManager, the iteration scheduler, the request
@@ -9,8 +9,15 @@
 // because a fleet shares one clock and one arrival stream across all
 // replicas.
 //
-// This header is internal to src/serve/: the public entry points are
-// serving_sim.hpp and fleet.hpp.
+// Batch members occupy the time-shared pipeline back to back inside an
+// iteration — each priced by core::StepCostModel rather than re-simulated
+// — and the host PCIe sync is paid once per iteration; the scheduler loop
+// steps every member itself, one engine wake per iteration, except that a
+// decode-only stretch between arrivals is booked in one wake with
+// identical results (book_decode_run in replica.cpp).
+//
+// This header is internal to src/serve/: the public entry point is
+// fleet.hpp.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +34,6 @@
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/serving_sim.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -223,14 +229,12 @@ struct Replica {
 
   // ---- Disaggregation counters (all 0 when `disagg` is absent) ----
   std::uint64_t migrations_out = 0;  // prompts whose KV this replica shipped
-  std::uint64_t migrations_in = 0;   // migrated KV lists landed here
   std::uint64_t migrated_blocks_out = 0;  // KV blocks shipped out
   /// Bytes this replica's migrations put on the wire: payload x hops —
   /// multi-hop paths serialize on every link crossed, and the fabric's
   /// total_bytes() counts them the same way (conservation invariant).
   std::uint64_t migrate_wire_bytes = 0;
   std::uint64_t steals_out = 0;       // queued requests neighbors took
-  std::uint64_t steals_in = 0;        // queued requests this replica took
   std::uint64_t steal_wire_bytes = 0;  // prompt bytes x hops (thief side)
   /// Ingest-DMA ledger: migrate_proc deposits the landing price here; the
   /// scheduler drains it into the iteration offset (and a `kv-migrate`

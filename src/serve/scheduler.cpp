@@ -152,37 +152,6 @@ void Scheduler::select(ReadyQueue& ready,
   for (const ScheduledStep& s : batch) ready.unlink(s.request);
 }
 
-std::vector<ScheduledStep> Scheduler::select(
-    std::vector<Request*>& runnable) const {
-  ReadyQueue ready;
-  for (Request* r : runnable) ready.push_back(r);
-  std::vector<ScheduledStep> batch;
-  select(ready, batch);
-  // Unselected requests keep their relative order (a stamp-ordered merge
-  // of the class lists reconstructs it), matching the legacy erase_if
-  // behavior; hooks are scrubbed so callers can reuse requests.
-  runnable.clear();
-  Request* heads[3] = {ready.decodes.head, ready.started.head,
-                       ready.fresh.head};
-  while (true) {
-    int pick = -1;
-    for (int i = 0; i < 3; ++i) {
-      if (heads[i] != nullptr &&
-          (pick < 0 || heads[i]->ready_stamp < heads[pick]->ready_stamp)) {
-        pick = i;
-      }
-    }
-    if (pick < 0) break;
-    Request* r = heads[pick];
-    heads[pick] = r->link_next[kReadyChannel];
-    r->link_prev[kReadyChannel] = nullptr;
-    r->link_next[kReadyChannel] = nullptr;
-    r->ready_class = kReadyNone;
-    runnable.push_back(r);
-  }
-  return batch;
-}
-
 double Scheduler::mean_batch_size() const {
   if (iteration_count_ == 0) return 0.0;
   // batch_members_ stays below 2^53, so the double conversion is exact and

@@ -131,10 +131,6 @@ class Scheduler {
   /// own class list, so the cost is O(batch), not O(ready size).
   void select(ReadyQueue& ready, std::vector<ScheduledStep>& batch) const;
 
-  /// Vector-based convenience overload (tests / offline analysis): same
-  /// selection semantics; selected requests are removed from `runnable`.
-  std::vector<ScheduledStep> select(std::vector<Request*>& runnable) const;
-
   /// Folds one finished iteration into the aggregate counters. The hot
   /// path does not keep per-iteration records — a million-request sweep
   /// runs hundreds of thousands of iterations, and the only downstream

@@ -10,6 +10,9 @@ void TrafficConfig::validate() const {
   if (mix.entries.empty()) {
     throw std::invalid_argument("traffic mix has no scenarios");
   }
+  if (request_budget() == 0) {
+    throw std::invalid_argument("traffic needs at least one request");
+  }
   // Bounds are written as !(x > 0) so NaN fails them too; a NaN reaching
   // open_loop_schedule's cast to sim::Cycles is undefined behaviour.
   // Infinities are rejected as well: an infinite rate lands every arrival
@@ -52,6 +55,18 @@ TrafficGen::TrafficGen(TrafficConfig config, double frequency_hz)
       rng_(config_.seed) {
   config_.validate();
   config_.num_requests = config_.request_budget();
+}
+
+sim::Cycles TrafficGen::to_cycles(double t_s) const {
+  // 2^64 is exact in a double; written as !(x < bound) so NaN fails too.
+  // The cast of a value at or past the bound would be undefined behaviour.
+  const double cycles = t_s * frequency_hz_;
+  if (!(cycles < 18446744073709551616.0)) {
+    throw std::invalid_argument(
+        "an arrival lands past the 64-bit cycle clock (arrival rate too "
+        "low for the request count)");
+  }
+  return static_cast<sim::Cycles>(cycles);
 }
 
 double TrafficGen::exponential_s(double rate_per_s) {
@@ -128,8 +143,7 @@ std::vector<Arrival> TrafficGen::open_loop_schedule() {
     double t = 0.0;
     for (std::uint32_t i = 0; i < config_.num_requests; ++i) {
       t += exponential_s(config_.arrival_rate_per_s);
-      schedule.push_back(Arrival{
-          static_cast<sim::Cycles>(t * frequency_hz_), next_shape()});
+      schedule.push_back(Arrival{to_cycles(t), next_shape()});
     }
     return schedule;
   }
@@ -168,9 +182,7 @@ std::vector<Arrival> TrafficGen::open_loop_schedule() {
       while (schedule.size() < config_.num_requests) {
         offset += exponential_s(rate);
         if (offset >= len) break;
-        schedule.push_back(
-            Arrival{static_cast<sim::Cycles>((base + offset) * frequency_hz_),
-                    next_shape()});
+        schedule.push_back(Arrival{to_cycles(base + offset), next_shape()});
       }
     }
     offset = 0.0;

@@ -70,10 +70,11 @@ struct TrafficConfig {
   /// it back into `num_requests`.
   std::uint32_t request_budget() const;
 
-  /// Throws std::invalid_argument on an empty mix, a rate that is not a
-  /// finite positive number, degenerate or non-finite bursty parameters
-  /// or an unsorted explicit schedule. FleetConfig::validate() calls it,
-  /// so a FleetSim is never built with bad traffic; so does TrafficGen.
+  /// Throws std::invalid_argument on an empty mix, a zero request budget,
+  /// a rate that is not a finite positive number, degenerate or
+  /// non-finite bursty parameters or an unsorted explicit schedule.
+  /// FleetConfig::validate() calls it, so a FleetSim is never built with
+  /// bad traffic; so does TrafficGen.
   void validate() const;
 };
 
@@ -108,10 +109,14 @@ class TrafficGen {
   TrafficGen(TrafficConfig config, double frequency_hz);
 
   /// The full arrival schedule: the explicit one when set, else drawn from
-  /// the arrival process (Poisson or bursty), sorted by time.
+  /// the arrival process (Poisson or bursty), sorted by time. Throws
+  /// std::invalid_argument when a drawn arrival is not below 2^64 cycles.
   std::vector<Arrival> open_loop_schedule();
 
  private:
+  /// `t_s` seconds as a cycle stamp; throws past the 64-bit clock.
+  sim::Cycles to_cycles(double t_s) const;
+
   /// The next request shape: the script's next entry, else a mix sample.
   workload::Scenario next_shape();
   double exponential_s(double rate_per_s);

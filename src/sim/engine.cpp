@@ -1,5 +1,7 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
+
 namespace looplynx::sim {
 
 Engine::~Engine() {
@@ -15,34 +17,20 @@ void Engine::schedule_at(Cycles time, std::coroutine_handle<> h) {
   queue_.push(Item{time, seq_++, h});
 }
 
-Engine::RootId Engine::spawn(Task task) {
+void Engine::spawn(Task task) {
   if (++spawns_since_sweep_ >= 4096) {
     spawns_since_sweep_ = 0;
     sweep_finished_roots();
   }
-  const RootId id = roots_.size();
   schedule(0, task.handle());
   roots_.push_back(std::move(task));
-  live_roots_.push_back(id);
-  return id;
 }
 
 void Engine::sweep_finished_roots() {
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < live_roots_.size(); ++i) {
-    Task& root = roots_[live_roots_[i]];
-    if (root.valid() && root.done()) {
-      root.rethrow_if_failed();
-      root = Task{};  // free the frame; done() stays true for this id
-    } else {
-      live_roots_[keep++] = live_roots_[i];
-    }
-  }
-  live_roots_.resize(keep);
-}
-
-bool Engine::root_done(RootId id) const {
-  return id < roots_.size() && roots_[id].done();
+  check_root_failures();
+  roots_.erase(std::remove_if(roots_.begin(), roots_.end(),
+                              [](const Task& root) { return root.done(); }),
+               roots_.end());
 }
 
 std::uint64_t Engine::run(std::uint64_t max_events) {
@@ -54,51 +42,22 @@ std::uint64_t Engine::run(std::uint64_t max_events) {
     if (item.handle) {
       item.handle.resume();
     } else {
-      dispatch_call(item.seq);
+      dispatch_call();
     }
     ++processed;
-    ++events_;
   }
   check_root_failures();
   return processed;
 }
 
-bool Engine::run_until(Cycles time) {
-  while (!queue_.empty() && queue_.top().time <= time) {
-    Item item = queue_.top();
-    queue_.pop();
-    now_ = item.time;
-    if (item.handle) {
-      item.handle.resume();
-    } else {
-      dispatch_call(item.seq);
-    }
-    ++events_;
+void Engine::dispatch_call() {
+  // The cursor dodges the O(pending) erase a front pop would cost.
+  const CallItem c = calls_[calls_head_];
+  if (++calls_head_ == calls_.size()) {
+    calls_.clear();
+    calls_head_ = 0;
   }
-  now_ = time;
-  check_root_failures();
-  return queue_.empty();
-}
-
-void Engine::dispatch_call(std::uint64_t seq) {
-  // Zero-delay callbacks (the only current use) fire in registration
-  // order, so the match is at the head cursor; the cursor dodges the
-  // O(pending) erase a front pop would cost. Out-of-order matches (mixed
-  // delays) fall back to a scan + erase.
-  for (std::size_t i = calls_head_; i < calls_.size(); ++i) {
-    if (calls_[i].seq != seq) continue;
-    const CallItem c = calls_[i];
-    if (i == calls_head_) {
-      if (++calls_head_ == calls_.size()) {
-        calls_.clear();
-        calls_head_ = 0;
-      }
-    } else {
-      calls_.erase(calls_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    c.fn(c.a, c.b);
-    return;
-  }
+  c.fn(c.a, c.b);
 }
 
 void Engine::check_root_failures() {

@@ -38,9 +38,6 @@ class Engine {
   /// Current simulated time.
   Cycles now() const noexcept { return now_; }
 
-  /// Number of events processed so far.
-  std::uint64_t events_processed() const noexcept { return events_; }
-
   /// Schedules `h` to resume `delay` cycles from now.
   void schedule(Cycles delay, std::coroutine_handle<> h) {
     schedule_at(now_ + delay, h);
@@ -49,39 +46,30 @@ class Engine {
   /// Schedules `h` to resume at absolute time `time` (>= now).
   void schedule_at(Cycles time, std::coroutine_handle<> h);
 
-  /// Schedules a plain callback `delay` cycles from now — the
+  /// Schedules a plain callback at the current cycle — the
   /// allocation-free alternative to spawning a coroutine root for a
   /// one-shot event. The callback occupies exactly the queue position the
   /// spawned root's first resumption would have (same clock, same
   /// tie-break sequence number), so swapping one for the other cannot
-  /// reorder any event. The serve layer enqueues every arriving request
-  /// this way, without a per-request coroutine frame.
-  void schedule_call(Cycles delay, void (*fn)(void*, void*), void* a,
-                     void* b) {
-    // The payload lives in a side table keyed by the event's sequence
-    // number so Item (copied on every heap sift) stays three words.
-    calls_.push_back(CallItem{seq_, fn, a, b});
-    queue_.push(Item{now_ + delay, seq_++, {}});
+  /// reorder any event. Callbacks therefore fire in the order they were
+  /// registered. The serve layer enqueues every arriving request this
+  /// way, without a per-request coroutine frame.
+  void schedule_call(void (*fn)(void*, void*), void* a, void* b) {
+    // The payload lives in a side table in registration order so Item
+    // (copied on every heap sift) stays three words.
+    calls_.push_back(CallItem{fn, a, b});
+    queue_.push(Item{now_, seq_++, {}});
   }
 
-  /// Identifier for a spawned root process.
-  using RootId = std::size_t;
-
   /// Takes ownership of a root process and schedules it to start at the
-  /// current time. Returns an id usable with root_done().
-  RootId spawn(Task task);
-
-  /// True when the given root process has run to completion.
-  bool root_done(RootId id) const;
+  /// current time.
+  void spawn(Task task);
 
   /// Runs until the event queue is empty (processes blocked on channels do
-  /// not keep the simulation alive). Returns the number of events processed
+  /// not keep the simulation alive) or `max_events` events have run — the
+  /// bound on a runaway process. Returns the number of events processed
   /// in this call. Rethrows the first root-process exception, if any.
   std::uint64_t run(std::uint64_t max_events = UINT64_MAX);
-
-  /// Runs all events with time <= `time`, then sets now to `time`.
-  /// Returns true if the event queue is empty afterwards.
-  bool run_until(Cycles time);
 
   /// Awaitable that suspends the current process for `delay` cycles.
   struct DelayAwaiter {
@@ -108,36 +96,32 @@ class Engine {
     }
   };
 
-  /// Pending schedule_call payload, keyed by the event's seq. The table
-  /// holds only not-yet-fired callbacks (a handful at any instant), so the
-  /// linear lookup on dispatch is cheaper than widening every Item.
+  /// Pending schedule_call payload, in registration order. Every
+  /// callback is due at the cycle it was registered, so they fire in that
+  /// order: the next one to fire is always at calls_head_.
   struct CallItem {
-    std::uint64_t seq;
     void (*fn)(void*, void*);
     void* a;
     void* b;
   };
 
-  /// Pops and runs the callback registered under `seq`.
-  void dispatch_call(std::uint64_t seq);
+  /// Pops and runs the oldest pending callback.
+  void dispatch_call();
 
   void check_root_failures();
 
   /// Frees frames of completed root processes so long simulations (which
   /// spawn one short-lived process per kernel invocation) stay bounded in
-  /// memory. Ids stay valid: a swept root reads as done. Only roots still
-  /// holding a frame (live_roots_) are visited, so total sweep work is
-  /// O(peak live roots) per sweep instead of O(all roots ever spawned).
+  /// memory. Finished roots are dropped from roots_, so each sweep visits
+  /// only the roots alive at the last sweep plus those spawned since.
   void sweep_finished_roots();
 
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue_;
   std::vector<CallItem> calls_;
   std::size_t calls_head_ = 0;  // first not-yet-fired entry in calls_
-  std::vector<Task> roots_;
-  std::vector<RootId> live_roots_;  // roots whose frame is not yet freed
+  std::vector<Task> roots_;     // roots not yet swept, in spawn order
   Cycles now_ = 0;
   std::uint64_t seq_ = 0;
-  std::uint64_t events_ = 0;
   std::uint64_t spawns_since_sweep_ = 0;
 };
 

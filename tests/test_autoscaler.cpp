@@ -21,7 +21,6 @@
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/queue.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "workload/mix.hpp"

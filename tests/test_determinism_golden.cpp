@@ -32,7 +32,6 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "tests/golden/serve_golden.hpp"
 #include "util/sha256.hpp"
@@ -235,9 +234,9 @@ std::uint64_t token_budget(const ServingConfig& cfg, std::uint32_t tokens) {
 /// one, whose replicas book decode-only stretches between arrivals in one
 /// wake.
 FleetMetrics run_single(const ServingConfig& cfg, bool observed) {
-  if (!observed) return ServingSim(cfg).run();
+  if (!observed) return FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   Observer obs(1, cfg.arch.frequency_hz);
-  return ServingSim(cfg).run(&obs);
+  return FleetSim(FleetConfig::homogeneous(cfg, 1)).run(&obs).fleet;
 }
 
 FleetResult run_fleet(const FleetConfig& cfg, bool observed) {
@@ -547,7 +546,7 @@ std::string canonical_observed_export() {
     cfg.kv_budget_bytes_per_node = token_budget(cfg, 288);
     cfg.traffic.arrival_rate_per_s = 1200.0;
     Observer obs(1, cfg.arch.frequency_hz);
-    ServingSim(cfg).run(&obs);
+    FleetSim(FleetConfig::homogeneous(cfg, 1)).run(&obs);
     export_both(obs, "single-paged-recompute");
   }
   {

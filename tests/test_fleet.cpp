@@ -1,8 +1,7 @@
 // Tests for the multi-deployment fleet layer: LoadBalancer routing rules
-// and tie-breaks, FleetSim determinism, single-replica equivalence with
-// ServingSim, the fleet rollup rules, the JSQ-beats-round-robin acceptance
-// pin on a skewed mix, heterogeneous fleets, and the fleet CLI flag
-// validation.
+// and tie-breaks, FleetSim determinism, the width-1 fleet's rollup, the
+// fleet rollup rules, the JSQ-beats-round-robin acceptance pin on a skewed
+// mix, heterogeneous fleets, and the fleet CLI flag validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "util/cli.hpp"
 #include "workload/mix.hpp"
@@ -172,27 +170,22 @@ TEST(LoadBalancerTest, KvAwarePicksMostFreeTokensThenJsqThenIndex) {
 
 // ------------------------------------------------- Single-replica identity
 
-/// A width-1 fleet summarizes its one replica with the same function that
-/// builds replicas[0], and ServingSim is a 1-replica FleetSim — so on every
-/// config the fleet rollup, the lone replica's metrics and ServingSim must
-/// agree bit for bit (the replica's summary carries no records: they live
-/// on the rollup, which ServingSim returns). The CLI surfaces report
-/// FleetResult::fleet at every width, which keeps single-replica output
-/// byte-stable. The cases span Poisson arrivals under every balancer,
-/// bursty arrivals, and paged KV with recompute preemption (the whole
-/// eviction path through the shared replica machinery).
-TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
+/// A width-1 fleet is how every caller runs a lone replica. Its rollup is
+/// built by the same summary as replicas[0], so the two agree bit for bit
+/// apart from the request records, which live on the rollup only; and with
+/// one replica there is nothing to balance, so rr, jsq and kv routing give
+/// identical runs. The CLI surfaces report FleetResult::fleet at every
+/// width, which keeps single-replica output byte-stable. The cases span
+/// Poisson arrivals, bursty arrivals, and paged KV with recompute
+/// preemption (the whole eviction path through the replica machinery).
+TEST(FleetSimTest, SingleReplicaFleetRollupIsItsReplica) {
   struct Case {
     const char* name;
     ServingConfig cfg;
-    BalancerPolicy policy = BalancerPolicy::kRoundRobin;
     bool preempts = false;  // the config must actually evict
   };
   std::vector<Case> cases;
-  ServingConfig open = base_config();
-  cases.push_back({"open-rr", open, BalancerPolicy::kRoundRobin});
-  cases.push_back({"open-jsq", open, BalancerPolicy::kJoinShortestQueue});
-  cases.push_back({"open-kv", open, BalancerPolicy::kKvAware});
+  cases.push_back({"open", base_config()});
 
   ServingConfig bursty = base_config();
   bursty.traffic.process = ArrivalProcess::kBursty;
@@ -207,28 +200,28 @@ TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
   paged.traffic.arrival_rate_per_s = 2000.0;
   KvBlockManager probe(paged.arch, paged.model, 1);
   paged.kv_budget_bytes_per_node = 96 * probe.bytes_per_token_per_node();
-  cases.push_back({"paged-recompute", paged, BalancerPolicy::kRoundRobin,
-                   /*preempts=*/true});
+  cases.push_back({"paged-recompute", paged, /*preempts=*/true});
 
   for (Case& c : cases) {
     SCOPED_TRACE(c.name);
     c.cfg.keep_request_records = true;
-    const FleetResult fleet =
-        FleetSim(FleetConfig::homogeneous(c.cfg, 1, c.policy)).run();
-    const FleetMetrics lone = ServingSim(c.cfg).run();
-    ASSERT_EQ(fleet.replicas.size(), 1u);
-    expect_identical(fleet.fleet, lone);
-    // The lone replica's own summary is the rollup without the records,
-    // which live on the rollup only.
-    EXPECT_TRUE(fleet.replicas[0].requests.empty());
-    FleetMetrics bare = lone;
+    const FleetResult rr = FleetSim(FleetConfig::homogeneous(c.cfg, 1)).run();
+    for (const BalancerPolicy policy : {BalancerPolicy::kJoinShortestQueue,
+                                        BalancerPolicy::kKvAware}) {
+      SCOPED_TRACE(balancer_policy_name(policy));
+      expect_identical(
+          FleetSim(FleetConfig::homogeneous(c.cfg, 1, policy)).run(), rr);
+    }
+    ASSERT_EQ(rr.replicas.size(), 1u);
+    EXPECT_TRUE(rr.replicas[0].requests.empty());
+    EXPECT_EQ(rr.fleet.requests.size(), rr.fleet.offered);
+    FleetMetrics bare = rr.fleet;
     bare.requests.clear();
-    expect_identical(fleet.replicas[0], bare);
-    EXPECT_EQ(fleet.load_imbalance, 1.0);
-    EXPECT_EQ(fleet.ttft_p99_spread_ms, 0.0);
-    EXPECT_EQ(lone.requests.size(), lone.offered);
+    expect_identical(rr.replicas[0], bare);
+    EXPECT_EQ(rr.load_imbalance, 1.0);
+    EXPECT_EQ(rr.ttft_p99_spread_ms, 0.0);
     if (c.preempts) {
-      EXPECT_GT(lone.preemptions, 0u);  // the path was actually exercised
+      EXPECT_GT(rr.fleet.preemptions, 0u);  // the path was exercised
     }
   }
 }
@@ -572,6 +565,23 @@ TEST(FleetSimTest, RejectsBadTrafficAtConstruction) {
           << bad;
     }
   }
+  // A zero request budget leaves nothing to serve or compare.
+  ServingConfig empty = base_config();
+  empty.traffic.num_requests = 0;
+  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(empty, 2)},
+               std::invalid_argument);
+  // An explicit schedule or a shape script sets the budget instead.
+  empty.traffic.scripted_shapes = {workload::make_scenario(8, 8)};
+  EXPECT_NO_THROW(FleetSim{FleetConfig::homogeneous(empty, 2)});
+}
+
+/// A finite rate so low that the first arrival lands past the 64-bit cycle
+/// clock is a config error at run time, not an undefined cast.
+TEST(FleetSimTest, RejectsArrivalsPastTheCycleClock) {
+  ServingConfig cfg = base_config();
+  cfg.traffic.arrival_rate_per_s = 1e-300;
+  const FleetSim sim(FleetConfig::homogeneous(cfg, 1));
+  EXPECT_THROW(sim.run(), std::invalid_argument);
 }
 
 TEST(FleetSimTest, RejectsUnsortedExplicitArrivalsAtConstruction) {
@@ -603,10 +613,12 @@ TEST(FleetSimTest, SharedCostModelMustPriceEveryReplica) {
           << e.what();
     }
   }
-  // ServingSim's shared-cost road is a 1-replica fleet: same check.
-  EXPECT_THROW(ServingSim(two_node, costs), std::invalid_argument);
-  EXPECT_THROW(ServingSim(wide, costs), std::invalid_argument);
-  EXPECT_NO_THROW(ServingSim(cfg, costs));
+  // A width-1 fleet takes the same check.
+  EXPECT_THROW(FleetSim(FleetConfig::homogeneous(two_node, 1), costs),
+               std::invalid_argument);
+  EXPECT_THROW(FleetSim(FleetConfig::homogeneous(wide, 1), costs),
+               std::invalid_argument);
+  EXPECT_NO_THROW(FleetSim(FleetConfig::homogeneous(cfg, 1), costs));
 }
 
 TEST(FleetSimTest, RejectsZeroCostProbeStride) {

@@ -21,7 +21,6 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "workload/mix.hpp"
@@ -345,9 +344,11 @@ TEST(ObserveRunTest, ObservedRunLeavesMetricsUntouched) {
   const ServingConfig cfg = base_config();
   const core::StepCostModel costs(cfg.arch, cfg.model,
                                   cfg.cost_probe_stride);
-  const FleetMetrics plain = ServingSim(cfg, costs).run();
+  const FleetMetrics plain =
+      FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run().fleet;
   Observer obs(1, cfg.arch.frequency_hz);
-  const FleetMetrics observed = ServingSim(cfg, costs).run(&obs);
+  const FleetMetrics observed =
+      FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run(&obs).fleet;
   // Bit-identical, not approximately equal: observation is pure
   // bookkeeping, it must not perturb the simulation.
   EXPECT_EQ(plain.completed, observed.completed);
@@ -368,7 +369,8 @@ TEST(ObserveRunTest, TilingHoldsAcrossPolicyMatrix) {
       cfg.scheduler.max_tokens_per_iter = 16;
     }
     Observer obs(1, cfg.arch.frequency_hz);
-    const FleetMetrics m = ServingSim(cfg).run(&obs);
+    const FleetMetrics m =
+        FleetSim(FleetConfig::homogeneous(cfg, 1)).run(&obs).fleet;
     check_observer_invariants(obs);
     EXPECT_GT(obs.makespan(), 0u);
     EXPECT_EQ(count_kind(obs, LifecycleEvent::kFinish), m.completed);
@@ -380,7 +382,8 @@ TEST(ObserveRunTest, TilingHoldsAcrossPolicyMatrix) {
 TEST(ObserveRunTest, PreemptionEventsAndRecomputeCyclesAppear) {
   const ServingConfig cfg = preempting_config();
   Observer obs(1, cfg.arch.frequency_hz);
-  const FleetMetrics m = ServingSim(cfg).run(&obs);
+  const FleetMetrics m =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run(&obs).fleet;
   check_observer_invariants(obs);
   ASSERT_GT(m.preemptions, 0u);  // the config must exercise the pool limit
   EXPECT_EQ(count_kind(obs, LifecycleEvent::kPreempt), m.preemptions);
@@ -444,7 +447,8 @@ TEST(ObserveRunTest, DisaggregatedRunKeepsLogInvariants) {
 TEST(ObserveRunTest, RunRejectsMismatchedObserverWidth) {
   const ServingConfig cfg = base_config();
   Observer wide(2, cfg.arch.frequency_hz);
-  EXPECT_THROW(ServingSim(cfg).run(&wide), std::invalid_argument);
+  EXPECT_THROW(FleetSim(FleetConfig::homogeneous(cfg, 1)).run(&wide),
+               std::invalid_argument);
   const FleetConfig fleet = FleetConfig::homogeneous(
       base_config(), 3, BalancerPolicy::kRoundRobin);
   Observer narrow(2, cfg.arch.frequency_hz);
@@ -457,7 +461,7 @@ TEST(ObserveExportTest, RepeatedRunsExportIdenticalBytes) {
   const ServingConfig cfg = preempting_config();
   const auto run_and_export = [&cfg](std::string& trace, std::string& prom) {
     Observer obs(1, cfg.arch.frequency_hz);
-    ServingSim(cfg).run(&obs);
+    FleetSim(FleetConfig::homogeneous(cfg, 1)).run(&obs);
     std::ostringstream t, p;
     obs.write_chrome_trace(t);
     obs.write_prometheus(p);
@@ -476,7 +480,7 @@ TEST(ObserveExportTest, RepeatedRunsExportIdenticalBytes) {
 TEST(ObserveExportTest, ChromeTraceCarriesLifecycleAndBreakdown) {
   const ServingConfig cfg = preempting_config();
   Observer obs(1, cfg.arch.frequency_hz);
-  ServingSim(cfg).run(&obs);
+  FleetSim(FleetConfig::homogeneous(cfg, 1)).run(&obs);
   std::ostringstream os;
   obs.write_chrome_trace(os);
   const std::string json = os.str();

@@ -13,8 +13,8 @@
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "model/config.hpp"
+#include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "workload/scenario.hpp"
 
@@ -482,8 +482,8 @@ TEST(PrefixCacheDeterminism, CacheOnRunTwiceIsIdentical) {
   cfg.kv_swap = true;
   cfg.keep_request_records = true;
 
-  const FleetMetrics a = ServingSim(cfg).run();
-  const FleetMetrics b = ServingSim(cfg).run();
+  const FleetMetrics a = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
+  const FleetMetrics b = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_GT(a.cache_hit_tokens, 0u);  // non-vacuous
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.cache_hit_tokens, b.cache_hit_tokens);
@@ -508,7 +508,8 @@ TEST(PrefixCacheDeterminism, KvSwapRequiresPrefixCache) {
   cfg.arch = core::ArchConfig::one_node();
   cfg.model = model::cosim_config();
   cfg.kv_swap = true;
-  EXPECT_THROW(ServingSim sim(cfg), std::invalid_argument);
+  EXPECT_THROW(FleetSim sim(FleetConfig::homogeneous(cfg, 1)),
+               std::invalid_argument);
 }
 
 }  // namespace

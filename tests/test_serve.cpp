@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "serve/observe.hpp"
 #include "serve/queue.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "util/cli.hpp"
 #include "workload/mix.hpp"
@@ -181,13 +181,15 @@ TEST(StepCostModelTest, DecodeBatchSharesWeightStream) {
                         costs.weight_mac_cycles());
 }
 
-TEST(ServingSimTest, LargerBatchRaisesSaturatedThroughput) {
+TEST(SingleReplicaTest, LargerBatchRaisesSaturatedThroughput) {
   ServingConfig cfg = base_config();
   cfg.traffic.arrival_rate_per_s = 50000.0;  // saturating burst
   cfg.scheduler.max_batch = 1;
-  const FleetMetrics serial = ServingSim(cfg).run();
+  const FleetMetrics serial =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   cfg.scheduler.max_batch = 8;
-  const FleetMetrics batched = ServingSim(cfg).run();
+  const FleetMetrics batched =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_GT(batched.decode_tok_s, serial.decode_tok_s);
   EXPECT_GT(batched.mean_batch_size, serial.mean_batch_size);
 }
@@ -358,6 +360,22 @@ TEST(TrafficGenTest, RejectsDegenerateBurstParameters) {
   EXPECT_THROW(TrafficGen(cfg, 285e6), std::invalid_argument);
 }
 
+TEST(TrafficGenTest, RejectsArrivalsPastTheCycleClock) {
+  TrafficConfig cfg;
+  cfg.mix = test_mix();
+  cfg.arrival_rate_per_s = 1e-300;  // first arrival ~1e300 s out
+  EXPECT_THROW(TrafficGen(cfg, 285e6).open_loop_schedule(),
+               std::invalid_argument);
+  // A NaN stamp fails the same bound.
+  cfg.arrival_rate_per_s = 4.0;
+  EXPECT_THROW(TrafficGen(cfg, std::numeric_limits<double>::quiet_NaN())
+                   .open_loop_schedule(),
+               std::invalid_argument);
+  // An ordinary rate stays well inside it.
+  EXPECT_EQ(TrafficGen(cfg, 285e6).open_loop_schedule().size(),
+            cfg.num_requests);
+}
+
 TEST(TrafficGenTest, ExplicitArrivalsOverrideProcess) {
   TrafficConfig cfg;
   cfg.mix = test_mix();
@@ -380,6 +398,27 @@ TEST(MixTest, SamplingCoversEntriesDeterministically) {
 
 // --------------------------------------------------------------- Scheduler
 
+/// Links `order` onto `ready` in sequence: push order is FIFO stamp order.
+void fill(ReadyQueue& ready, const std::vector<Request*>& order) {
+  for (Request* r : order) ready.push_back(r);
+}
+
+/// One Scheduler::select pass over `ready` into a fresh batch.
+std::vector<ScheduledStep> select(const Scheduler& sched, ReadyQueue& ready) {
+  std::vector<ScheduledStep> batch;
+  sched.select(ready, batch);
+  return batch;
+}
+
+/// The members still linked on one ReadyQueue class list, head to tail.
+std::vector<Request*> members(const RequestList<kReadyChannel>& list) {
+  std::vector<Request*> out;
+  for (Request* r = list.head; r != nullptr; r = r->link_next[kReadyChannel]) {
+    out.push_back(r);
+  }
+  return out;
+}
+
 TEST(SchedulerTest, PrefillPriorityPicksPrefillsFirst) {
   Request p1(0, workload::make_scenario(8, 8));
   Request p2(1, workload::make_scenario(8, 8));
@@ -389,14 +428,16 @@ TEST(SchedulerTest, PrefillPriorityPicksPrefillsFirst) {
   cfg.max_batch = 2;
   cfg.policy = BatchPolicy::kPrefillPriority;
   Scheduler sched(cfg);
-  std::vector<Request*> runnable{&d1, &p1, &p2};
-  const auto batch = sched.select(runnable);
+  ReadyQueue ready;
+  fill(ready, {&d1, &p1, &p2});
+  const auto batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].request, &p1);
   EXPECT_EQ(batch[0].prompt_tokens, 8u);  // whole prompt under this policy
   EXPECT_EQ(batch[1].request, &p2);
-  ASSERT_EQ(runnable.size(), 1u);
-  EXPECT_EQ(runnable[0], &d1);
+  EXPECT_EQ(members(ready.decodes), std::vector<Request*>{&d1});
+  EXPECT_TRUE(ready.started.empty());
+  EXPECT_TRUE(ready.fresh.empty());
 }
 
 TEST(SchedulerTest, DecodePriorityPicksDecodesFirst) {
@@ -409,15 +450,16 @@ TEST(SchedulerTest, DecodePriorityPicksDecodesFirst) {
   cfg.max_batch = 3;
   cfg.policy = BatchPolicy::kDecodePriority;
   Scheduler sched(cfg);
-  std::vector<Request*> runnable{&p1, &d1, &d2};
-  const auto batch = sched.select(runnable);
+  ReadyQueue ready;
+  fill(ready, {&p1, &d1, &d2});
+  const auto batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0].request, &d1);
   EXPECT_EQ(batch[0].prompt_tokens, 0u);
   EXPECT_EQ(batch[1].request, &d2);
   EXPECT_EQ(batch[2].request, &p1);
   EXPECT_EQ(batch[2].prompt_tokens, 8u);
-  EXPECT_TRUE(runnable.empty());
+  EXPECT_TRUE(ready.empty());
 }
 
 TEST(SchedulerTest, TokenBudgetBoundsWholePromptMembers) {
@@ -430,13 +472,15 @@ TEST(SchedulerTest, TokenBudgetBoundsWholePromptMembers) {
   cfg.max_tokens_per_iter = 10;  // p1 (8) + d1 (1) fit; p2 (8) does not
   cfg.policy = BatchPolicy::kPrefillPriority;
   Scheduler sched(cfg);
-  std::vector<Request*> runnable{&p1, &p2, &d1};
-  const auto batch = sched.select(runnable);
+  ReadyQueue ready;
+  fill(ready, {&p1, &p2, &d1});
+  const auto batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].request, &p1);
   EXPECT_EQ(batch[1].request, &d1);
-  ASSERT_EQ(runnable.size(), 1u);
-  EXPECT_EQ(runnable[0], &p2);  // waits for the next iteration
+  // p2 waits for the next iteration.
+  EXPECT_EQ(members(ready.fresh), std::vector<Request*>{&p2});
+  EXPECT_TRUE(ready.decodes.empty());
 }
 
 TEST(SchedulerTest, OversizedPromptRunsAloneUnderBudget) {
@@ -448,14 +492,15 @@ TEST(SchedulerTest, OversizedPromptRunsAloneUnderBudget) {
   cfg.max_tokens_per_iter = 16;  // smaller than big's whole prompt
   cfg.policy = BatchPolicy::kPrefillPriority;
   Scheduler sched(cfg);
-  std::vector<Request*> runnable{&big, &d1};
-  const auto batch = sched.select(runnable);
+  ReadyQueue ready;
+  fill(ready, {&big, &d1});
+  const auto batch = select(sched, ready);
   // The unsplittable over-budget prompt cannot starve: it runs, alone.
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].request, &big);
   EXPECT_EQ(batch[0].prompt_tokens, 32u);
-  ASSERT_EQ(runnable.size(), 1u);
-  EXPECT_EQ(runnable[0], &d1);
+  EXPECT_EQ(members(ready.decodes), std::vector<Request*>{&d1});
+  EXPECT_TRUE(ready.fresh.empty());
 }
 
 TEST(SchedulerTest, OversizedPromptCannotStarveUnderDecodePriority) {
@@ -468,8 +513,9 @@ TEST(SchedulerTest, OversizedPromptCannotStarveUnderDecodePriority) {
   cfg.max_tokens_per_iter = 16;  // big can never fit, even alone
   cfg.policy = BatchPolicy::kDecodePriority;
   Scheduler sched(cfg);
-  std::vector<Request*> runnable{&d1, &big, &small};
-  const auto batch = sched.select(runnable);
+  ReadyQueue ready;
+  fill(ready, {&d1, &big, &small});
+  const auto batch = select(sched, ready);
   // Decode priority keeps the batch non-empty every iteration, so the
   // over-budget prompt must be allowed to co-run with the decodes — and
   // the younger small prompt must not overtake it.
@@ -477,38 +523,36 @@ TEST(SchedulerTest, OversizedPromptCannotStarveUnderDecodePriority) {
   EXPECT_EQ(batch[0].request, &d1);
   EXPECT_EQ(batch[1].request, &big);
   EXPECT_EQ(batch[1].prompt_tokens, 32u);
-  ASSERT_EQ(runnable.size(), 1u);
-  EXPECT_EQ(runnable[0], &small);
+  EXPECT_EQ(members(ready.fresh), std::vector<Request*>{&small});
+  EXPECT_TRUE(ready.decodes.empty());
 }
 
 TEST(SchedulerTest, BudgetedPromptKeepsFifoOrderAgainstYoungerPrompts) {
   std::vector<std::unique_ptr<Request>> pool;
-  std::vector<Request*> runnable;
+  ReadyQueue ready;
   for (std::uint32_t i = 0; i < 6; ++i) {  // six decode streams
     pool.push_back(
         std::make_unique<Request>(i, workload::make_scenario(4, 8)));
     mark_prefilled(*pool.back());
-    runnable.push_back(pool.back().get());
+    ready.push_back(pool.back().get());
   }
   Request mid(6, workload::make_scenario(12, 4));
   Request small(7, workload::make_scenario(4, 4));
-  runnable.push_back(&mid);
-  runnable.push_back(&small);
+  fill(ready, {&mid, &small});
   SchedulerConfig cfg;
   cfg.max_batch = 16;
   cfg.max_tokens_per_iter = 16;  // mid fits the budget, not this leftover
   cfg.policy = BatchPolicy::kDecodePriority;
   Scheduler sched(cfg);
-  const auto batch = sched.select(runnable);
+  const auto batch = select(sched, ready);
   // 6 decodes leave 10 budget tokens: mid (12) waits — and small (4),
   // which would fit, must wait behind it rather than overtake. Blocked
   // prefills admit no new streams, so the decode pool drains until mid
   // fits: no starvation.
   ASSERT_EQ(batch.size(), 6u);
   for (const ScheduledStep& s : batch) EXPECT_FALSE(s.is_prefill());
-  ASSERT_EQ(runnable.size(), 2u);
-  EXPECT_EQ(runnable[0], &mid);
-  EXPECT_EQ(runnable[1], &small);
+  EXPECT_EQ(members(ready.fresh), (std::vector<Request*>{&mid, &small}));
+  EXPECT_TRUE(ready.decodes.empty());
 }
 
 TEST(SchedulerTest, ChunkedMixedSplitsPromptsUnderBudget) {
@@ -524,26 +568,27 @@ TEST(SchedulerTest, ChunkedMixedSplitsPromptsUnderBudget) {
   Scheduler sched(cfg);
 
   // Iteration 1: both decodes (1 token each), then a 10-token chunk.
-  std::vector<Request*> runnable{&p1, &d1, &d2};
-  auto batch = sched.select(runnable);
+  ReadyQueue ready;
+  fill(ready, {&p1, &d1, &d2});
+  auto batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0].request, &d1);
   EXPECT_EQ(batch[1].request, &d2);
   EXPECT_EQ(batch[2].request, &p1);
   EXPECT_EQ(batch[2].prompt_tokens, 10u);
-  EXPECT_TRUE(runnable.empty());
+  EXPECT_TRUE(ready.empty());
 
   // The sim advances the cursor at step execution; emulate it here.
   p1.prompt_done += 10;
-  runnable = {&p1};
-  batch = sched.select(runnable);
+  ready.push_back(&p1);
+  batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].prompt_tokens, 12u);  // full budget, nothing else runs
   p1.prompt_done += 12;
 
   // Final chunk takes only what remains.
-  runnable = {&p1};
-  batch = sched.select(runnable);
+  ready.push_back(&p1);
+  batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].prompt_tokens, 8u);
   p1.prompt_done += 8;
@@ -559,27 +604,29 @@ TEST(SchedulerTest, ChunkedMixedFinishesHeadPromptBeforeStartingNext) {
   cfg.policy = BatchPolicy::kChunkedMixed;
   Scheduler sched(cfg);
 
-  std::vector<Request*> runnable{&a, &b};
-  auto batch = sched.select(runnable);
+  ReadyQueue ready;
+  fill(ready, {&a, &b});
+  auto batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].request, &a);
   a.prompt_done += batch[0].prompt_tokens;
 
-  // The sim re-queues a mid-chunk prompt at the *back* of runnable; a
-  // partially prefilled prompt must still outrank the fresh one, so
-  // chunks do not round-robin and b's KV wait stays one prompt deep.
-  runnable = {&b, &a};
-  batch = sched.select(runnable);
+  // The sim re-queues a mid-chunk prompt at the *back* of the ready pool
+  // (behind b); a partially prefilled prompt must still outrank the fresh
+  // one, so chunks do not round-robin and b's KV wait stays one prompt
+  // deep.
+  ready.push_back(&a);
+  batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].request, &a);
   a.prompt_done += batch[0].prompt_tokens;
   EXPECT_EQ(a.prompt_done, 32u);
-  ASSERT_EQ(runnable.size(), 1u);
-  EXPECT_EQ(runnable[0], &b);
+  EXPECT_EQ(members(ready.fresh), std::vector<Request*>{&b});
+  EXPECT_TRUE(ready.started.empty());
 
   // Once a's final chunk (8 tokens) is taken, leftover budget starts b.
-  runnable = {&b, &a};
-  batch = sched.select(runnable);
+  ready.push_back(&a);
+  batch = select(sched, ready);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].request, &a);
   EXPECT_EQ(batch[0].prompt_tokens, 8u);
@@ -589,19 +636,19 @@ TEST(SchedulerTest, ChunkedMixedFinishesHeadPromptBeforeStartingNext) {
 
 TEST(SchedulerTest, ChunkedMixedNeverExceedsTokenBudget) {
   std::vector<std::unique_ptr<Request>> pool;
-  std::vector<Request*> runnable;
+  ReadyQueue ready;
   for (std::uint32_t i = 0; i < 6; ++i) {
     pool.push_back(
         std::make_unique<Request>(i, workload::make_scenario(16 + i, 8)));
     if (i % 2 == 0) mark_prefilled(*pool.back());
-    runnable.push_back(pool.back().get());
+    ready.push_back(pool.back().get());
   }
   SchedulerConfig cfg;
   cfg.max_batch = 8;
   cfg.max_tokens_per_iter = 7;
   cfg.policy = BatchPolicy::kChunkedMixed;
   Scheduler sched(cfg);
-  const auto batch = sched.select(runnable);
+  const auto batch = select(sched, ready);
   std::uint32_t tokens = 0;
   for (const ScheduledStep& s : batch) {
     tokens += s.is_prefill() ? s.prompt_tokens : 1;
@@ -727,33 +774,34 @@ void expect_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.kv_peak_frag_tokens, b.kv_peak_frag_tokens);
 }
 
-TEST(ServingSimTest, SameSeedSameMetrics) {
+TEST(SingleReplicaTest, SameSeedSameMetrics) {
   const ServingConfig cfg = base_config();
-  const ServingSim sim(cfg);
-  const FleetMetrics a = sim.run();
-  const FleetMetrics b = sim.run();                  // same instance
-  const FleetMetrics c = ServingSim(cfg).run();      // fresh cost probe
+  const FleetSim sim(FleetConfig::homogeneous(cfg, 1));
+  const FleetMetrics a = sim.run().fleet;
+  const FleetMetrics b = sim.run().fleet;  // same instance
+  const FleetMetrics c =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;  // fresh probe
   expect_identical(a, b);
   expect_identical(a, c);
   EXPECT_EQ(a.completed, cfg.traffic.num_requests);
   EXPECT_EQ(a.offered, a.completed + a.rejected);
 }
 
-TEST(ServingSimTest, DifferentSeedsDiverge) {
+TEST(SingleReplicaTest, DifferentSeedsDiverge) {
   ServingConfig cfg = base_config();
-  const FleetMetrics a = ServingSim(cfg).run();
+  const FleetMetrics a = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   cfg.traffic.seed = 43;
-  const FleetMetrics b = ServingSim(cfg).run();
+  const FleetMetrics b = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_NE(a.duration_s, b.duration_s);
 }
 
-TEST(ServingSimTest, KvExhaustionBackpressuresButCompletes) {
+TEST(SingleReplicaTest, KvExhaustionBackpressuresButCompletes) {
   ServingConfig cfg = base_config();
   // Room for ~2 test-mix requests at a time; 24 arrive nearly at once.
   cfg.traffic.arrival_rate_per_s = 50000.0;
   KvBlockManager probe(cfg.arch, cfg.model, 1);
   cfg.kv_budget_bytes_per_node = 64 * probe.bytes_per_token_per_node();
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_EQ(m.completed, cfg.traffic.num_requests);
   EXPECT_EQ(m.rejected, 0u);
   EXPECT_GT(m.kv_stall_events, 0u);       // admission actually stalled
@@ -762,7 +810,7 @@ TEST(ServingSimTest, KvExhaustionBackpressuresButCompletes) {
   EXPECT_GT(m.queue_wait_ms.p99, m.queue_wait_ms.p50);
 }
 
-TEST(ServingSimTest, OversizedRequestIsRejectedNotWedged) {
+TEST(SingleReplicaTest, OversizedRequestIsRejectedNotWedged) {
   ServingConfig cfg = base_config();
   cfg.traffic.explicit_arrivals = {
       {0, workload::make_scenario(8, 8)},
@@ -771,24 +819,24 @@ TEST(ServingSimTest, OversizedRequestIsRejectedNotWedged) {
   };
   KvBlockManager probe(cfg.arch, cfg.model, 1);
   cfg.kv_budget_bytes_per_node = 32 * probe.bytes_per_token_per_node();
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_EQ(m.offered, 3u);
   EXPECT_EQ(m.completed, 2u);
   EXPECT_EQ(m.rejected, 1u);
 }
 
-TEST(ServingSimTest, QueueCapacityShedsLoad) {
+TEST(SingleReplicaTest, QueueCapacityShedsLoad) {
   ServingConfig cfg = base_config();
   cfg.traffic.arrival_rate_per_s = 5000.0;  // everyone arrives at once
   cfg.scheduler.queue_capacity = 4;
   cfg.scheduler.max_in_flight = 2;
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_GT(m.rejected, 0u);
   EXPECT_EQ(m.offered, m.completed + m.rejected);
   EXPECT_LE(m.peak_queue_depth, 4u);
 }
 
-TEST(ServingSimTest, QueueBoundOfOneShedsASimultaneousBurst) {
+TEST(SingleReplicaTest, QueueBoundOfOneShedsASimultaneousBurst) {
   // Three cycle-0 arrivals at one replica with room for one waiting
   // request: the first is queued, the other two are shed at the door, and
   // their records say so, so a caller cannot read their zero latency as
@@ -801,7 +849,7 @@ TEST(ServingSimTest, QueueBoundOfOneShedsASimultaneousBurst) {
       {0, workload::make_scenario(8, 4)},
       {0, workload::make_scenario(4, 6)},
   };
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_EQ(m.offered, 3u);
   EXPECT_EQ(m.completed, 1u);
   EXPECT_EQ(m.rejected, 2u);
@@ -816,13 +864,14 @@ TEST(ServingSimTest, QueueBoundOfOneShedsASimultaneousBurst) {
   }
 }
 
-TEST(ServingSimTest, BatchingRespectsMaxBatchAndInterleaves) {
+TEST(SingleReplicaTest, BatchingRespectsMaxBatchAndInterleaves) {
   for (const BatchPolicy policy :
        {BatchPolicy::kPrefillPriority, BatchPolicy::kDecodePriority}) {
     ServingConfig cfg = base_config();
     cfg.scheduler.policy = policy;
     cfg.keep_request_records = true;
-    const FleetMetrics m = ServingSim(cfg).run();
+    const FleetMetrics m =
+        FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
     EXPECT_EQ(m.completed, cfg.traffic.num_requests);
     EXPECT_LE(m.mean_batch_size,
               static_cast<double>(cfg.scheduler.max_batch));
@@ -831,38 +880,42 @@ TEST(ServingSimTest, BatchingRespectsMaxBatchAndInterleaves) {
   }
 }
 
-TEST(ServingSimTest, PolicyTradesTtftForTokenLatency) {
+TEST(SingleReplicaTest, PolicyTradesTtftForTokenLatency) {
   ServingConfig cfg = base_config();
   cfg.traffic.arrival_rate_per_s = 2000.0;  // saturating burst
   cfg.traffic.num_requests = 32;
   cfg.scheduler.policy = BatchPolicy::kPrefillPriority;
-  const FleetMetrics prefill_first = ServingSim(cfg).run();
+  const FleetMetrics prefill_first =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   cfg.scheduler.policy = BatchPolicy::kDecodePriority;
-  const FleetMetrics decode_first = ServingSim(cfg).run();
+  const FleetMetrics decode_first =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   // Prefill priority admits new requests sooner => lower median TTFT.
   EXPECT_LT(prefill_first.ttft_ms.p50, decode_first.ttft_ms.p50);
 }
 
-TEST(ServingSimTest, ChunkedPolicyIsDeterministic) {
+TEST(SingleReplicaTest, ChunkedPolicyIsDeterministic) {
   ServingConfig cfg = base_config();
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   cfg.scheduler.max_tokens_per_iter = 8;
-  const FleetMetrics a = ServingSim(cfg).run();
-  const FleetMetrics b = ServingSim(cfg).run();
+  const FleetMetrics a = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
+  const FleetMetrics b = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   expect_identical(a, b);
   EXPECT_EQ(a.completed, cfg.traffic.num_requests);
   EXPECT_GT(a.chunked_prompts, 0u);  // the 16-token prompts actually split
 }
 
-TEST(ServingSimTest, ChunkedWithSlackBudgetMatchesDecodePriority) {
+TEST(SingleReplicaTest, ChunkedWithSlackBudgetMatchesDecodePriority) {
   // When the budget always covers whole prompts, kChunkedMixed degenerates
   // to decode-priority scheduling — the two runs must be bit-identical.
   ServingConfig cfg = base_config();
   cfg.scheduler.policy = BatchPolicy::kDecodePriority;
-  const FleetMetrics decode = ServingSim(cfg).run();
+  const FleetMetrics decode =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   cfg.scheduler.max_tokens_per_iter = 0;  // unbounded
-  const FleetMetrics chunked = ServingSim(cfg).run();
+  const FleetMetrics chunked =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   expect_identical(decode, chunked);
   EXPECT_EQ(chunked.chunked_prompts, 0u);
   EXPECT_EQ(chunked.prefill_chunk_steps, chunked.completed);
@@ -871,7 +924,7 @@ TEST(ServingSimTest, ChunkedWithSlackBudgetMatchesDecodePriority) {
 /// The head-of-line interleaving contract the tentpole exists for: a
 /// [128:*] long-prompt arrival mid-stream must not add more than one
 /// chunk's span to any running decode's inter-token gap.
-TEST(ServingSimTest, LongPromptArrivalMidStreamBoundsDecodeGap) {
+TEST(SingleReplicaTest, LongPromptArrivalMidStreamBoundsDecodeGap) {
   ServingConfig cfg;
   cfg.arch = test_arch();
   cfg.model = chunk_model();
@@ -891,11 +944,13 @@ TEST(ServingSimTest, LongPromptArrivalMidStreamBoundsDecodeGap) {
   };
 
   cfg.scheduler.policy = BatchPolicy::kPrefillPriority;
-  const FleetMetrics whole = ServingSim(cfg, costs).run();
+  const FleetMetrics whole =
+      FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run().fleet;
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   const std::uint32_t budget = 16;
   cfg.scheduler.max_tokens_per_iter = budget;
-  const FleetMetrics chunked = ServingSim(cfg, costs).run();
+  const FleetMetrics chunked =
+      FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run().fleet;
   ASSERT_EQ(whole.requests.size(), 2u);
   ASSERT_EQ(chunked.requests.size(), 2u);
 
@@ -927,7 +982,7 @@ TEST(ServingSimTest, LongPromptArrivalMidStreamBoundsDecodeGap) {
 /// The PR's acceptance criterion: on a long-prompt-heavy mix at a fixed
 /// seed, chunking strictly cuts p99 per-token latency versus unchunked
 /// prefill-priority while holding throughput within 5%.
-TEST(ServingSimTest, ChunkedPrefillCutsTokenTailOnLongPromptMix) {
+TEST(SingleReplicaTest, ChunkedPrefillCutsTokenTailOnLongPromptMix) {
   ServingConfig cfg;
   cfg.arch = test_arch();
   cfg.model = chunk_model();
@@ -945,10 +1000,12 @@ TEST(ServingSimTest, ChunkedPrefillCutsTokenTailOnLongPromptMix) {
 
   cfg.scheduler.policy = BatchPolicy::kPrefillPriority;
   cfg.scheduler.max_tokens_per_iter = 0;
-  const FleetMetrics whole = ServingSim(cfg, costs).run();
+  const FleetMetrics whole =
+      FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run().fleet;
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   cfg.scheduler.max_tokens_per_iter = 16;
-  const FleetMetrics chunked = ServingSim(cfg, costs).run();
+  const FleetMetrics chunked =
+      FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run().fleet;
 
   ASSERT_EQ(whole.completed, cfg.traffic.num_requests);
   ASSERT_EQ(chunked.completed, cfg.traffic.num_requests);
@@ -1023,16 +1080,18 @@ void bursty_traffic(ServingConfig& cfg) {
 /// concurrent requests and achieves higher goodput than whole-footprint
 /// reservation on the bursty mix — and preemption is livelock-free (every
 /// request finishes, with a bounded recompute count).
-TEST(ServingSimTest, PagedRecomputeBeatsWholeFootprintOnBurstyMix) {
+TEST(SingleReplicaTest, PagedRecomputeBeatsWholeFootprintOnBurstyMix) {
   ServingConfig cfg = paged_config();
   bursty_traffic(cfg);
   const core::StepCostModel costs(cfg.arch, cfg.model,
                                   cfg.cost_probe_stride);
 
   cfg.scheduler.preempt = PreemptPolicy::kNone;
-  const FleetMetrics whole = ServingSim(cfg, costs).run();
+  const FleetMetrics whole =
+      FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run().fleet;
   cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-  const FleetMetrics paged = ServingSim(cfg, costs).run();
+  const FleetMetrics paged =
+      FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run().fleet;
 
   ASSERT_EQ(whole.completed, cfg.traffic.num_requests);
   ASSERT_EQ(paged.completed, cfg.traffic.num_requests);  // nobody starves
@@ -1060,18 +1119,18 @@ TEST(ServingSimTest, PagedRecomputeBeatsWholeFootprintOnBurstyMix) {
   EXPECT_GT(paged.recompute_ms, 0.0);
 }
 
-TEST(ServingSimTest, RecomputePreemptionIsDeterministic) {
+TEST(SingleReplicaTest, RecomputePreemptionIsDeterministic) {
   ServingConfig cfg = paged_config();
   bursty_traffic(cfg);
   cfg.traffic.num_requests = 48;
   cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-  const FleetMetrics a = ServingSim(cfg).run();
-  const FleetMetrics b = ServingSim(cfg).run();
+  const FleetMetrics a = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
+  const FleetMetrics b = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   expect_identical(a, b);
   EXPECT_GT(a.preemptions, 0u);
 }
 
-TEST(ServingSimTest, PreemptedRequestEventuallyFinishes) {
+TEST(SingleReplicaTest, PreemptedRequestEventuallyFinishes) {
   // Two decode-heavy requests land at cycle 0 on a pool that fits ~1.3 of
   // their final footprints. Paged admission takes both (prompt blocks
   // only); decode growth then drains the pool and the younger request is
@@ -1084,7 +1143,7 @@ TEST(ServingSimTest, PreemptedRequestEventuallyFinishes) {
   KvBlockManager probe(cfg.arch, cfg.model, 1);
   cfg.kv_budget_bytes_per_node = 64 * probe.bytes_per_token_per_node();
   cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   ASSERT_EQ(m.completed, 2u);
   ASSERT_EQ(m.requests.size(), 2u);
   EXPECT_EQ(m.requests[0].preemptions, 0u);  // elder: never evicted
@@ -1097,19 +1156,20 @@ TEST(ServingSimTest, PreemptedRequestEventuallyFinishes) {
   // Whole-footprint reservation on the same pool serializes the two
   // requests instead (48 + 48 > 64): same completions, zero preemptions.
   cfg.scheduler.preempt = PreemptPolicy::kNone;
-  const FleetMetrics serial = ServingSim(cfg).run();
+  const FleetMetrics serial =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_EQ(serial.completed, 2u);
   EXPECT_EQ(serial.preemptions, 0u);
   EXPECT_EQ(serial.peak_in_flight, 1u);
 }
 
-TEST(ServingSimTest, CoarseBlocksWithoutPreemptionStayConservative) {
+TEST(SingleReplicaTest, CoarseBlocksWithoutPreemptionStayConservative) {
   // preempt=none at block size > 1: the whole footprint is still reserved
   // up front (block-rounded), so nothing is ever evicted and the fleet
   // behaves like the legacy manager with slightly coarser capacity.
   ServingConfig cfg = base_config();
   cfg.kv_block_tokens = 8;
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_EQ(m.completed, cfg.traffic.num_requests);
   EXPECT_EQ(m.preemptions, 0u);
   EXPECT_EQ(m.kv_block_tokens, 8u);
@@ -1118,10 +1178,11 @@ TEST(ServingSimTest, CoarseBlocksWithoutPreemptionStayConservative) {
   EXPECT_GT(m.kv_peak_frag_tokens, 0u);
 }
 
-TEST(ServingSimTest, RejectsZeroKvBlockTokens) {
+TEST(SingleReplicaTest, RejectsZeroKvBlockTokens) {
   ServingConfig cfg = base_config();
   cfg.kv_block_tokens = 0;
-  EXPECT_THROW(ServingSim{cfg}, std::invalid_argument);
+  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 1)},
+               std::invalid_argument);
 }
 
 // ------------------------------------------ Decode runs booked in one wake

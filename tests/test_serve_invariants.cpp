@@ -46,7 +46,6 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "util/stats.hpp"
 #include "workload/mix.hpp"

@@ -6,9 +6,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/trace.hpp"
 
@@ -23,7 +25,7 @@ Task delay_then_record(Engine& eng, Cycles d, std::vector<Cycles>& log) {
 TEST(EngineTest, StartsAtTimeZero) {
   Engine eng;
   EXPECT_EQ(eng.now(), 0u);
-  EXPECT_EQ(eng.events_processed(), 0u);
+  EXPECT_EQ(eng.run(), 0u);  // nothing scheduled
 }
 
 TEST(EngineTest, SingleDelayAdvancesClock) {
@@ -93,9 +95,8 @@ Task parent_task(Engine& eng, std::vector<std::string>& log) {
 TEST(EngineTest, NestedTaskRunsInlineAndResumesParent) {
   Engine eng;
   std::vector<std::string> log;
-  const auto id = eng.spawn(parent_task(eng, log));
+  eng.spawn(parent_task(eng, log));
   eng.run();
-  EXPECT_TRUE(eng.root_done(id));
   EXPECT_EQ(log, (std::vector<std::string>{"parent-start", "child-start",
                                            "child-end", "parent-after-child",
                                            "parent-end"}));
@@ -112,9 +113,8 @@ Task deep_nest(Engine& eng, int depth, Cycles each) {
 
 TEST(EngineTest, DeeplyNestedTasksComplete) {
   Engine eng;
-  const auto id = eng.spawn(deep_nest(eng, 64, 9));
+  eng.spawn(deep_nest(eng, 64, 9));
   eng.run();
-  EXPECT_TRUE(eng.root_done(id));
   EXPECT_EQ(eng.now(), 9u);
 }
 
@@ -150,21 +150,6 @@ TEST(EngineTest, ChildExceptionCatchableInParent) {
   EXPECT_TRUE(caught);
 }
 
-TEST(EngineTest, RunUntilStopsAtRequestedTime) {
-  Engine eng;
-  std::vector<Cycles> log;
-  eng.spawn(delay_then_record(eng, 10, log));
-  eng.spawn(delay_then_record(eng, 100, log));
-  const bool empty = eng.run_until(50);
-  EXPECT_FALSE(empty);
-  EXPECT_EQ(eng.now(), 50u);
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0], 10u);
-  eng.run();
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(eng.now(), 100u);
-}
-
 TEST(EngineTest, MaxEventsBoundsRunawayProcesses) {
   Engine eng;
   struct Looper {
@@ -194,18 +179,54 @@ TEST(EngineTest, SpawnDuringRunSchedulesAtCurrentTime) {
   EXPECT_EQ(log, (std::vector<Cycles>{8, 15}));
 }
 
+struct CallLog {
+  Engine* engine;
+  std::vector<std::pair<Cycles, int>> fired;
+};
+
+void log_call(void* log, void* id) {
+  auto* l = static_cast<CallLog*>(log);
+  l->fired.emplace_back(l->engine->now(), *static_cast<int*>(id));
+}
+
+Task register_calls(Engine& eng, CallLog& log, int (&ids)[4]) {
+  co_await eng.delay(5);
+  eng.schedule_call(&log_call, &log, &ids[0]);
+  eng.schedule_call(&log_call, &log, &ids[1]);
+  co_await eng.delay(0);  // queued behind both callbacks
+  log_call(&log, &ids[2]);
+  co_await eng.delay(3);
+  eng.schedule_call(&log_call, &log, &ids[3]);
+}
+
+TEST(EngineTest, CallbacksFireAtTheirCycleInRegistrationOrder) {
+  Engine eng;
+  CallLog log{&eng, {}};
+  int ids[4] = {0, 1, 2, 3};
+  eng.spawn(register_calls(eng, log, ids));
+  eng.run();
+  EXPECT_EQ(log.fired, (std::vector<std::pair<Cycles, int>>{
+                           {5, 0}, {5, 1}, {5, 2}, {8, 3}}));
+}
+
 TEST(EngineTest, DestructionWithSuspendedProcessesIsClean) {
   // Processes still blocked at engine teardown must not leak or crash
-  // (checked by ASAN builds; here we just exercise the path).
+  // (checked by ASAN builds; here we just exercise the path). The parked
+  // process does not keep run() alive: it returns once the queue drains.
   Engine eng;
+  Signal never(eng);
+  bool resumed = false;
   struct Blocked {
-    static Task run(Engine& eng) {
-      co_await eng.delay(1'000'000);  // never reached by run_until below
+    static Task run(Engine& eng, Signal& signal, bool& resumed) {
+      co_await eng.delay(10);
+      co_await signal.wait();  // never set
+      resumed = true;
     }
   };
-  eng.spawn(Blocked::run(eng));
-  eng.run_until(10);
-  SUCCEED();
+  eng.spawn(Blocked::run(eng, never, resumed));
+  EXPECT_EQ(eng.run(), 2u);  // start + the delay's resume
+  EXPECT_EQ(eng.now(), 10u);
+  EXPECT_FALSE(resumed);
 }
 
 TEST(TaskTest, MoveTransfersOwnership) {
@@ -226,9 +247,8 @@ TEST(EngineTest, EventCountsAreTracked) {
   std::vector<Cycles> log;
   eng.spawn(delay_then_record(eng, 1, log));
   eng.spawn(delay_then_record(eng, 2, log));
-  eng.run();
   // Each root: one start event + one delay-resume event.
-  EXPECT_EQ(eng.events_processed(), 4u);
+  EXPECT_EQ(eng.run(), 4u);
 }
 
 // ---- sim::Trace span accounting (the Fig. 5 breakdown machinery) ----
