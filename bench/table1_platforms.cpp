@@ -3,7 +3,6 @@
 
 #include "hw/platform.hpp"
 #include "util/table.hpp"
-#include "util/units.hpp"
 
 int main() {
   using namespace looplynx;

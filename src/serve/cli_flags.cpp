@@ -69,13 +69,6 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
 
   opts.chunk_tokens = cli.get_count_or("chunk-tokens",
                                        default_chunk_tokens(opts.policy));
-  if (opts.chunk_tokens > 0 && opts.policy != BatchPolicy::kChunkedMixed) {
-    throw std::invalid_argument(
-        "--chunk-tokens=" + std::to_string(opts.chunk_tokens) +
-        " requires --policy=chunked: the whole-prompt policies never split "
-        "prompts, so a token budget would silently degrade into a "
-        "batch-member cap");
-  }
 
   opts.preempt = parse_preempt_policy(cli.get_or("preempt", "none"));
   opts.kv_block_tokens = cli.get_count_or("kv-block-tokens", 1);

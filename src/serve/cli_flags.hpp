@@ -116,9 +116,6 @@ struct SchedulerCliOptions {
 /// Parses the serving flags with per-policy defaults (default_chunk_tokens).
 /// Flag-level rules checked here:
 ///  - count flags are plain non-negative integers (util::parse_count);
-///  - an explicit --chunk-tokens > 0 requires --policy=chunked (the
-///    whole-prompt policies never split prompts, so a budget would
-///    silently degrade into a batch-member cap);
 ///  - an explicit --balancer requires --replicas >= 2 or --autoscale;
 ///  - --autoscale (queue|slo|hybrid; bare selects hybrid) conflicts with
 ///    an explicit --replicas, and --min-replicas/--max-replicas/
@@ -131,9 +128,10 @@ struct SchedulerCliOptions {
 ///  - --prefix-cache/--kv-swap take an optional on/off value (bare == on;
 ///    =off spells the byte-identical default, which CI exercises).
 /// Then runs fleet_config(ServingConfig{}).validate(), so a flag whose
-/// value is meaningless (a zero block size, --kv-swap without
-/// --prefix-cache, a role list that does not match the width, min > max,
-/// a zero-rate link, ...) is still rejected at parse time.
+/// value is meaningless (a zero block size, --chunk-tokens > 0 without
+/// --policy=chunked, --kv-swap without --prefix-cache, a role list that
+/// does not match the width, min > max, a zero-rate link, ...) is still
+/// rejected at parse time.
 /// Throws std::invalid_argument with an actionable message on violation.
 SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
                                         const std::string& default_policy =

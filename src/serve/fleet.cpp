@@ -173,6 +173,16 @@ void FleetConfig::validate() const {
     if (r.scheduler.max_batch == 0) {
       throw std::invalid_argument("scheduler max_batch must be >= 1" + where);
     }
+    if (r.scheduler.max_tokens_per_iter > 0 &&
+        r.scheduler.policy != BatchPolicy::kChunkedMixed) {
+      throw std::invalid_argument(
+          "a token budget (max_tokens_per_iter=" +
+          std::to_string(r.scheduler.max_tokens_per_iter) +
+          ", --chunk-tokens) requires the chunked policy: the whole-prompt "
+          "policies never split prompts, so a budget would silently degrade "
+          "into a batch-member cap" +
+          where);
+    }
     if (r.scheduler.max_in_flight == 0) {
       throw std::invalid_argument("scheduler max_in_flight must be >= 1" +
                                   where);

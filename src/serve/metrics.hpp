@@ -1,10 +1,11 @@
 // Fleet-level serving metrics: what the load benches sweep and the tests
 // assert on. All latencies are reported in milliseconds of accelerator
-// wall-clock (cycles / frequency). The cycle-domain series (TTFT, e2e,
-// queue wait, inter-token gap) are held as exact util::ValueCounts stores
-// and summarized by detail::cycle_summary_ms; token latency goes through
-// util::percentile_summary. Both give the same bits a sort of every
-// per-sample millisecond value would.
+// wall-clock (cycles / frequency). Every latency series is held as an
+// exact util::ValueCounts store and read by ValueCounts::summary: the
+// cycle-domain ones (TTFT, e2e, queue wait, inter-token gap) through
+// detail::cycle_summary_ms, per-token latency keyed by the bits of its
+// non-negative millisecond value. Each gives the same bits a sort of
+// every per-sample millisecond value would.
 #pragma once
 
 #include <cstdint>

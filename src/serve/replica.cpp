@@ -1,6 +1,9 @@
 #include "serve/replica.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
+#include <cmath>
 #include <stdexcept>
 
 #include "serve/observe.hpp"
@@ -964,8 +967,7 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
   const Replica& front = *group.front();
   const core::ArchConfig& arch = front.cfg.arch;
   FleetMetrics m;
-  std::vector<double> token;
-  util::ValueCounts ttft, e2e, queue_wait, gap;
+  util::ValueCounts ttft, token, e2e, queue_wait, gap;
   sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
   double batch_members = 0;
   for (const Replica* r : group) {
@@ -997,7 +999,11 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
             e.decoded > 0 ? r->ms(e.completed - e.first_token) /
                                 static_cast<double>(e.decoded)
                           : 0.0;
-        token.push_back(token_ms);
+        // Keyed by its bits: a cycle difference over `decoded`, or +0.0,
+        // is non-negative and finite, and such doubles order like their
+        // bit patterns.
+        assert(std::isfinite(token_ms) && !std::signbit(token_ms));
+        token.add(std::bit_cast<std::uint64_t>(token_ms));
         if (rec.ttft_ms <= r->cfg.slo.ttft_ms &&
             token_ms <= r->cfg.slo.token_ms) {
           ++m.slo_good;
@@ -1081,10 +1087,12 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
         (static_cast<double>(makespan) * static_cast<double>(group.size()));
   }
   ttft.compact();
+  token.compact();
   e2e.compact();
   queue_wait.compact();
   m.ttft_ms = cycle_summary_ms(ttft, arch);
-  m.token_ms = util::percentile_summary(std::move(token));
+  m.token_ms = token.summary(
+      [](std::uint64_t bits) { return std::bit_cast<double>(bits); });
   m.e2e_ms = cycle_summary_ms(e2e, arch);
   m.queue_wait_ms = cycle_summary_ms(queue_wait, arch);
   m.inter_token_gap_ms = cycle_summary_ms(gap, arch);

@@ -351,9 +351,8 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
 
 /// Percentile summary of a compacted store of cycle-domain latency
 /// samples, reported in milliseconds. cycles_to_ms is monotone
-/// non-decreasing, so ValueCounts::summary reproduces
-/// util::percentile_summary over the per-sample ms values bit for bit
-/// without ever materializing them.
+/// non-decreasing, so ValueCounts::summary gives the bits a sort of the
+/// per-sample ms values would, without ever materializing them.
 util::PercentileSummary cycle_summary_ms(const util::ValueCounts& cycles,
                                          const core::ArchConfig& arch);
 

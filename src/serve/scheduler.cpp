@@ -50,14 +50,13 @@ void Scheduler::select(ReadyQueue& ready,
                        std::vector<ScheduledStep>& batch) const {
   batch.clear();
 
-  const std::uint32_t whole_budget =
-      config_.max_tokens_per_iter == 0
-          ? std::numeric_limits<std::uint32_t>::max()
-          : config_.max_tokens_per_iter;
-  std::uint32_t tokens_left = whole_budget;
   const auto full = [&] { return batch.size() >= config_.max_batch; };
 
   if (config_.policy == BatchPolicy::kChunkedMixed) {
+    std::uint32_t tokens_left =
+        config_.max_tokens_per_iter == 0
+            ? std::numeric_limits<std::uint32_t>::max()
+            : config_.max_tokens_per_iter;
     // Decodes first, one budget token each; then prefill chunks split the
     // leftover budget. A chunk never exceeds the remaining budget, so a
     // long prompt spreads across iterations while decodes keep flowing
@@ -94,50 +93,27 @@ void Scheduler::select(ReadyQueue& ready,
     }
   } else {
     // Priority class first, then the other class into the remaining
-    // slots. Prompts run whole under these policies; the token budget
-    // only bounds how many members fit. The prefill class spans two lists
-    // (started + fresh); a stamp-ordered merge walk visits them in the
-    // exact order the legacy single ready list interleaved them.
-    bool prefill_selected = false;
+    // slots; prompts run whole and only max_batch bounds the members
+    // (FleetConfig::validate rejects a token budget here). The prefill
+    // class spans two lists (started + fresh); a stamp-ordered merge walk
+    // visits them in the exact order the legacy single ready list
+    // interleaved them.
     const auto decode_pass = [&] {
-      for (Request* r = ready.decodes.head; r != nullptr;
+      for (Request* r = ready.decodes.head; r != nullptr && !full();
            r = r->link_next[kReadyChannel]) {
-        if (full() || tokens_left == 0) break;  // every decode costs 1
         batch.push_back({r, 0});
-        --tokens_left;
       }
     };
     const auto prefill_pass = [&] {
       Request* a = ready.started.head;
       Request* b = ready.fresh.head;
       while ((a != nullptr || b != nullptr) && !full()) {
-        Request* r = (b == nullptr ||
-                      (a != nullptr && a->ready_stamp < b->ready_stamp))
-                         ? a
-                         : b;
-        const std::uint32_t need = r->prompt_remaining();
-        if (need > tokens_left) {
-          // The FIFO-head prompt doesn't fit this iteration. If it can
-          // *never* fit (larger than the whole budget), run it now — over
-          // budget, but without other prompt work — rather than starve
-          // it. Otherwise stop the prefill pass: blocked prefills admit
-          // no new decode streams, so running decodes drain until the
-          // prompt fits, and younger prompts must not overtake it.
-          if (need > whole_budget && !prefill_selected) {
-            batch.push_back({r, need});
-            tokens_left = 0;
-            prefill_selected = true;
-          }
-          break;
-        }
-        batch.push_back({r, need});
-        prefill_selected = true;
-        tokens_left -= need;
-        if (r == a) {
-          a = a->link_next[kReadyChannel];
-        } else {
-          b = b->link_next[kReadyChannel];
-        }
+        Request*& r = (b == nullptr ||
+                       (a != nullptr && a->ready_stamp < b->ready_stamp))
+                          ? a
+                          : b;
+        batch.push_back({r, r->prompt_remaining()});
+        r = r->link_next[kReadyChannel];
       }
     };
     if (config_.policy == BatchPolicy::kPrefillPriority) {

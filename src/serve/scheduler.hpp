@@ -2,13 +2,13 @@
 // adapted to a single time-shared LoopLynx pipeline).
 //
 // Every iteration the scheduler picks a batch of token-steps from the
-// admitted (runnable) requests, bounded both by max_batch members and by a
-// per-iteration *token budget* (max_tokens_per_iter): a decode step costs
-// one budget token, a prefill chunk costs as many as it pushes. Batch
-// members occupy the pipeline back to back within the iteration, and the
-// per-token host synchronization (PCIe turnaround) is paid once per
-// iteration instead of once per token — that amortization is the throughput
-// win of batching on this architecture.
+// admitted (runnable) requests, bounded by max_batch members and, under
+// kChunkedMixed, by a per-iteration *token budget* (max_tokens_per_iter):
+// a decode step costs one budget token, a prefill chunk costs as many as
+// it pushes. Batch members occupy the pipeline back to back within the
+// iteration, and the per-token host synchronization (PCIe turnaround) is
+// paid once per iteration instead of once per token — that amortization
+// is the throughput win of batching on this architecture.
 //
 // Policies:
 //  - kPrefillPriority: new requests prefill before queued decodes run, and
@@ -36,9 +36,10 @@
 //    byte-identical sweep gate and the fleet's routing reproducibility
 //    both build on.
 //  - No starvation by construction: within each class FIFO order is
-//    preserved, a budget-blocked head prompt cannot be overtaken by
-//    younger prompts, and a prompt larger than the whole budget runs
-//    over-budget as the iteration's only prompt work.
+//    preserved. The whole-prompt policies take no token budget
+//    (FleetConfig::validate rejects one), so a prompt is never blocked by
+//    its size; under kChunkedMixed the head prompt takes every chunk the
+//    budget leaves until it finishes.
 //  - Livelock-freedom of preemption (PreemptPolicy::kRecomputeYoungest)
 //    additionally requires the scheduler loop's rules — age-ordered
 //    decode-only eviction, re-prefills wait, admissions pause while a
@@ -77,13 +78,11 @@ inline std::uint32_t default_chunk_tokens(BatchPolicy policy) {
 
 struct SchedulerConfig {
   std::uint32_t max_batch = 8;      // token-steps per iteration
-  /// Token budget per iteration: decode == 1 token, prefill chunk == its
-  /// token count. 0 == unbounded (whole prompts, pure step-count limit —
-  /// the pre-chunking behavior). Under the whole-prompt policies prompts
-  /// keep FIFO order against the budget: a prompt that fits the budget
-  /// but not this iteration's leftover waits (younger prompts cannot
-  /// overtake it), and one larger than the whole budget runs over budget
-  /// as the iteration's only prompt work, so neither can starve.
+  /// Token budget per iteration under kChunkedMixed: decode == 1 token,
+  /// prefill chunk == its token count. 0 == unbounded (whole prompts, pure
+  /// step-count limit). The whole-prompt policies never split a prompt,
+  /// so FleetConfig::validate requires 0 for them: a budget there could
+  /// only cap batch members.
   std::uint32_t max_tokens_per_iter = 0;
   std::uint32_t max_in_flight = 64; // admitted requests resident at once
   std::uint32_t queue_capacity = 256;  // admission queue bound (shedding)
@@ -125,10 +124,11 @@ class Scheduler {
   /// Selects this iteration's batch from the class-indexed ready pool
   /// (admitted requests not currently mid-step) into `batch`, which is
   /// cleared first and reused across iterations so steady-state selection
-  /// never allocates. Honors the policy, max_batch and the token budget.
-  /// Selected requests are unlinked from `ready`; relative FIFO order
-  /// within each class is preserved. Each selection pass walks only its
-  /// own class list, so the cost is O(batch), not O(ready size).
+  /// never allocates. Honors the policy, max_batch and (kChunkedMixed)
+  /// the token budget. Selected requests are unlinked from `ready`;
+  /// relative FIFO order within each class is preserved. Each selection
+  /// pass walks only its own class list, so the cost is O(batch), not
+  /// O(ready size).
   void select(ReadyQueue& ready, std::vector<ScheduledStep>& batch) const;
 
   /// Folds one finished iteration into the aggregate counters. The hot

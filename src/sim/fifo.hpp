@@ -114,13 +114,6 @@ class Fifo {
   /// while the channel is empty.
   GetAwaiter get() { return GetAwaiter{this}; }
 
-  /// Non-suspending put; returns false if the channel is full and no
-  /// consumer is waiting.
-  bool try_put(T value) {
-    PutAwaiter awaiter{this, std::move(value)};
-    return awaiter.await_ready();
-  }
-
   /// Non-suspending get; returns false if the channel is empty.
   bool try_get(T& out) {
     if (items_.empty()) return false;

@@ -12,6 +12,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <deque>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -65,12 +66,9 @@ class Mutex {
 
 /// Countdown latch for fork/join of concurrently spawned sub-processes:
 /// spawn N tasks that each call count_down() when finished; the joiner
-/// co_awaits wait(). Single-use.
-///
-/// The first waiter parks in an inline slot — the overwhelmingly common
-/// single-joiner case (the parent process awaiting its forked children)
-/// then never touches the heap. Extra waiters overflow into a
-/// vector; release order stays arrival order either way.
+/// co_awaits wait(). Single-use, single joiner: the parent process awaiting
+/// its forked children parks in one handle slot and never touches the
+/// heap. A second waiter is a bug and throws std::logic_error.
 class CountdownLatch {
  public:
   CountdownLatch(Engine& engine, std::size_t count)
@@ -80,15 +78,9 @@ class CountdownLatch {
 
   void count_down() {
     assert(remaining_ > 0 && "count_down past zero");
-    if (--remaining_ == 0) {
-      if (first_waiter_) {
-        engine_->schedule(0, first_waiter_);
-        first_waiter_ = nullptr;
-      }
-      for (std::coroutine_handle<> h : overflow_waiters_) {
-        engine_->schedule(0, h);
-      }
-      overflow_waiters_.clear();
+    if (--remaining_ == 0 && waiter_) {
+      engine_->schedule(0, waiter_);
+      waiter_ = nullptr;
     }
   }
 
@@ -96,11 +88,10 @@ class CountdownLatch {
     CountdownLatch* latch;
     bool await_ready() const noexcept { return latch->remaining_ == 0; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (!latch->first_waiter_) {
-        latch->first_waiter_ = h;
-      } else {
-        latch->overflow_waiters_.push_back(h);
+      if (latch->waiter_) {
+        throw std::logic_error("CountdownLatch: a second waiter");
       }
+      latch->waiter_ = h;
     }
     void await_resume() const noexcept {}
   };
@@ -111,8 +102,7 @@ class CountdownLatch {
  private:
   Engine* engine_;
   std::size_t remaining_;
-  std::coroutine_handle<> first_waiter_ = nullptr;
-  std::vector<std::coroutine_handle<>> overflow_waiters_;
+  std::coroutine_handle<> waiter_ = nullptr;
 };
 
 /// Runs `task` then counts down `latch` — the fork half of fork/join.

@@ -17,9 +17,8 @@
 //  - Zero steady-state allocation: once the peak live count has been
 //    reached, insert/erase cycles reuse slots and never touch the heap
 //    (pinned by tests/test_slot_map.cpp's churn test under ASan).
-//  - Determinism: the free list is LIFO and iteration (`for_each`) visits
-//    live slots in ascending index order, so identical operation sequences
-//    produce identical slot assignments and identical iteration orders.
+//  - Determinism: the free list is LIFO, so identical operation sequences
+//    produce identical slot assignments.
 #pragma once
 
 #include <cassert>
@@ -95,18 +94,6 @@ class SlotMap {
   }
   const T* get(SlotHandle h) const {
     return const_cast<SlotMap*>(this)->get(h);
-  }
-
-  /// Visits every live object in ascending slot-index order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = 0; i < slots_; ++i) {
-      const Slot& s = const_cast<SlotMap*>(this)->slot(
-          static_cast<std::uint32_t>(i));
-      if (s.occupied) {
-        fn(*std::launder(reinterpret_cast<const T*>(s.storage)));
-      }
-    }
   }
 
   /// Destroys every live object. Chunks (and their addresses) are released;

@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace looplynx::util {
-
-double mean(std::span<const double> values) {
-  if (values.empty()) return 0.0;
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  return sum / static_cast<double>(values.size());
-}
 
 double geomean(std::span<const double> values) {
   if (values.empty()) return 0.0;
@@ -21,53 +14,15 @@ double geomean(std::span<const double> values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-namespace {
-
-/// Linear-interpolated percentile over an already-sorted, non-empty range.
-double sorted_percentile(std::span<const double> sorted, double p) {
-  const double rank =
-      (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-}  // namespace
-
 double percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  return sorted_percentile(values, p);
-}
-
-void sort_ascending(std::vector<double>& values) {
-  if (values.size() < 4096) {
-    std::sort(values.begin(), values.end());
-    return;
-  }
-  for (double v : values) {
-    if (!(v >= 0.0) || std::signbit(v) || !std::isfinite(v)) {
-      std::sort(values.begin(), values.end());
-      return;
-    }
-  }
-  std::vector<std::uint64_t> keys(values.size());
-  std::memcpy(keys.data(), values.data(), values.size() * sizeof(double));
-  radix_sort(keys);
-  std::memcpy(values.data(), keys.data(), values.size() * sizeof(double));
-}
-
-PercentileSummary percentile_summary(std::vector<double> values) {
-  PercentileSummary s;
-  if (values.empty()) return s;
-  sort_ascending(values);
-  s.count = values.size();
-  s.mean = mean(values);
-  s.p50 = sorted_percentile(values, 50.0);
-  s.p95 = sorted_percentile(values, 95.0);
-  s.p99 = sorted_percentile(values, 99.0);
-  return s;
+  const double rank =
+      (p / 100.0) * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 void radix_sort(std::vector<std::uint64_t>& keys) {
@@ -174,12 +129,10 @@ void SlidingWindow::evict_before(double at) {
 }
 
 double SlidingWindow::percentile(double p) const {
-  if (samples_.empty()) return 0.0;
   std::vector<double> values;
   values.reserve(samples_.size());
   for (const auto& [at, v] : samples_) values.push_back(v);
-  std::sort(values.begin(), values.end());
-  return sorted_percentile(values, p);
+  return util::percentile(std::move(values), p);
 }
 
 }  // namespace looplynx::util

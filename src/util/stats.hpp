@@ -10,20 +10,19 @@
 
 namespace looplynx::util {
 
-/// Arithmetic mean; returns 0 for an empty span.
-double mean(std::span<const double> values);
-
 /// Geometric mean; values must be positive. Returns 0 for an empty span.
 /// The paper's "average speed-up" claims are ratio averages, for which the
 /// geometric mean is the correct aggregate.
 double geomean(std::span<const double> values);
 
-/// Linear-interpolated percentile, p in [0, 100].
+/// Linear-interpolated percentile, p in [0, 100]; returns 0 for an empty
+/// vector. The autoscaler's sliding window reads its p99 through it, and
+/// the tests use it as the reference for ValueCounts::summary.
 double percentile(std::vector<double> values, double p);
 
 /// The latency percentiles every serving report needs (p50/p95/p99), plus
-/// mean and count, computed with a single sort. Empty input yields all
-/// zeros; a single sample yields that sample for every percentile.
+/// mean and count. Empty input yields all zeros; a single sample yields
+/// that sample for every percentile.
 struct PercentileSummary {
   std::size_t count = 0;
   double mean = 0.0;
@@ -34,8 +33,6 @@ struct PercentileSummary {
   bool operator==(const PercentileSummary&) const = default;
 };
 
-PercentileSummary percentile_summary(std::vector<double> values);
-
 /// In-place ascending LSD radix sort (high passes skipped once the maximum
 /// key is exhausted) over 8-bit digits; inputs below 4096 keys fall back
 /// to std::sort.
@@ -43,12 +40,15 @@ void radix_sort(std::vector<std::uint64_t>& keys);
 
 /// Exact multiset of integer samples held as ascending (value, count)
 /// runs, so memory grows with the number of distinct values rather than
-/// with the number of samples. add() appends to a pending buffer; once
-/// the buffer holds max(4096, runs held) samples it is radix-sorted and
-/// merged into the runs. Every flush therefore moves at least as many new
-/// samples as old runs, and a sample costs amortized O(1) however many
-/// distinct values accumulate. compact() merges what is left; merge() and
-/// summary() read only a compacted store. Construction allocates nothing.
+/// with the number of samples. Non-negative finite doubles fit too, keyed
+/// by std::bit_cast<std::uint64_t>: IEEE-754 orders them exactly like
+/// their bit patterns, and equal values have equal bits. add() appends to
+/// a pending buffer; once the buffer holds max(4096, runs held) samples it
+/// is radix-sorted and merged into the runs. Every flush therefore moves
+/// at least as many new samples as old runs, and a sample costs amortized
+/// O(1) however many distinct values accumulate. compact() merges what is
+/// left; merge() and summary() read only a compacted store. Construction
+/// allocates nothing.
 class ValueCounts {
  public:
   struct Run {
@@ -72,11 +72,11 @@ class ValueCounts {
   const std::vector<Run>& runs() const { return runs_; }
 
   /// The percentile summary of the samples mapped through the monotone
-  /// non-decreasing `convert`, bit-identical to percentile_summary over
-  /// the converted samples: the mean adds one converted sample at a time
-  /// in ascending order, the same additions mean() makes over the sorted
-  /// vector, and each percentile interpolates between the converted
-  /// samples at the same ranks.
+  /// non-decreasing `convert`, bit-identical to sorting every converted
+  /// sample: the mean adds one converted sample at a time in ascending
+  /// order, the additions a sum over the sorted vector makes, and each
+  /// percentile interpolates between the converted samples at the ranks
+  /// util::percentile reads.
   template <class Convert>
   PercentileSummary summary(Convert convert) const;
 
@@ -122,13 +122,6 @@ PercentileSummary ValueCounts::summary(Convert convert) const {
   s.p99 = interp(99.0);
   return s;
 }
-
-/// Ascending sort of doubles, radix-accelerated when every value is
-/// finite and non-negative with a clear sign bit (IEEE-754 orders such
-/// values exactly like their u64 bit patterns; equal values have equal
-/// bits, so the result is indistinguishable from std::sort). Anything
-/// else — negatives, -0.0, NaN, small inputs — falls back to std::sort.
-void sort_ascending(std::vector<double>& values);
 
 /// Time-stamped sample window for rolling-percentile control signals (the
 /// serve-layer autoscaler's p99 TTFT). Samples enter in non-decreasing

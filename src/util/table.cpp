@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 
 namespace looplynx::util {
@@ -130,6 +131,18 @@ std::string fmt_kilo(double value, int digits) {
   if (std::abs(value) >= 1e6) return fmt_fixed(value / 1e6, std::max(digits, 1)) + "M";
   if (std::abs(value) >= 1e3) return fmt_fixed(value / 1e3, digits) + "K";
   return fmt_fixed(value, digits);
+}
+
+std::string fmt_rate(double bytes_per_second) {
+  static const char* const kUnits[] = {"B/s", "KB/s", "MB/s", "GB/s",
+                                       "TB/s"};
+  std::size_t idx = 0;
+  while (idx + 1 < std::size(kUnits) && bytes_per_second >= 1000.0) {
+    bytes_per_second /= 1000.0;
+    ++idx;
+  }
+  return fmt_fixed(bytes_per_second, bytes_per_second < 10 ? 2 : 1) + ' ' +
+         kUnits[idx];
 }
 
 }  // namespace looplynx::util

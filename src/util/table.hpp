@@ -73,4 +73,8 @@ std::string fmt_int(long long value);
 /// tables.
 std::string fmt_kilo(double value, int digits = 0);
 
+/// Formats a rate in bytes/second in decimal units, as the paper quotes
+/// HBM and link bandwidth ("8.49 GB/s").
+std::string fmt_rate(double bytes_per_second);
+
 }  // namespace looplynx::util

@@ -628,6 +628,31 @@ TEST(FleetSimTest, RejectsZeroCostProbeStride) {
                std::invalid_argument);
 }
 
+/// A token budget only means something to the chunked policy; the
+/// whole-prompt policies never split a prompt, so on them a budget could
+/// only cap batch members. The rule names the replica it fails on.
+TEST(FleetSimTest, RejectsTokenBudgetOnWholePromptPolicies) {
+  for (const BatchPolicy policy :
+       {BatchPolicy::kPrefillPriority, BatchPolicy::kDecodePriority}) {
+    ServingConfig cfg = base_config();
+    cfg.scheduler.policy = policy;
+    EXPECT_NO_THROW(FleetConfig::homogeneous(cfg, 2).validate());
+    FleetConfig fleet = FleetConfig::homogeneous(cfg, 2);
+    fleet.replicas[1].scheduler.max_tokens_per_iter = 16;
+    try {
+      fleet.validate();
+      ADD_FAILURE() << "budget accepted under " << batch_policy_name(policy);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("replica 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  ServingConfig chunked = base_config();
+  chunked.scheduler.policy = BatchPolicy::kChunkedMixed;
+  chunked.scheduler.max_tokens_per_iter = 16;
+  EXPECT_NO_THROW(FleetConfig::homogeneous(chunked, 2).validate());
+}
+
 // --------------------------------------------------------- CLI validation
 
 util::Cli make_cli(std::vector<const char*> args) {

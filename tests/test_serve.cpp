@@ -462,99 +462,6 @@ TEST(SchedulerTest, DecodePriorityPicksDecodesFirst) {
   EXPECT_TRUE(ready.empty());
 }
 
-TEST(SchedulerTest, TokenBudgetBoundsWholePromptMembers) {
-  Request p1(0, workload::make_scenario(8, 8));
-  Request p2(1, workload::make_scenario(8, 8));
-  Request d1(2, workload::make_scenario(8, 8));
-  mark_prefilled(d1);
-  SchedulerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_tokens_per_iter = 10;  // p1 (8) + d1 (1) fit; p2 (8) does not
-  cfg.policy = BatchPolicy::kPrefillPriority;
-  Scheduler sched(cfg);
-  ReadyQueue ready;
-  fill(ready, {&p1, &p2, &d1});
-  const auto batch = select(sched, ready);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].request, &p1);
-  EXPECT_EQ(batch[1].request, &d1);
-  // p2 waits for the next iteration.
-  EXPECT_EQ(members(ready.fresh), std::vector<Request*>{&p2});
-  EXPECT_TRUE(ready.decodes.empty());
-}
-
-TEST(SchedulerTest, OversizedPromptRunsAloneUnderBudget) {
-  Request big(0, workload::make_scenario(32, 4));
-  Request d1(1, workload::make_scenario(8, 8));
-  mark_prefilled(d1);
-  SchedulerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_tokens_per_iter = 16;  // smaller than big's whole prompt
-  cfg.policy = BatchPolicy::kPrefillPriority;
-  Scheduler sched(cfg);
-  ReadyQueue ready;
-  fill(ready, {&big, &d1});
-  const auto batch = select(sched, ready);
-  // The unsplittable over-budget prompt cannot starve: it runs, alone.
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].request, &big);
-  EXPECT_EQ(batch[0].prompt_tokens, 32u);
-  EXPECT_EQ(members(ready.decodes), std::vector<Request*>{&d1});
-  EXPECT_TRUE(ready.fresh.empty());
-}
-
-TEST(SchedulerTest, OversizedPromptCannotStarveUnderDecodePriority) {
-  Request d1(0, workload::make_scenario(8, 8));
-  Request big(1, workload::make_scenario(32, 4));
-  Request small(2, workload::make_scenario(4, 4));
-  mark_prefilled(d1);
-  SchedulerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_tokens_per_iter = 16;  // big can never fit, even alone
-  cfg.policy = BatchPolicy::kDecodePriority;
-  Scheduler sched(cfg);
-  ReadyQueue ready;
-  fill(ready, {&d1, &big, &small});
-  const auto batch = select(sched, ready);
-  // Decode priority keeps the batch non-empty every iteration, so the
-  // over-budget prompt must be allowed to co-run with the decodes — and
-  // the younger small prompt must not overtake it.
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].request, &d1);
-  EXPECT_EQ(batch[1].request, &big);
-  EXPECT_EQ(batch[1].prompt_tokens, 32u);
-  EXPECT_EQ(members(ready.fresh), std::vector<Request*>{&small});
-  EXPECT_TRUE(ready.decodes.empty());
-}
-
-TEST(SchedulerTest, BudgetedPromptKeepsFifoOrderAgainstYoungerPrompts) {
-  std::vector<std::unique_ptr<Request>> pool;
-  ReadyQueue ready;
-  for (std::uint32_t i = 0; i < 6; ++i) {  // six decode streams
-    pool.push_back(
-        std::make_unique<Request>(i, workload::make_scenario(4, 8)));
-    mark_prefilled(*pool.back());
-    ready.push_back(pool.back().get());
-  }
-  Request mid(6, workload::make_scenario(12, 4));
-  Request small(7, workload::make_scenario(4, 4));
-  fill(ready, {&mid, &small});
-  SchedulerConfig cfg;
-  cfg.max_batch = 16;
-  cfg.max_tokens_per_iter = 16;  // mid fits the budget, not this leftover
-  cfg.policy = BatchPolicy::kDecodePriority;
-  Scheduler sched(cfg);
-  const auto batch = select(sched, ready);
-  // 6 decodes leave 10 budget tokens: mid (12) waits — and small (4),
-  // which would fit, must wait behind it rather than overtake. Blocked
-  // prefills admit no new streams, so the decode pool drains until mid
-  // fits: no starvation.
-  ASSERT_EQ(batch.size(), 6u);
-  for (const ScheduledStep& s : batch) EXPECT_FALSE(s.is_prefill());
-  EXPECT_EQ(members(ready.fresh), (std::vector<Request*>{&mid, &small}));
-  EXPECT_TRUE(ready.decodes.empty());
-}
-
 TEST(SchedulerTest, ChunkedMixedSplitsPromptsUnderBudget) {
   Request d1(0, workload::make_scenario(8, 8));
   Request d2(1, workload::make_scenario(8, 8));
@@ -712,8 +619,8 @@ TEST(SchedulerCliTest, ChunkedPolicyDefaultsItsBudget) {
 }
 
 TEST(SchedulerCliTest, RejectsChunkBudgetUnderWholePromptPolicies) {
-  // Pre-validation this combination silently degraded into a batch-member
-  // cap; now both CLI surfaces reject it through the shared helper.
+  // On a whole-prompt policy a budget could only cap batch members;
+  // FleetConfig::validate, which the parser runs, rejects it.
   EXPECT_THROW(parse_scheduler_cli(
                    make_cli({"--policy=prefill", "--chunk-tokens=32"})),
                std::invalid_argument);

@@ -674,9 +674,9 @@ TEST(ServeInvariants, DisaggTilingHoldsAndObservationIsNeutral) {
 /// Independent oracle for the inter-token gap series: every request's
 /// gaps are rebuilt from the Observer's emission stamps (kFirstToken and
 /// kDecode, one per host-visible token) as the differences between
-/// consecutive emissions, pooled, sorted and summarized the way
-/// util::percentile_summary would summarize their millisecond values. The
-/// fleet's `inter_token_gap_ms`, built by an entirely different road
+/// consecutive emissions, pooled, sorted and summarized from their
+/// millisecond values: the sum in ascending order for the mean, and
+/// util::percentile's interpolation between neighbors. The fleet's `inter_token_gap_ms`, built by an entirely different road
 /// (per-replica value->count stores, compacted and merged), must equal it
 /// bit for bit, and every record's `max_token_gap_ms` must be the
 /// request's largest rebuilt gap.

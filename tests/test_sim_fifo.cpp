@@ -128,18 +128,22 @@ TEST(FifoTest, MultipleConsumersDrainEverything) {
   EXPECT_EQ(out_a.size() + out_b.size(), 40u);
 }
 
-TEST(FifoTest, TryPutTryGetNonBlocking) {
+TEST(FifoTest, TryGetNonBlocking) {
   Engine eng;
   Fifo<int> fifo(eng, 2);
-  EXPECT_TRUE(fifo.try_put(1));
-  EXPECT_TRUE(fifo.try_put(2));
-  EXPECT_FALSE(fifo.try_put(3));  // full
-  int v = 0;
+  int v = -1;
+  EXPECT_FALSE(fifo.try_get(v));  // empty
+  // The producer fills both slots and parks on its third put.
+  eng.spawn(producer(eng, fifo, 3, 0));
+  eng.run();
+  EXPECT_TRUE(fifo.try_get(v));
+  EXPECT_EQ(v, 0);
+  // Freeing a slot admits the parked put.
   EXPECT_TRUE(fifo.try_get(v));
   EXPECT_EQ(v, 1);
   EXPECT_TRUE(fifo.try_get(v));
   EXPECT_EQ(v, 2);
-  EXPECT_FALSE(fifo.try_get(v));  // empty
+  EXPECT_FALSE(fifo.try_get(v));
 }
 
 TEST(FifoTest, UnboundedNeverBlocksProducer) {

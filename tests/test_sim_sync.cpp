@@ -1,6 +1,7 @@
 // Tests for Mutex / CountdownLatch / Signal primitives.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -124,21 +125,14 @@ TEST(CountdownLatchTest, ZeroCountDoesNotSuspend) {
   EXPECT_EQ(resumed[0].second, 9u);
 }
 
-TEST(CountdownLatchTest, OverflowWaitersResumeInArrivalOrder) {
+TEST(CountdownLatchTest, SecondWaiterIsAnError) {
   Engine eng;
-  CountdownLatch latch(eng, 2);
-  std::vector<Cycles> done;
+  CountdownLatch latch(eng, 1);
   std::vector<std::pair<int, Cycles>> resumed;
-  // The first joiner parks in the inline slot, the next two overflow.
-  for (int id = 0; id < 3; ++id) eng.spawn(join(eng, latch, id, resumed));
-  eng.spawn(run_then_count_down(finish_at(eng, 5, done), latch));
-  eng.spawn(run_then_count_down(finish_at(eng, 25, done), latch));
-  eng.run();
-  ASSERT_EQ(resumed.size(), 3u);
-  for (int id = 0; id < 3; ++id) {
-    EXPECT_EQ(resumed[id].first, id);
-    EXPECT_EQ(resumed[id].second, 25u);
-  }
+  eng.spawn(join(eng, latch, 0, resumed));
+  eng.spawn(join(eng, latch, 1, resumed));
+  EXPECT_THROW(eng.run(), std::logic_error);
+  EXPECT_TRUE(resumed.empty());
 }
 
 TEST(SignalTest, WaitersReleaseOnSet) {

@@ -106,23 +106,6 @@ TEST(SlotMap, GenerationBumpInvalidatesStaleHandles) {
   EXPECT_EQ(map.get(h2)->value, 2u);
 }
 
-TEST(SlotMap, ForEachVisitsAscendingSlotOrder) {
-  SlotMap<Payload> map;
-  std::vector<SlotHandle> handles;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    handles.push_back(map.emplace(i).first);
-  }
-  // Punch holes and refill: values differ from slot indices, but the
-  // visit order must still be ascending slot index.
-  map.erase(handles[7]);
-  map.erase(handles[3]);
-  map.emplace(100);  // slot 3 (LIFO)
-  std::vector<std::uint64_t> seen;
-  map.for_each([&](const Payload& p) { seen.push_back(p.value); });
-  EXPECT_EQ(seen,
-            (std::vector<std::uint64_t>{0, 1, 2, 100, 4, 5, 6, 8, 9}));
-}
-
 TEST(SlotMap, AddressesStableAcrossGrowth) {
   SlotMap<Payload, 16> map;  // small chunks force several allocations
   std::vector<Payload*> addresses;
