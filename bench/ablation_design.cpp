@@ -11,6 +11,10 @@
 #include "core/system.hpp"
 #include "util/table.hpp"
 
+const looplynx::util::FlagTable kFlags{
+    "ablation_design: ms/token under each design-choice ablation.",
+    {looplynx::bench::model_flag()}};
+
 namespace {
 
 using namespace looplynx;
@@ -103,5 +107,5 @@ int run(const util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -14,11 +14,17 @@ namespace looplynx::bench {
 inline constexpr std::uint32_t kMixPrefill = 64;
 inline constexpr std::uint32_t kMixDecode = 512;
 
+/// The --model declaration every harness that takes a model shares.
+inline util::Flag model_flag() {
+  return {"model", util::FlagKind::kText, "gpt2-medium", "model to simulate",
+          "gpt2-small|gpt2-medium|gpt2-xl"};
+}
+
+/// The model --model names (the table admits only its three choices).
 inline model::ModelConfig model_from_cli(const util::Cli& cli) {
-  const std::string name = cli.get_or("model", "gpt2-medium");
+  const std::string name = cli.text("model");
   if (name == "gpt2-small") return model::gpt2_small();
-  if (name == "gpt2-xl") return model::gpt2_xl();
-  return model::gpt2_medium();
+  return name == "gpt2-xl" ? model::gpt2_xl() : model::gpt2_medium();
 }
 
 }  // namespace looplynx::bench

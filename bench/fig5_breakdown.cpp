@@ -10,11 +10,19 @@
 #include "core/system.hpp"
 #include "util/table.hpp"
 
+using enum looplynx::util::FlagKind;
+
+const looplynx::util::FlagTable kFlags{
+    "fig5_breakdown: paper Fig. 5, 1-node latency breakdown and ladder.",
+    {looplynx::bench::model_flag(),
+     {"prefill", kCount, "32", "prompt tokens"},
+     {"decode", kCount, "128", "generated tokens"}}};
+
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
   const auto model = bench::model_from_cli(cli);
-  const auto prefill = cli.get_count_or("prefill", 32);
-  const auto decode = cli.get_count_or("decode", 128);
+  const auto prefill = cli.count("prefill");
+  const auto decode = cli.count("decode");
 
   struct Config {
     const char* label;
@@ -72,5 +80,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -7,6 +7,10 @@
 #include "hw/resources.hpp"
 #include "util/table.hpp"
 
+const looplynx::util::FlagTable kFlags{
+    "fig7_resources: paper Fig. 7, dual-node resource use on a U50.",
+    {looplynx::bench::model_flag()}};
+
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
   const auto model = bench::model_from_cli(cli);
@@ -46,5 +50,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -4,7 +4,7 @@
 //
 // Latency is normalized to the 4-node implementation (higher = slower), and
 // energy efficiency (token/J) to the GPU (higher = better), exactly as in
-// the paper. Pass --csv to emit the raw series.
+// the paper. --csv also emits the raw series.
 #include <iostream>
 #include <map>
 #include <vector>
@@ -17,6 +17,13 @@
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/scenario.hpp"
+
+using enum looplynx::util::FlagKind;
+
+const looplynx::util::FlagTable kFlags{
+    "fig8_gpu_comparison: paper Fig. 8, 1/2/4-node LoopLynx vs an A100.",
+    {looplynx::bench::model_flag(),
+     {"csv", kSwitch, "off", "also print the raw series as CSV"}}};
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
@@ -120,7 +127,7 @@ int run(const looplynx::util::Cli& cli) {
               << util::fmt_speedup(util::geomean(eff_ratios[nodes])) << "\n";
   }
 
-  if (cli.has("csv")) {
+  if (cli.on("csv")) {
     std::cout << "\n";
     util::CsvWriter csv(std::cout);
     csv.write_row({"scenario", "impl", "total_ms", "tokens_per_joule"});
@@ -139,5 +146,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -8,17 +8,6 @@
 // every sweep point becomes a multi-deployment fleet: N copies of the
 // deployment behind a --balancer, fed by the same arrival stream.
 //
-//   ./serve_load [--nodes=2] [--model=gpt2-medium] [--requests=64]
-//                [--seed=1] [--stride=64]
-//                [--policy=prefill|decode|chunked] [--chunk-tokens=0]
-//                [--preempt=none|recompute|cost-aware] [--kv-block-tokens=1]
-//                [--kv-budget-mb=0] [--prefix-cache] [--kv-swap]
-//                [--replicas=1] [--balancer=rr|jsq|kv]
-//                [--roles=prefill,decode,...] [--kv-link-gbps=100]
-//                [--autoscale=queue|slo|hybrid] [--min-replicas=N[,N...]]
-//                [--max-replicas=N] [--scale-interval-ms=50]
-//                [--trace-out=PATH] [--metrics-out=PATH]
-//
 // --chunk-tokens=N sets the per-iteration token budget (requires
 // --policy=chunked; the policy defaults it to 64). --preempt=recompute
 // admits on prompt blocks only and preempts the youngest request when
@@ -61,82 +50,26 @@
 #include "util/table.hpp"
 #include "workload/mix.hpp"
 
-namespace {
+using enum looplynx::util::FlagKind;
 
-void print_usage() {
-  std::cout <<
-      "serve_load: latency-under-load sweep (rate x batch x mix) on the\n"
-      "continuous-batching serving engine.\n"
-      "\n"
-      "  --nodes=N            accelerator nodes per replica (default 2)\n"
-      "  --model=NAME         gpt2-small|gpt2-medium|gpt2-xl (default "
-      "gpt2-medium)\n"
-      "  --requests=N         requests per sweep point (default 64)\n"
-      "  --seed=N             traffic seed (default 1)\n"
-      "  --stride=N           step-cost probe stride (default 64)\n"
-      "  --policy=P           prefill|decode|chunked (default prefill)\n"
-      "  --chunk-tokens=N     per-iteration token budget; requires\n"
-      "                       --policy=chunked (chunked defaults to 64)\n"
-      "  --preempt=P          none|recompute|cost-aware (default none)\n"
-      "  --kv-block-tokens=N  KV paging granularity, >= 1 (default 1)\n"
-      "  --kv-budget-mb=N     per-node KV HBM budget override (default 0 =\n"
-      "                       architecture default)\n"
-      "  --prefix-cache[=B]   content-addressed prefix caching (bare = on;\n"
-      "                       =off spells the byte-identical default)\n"
-      "  --kv-swap            swap-to-host eviction tier; requires\n"
-      "                       --prefix-cache\n"
-      "  --replicas=N         fleet width, >= 1 (default 1 = single "
-      "replica)\n"
-      "  --balancer=B         rr|jsq|kv; requires --replicas >= 2 or "
-      "--autoscale\n"
-      "  --roles=R,R,...      per-replica roles (general|prefill|decode):\n"
-      "                       disaggregated fleet — prefill replicas ship\n"
-      "                       finished prompts' KV to decode replicas over\n"
-      "                       a ring fabric; requires --replicas >= 2 with\n"
-      "                       a matching role count, or --autoscale (the\n"
-      "                       role list then sizes the pool and each role\n"
-      "                       tier scales independently)\n"
-      "  --kv-link-gbps=G     KV-migration link rate in GB/s, > 0 (default\n"
-      "                       100); requires --roles\n"
-      "  --autoscale=P        queue|slo|hybrid (bare = hybrid): autoscale\n"
-      "                       the fleet between --min-replicas and\n"
-      "                       --max-replicas; conflicts with --replicas\n"
-      "  --min-replicas=N[,N...]  autoscale floor, >= 1 (default 1); with\n"
-      "                       --roles it floors every tier, or a comma\n"
-      "                       list names one floor per tier (distinct\n"
-      "                       roles in order)\n"
-      "  --max-replicas=N     autoscale ceiling and pool width, >= min\n"
-      "                       (default 4); conflicts with --roles (the\n"
-      "                       role list is the pool, each tier's ceiling\n"
-      "                       its member count)\n"
-      "  --scale-interval-ms=T  control-loop period in ms, > 0 (default "
-      "50)\n"
-      "  --trace-out=PATH     write a Chrome/Perfetto trace-event JSON of\n"
-      "                       the final sweep point (every point is still\n"
-      "                       observed, so the tiling invariant is checked\n"
-      "                       across the whole grid)\n"
-      "  --metrics-out=PATH   write a Prometheus text exposition of the\n"
-      "                       final sweep point\n"
-      "  --help               this text\n"
-      "\n"
-      "Flags accept --key=value and --key value forms. Defaults reproduce\n"
-      "the pre-fleet, pre-paging sweep byte for byte.\n";
-}
-
-}  // namespace
+const looplynx::util::FlagTable kFlags{
+    "serve_load: latency-under-load sweep (rate x batch x mix).",
+    looplynx::serve::scheduler_flags(
+        {{"nodes", kCount, "2", "accelerator nodes per replica"},
+         looplynx::bench::model_flag(),
+         {"requests", kCount, "64", "requests per sweep point"},
+         {"seed", kInteger, "1", "traffic seed"},
+         {"stride", kCount, "64", "step-cost probe stride"},
+         {"kv-budget-mb", kCount, "0", "per-node KV MiB; 0 = arch default"}})};
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  if (cli.has("help")) {
-    print_usage();
-    return 0;
-  }
-  const std::uint32_t nodes = cli.get_count_or("nodes", 2);
-  const std::uint32_t requests = cli.get_count_or("requests", 64);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 1));
-  const std::uint32_t stride = cli.get_count_or("stride", 64);
+  const std::uint32_t nodes = cli.count("nodes");
+  const std::uint32_t requests = cli.count("requests");
+  const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  const std::uint32_t stride = cli.count("stride");
   const serve::SchedulerCliOptions opts = serve::parse_scheduler_cli(cli);
-  const std::uint64_t kv_budget_mb = cli.get_count_or("kv-budget-mb", 0);
+  const std::uint64_t kv_budget_mb = cli.count("kv-budget-mb");
 
   const core::ArchConfig arch = core::ArchConfig::nodes(nodes);
   const model::ModelConfig model = bench::model_from_cli(cli);
@@ -164,7 +97,7 @@ int run(const looplynx::util::Cli& cli) {
   if (kv_budget_mb > 0) {
     title += ", kv-budget " + std::to_string(kv_budget_mb) + " MiB";
   }
-  if (opts.cached()) {
+  if (opts.prefix_cache) {
     title += opts.kv_swap ? ", prefix-cache+swap" : ", prefix-cache";
   }
   if (opts.fleet()) {
@@ -196,7 +129,7 @@ int run(const looplynx::util::Cli& cli) {
     header.push_back("in-flt");
     header.push_back("preempt");
   }
-  if (opts.cached()) {
+  if (opts.prefix_cache) {
     header.push_back("hit%");
     header.push_back("saved ms");
   }
@@ -265,7 +198,7 @@ int run(const looplynx::util::Cli& cli) {
           row.push_back(util::fmt_int(m.peak_in_flight));
           row.push_back(util::fmt_int(static_cast<long long>(m.preemptions)));
         }
-        if (opts.cached()) {
+        if (opts.prefix_cache) {
           row.push_back(util::fmt_fixed(100.0 * m.cache_hit_rate, 1));
           row.push_back(util::fmt_fixed(m.saved_prefill_ms, 1));
         }
@@ -315,7 +248,7 @@ int run(const looplynx::util::Cli& cli) {
         "fill out; the price is the preempt column — evicted requests\n"
         "re-run their sequence as chunked prefill when the pool runs dry.\n";
   }
-  if (opts.cached()) {
+  if (opts.prefix_cache) {
     std::cout <<
         "With --prefix-cache full prompt blocks are published into a\n"
         "hash-chained shared cache at prefill commit; later requests whose\n"
@@ -381,5 +314,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

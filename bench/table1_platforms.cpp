@@ -2,9 +2,14 @@
 #include <iostream>
 
 #include "hw/platform.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main() {
+const looplynx::util::FlagTable kFlags{
+    "table1_platforms: paper Table I, the GPU and FPGA platforms.",
+    {}};
+
+int run(const looplynx::util::Cli& /*cli*/) {
   using namespace looplynx;
 
   util::Table table("Table I: Comparison of GPU and FPGA platforms");
@@ -34,4 +39,8 @@ int main() {
             << "  ring link peak:         "
             << util::fmt_rate(hw::LoopLynxClocking::kNetworkBps) << "\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

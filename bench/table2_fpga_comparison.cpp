@@ -1,7 +1,5 @@
 // Regenerates paper Table II: per-token latency and resource utilization of
 // LoopLynx (1/2/4 nodes) against the temporal (DFX) and spatial baselines.
-//
-// Usage: table2_fpga_comparison [--prefill=64] [--decode=512]
 #include <iostream>
 
 #include "baseline/spatial_arch.hpp"
@@ -11,11 +9,21 @@
 #include "core/system.hpp"
 #include "util/table.hpp"
 
+using enum looplynx::util::FlagKind;
+
+const looplynx::util::FlagTable kFlags{
+    "table2_fpga_comparison: paper Table II, LoopLynx vs DFX and spatial.",
+    {looplynx::bench::model_flag(),
+     {"prefill", kCount, std::to_string(looplynx::bench::kMixPrefill),
+      "prompt tokens"},
+     {"decode", kCount, std::to_string(looplynx::bench::kMixDecode),
+      "generated tokens"}}};
+
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
   const auto model = bench::model_from_cli(cli);
-  const auto prefill = cli.get_count_or("prefill", bench::kMixPrefill);
-  const auto decode = cli.get_count_or("decode", bench::kMixDecode);
+  const auto prefill = cli.count("prefill");
+  const auto decode = cli.count("decode");
 
   util::Table table("Table II: Comparison of FPGA implementations (" +
                     model.name + ", [" + std::to_string(prefill) + ":" +
@@ -75,5 +83,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

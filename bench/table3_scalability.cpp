@@ -9,6 +9,13 @@
 #include "core/system.hpp"
 #include "util/table.hpp"
 
+using enum looplynx::util::FlagKind;
+
+const looplynx::util::FlagTable kFlags{
+    "table3_scalability: paper Table III, 1/2/4-node decode throughput.",
+    {looplynx::bench::model_flag(),
+     {"extended", kSwitch, "off", "add an 8-node row"}}};
+
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
   const auto model = bench::model_from_cli(cli);
@@ -20,7 +27,7 @@ int run(const looplynx::util::Cli& cli) {
 
   std::vector<double> tput;
   std::vector<std::uint32_t> node_counts{1, 2, 4};
-  if (cli.has("extended")) node_counts = {1, 2, 4, 8};
+  if (cli.on("extended")) node_counts = {1, 2, 4, 8};
   for (std::uint32_t nodes : node_counts) {
     core::System sys(core::ArchConfig::nodes(nodes), model);
     const core::RunResult r = sys.run(bench::kMixPrefill, bench::kMixDecode);
@@ -48,5 +55,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -13,12 +13,6 @@
 // while consuming at least 20% fewer replica-cycles, and beats the floor
 // fleet's p99 TTFT outright.
 //
-//   ./autoscale_serving [--requests=120] [--rate=0.5] [--seed=11]
-//                       [--min-replicas=1] [--max-replicas=4]
-//                       [--scale-interval-ms=25]
-//                       [--autoscale=queue|slo|hybrid]
-//                       [--trace-out=PATH] [--metrics-out=PATH] [--help]
-//
 // --trace-out writes a Chrome/Perfetto trace-event JSON of the autoscaled
 // run (one track per replica, one async span per request, instants at
 // every scale decision — load it at https://ui.perfetto.dev to watch the
@@ -27,54 +21,35 @@
 // engine-ordered events + index-prefix scale decisions), exports included.
 #include <iostream>
 #include <optional>
-#include <stdexcept>
 #include <string>
 
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "model/config.hpp"
 #include "serve/autoscaler.hpp"
+#include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/observe.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/mix.hpp"
 
-namespace {
+using enum looplynx::util::FlagKind;
 
-void print_usage() {
-  std::cout <<
-      "autoscale_serving: static floor vs static ceiling vs autoscaled\n"
-      "fleet on a bursty whale-heavy mix.\n"
-      "\n"
-      "  --requests=N           requests in the shared stream (default "
-      "120)\n"
-      "  --rate=R               nominal arrival rate per second (default "
-      "0.5)\n"
-      "  --seed=N               traffic seed (default 11)\n"
-      "  --min-replicas=N       floor width / autoscale floor (default 1)\n"
-      "  --max-replicas=N       ceiling width / autoscale ceiling "
-      "(default 4)\n"
-      "  --scale-interval-ms=T  control-loop period in ms (default 25)\n"
-      "  --autoscale=P          queue|slo|hybrid control policy (default\n"
-      "                         hybrid)\n"
-      "  --trace-out=PATH       write a Chrome/Perfetto trace-event JSON\n"
-      "                         of the autoscaled run (load at\n"
-      "                         https://ui.perfetto.dev)\n"
-      "  --metrics-out=PATH     write a Prometheus text exposition of the\n"
-      "                         autoscaled run\n"
-      "  --help                 this text\n";
-}
-
-}  // namespace
+const looplynx::util::FlagTable kFlags{
+    "autoscale_serving: static floor vs ceiling vs autoscaled, bursty mix.",
+    {{"requests", kCount, "120", "requests in the shared stream"},
+     {"rate", kNumber, "0.5", "nominal arrival rate per second"},
+     {"seed", kInteger, "11", "traffic seed"},
+     {"min-replicas", kCount, "1", "floor width and autoscale floor"},
+     {"max-replicas", kCount, "4", "ceiling width and autoscale ceiling"},
+     {"scale-interval-ms", kNumber, "25", "control-loop period in ms"},
+     looplynx::serve::autoscale_flag("hybrid", "queue|slo|hybrid policy"),
+     {"trace-out", kPath, "", "trace-event JSON of the autoscaled run"},
+     {"metrics-out", kPath, "", "Prometheus text of the autoscaled run"}}};
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  if (cli.has("help")) {
-    print_usage();
-    return 0;
-  }
-
   serve::ServingConfig base;
   base.arch = core::ArchConfig::two_node();
   base.model = model::gpt2_medium();
@@ -88,12 +63,12 @@ int run(const looplynx::util::Cli& cli) {
       workload::Mix{"whale-heavy",
                     {{workload::make_scenario(32, 96), 0.85},
                      {workload::make_scenario(768, 128), 0.15}}};
-  base.traffic.num_requests = cli.get_count_or("requests", 120);
-  base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 0.5);
+  base.traffic.num_requests = cli.count("requests");
+  base.traffic.arrival_rate_per_s = cli.number("rate");
   base.traffic.burst_factor = 6.0;
   base.traffic.burst_fraction = 0.25;
   base.traffic.burst_period_s = 16.0;
-  base.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 11));
+  base.traffic.seed = static_cast<std::uint64_t>(cli.integer("seed"));
   base.scheduler.max_batch = 8;
   // Bound the per-replica run queue at the batch width so backlog is
   // visible as admission-queue depth — the signal the queue policy (and
@@ -107,20 +82,15 @@ int run(const looplynx::util::Cli& cli) {
   base.slo.ttft_ms = 6500.0;
   base.slo.token_ms = 400.0;
 
-  const auto min_replicas = cli.get_count_or("min-replicas", 1);
-  const auto max_replicas = cli.get_count_or("max-replicas", 4);
+  const auto min_replicas = cli.count("min-replicas");
+  const auto max_replicas = cli.count("max-replicas");
 
   serve::AutoscalerConfig autoscale;
   autoscale.enabled = true;
-  // Bare --autoscale stores an empty value; it selects hybrid, matching
-  // parse_scheduler_cli's behavior on the bench surfaces.
-  const std::string scale_policy = cli.get_or("autoscale", "hybrid");
-  autoscale.policy = scale_policy.empty()
-                         ? serve::ScalePolicy::kHybrid
-                         : serve::parse_scale_policy(scale_policy);
+  autoscale.policy = serve::parse_scale_policy(cli.text("autoscale"));
   autoscale.min_replicas = min_replicas;
   autoscale.max_replicas = max_replicas;
-  autoscale.eval_interval_ms = cli.get_double_or("scale-interval-ms", 25.0);
+  autoscale.eval_interval_ms = cli.number("scale-interval-ms");
   // React fast, release slowly: a burst must reach the ceiling within a
   // few hundred ms (queue_high = 2 queued per live replica, two
   // consecutive evals, short cooldown), while scale-down waits out six
@@ -150,13 +120,8 @@ int run(const looplynx::util::Cli& cli) {
   // Exports observe the autoscaled run — the one whose scale/drain
   // decisions the instant events exist for. Unset flags never construct
   // an observer, keeping the default output byte-identical.
-  const std::string trace_out = cli.get_or("trace-out", "");
-  const std::string metrics_out = cli.get_or("metrics-out", "");
-  if ((cli.has("trace-out") && trace_out.empty()) ||
-      (cli.has("metrics-out") && metrics_out.empty())) {
-    throw std::invalid_argument(
-        "--trace-out/--metrics-out need a file path (--trace-out=<path>)");
-  }
+  const std::string trace_out = cli.text("trace-out");
+  const std::string metrics_out = cli.text("metrics-out");
   std::optional<serve::Observer> obs;
   if (!trace_out.empty() || !metrics_out.empty()) {
     obs.emplace(max_replicas, base.arch.frequency_hz);
@@ -258,5 +223,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

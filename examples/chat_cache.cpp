@@ -18,10 +18,6 @@
 // trick — prefill_cycles counts the cycles the engine actually spent in
 // prefill iterations, on both runs.
 //
-//   ./chat_cache [--conversations=8] [--turns=4] [--system-tokens=96]
-//                [--user-tokens=24] [--reply-tokens=48]
-//                [--rate=8] [--seed=21] [--help]
-//
 // Deterministic: same flags, byte-identical output (seeded arrival
 // times, seeded content ids, deterministic cache eviction order).
 #include <cstdint>
@@ -37,42 +33,26 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-namespace {
+using enum looplynx::util::FlagKind;
 
-void print_usage() {
-  std::cout <<
-      "chat_cache: multi-turn chatbot traffic served cache-off vs\n"
-      "cache-on vs cache-on+swap at one HBM budget.\n"
-      "\n"
-      "  --conversations=N    concurrent conversations (default 8)\n"
-      "  --turns=N            requests per conversation (default 4)\n"
-      "  --system-tokens=N    shared system-prompt length (default 96)\n"
-      "  --user-tokens=N      new user-message tokens per turn (default "
-      "24)\n"
-      "  --reply-tokens=N     assistant reply length per turn (default "
-      "48)\n"
-      "  --rate=R             Poisson arrival rate per second (default 8)\n"
-      "  --seed=N             arrival-time seed (default 21)\n"
-      "  --help               this text\n"
-      "\n"
-      "Flags accept --key=value and --key value forms.\n";
-}
-
-}  // namespace
+const looplynx::util::FlagTable kFlags{
+    "chat_cache: multi-turn chat, cache off vs on vs on+swap, one budget.",
+    {{"conversations", kCount, "8", "concurrent conversations"},
+     {"turns", kCount, "4", "requests per conversation"},
+     {"system-tokens", kCount, "96", "shared system-prompt length"},
+     {"user-tokens", kCount, "24", "new user-message tokens per turn"},
+     {"reply-tokens", kCount, "48", "assistant reply length per turn"},
+     {"rate", kNumber, "8", "Poisson arrival rate per second"},
+     {"seed", kInteger, "21", "arrival-time seed"}}};
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  if (cli.has("help")) {
-    print_usage();
-    return 0;
-  }
-
   serve::ChatTrafficConfig chat;
-  chat.conversations = cli.get_count_or("conversations", 8);
-  chat.turns = cli.get_count_or("turns", 4);
-  chat.system_prompt_tokens = cli.get_count_or("system-tokens", 96);
-  chat.user_turn_tokens = cli.get_count_or("user-tokens", 24);
-  chat.reply_tokens = cli.get_count_or("reply-tokens", 48);
+  chat.conversations = cli.count("conversations");
+  chat.turns = cli.count("turns");
+  chat.system_prompt_tokens = cli.count("system-tokens");
+  chat.user_turn_tokens = cli.count("user-tokens");
+  chat.reply_tokens = cli.count("reply-tokens");
 
   serve::ServingConfig base;
   base.arch = core::ArchConfig::two_node();
@@ -83,8 +63,8 @@ int run(const looplynx::util::Cli& cli) {
   // next turn arrives.
   base.traffic.process = serve::ArrivalProcess::kPoisson;
   base.traffic.scripted_shapes = serve::chat_turn_shapes(chat);
-  base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 8.0);
-  base.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 21));
+  base.traffic.arrival_rate_per_s = cli.number("rate");
+  base.traffic.seed = static_cast<std::uint64_t>(cli.integer("seed"));
   base.scheduler.max_batch = 8;
   base.scheduler.policy = serve::BatchPolicy::kChunkedMixed;
   base.scheduler.max_tokens_per_iter = 64;
@@ -189,5 +169,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

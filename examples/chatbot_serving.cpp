@@ -2,8 +2,6 @@
 // long auto-regressive generation). Compares LoopLynx deployments against
 // the A100 on latency, throughput, energy per reply, and time-to-last-token
 // for interactive sessions of several reply lengths.
-//
-//   ./chatbot_serving
 #include <iostream>
 #include <vector>
 
@@ -14,6 +12,10 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/scenario.hpp"
+
+const looplynx::util::FlagTable kFlags{
+    "chatbot_serving: LoopLynx vs the A100 on chat replies of four lengths.",
+    {}};
 
 int run(const looplynx::util::Cli& /*cli*/) {
   using namespace looplynx;
@@ -64,5 +66,5 @@ int run(const looplynx::util::Cli& /*cli*/) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -2,8 +2,6 @@
 // where the A100's batched prefill beats LoopLynx's token-serial pipeline
 // and where the dataflow accelerator takes over (paper Fig. 8's [128:32]
 // inversion, explored as a full surface).
-//
-//   ./codegen_crossover [--nodes=2]
 #include <iostream>
 #include <vector>
 
@@ -13,9 +11,15 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
+using enum looplynx::util::FlagKind;
+
+const looplynx::util::FlagTable kFlags{
+    "codegen_crossover: LoopLynx speed-up over the A100, prompt x generation.",
+    {{"nodes", kCount, "2", "accelerator nodes"}}};
+
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const auto nodes = cli.get_count_or("nodes", 2);
+  const auto nodes = cli.count("nodes");
   const model::ModelConfig gpt2 = model::gpt2_medium();
 
   const baseline::A100Model gpu(gpt2);
@@ -56,5 +60,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -21,20 +21,6 @@
 // ring fabric priced by --kv-link-gbps), and composed with --autoscale
 // each role tier runs its own control loop between its floor and its
 // member count.
-//
-//   ./continuous_batching [--requests=12] [--batch=8] [--rate=12]
-//                         [--policy=prefill|decode|chunked]
-//                         [--chunk-tokens=0] [--seed=7]
-//                         [--preempt=none|recompute|cost-aware]
-//                         [--kv-block-tokens=1]
-//                         [--prefix-cache] [--kv-swap]
-//                         [--replicas=1] [--balancer=rr|jsq|kv]
-//                         [--roles=R,R,...] [--kv-link-gbps=100]
-//                         [--autoscale=queue|slo|hybrid]
-//                         [--min-replicas=1[,1...]]
-//                         [--max-replicas=4]
-//                         [--scale-interval-ms=50]
-//                         [--trace-out=PATH] [--metrics-out=PATH] [--help]
 #include <iostream>
 #include <optional>
 
@@ -47,59 +33,18 @@
 #include "util/cli.hpp"
 #include "workload/mix.hpp"
 
-namespace {
+using enum looplynx::util::FlagKind;
 
-void print_usage() {
-  std::cout <<
-      "continuous_batching: 12-request KV-backpressure walkthrough.\n"
-      "\n"
-      "  --requests=N         burst size (default 12)\n"
-      "  --batch=N            scheduler max batch (default 8)\n"
-      "  --rate=R             Poisson arrival rate per second (default 12)\n"
-      "  --seed=N             traffic seed (default 7)\n"
-      "  --policy=P           prefill|decode|chunked (default prefill)\n"
-      "  --chunk-tokens=N     per-iteration token budget; requires\n"
-      "                       --policy=chunked (chunked defaults to 64)\n"
-      "  --preempt=P          none|recompute|cost-aware (default none)\n"
-      "  --kv-block-tokens=N  KV paging granularity, >= 1 (default 1)\n"
-      "  --prefix-cache[=B]   content-addressed prefix caching (bare = on;\n"
-      "                       =off spells the byte-identical default)\n"
-      "  --kv-swap            swap-to-host eviction tier; requires\n"
-      "                       --prefix-cache\n"
-      "  --replicas=N         fleet width, >= 1 (default 1)\n"
-      "  --balancer=B         rr|jsq|kv; requires --replicas >= 2 or "
-      "--autoscale\n"
-      "  --roles=R,R,...      per-replica roles, prefill|decode|general;\n"
-      "                       requires --replicas >= 2 or --autoscale (the\n"
-      "                       role list then sizes the pool)\n"
-      "  --kv-link-gbps=G     ring-fabric link bandwidth for KV migration,\n"
-      "                       > 0; requires --roles (default 100)\n"
-      "  --autoscale=P        queue|slo|hybrid (bare = hybrid): autoscale\n"
-      "                       the fleet; conflicts with --replicas\n"
-      "  --min-replicas=N[,N...]  autoscale floor, >= 1 (default 1); with\n"
-      "                       --roles it floors every tier, or a comma\n"
-      "                       list gives per-tier floors\n"
-      "  --max-replicas=N     autoscale ceiling and pool width, >= min\n"
-      "                       (default 4); conflicts with --roles (the\n"
-      "                       role list is the pool)\n"
-      "  --scale-interval-ms=T  control-loop period in ms, > 0 (default "
-      "50)\n"
-      "  --trace-out=PATH     write a Chrome/Perfetto trace-event JSON of\n"
-      "                       the run (load at https://ui.perfetto.dev)\n"
-      "  --metrics-out=PATH   write a Prometheus text exposition of the run\n"
-      "  --help               this text\n"
-      "\n"
-      "Flags accept --key=value and --key value forms.\n";
-}
-
-}  // namespace
+const looplynx::util::FlagTable kFlags{
+    "continuous_batching: 12-request KV-backpressure walkthrough.",
+    looplynx::serve::scheduler_flags(
+        {{"requests", kCount, "12", "burst size"},
+         {"batch", kCount, "8", "scheduler max batch"},
+         {"rate", kNumber, "12", "Poisson arrival rate per second"},
+         {"seed", kInteger, "7", "traffic seed"}})};
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  if (cli.has("help")) {
-    print_usage();
-    return 0;
-  }
   const serve::SchedulerCliOptions opts = serve::parse_scheduler_cli(cli);
 
   serve::ServingConfig cfg;
@@ -107,10 +52,10 @@ int run(const looplynx::util::Cli& cli) {
   cfg.model = model::gpt2_medium();
   cfg.traffic.process = serve::ArrivalProcess::kPoisson;
   cfg.traffic.mix = workload::mixed_fleet();
-  cfg.traffic.num_requests = cli.get_count_or("requests", 12);
-  cfg.traffic.arrival_rate_per_s = cli.get_double_or("rate", 12.0);
-  cfg.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 7));
-  cfg.scheduler.max_batch = cli.get_count_or("batch", 8);
+  cfg.traffic.num_requests = cli.count("requests");
+  cfg.traffic.arrival_rate_per_s = cli.number("rate");
+  cfg.traffic.seed = static_cast<std::uint64_t>(cli.integer("seed"));
+  cfg.scheduler.max_batch = cli.count("batch");
   // Shrink the KV budget so roughly 8 average requests fit at once: the
   // scheduler demonstrably interleaves 8+ concurrent streams, while the
   // stragglers beyond that back up in the queue on KV slots — the
@@ -179,7 +124,7 @@ int run(const looplynx::util::Cli& cli) {
               << m.preemptions << " preemption(s) recomputed "
               << m.recompute_tokens << " token(s) of dropped KV.\n";
   }
-  if (opts.cached()) {
+  if (opts.prefix_cache) {
     std::cout << "Prefix cache: " << m.cache_hit_tokens << " of "
               << m.cache_lookup_tokens << " looked-up prompt token(s) hit ("
               << util::fmt_fixed(100.0 * m.cache_hit_rate, 1) << "%), "
@@ -218,5 +163,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

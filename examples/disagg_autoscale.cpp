@@ -15,10 +15,6 @@
 // tier-autoscaled fleet matches the static fleet's SLO-good request
 // count while consuming at least 20% fewer replica-cycles.
 //
-//   ./disagg_autoscale [--requests=96] [--rate=0.5] [--seed=11]
-//                      [--kv-link-gbps=100] [--scale-interval-ms=25]
-//                      [--help]
-//
 // Deterministic: same flags, byte-identical output (seeded traffic +
 // engine-ordered events + per-tier index-prefix scale decisions).
 #include <cstdint>
@@ -35,31 +31,18 @@
 #include "util/table.hpp"
 #include "workload/mix.hpp"
 
-namespace {
+using enum looplynx::util::FlagKind;
 
-void print_usage() {
-  std::cout <<
-      "disagg_autoscale: static role-split fleet vs the same pool under\n"
-      "per-tier autoscaling, on a bursty long-prompt/chatty mix.\n"
-      "\n"
-      "  --requests=N           requests in the shared stream (default 96)\n"
-      "  --rate=R               nominal arrival rate per second (default "
-      "0.5)\n"
-      "  --seed=N               traffic seed (default 11)\n"
-      "  --kv-link-gbps=G       ring-fabric link bandwidth (default 100)\n"
-      "  --scale-interval-ms=T  control-loop period in ms (default 25)\n"
-      "  --help                 this text\n";
-}
-
-}  // namespace
+const looplynx::util::FlagTable kFlags{
+    "disagg_autoscale: static role split vs per-tier autoscaling, bursty.",
+    {{"requests", kCount, "96", "requests in the shared stream"},
+     {"rate", kNumber, "0.5", "nominal arrival rate per second"},
+     {"seed", kInteger, "11", "traffic seed"},
+     {"kv-link-gbps", kNumber, "100", "ring-fabric link bandwidth in GB/s"},
+     {"scale-interval-ms", kNumber, "25", "control-loop period in ms"}}};
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  if (cli.has("help")) {
-    print_usage();
-    return 0;
-  }
-
   serve::ServingConfig base;
   base.arch = core::ArchConfig::two_node();
   base.model = model::gpt2_medium();
@@ -75,12 +58,12 @@ int run(const looplynx::util::Cli& cli) {
       workload::Mix{"long-prompt-chatty",
                     {{workload::make_scenario(32, 96), 0.85},
                      {workload::make_scenario(768, 128), 0.15}}};
-  base.traffic.num_requests = cli.get_count_or("requests", 96);
-  base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 0.5);
+  base.traffic.num_requests = cli.count("requests");
+  base.traffic.arrival_rate_per_s = cli.number("rate");
   base.traffic.burst_factor = 6.0;
   base.traffic.burst_fraction = 0.25;
   base.traffic.burst_period_s = 16.0;
-  base.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 11));
+  base.traffic.seed = static_cast<std::uint64_t>(cli.integer("seed"));
   base.scheduler.max_batch = 8;
   // Bound the run queue so backlog is visible as admission-queue depth —
   // the signal the decode tier's controller scales on (force-pushed
@@ -93,7 +76,7 @@ int run(const looplynx::util::Cli& cli) {
   base.slo.ttft_ms = 6500.0;
   base.slo.token_ms = 400.0;
 
-  const double kv_link_gbps = cli.get_double_or("kv-link-gbps", 100.0);
+  const double kv_link_gbps = cli.number("kv-link-gbps");
 
   // The shared pool: a prefill tier of three and a decode tier of two.
   // The static fleet lights all five for the whole run; the autoscaled
@@ -109,7 +92,7 @@ int run(const looplynx::util::Cli& cli) {
   autoscale.enabled = true;
   autoscale.policy = serve::ScalePolicy::kHybrid;  // decode tiers force queue
   autoscale.max_replicas = width;  // each tier's ceiling is its own pool
-  autoscale.eval_interval_ms = cli.get_double_or("scale-interval-ms", 25.0);
+  autoscale.eval_interval_ms = cli.number("scale-interval-ms");
   // React fast, release slowly — same shape as the symmetric walkthrough
   // (examples/autoscale_serving): a burst must light the prefill tier
   // within a few evals, while scale-down waits out six quiet ones so the
@@ -224,5 +207,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

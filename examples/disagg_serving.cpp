@@ -10,16 +10,12 @@
 // decode replica over the ring fabric, so prompt latency and decode
 // throughput stop sharing a queue.
 //
-//   ./disagg_serving [--replicas=4] [--requests=96] [--rate=10] [--seed=3]
-//                    [--kv-link-gbps=100] [--help]
-//
 // Deterministic: same flags, byte-identical output. Exits nonzero if the
 // disaggregated fleet fails to beat the best symmetric fleet on p99 TTFT
 // at equal total nodes, or regresses SLO-good completions — the
 // disaggregation pin.
 #include <cstdint>
 #include <iostream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,35 +26,20 @@
 #include "util/table.hpp"
 #include "workload/mix.hpp"
 
-namespace {
+using enum looplynx::util::FlagKind;
 
-void print_usage() {
-  std::cout <<
-      "disagg_serving: prefill/decode disaggregation walkthrough.\n"
-      "\n"
-      "  --replicas=N       total nodes in every fleet (default 4, min 2)\n"
-      "  --requests=N       requests in the shared stream (default 96)\n"
-      "  --rate=R           Poisson arrival rate per second (default 10)\n"
-      "  --seed=N           traffic seed (default 3)\n"
-      "  --kv-link-gbps=G   ring-fabric link bandwidth (default 100)\n"
-      "  --help             this text\n";
-}
-
-}  // namespace
+const looplynx::util::FlagTable kFlags{
+    "disagg_serving: prefill/decode disaggregation walkthrough.",
+    {{"replicas", kCount, "4", "total nodes in every fleet, >= 2"},
+     {"requests", kCount, "96", "requests in the shared stream"},
+     {"rate", kNumber, "10", "Poisson arrival rate per second"},
+     {"seed", kInteger, "3", "traffic seed"},
+     {"kv-link-gbps", kNumber, "100", "ring-fabric link bandwidth in GB/s"}}};
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  if (cli.has("help")) {
-    print_usage();
-    return 0;
-  }
-  const auto replicas = cli.get_count_or("replicas", 4);
-  if (replicas < 2) {
-    throw std::invalid_argument(
-        "--replicas must be >= 2 (the role split needs a prefill and a "
-        "decode replica)");
-  }
-  const double kv_link_gbps = cli.get_double_or("kv-link-gbps", 100.0);
+  const auto replicas = cli.count("replicas");
+  const double kv_link_gbps = cli.number("kv-link-gbps");
 
   serve::ServingConfig base;
   base.arch = core::ArchConfig::two_node();
@@ -72,9 +53,9 @@ int run(const looplynx::util::Cli& cli) {
       workload::Mix{"long-prompt-chatty",
                     {{workload::make_scenario(32, 96), 0.95},
                      {workload::make_scenario(768, 128), 0.05}}};
-  base.traffic.num_requests = cli.get_count_or("requests", 96);
-  base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 10.0);
-  base.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 3));
+  base.traffic.num_requests = cli.count("requests");
+  base.traffic.arrival_rate_per_s = cli.number("rate");
+  base.traffic.seed = static_cast<std::uint64_t>(cli.integer("seed"));
   base.scheduler.max_batch = 4;
   // Decode-priority batching: running decode streams keep their batch
   // slots until they finish, protecting inter-token latency — the policy a
@@ -86,6 +67,23 @@ int run(const looplynx::util::Cli& cli) {
 
   // One shared cost model across every fleet (identical replica hardware).
   const core::StepCostModel costs(base.arch, base.model, 64);
+
+  // ---- Disaggregated fleet at the same total node count ----
+  // Built (and so validated) before any fleet runs: a pool too small for
+  // a prefill and a decode tier is rejected before anything prints.
+  // One decode sink; every other node takes fresh arrivals. The balancer
+  // is join-shortest-queue over the non-decode replicas.
+  serve::FleetConfig disagg_cfg = serve::FleetConfig::homogeneous(
+      base, replicas, serve::BalancerPolicy::kJoinShortestQueue);
+  disagg_cfg.roles.assign(replicas, serve::ReplicaRole::kPrefill);
+  // Half the pool (rounded down, min one) becomes the decode tier.
+  const std::uint32_t decode_nodes = replicas / 2 == 0 ? 1 : replicas / 2;
+  for (std::uint32_t i = replicas - decode_nodes; i < replicas; ++i) {
+    disagg_cfg.roles[i] = serve::ReplicaRole::kDecode;
+  }
+  disagg_cfg.kv_link.bytes_per_cycle =
+      kv_link_gbps * 1e9 / base.arch.frequency_hz;
+  const serve::FleetSim disagg_sim(disagg_cfg, costs);
 
   // ---- Symmetric baselines: every balancer policy at N general nodes ----
   struct Outcome {
@@ -110,20 +108,8 @@ int run(const looplynx::util::Cli& cli) {
         {serve::balancer_policy_name(policy), std::move(r)});
   }
 
-  // ---- Disaggregated fleet at the same total node count ----
-  // One decode sink; every other node takes fresh arrivals. The balancer
-  // is join-shortest-queue over the non-decode replicas.
-  serve::FleetConfig disagg_cfg = serve::FleetConfig::homogeneous(
-      base, replicas, serve::BalancerPolicy::kJoinShortestQueue);
-  disagg_cfg.roles.assign(replicas, serve::ReplicaRole::kPrefill);
-  // Half the pool (rounded down, min one) becomes the decode tier.
-  const std::uint32_t decode_nodes = replicas / 2 == 0 ? 1 : replicas / 2;
-  for (std::uint32_t i = replicas - decode_nodes; i < replicas; ++i) {
-    disagg_cfg.roles[i] = serve::ReplicaRole::kDecode;
-  }
-  disagg_cfg.kv_link.bytes_per_cycle =
-      kv_link_gbps * 1e9 / base.arch.frequency_hz;
-  serve::FleetResult disagg = serve::FleetSim(disagg_cfg, costs).run();
+  // ---- The disaggregated fleet's run ----
+  serve::FleetResult disagg = disagg_sim.run();
   {
     std::string roles;
     for (std::size_t i = 0; i < disagg_cfg.roles.size(); ++i) {
@@ -175,5 +161,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -7,9 +7,6 @@
 // neighbors idle, and join-shortest-queue / KV-aware routing reclaim the
 // difference in p99 TTFT.
 //
-//   ./fleet_serving [--replicas=3] [--requests=96] [--rate=10] [--seed=3]
-//                   [--help]
-//
 // Deterministic: same flags, byte-identical output. Exits nonzero if
 // join-shortest-queue fails to beat round-robin on p99 TTFT at no worse
 // goodput — the fleet layer's reason to exist.
@@ -24,28 +21,18 @@
 #include "util/table.hpp"
 #include "workload/mix.hpp"
 
-namespace {
+using enum looplynx::util::FlagKind;
 
-void print_usage() {
-  std::cout <<
-      "fleet_serving: replica-sharding + load-balancer walkthrough.\n"
-      "\n"
-      "  --replicas=N   fleet width (default 3)\n"
-      "  --requests=N   requests in the shared stream (default 96)\n"
-      "  --rate=R       Poisson arrival rate per second (default 10)\n"
-      "  --seed=N       traffic seed (default 3)\n"
-      "  --help         this text\n";
-}
-
-}  // namespace
+const looplynx::util::FlagTable kFlags{
+    "fleet_serving: replica-sharding + load-balancer walkthrough.",
+    {{"replicas", kCount, "3", "fleet width"},
+     {"requests", kCount, "96", "requests in the shared stream"},
+     {"rate", kNumber, "10", "Poisson arrival rate per second"},
+     {"seed", kInteger, "3", "traffic seed"}}};
 
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  if (cli.has("help")) {
-    print_usage();
-    return 0;
-  }
-  const auto replicas = cli.get_count_or("replicas", 3);
+  const auto replicas = cli.count("replicas");
 
   serve::ServingConfig base;
   base.arch = core::ArchConfig::two_node();
@@ -56,9 +43,9 @@ int run(const looplynx::util::Cli& cli) {
       workload::Mix{"whale-heavy",
                     {{workload::make_scenario(32, 96), 0.85},
                      {workload::make_scenario(768, 128), 0.15}}};
-  base.traffic.num_requests = cli.get_count_or("requests", 96);
-  base.traffic.arrival_rate_per_s = cli.get_double_or("rate", 10.0);
-  base.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 3));
+  base.traffic.num_requests = cli.count("requests");
+  base.traffic.arrival_rate_per_s = cli.number("rate");
+  base.traffic.seed = static_cast<std::uint64_t>(cli.integer("seed"));
   base.scheduler.max_batch = 8;
 
   // One shared cost model across all three fleets (identical replicas).
@@ -112,5 +99,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

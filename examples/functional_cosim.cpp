@@ -2,8 +2,6 @@
 // arithmetic. Runs the same prompt through (1) the fp32 reference, (2) the
 // single-device W8A8 model, and (3) the multi-node functional accelerator,
 // then reports token agreement and numeric drift.
-//
-//   ./functional_cosim [--nodes=4] [--tokens=24] [--seed=7]
 #include <cmath>
 #include <iostream>
 #include <vector>
@@ -18,11 +16,19 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
+using enum looplynx::util::FlagKind;
+
+const looplynx::util::FlagTable kFlags{
+    "functional_cosim: fp32 vs W8A8 vs the distributed accelerator.",
+    {{"nodes", kCount, "4", "accelerator nodes"},
+     {"tokens", kCount, "24", "tokens to generate"},
+     {"seed", kInteger, "7", "weight and calibration seed"}}};
+
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const auto nodes = cli.get_count_or("nodes", 4);
-  const auto n_tokens = cli.get_count_or("tokens", 24);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 7));
+  const auto nodes = cli.count("nodes");
+  const auto n_tokens = cli.count("tokens");
+  const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
 
   const model::ModelConfig cfg = model::cosim_config();
   std::cout << "model: " << cfg.n_layer << " layers, d_model " << cfg.d_model
@@ -100,5 +106,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

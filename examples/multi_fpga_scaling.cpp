@@ -2,8 +2,6 @@
 // 8 nodes and to larger GPT-2 variants, quantifying where ring
 // synchronization and non-distributable critical-path work cap the speed-up
 // (the "future work" direction of Section III-A).
-//
-//   ./multi_fpga_scaling [--decode=256]
 #include <iostream>
 #include <vector>
 
@@ -15,9 +13,15 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
+using enum looplynx::util::FlagKind;
+
+const looplynx::util::FlagTable kFlags{
+    "multi_fpga_scaling: 1-8 node scaling of three GPT-2 sizes.",
+    {{"decode", kCount, "256", "generated tokens per request"}}};
+
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const auto decode = cli.get_count_or("decode", 256);
+  const auto decode = cli.count("decode");
   const core::PowerModel power;
 
   for (const model::ModelConfig& m :
@@ -67,5 +71,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

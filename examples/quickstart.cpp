@@ -1,8 +1,6 @@
 // Quickstart: build a quantized GPT-2, run it through the LoopLynx timing
 // simulator, and co-validate the distributed functional accelerator —
 // the three public API layers of the library in ~80 lines.
-//
-//   ./quickstart [--nodes=2] [--prefill=32] [--decode=64]
 #include <iostream>
 
 #include "core/arch_config.hpp"
@@ -15,11 +13,19 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
+using enum looplynx::util::FlagKind;
+
+const looplynx::util::FlagTable kFlags{
+    "quickstart: the functional, distributed and timing API layers.",
+    {{"nodes", kCount, "2", "accelerator nodes"},
+     {"prefill", kCount, "32", "prompt tokens of the timed run"},
+     {"decode", kCount, "64", "generated tokens of the timed run"}}};
+
 int run(const looplynx::util::Cli& cli) {
   using namespace looplynx;
-  const auto nodes = cli.get_count_or("nodes", 2);
-  const auto prefill = cli.get_count_or("prefill", 32);
-  const auto decode = cli.get_count_or("decode", 64);
+  const auto nodes = cli.count("nodes");
+  const auto prefill = cli.count("prefill");
+  const auto decode = cli.count("decode");
 
   // 1. Functional layer: a tiny GPT-2 with SmoothQuant W8A8 quantization.
   const model::ModelConfig tiny = model::cosim_config();
@@ -66,5 +72,5 @@ int run(const looplynx::util::Cli& cli) {
 }
 
 int main(int argc, char** argv) {
-  return looplynx::util::run_main(argc, argv, run);
+  return looplynx::util::run_main(argc, argv, kFlags, run);
 }

@@ -1,15 +1,16 @@
-// Shared parsing of the serving command-line flags (--policy,
-// --chunk-tokens, --preempt, --kv-block-tokens, --replicas, --balancer,
-// --prefix-cache, --kv-swap, --roles, --kv-link-gbps, --autoscale and its
-// --min-replicas/--max-replicas/--scale-interval-ms companions) for the
-// CLI surfaces (bench/serve_load, examples/continuous_batching), so the
-// binaries' flag semantics cannot drift.
+// The serving command-line flags (--policy, --chunk-tokens, --preempt,
+// --kv-block-tokens, --prefix-cache, --kv-swap, --replicas, --balancer,
+// --roles, --kv-link-gbps, --autoscale and its --min-replicas /
+// --max-replicas / --scale-interval-ms companions, --trace-out,
+// --metrics-out), declared once in scheduler_flags() and read once by
+// parse_scheduler_cli, so serve_load and continuous_batching cannot drift.
 //
 // Parsing is a mapping: flags -> SchedulerCliOptions -> fleet_config() ->
-// FleetSim. This file checks only flag syntax (counts, names, paths) and
-// flag-presence rules ("X requires Y, or it would silently do nothing");
-// what the values mean is checked once, by FleetConfig::validate
-// (serve/fleet.hpp), which parse_scheduler_cli runs before returning.
+// FleetSim. The flag table checks value syntax (counts, switches, paths)
+// when the Cli is built; this file adds only flag-presence rules ("X
+// requires Y, or it would silently do nothing"); what the values mean is
+// checked once, by FleetConfig::validate (serve/fleet.hpp), which
+// parse_scheduler_cli runs before returning.
 //
 // Invariants the defaults encode:
 //  - All defaults reproduce the legacy single-replica, whole-footprint,
@@ -19,6 +20,9 @@
 //    predicate: CLI surfaces add paging/preemption columns only when it is
 //    true, which is what keeps default sweep output byte-stable.
 #pragma once
+
+#include <string>
+#include <vector>
 
 #include "serve/fleet.hpp"
 #include "serve/scheduler.hpp"
@@ -44,7 +48,8 @@ struct SchedulerCliOptions {
   AutoscalerConfig autoscale;
   /// Content-addressed prefix caching (--prefix-cache; =off to spell the
   /// default explicitly). false means no cache object is ever constructed
-  /// — byte-identical to a build without the feature.
+  /// — byte-identical to a build without the feature — and CLI surfaces
+  /// add hit-rate/saved-prefill columns only when it is true.
   bool prefix_cache = false;
   /// Swap-to-host eviction tier (--kv-swap; requires --prefix-cache).
   bool kv_swap = false;
@@ -80,11 +85,6 @@ struct SchedulerCliOptions {
   /// balance columns only then, for the same byte-stability reason).
   bool fleet() const { return replicas > 1 || autoscale.enabled; }
 
-  /// True when the run constructs a prefix cache — CLI surfaces add
-  /// hit-rate/saved-prefill columns only then (same byte-stability rule
-  /// as paged()).
-  bool cached() const { return prefix_cache; }
-
   /// Replica pool size the surfaces should build: the autoscaler's pool
   /// width (--max-replicas, or the role list's length with --roles) on an
   /// autoscaled fleet, the fixed width otherwise.
@@ -102,7 +102,7 @@ struct SchedulerCliOptions {
 
   /// True when the run is a disaggregated prefill/decode fleet — CLI
   /// surfaces add migration columns and summary lines only then (same
-  /// byte-stability rule as paged()/cached()).
+  /// byte-stability rule as paged()).
   bool disaggregated() const { return !roles.empty(); }
 
   /// The run these flags describe: `base` with the policy, chunk budget,
@@ -113,28 +113,31 @@ struct SchedulerCliOptions {
   FleetConfig fleet_config(const ServingConfig& base) const;
 };
 
-/// Parses the serving flags with per-policy defaults (default_chunk_tokens).
-/// Flag-level rules checked here:
-///  - count flags are plain non-negative integers (util::parse_count);
+/// `own` followed by the declarations of the serving flags: the table a
+/// binary that calls parse_scheduler_cli builds its Cli from.
+std::vector<util::Flag> scheduler_flags(std::vector<util::Flag> own);
+
+/// The --autoscale declaration (a queue|slo|hybrid scale policy) with the
+/// given default and help line. A bare --autoscale selects hybrid, the
+/// conservative composite policy.
+util::Flag autoscale_flag(std::string fallback, std::string help);
+
+/// Reads the serving flags of a Cli built from scheduler_flags().
+/// Flag-presence rules checked here:
 ///  - an explicit --balancer requires --replicas >= 2 or --autoscale;
-///  - --autoscale (queue|slo|hybrid; bare selects hybrid) conflicts with
-///    an explicit --replicas, and --min-replicas/--max-replicas/
-///    --scale-interval-ms require --autoscale;
+///  - --autoscale conflicts with an explicit --replicas, and
+///    --min-replicas/--max-replicas/--scale-interval-ms require
+///    --autoscale;
 ///  - --max-replicas (the symmetric pool width) conflicts with --roles
 ///    (the role list is the pool), and a --min-replicas comma list (one
 ///    floor per role tier) requires --roles;
-///  - --kv-link-gbps requires --roles;
-///  - --trace-out/--metrics-out need a non-empty =<path> value;
-///  - --prefix-cache/--kv-swap take an optional on/off value (bare == on;
-///    =off spells the byte-identical default, which CI exercises).
+///  - --kv-link-gbps requires --roles.
 /// Then runs fleet_config(ServingConfig{}).validate(), so a flag whose
 /// value is meaningless (a zero block size, --chunk-tokens > 0 without
 /// --policy=chunked, --kv-swap without --prefix-cache, a role list that
 /// does not match the width, min > max, a zero-rate link, ...) is still
 /// rejected at parse time.
 /// Throws std::invalid_argument with an actionable message on violation.
-SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
-                                        const std::string& default_policy =
-                                            "prefill");
+SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli);
 
 }  // namespace looplynx::serve

@@ -29,6 +29,17 @@ void TrafficConfig::validate() const {
           "bursty traffic needs finite burst_period_s > 0, finite "
           "burst_factor > 0 and burst_fraction in (0, 1)");
     }
+    // open_loop_schedule walks the on/off phases one at a time and pays a
+    // draw per phase even when it brings no arrival. A period carries at
+    // least arrival_rate_per_s x burst_period_s arrivals on average,
+    // whatever the burst shape, so this bounds the expected walk. At 1e6
+    // periods the worst accepted walk takes about 60 ms on one x86 core;
+    // the longest walk any shipped workload takes is under 1e3 periods.
+    if (!(request_budget() / (arrival_rate_per_s * burst_period_s) <= 1e6)) {
+      throw std::invalid_argument(
+          "bursty traffic would walk more than 1e6 burst periods (arrival "
+          "rate x burst period too low for the request count)");
+    }
   }
   if (!std::is_sorted(explicit_arrivals.begin(), explicit_arrivals.end(),
                       [](const Arrival& a, const Arrival& b) {

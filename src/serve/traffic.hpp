@@ -72,7 +72,8 @@ struct TrafficConfig {
 
   /// Throws std::invalid_argument on an empty mix, a zero request budget,
   /// a rate that is not a finite positive number, degenerate or
-  /// non-finite bursty parameters or an unsorted explicit schedule.
+  /// non-finite bursty parameters, a bursty walk expected to take more
+  /// than 1e6 periods, or an unsorted explicit schedule.
   /// FleetConfig::validate() calls it, so a FleetSim is never built with
   /// bad traffic; so does TrafficGen.
   void validate() const;

@@ -328,7 +328,8 @@ TEST(WindowSignalTest, SlidingWindowEvictsAndMatchesBatchPercentile) {
 
 util::Cli make_cli(std::vector<const char*> args) {
   args.insert(args.begin(), "test");
-  return util::Cli(static_cast<int>(args.size()), args.data());
+  return util::Cli(static_cast<int>(args.size()), args.data(),
+                   {"test", scheduler_flags({})});
 }
 
 TEST(AutoscaleCliTest, ParsesPoliciesAndBounds) {

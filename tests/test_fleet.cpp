@@ -565,6 +565,17 @@ TEST(FleetSimTest, RejectsBadTrafficAtConstruction) {
           << bad;
     }
   }
+  // A bursty walk expected to take more than 1e6 on/off periods (here
+  // 7.5e300) is rejected before any phase is drawn; 5e5 passes.
+  ServingConfig sparse = base_config();
+  sparse.traffic.process = ArrivalProcess::kBursty;
+  sparse.traffic.num_requests = 120;
+  sparse.traffic.burst_period_s = 16.0;
+  sparse.traffic.arrival_rate_per_s = 1e-300;
+  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(sparse, 2)},
+               std::invalid_argument);
+  sparse.traffic.arrival_rate_per_s = 120.0 / (16.0 * 5e5);
+  EXPECT_NO_THROW(FleetSim{FleetConfig::homogeneous(sparse, 2)});
   // A zero request budget leaves nothing to serve or compare.
   ServingConfig empty = base_config();
   empty.traffic.num_requests = 0;
@@ -657,7 +668,8 @@ TEST(FleetSimTest, RejectsTokenBudgetOnWholePromptPolicies) {
 
 util::Cli make_cli(std::vector<const char*> args) {
   args.insert(args.begin(), "test");
-  return util::Cli(static_cast<int>(args.size()), args.data());
+  return util::Cli(static_cast<int>(args.size()), args.data(),
+                   {"test", scheduler_flags({})});
 }
 
 TEST(FleetCliTest, ParsesReplicasAndBalancer) {

@@ -531,7 +531,8 @@ util::Cli make_cli(std::vector<std::string> args) {
   storage.insert(storage.begin(), "test");
   argv.reserve(storage.size());
   for (auto& s : storage) argv.push_back(s.data());
-  return util::Cli(static_cast<int>(argv.size()), argv.data());
+  return util::Cli(static_cast<int>(argv.size()), argv.data(),
+                   {"test", scheduler_flags({})});
 }
 
 TEST(ObserveCliTest, ExportFlagsParseAndValidate) {

@@ -592,9 +592,13 @@ TEST(BatchPolicyCliTest, ParsePreemptPolicyRoundTripsAndRejectsUnknown) {
   EXPECT_THROW(parse_preempt_policy(""), std::invalid_argument);
 }
 
+/// Builds through the serving flag table, so every name
+/// parse_scheduler_cli reads must be declared there (an undeclared read is
+/// a std::logic_error, which no case below expects).
 util::Cli make_cli(std::vector<const char*> args) {
   args.insert(args.begin(), "test");
-  return util::Cli(static_cast<int>(args.size()), args.data());
+  return util::Cli(static_cast<int>(args.size()), args.data(),
+                   {"test", scheduler_flags({})});
 }
 
 TEST(SchedulerCliTest, DefaultsAreLegacyCompatible) {

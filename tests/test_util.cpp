@@ -321,136 +321,240 @@ TEST(RngTest, UniformIntCoversRangeInclusive) {
   EXPECT_TRUE(saw_hi);
 }
 
+/// One flag of every kind, the table the CliTest cases parse against.
+FlagTable demo_table() {
+  return {"demo: one flag of every kind.",
+          {{"nodes", FlagKind::kCount, "2", "accelerator nodes"},
+           {"seed", FlagKind::kInteger, "7", "traffic seed"},
+           {"rate", FlagKind::kNumber, "1.5", "arrival rate"},
+           {"csv", FlagKind::kSwitch, "off", "print CSV"},
+           {"trace-out", FlagKind::kPath, "", "trace file"},
+           {"balancer", FlagKind::kText, "rr", "routing policy"},
+           {"model", FlagKind::kText, "gpt2-medium", "model",
+            "gpt2-small|gpt2-medium"},
+           {"autoscale", FlagKind::kText, "", "scale policy", "", "hybrid"},
+           {"chunk-tokens", FlagKind::kCount, "", "token budget (computed)"}}};
+}
+
+Cli demo(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return Cli(static_cast<int>(args.size()), args.data(), demo_table());
+}
+
+/// The std::invalid_argument message building a demo Cli from `args`
+/// throws, or "" when it builds.
+std::string rejection(std::vector<const char*> args) {
+  try {
+    demo(std::move(args));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(CliTest, ParsesKeyValueForms) {
-  const char* argv[] = {"prog", "positional", "--nodes=4", "--freq=285",
-                        "--verbose"};
-  Cli cli(5, argv);
-  EXPECT_EQ(cli.get_int_or("nodes", 0), 4);
-  EXPECT_EQ(cli.get_int_or("freq", 0), 285);
-  EXPECT_TRUE(cli.has("verbose"));
-  EXPECT_TRUE(cli.get_bool_or("verbose", false));
-  ASSERT_EQ(cli.positional().size(), 1u);
-  EXPECT_EQ(cli.positional()[0], "positional");
-  EXPECT_EQ(cli.get_int_or("missing", -1), -1);
-  EXPECT_EQ(cli.get_or("missing", "dflt"), "dflt");
+  const Cli cli = demo({"--nodes=4", "--rate=285", "--csv"});
+  EXPECT_EQ(cli.count("nodes"), 4u);
+  EXPECT_DOUBLE_EQ(cli.number("rate"), 285.0);
+  EXPECT_TRUE(cli.has("csv"));
+  EXPECT_TRUE(cli.on("csv"));
+  // Unset flags read their table default.
+  EXPECT_FALSE(cli.has("seed"));
+  EXPECT_EQ(cli.integer("seed"), 7);
+  EXPECT_EQ(cli.text("balancer"), "rr");
+  EXPECT_EQ(cli.text("trace-out"), "");
 }
 
 TEST(CliTest, ParsesSpaceSeparatedValues) {
   // "--key value" is equivalent to "--key=value"; a bare flag is greedy,
-  // so a non-option token right after it becomes its value (which is why
-  // positionals may not directly follow a bare flag).
-  const char* argv[] = {"prog", "--replicas", "4", "--balancer", "jsq",
-                        "--verbose"};
-  Cli cli(6, argv);
-  EXPECT_EQ(cli.get_int_or("replicas", 0), 4);
-  EXPECT_EQ(cli.get_or("balancer", ""), "jsq");
-  EXPECT_TRUE(cli.has("verbose"));
-  EXPECT_TRUE(cli.get_bool_or("verbose", false));
-  EXPECT_TRUE(cli.positional().empty());
-  // Mixed forms agree.
-  const char* argv2[] = {"prog", "--replicas=4", "--balancer", "jsq"};
-  Cli cli2(4, argv2);
-  EXPECT_EQ(cli2.get_int_or("replicas", 0), 4);
-  EXPECT_EQ(cli2.get_or("balancer", ""), "jsq");
+  // so a non-option token right after it becomes its value.
+  const Cli cli = demo({"--nodes", "4", "--balancer", "jsq", "--csv"});
+  EXPECT_EQ(cli.count("nodes"), 4u);
+  EXPECT_EQ(cli.text("balancer"), "jsq");
+  EXPECT_TRUE(cli.on("csv"));
+  // Mixed forms agree, and the last of a repeated flag wins.
+  const Cli mixed = demo({"--nodes=4", "--balancer", "jsq", "--nodes=16"});
+  EXPECT_EQ(mixed.count("nodes"), 16u);
+  EXPECT_EQ(mixed.text("balancer"), "jsq");
+  // Only the last value is checked: an earlier malformed one is replaced.
+  EXPECT_EQ(demo({"--nodes=abc", "--nodes=3"}).count("nodes"), 3u);
 }
 
-TEST(CliTest, DoubleAndBool) {
-  const char* argv[] = {"prog", "--alpha=0.5", "--flag=false"};
-  Cli cli(3, argv);
-  EXPECT_DOUBLE_EQ(cli.get_double_or("alpha", 0), 0.5);
-  EXPECT_FALSE(cli.get_bool_or("flag", true));
+TEST(CliTest, RejectsUnknownFlagsAndPositionals) {
+  EXPECT_EQ(rejection({"--requets=5"}), "unknown flag --requets");
+  EXPECT_EQ(rejection({"--nodes=2", "--bogus"}), "unknown flag --bogus");
+  EXPECT_NE(rejection({"17"}).find("\"17\""), std::string::npos);
+  EXPECT_NE(rejection({"--csv=on", "extra"}).find("\"extra\""),
+            std::string::npos);
+  // The greedy space form makes a token after a bare flag its value, so a
+  // stray word there is rejected as that flag's value instead.
+  EXPECT_EQ(rejection({"--csv", "extra"}),
+            "--csv expects 1/true/yes/on or 0/false/no/off, got \"extra\"");
 }
 
 TEST(CliTest, CountFlags) {
-  const char* argv[] = {"prog",      "--zero=0", "--max=4294967295",
-                        "--neg=-1",  "--word=abc", "--junk=4x",
-                        "--wide=4294967296", "--plus=+4", "--bare"};
-  Cli cli(9, argv);
-  EXPECT_EQ(cli.get_count_or("zero", 7), 0u);
-  EXPECT_EQ(cli.get_count_or("max", 0), 4294967295u);
-  // Unset returns the fallback; everything else must be plain digits in
-  // uint32 range instead of wrapping (-1 used to become 4294967295).
-  EXPECT_EQ(cli.get_count_or("missing", 12), 12u);
-  for (const char* name : {"neg", "word", "junk", "wide", "plus", "bare"}) {
-    EXPECT_THROW(cli.get_count_or(name, 1), std::invalid_argument) << name;
+  EXPECT_EQ(demo({"--nodes=0"}).count("nodes"), 0u);
+  EXPECT_EQ(demo({"--nodes=4294967295"}).count("nodes"), 4294967295u);
+  // Plain digits in uint32 range only, instead of wrapping (-1 used to
+  // become 4294967295).
+  for (const char* bad : {"--nodes=-1", "--nodes=abc", "--nodes=4x",
+                          "--nodes=4294967296", "--nodes=+4", "--nodes"}) {
+    EXPECT_NE(rejection({bad}).rfind("--nodes expects a count", 0),
+              std::string::npos)
+        << bad;
   }
   EXPECT_EQ(parse_count("requests", "64"), 64u);
   EXPECT_THROW(parse_count("requests", ""), std::invalid_argument);
 }
 
 TEST(CliTest, IntFlagsMustBeWholeNumbers) {
-  const char* argv[] = {"prog",      "--neg=-3",   "--plus=+4", "--word=abc",
-                        "--junk=12x", "--frac=1.5", "--space= 7", "--bare",
-                        "--wide=99999999999999999999"};
-  Cli cli(9, argv);
-  EXPECT_EQ(cli.get_int_or("neg", 0), -3);
-  EXPECT_EQ(cli.get_int_or("missing", 5), 5);
+  EXPECT_EQ(demo({"--seed=-3"}).integer("seed"), -3);
   // The whole value must be the number: "12x" is not 12 and "abc" is not
   // 0. A plus sign is rejected, as count flags reject it.
-  for (const char* name :
-       {"plus", "word", "junk", "frac", "space", "bare", "wide"}) {
-    EXPECT_THROW(cli.get_int_or(name, 1), std::invalid_argument) << name;
+  for (const char* bad : {"--seed=+4", "--seed=abc", "--seed=12x",
+                          "--seed=1.5", "--seed= 7", "--seed",
+                          "--seed=99999999999999999999"}) {
+    EXPECT_NE(rejection({bad}).rfind("--seed expects a whole number", 0),
+              std::string::npos)
+        << bad;
   }
 }
 
 TEST(CliTest, DoubleFlagsMustParseWhole) {
-  const char* argv[] = {"prog",       "--rate=12",    "--exp=2.5e-1",
-                        "--nan=nan",  "--junk=12abc", "--word=abc",
-                        "--bare",     "--space= 1",   "--huge=1e999"};
-  Cli cli(9, argv);
-  EXPECT_DOUBLE_EQ(cli.get_double_or("rate", 0), 12.0);
-  EXPECT_DOUBLE_EQ(cli.get_double_or("exp", 0), 0.25);
+  EXPECT_DOUBLE_EQ(demo({"--rate=2.5e-1"}).number("rate"), 0.25);
   // A whole-text NaN parses; config validation is what rejects it.
-  EXPECT_TRUE(std::isnan(cli.get_double_or("nan", 0)));
-  EXPECT_DOUBLE_EQ(cli.get_double_or("missing", 1.5), 1.5);
-  for (const char* name : {"junk", "word", "bare", "space", "huge"}) {
-    EXPECT_THROW(cli.get_double_or(name, 1), std::invalid_argument) << name;
+  EXPECT_TRUE(std::isnan(demo({"--rate=nan"}).number("rate")));
+  for (const char* bad :
+       {"--rate=12abc", "--rate=abc", "--rate", "--rate= 1", "--rate=1e999"}) {
+    EXPECT_NE(rejection({bad}).rfind("--rate expects a number", 0),
+              std::string::npos)
+        << bad;
   }
-  try {
-    cli.get_double_or("junk", 1);
-    ADD_FAILURE() << "--junk=12abc accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(std::string(e.what()), "--junk expects a number, got \"12abc\"");
+  EXPECT_EQ(rejection({"--rate=12abc"}),
+            "--rate expects a number, got \"12abc\"");
+}
+
+TEST(CliTest, SwitchesTakeOnlyKnownSpellings) {
+  for (const char* on : {"--csv", "--csv=1", "--csv=yes", "--csv=on",
+                         "--csv=true"}) {
+    EXPECT_TRUE(demo({on}).on("csv")) << on;
+  }
+  // =off spells the default explicitly and reads as off, not as "given".
+  for (const char* off : {"--csv=off", "--csv=0", "--csv=no", "--csv=false"}) {
+    EXPECT_FALSE(demo({off}).on("csv")) << off;
+  }
+  EXPECT_FALSE(demo({}).on("csv"));
+  // A typo such as "of" must not read as off.
+  for (const char* bad : {"--csv=of", "--csv=maybe", "--csv=on|off"}) {
+    EXPECT_NE(rejection({bad}).rfind("--csv expects", 0), std::string::npos)
+        << bad;
   }
 }
 
-TEST(CliTest, BoolFlagsTakeOnlyKnownSpellings) {
-  const char* argv[] = {"prog",    "--bare",  "--a=1",   "--b=yes",
-                        "--c=on",  "--d=0",   "--e=no",  "--f=off",
-                        "--g=false", "--typo=of", "--word=maybe"};
-  Cli cli(11, argv);
-  for (const char* name : {"bare", "a", "b", "c"}) {
-    EXPECT_TRUE(cli.get_bool_or(name, false)) << name;
+TEST(CliTest, PathsAndChoicesAreCheckedWhenBuilt) {
+  EXPECT_EQ(demo({"--trace-out=t.json"}).text("trace-out"), "t.json");
+  EXPECT_EQ(rejection({"--trace-out"}),
+            "--trace-out needs a file path (--trace-out=<path>)");
+  EXPECT_EQ(rejection({"--trace-out="}),
+            "--trace-out needs a file path (--trace-out=<path>)");
+  EXPECT_EQ(demo({"--model=gpt2-small"}).text("model"), "gpt2-small");
+  for (const char* bad : {"--model=gpt2-large", "--model=", "--model=gpt2",
+                          "--model=12abc", "--model=gpt2-small|gpt2-medium"}) {
+    EXPECT_NE(rejection({bad}).rfind(
+                  "--model expects one of gpt2-small|gpt2-medium", 0),
+              std::string::npos)
+        << bad;
   }
-  for (const char* name : {"d", "e", "f", "g"}) {
-    EXPECT_FALSE(cli.get_bool_or(name, true)) << name;
-  }
-  EXPECT_TRUE(cli.get_bool_or("missing", true));
-  // A typo such as "of" must not read as off.
-  for (const char* name : {"typo", "word"}) {
-    EXPECT_THROW(cli.get_bool_or(name, true), std::invalid_argument) << name;
-  }
+  // A bare text flag takes its declared bare value.
+  EXPECT_EQ(demo({"--autoscale"}).text("autoscale"), "hybrid");
+  EXPECT_EQ(demo({"--autoscale=queue"}).text("autoscale"), "queue");
 }
+
+/// True when `read` throws a std::logic_error that is not the
+/// std::invalid_argument (a logic_error subclass) run_main maps to exit 2.
+template <typename Read>
+bool programming_error(Read read) {
+  try {
+    read();
+  } catch (const std::invalid_argument&) {
+    return false;
+  } catch (const std::logic_error&) {
+    return true;
+  }
+  return false;
+}
+
+TEST(CliTest, ReadingAnUndeclaredNameIsAProgrammingError) {
+  const Cli cli = demo({});
+  EXPECT_TRUE(programming_error([&] { cli.count("requests"); }));
+  EXPECT_TRUE(programming_error([&] { cli.has("requests"); }));
+  // Reading a flag as another kind, or an unset computed default.
+  EXPECT_TRUE(programming_error([&] { cli.number("nodes"); }));
+  EXPECT_TRUE(programming_error([&] { cli.count("chunk-tokens"); }));
+  EXPECT_EQ(demo({"--chunk-tokens=32"}).count("chunk-tokens"), 32u);
+}
+
+TEST(CliTest, HelpListsEveryFlagOnceWithItsDefault) {
+  const std::string help = demo({}).help();
+  EXPECT_EQ(help.rfind("demo: one flag of every kind.\n", 0), 0u);
+  for (const Flag& flag : demo_table().flags) {
+    const std::string line_start = "  --" + flag.name;
+    std::size_t hits = 0;
+    std::string line;
+    std::istringstream lines(help);
+    while (std::getline(lines, line)) {
+      if (line.rfind(line_start, 0) != 0) continue;
+      const char next = line[line_start.size()];
+      if (next != '=' && next != '[' && next != ' ') continue;
+      ++hits;
+      if (!flag.fallback.empty()) {
+        EXPECT_NE(line.find("(default " + flag.fallback + ")"),
+                  std::string::npos)
+            << line;
+      }
+    }
+    EXPECT_EQ(hits, 1u) << flag.name;
+  }
+  EXPECT_NE(help.find("  --nodes=N "), std::string::npos);
+  EXPECT_NE(help.find("  --csv[=on|off] "), std::string::npos);
+  EXPECT_NE(help.find("  --model=gpt2-small|gpt2-medium "), std::string::npos);
+  EXPECT_NE(help.find("  --help "), std::string::npos);
+}
+
+TEST(CliTest, UntabledGettersReadWithoutATable) {
+  const char* argv[] = {"prog", "positional", "--seconds=2.5", "--seed",
+                        "9", "--workload=chat", "--anything"};
+  const Cli cli(7, argv);
+  EXPECT_DOUBLE_EQ(cli.get_double_or("seconds", 10.0), 2.5);
+  EXPECT_EQ(cli.get_int_or("seed", 1), 9);
+  EXPECT_EQ(cli.get_or("workload", ""), "chat");
+  EXPECT_TRUE(cli.has("anything"));
+  EXPECT_EQ(cli.get_int_or("missing", -1), -1);
+  EXPECT_THROW(cli.get_int_or("workload", 0), std::invalid_argument);
+}
+
+int count_body(const Cli& cli) { return static_cast<int>(cli.count("nodes")); }
 
 TEST(CliTest, RunMainMapsRejectedFlagsToExitTwo) {
-  const char* argv[] = {"prog", "--requests=-1"};
-  EXPECT_EQ(run_main(2, argv,
-                     [](const Cli& cli) {
-                       return static_cast<int>(cli.get_count_or("x", 3));
-                     }),
-            3);
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(run_main(2, argv,
-                     [](const Cli& cli) {
-                       return static_cast<int>(
-                           cli.get_count_or("requests", 0));
-                     }),
-            2);
-  EXPECT_EQ(testing::internal::GetCapturedStderr().rfind("error: --requests",
-                                                         0),
-            0u);
+  const FlagTable table = demo_table();
+  const char* ok[] = {"prog", "--nodes=3"};
+  EXPECT_EQ(run_main(2, ok, table, count_body), 3);
+  for (const char* bad : {"--nodes=-1", "--requets=5", "stray"}) {
+    const char* argv[] = {"prog", bad};
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(run_main(2, argv, table, count_body), 2) << bad;
+    EXPECT_EQ(testing::internal::GetCapturedStderr().rfind("error: ", 0), 0u)
+        << bad;
+  }
+  // --help prints the generated text and runs nothing.
+  const char* help[] = {"prog", "--help"};
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(run_main(2, help, table,
+                     [](const Cli&) -> int { throw std::logic_error("ran"); }),
+            0);
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), demo({}).help());
   // Only rejected flags are mapped: a broken invariant still propagates.
-  EXPECT_THROW(run_main(2, argv,
+  EXPECT_THROW(run_main(2, ok, table,
                         [](const Cli&) -> int {
                           throw std::logic_error("invariant");
                         }),

@@ -8,10 +8,10 @@ Three checks, run by CI's `docs` job (and runnable locally):
    links (http/https/mailto), pure anchors, and paths that escape the
    repo root (the GitHub-web CI badge) are skipped.
 
-2. Flag drift — every `--flag` printed by the serving binaries' --help
-   (HELP_BINARIES: serve_load, continuous_batching, fleet_serving,
-   autoscale_serving, chat_cache) must appear in README.md, so the flag
-   reference table cannot silently fall behind the real CLI.
+2. Flag drift — every `--flag` printed by any binary's generated --help
+   (HELP_BINARIES: every binary built from bench/*.cpp and
+   examples/*.cpp) must appear in README.md, so the flag reference table
+   cannot silently fall behind the real CLI.
 
 3. Snippet smoke — every `./build/...` command quoted in README.md's
    fenced ```sh blocks is re-run and must exit 0, so quoted commands
@@ -33,8 +33,9 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCS = ["README.md", "DESIGN.md", "ROADMAP.md"]
-HELP_BINARIES = ["serve_load", "continuous_batching", "fleet_serving",
-                 "autoscale_serving", "chat_cache"]
+HELP_BINARIES = sorted(name[:-4] for top in ("bench", "examples")
+                       for name in os.listdir(os.path.join(REPO, top))
+                       if name.endswith(".cpp"))
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
