@@ -52,6 +52,16 @@ StepCostModel::StepCostModel(const System& system, std::uint32_t probe_stride)
       weight_bytes_per_node / static_cast<double>(arch_.mpu_lanes()));
 }
 
+sim::Cycles StepCostModel::decode_run_cycles(std::uint32_t pos,
+                                             std::uint32_t k) const {
+  const std::uint32_t last = max_positions() - 1;
+  const std::uint32_t from = std::min(pos, last);
+  // Positions [from, last) are priced as themselves; the rest at `last`.
+  const std::uint32_t below = std::min(k, last - from);
+  return prefix_[from + below] - prefix_[from] +
+         static_cast<sim::Cycles>(k - below) * step_[last];
+}
+
 sim::Cycles StepCostModel::decode_batch_cycles(
     const std::vector<std::uint32_t>& positions) const {
   if (positions.empty()) return 0;

@@ -63,6 +63,12 @@ class StepCostModel {
     return prefix_.at(start + tokens) - prefix_.at(start);
   }
 
+  /// Pipeline cycles of `k` lone decode steps back to back from position
+  /// `pos` on: the sum of step_cycles(min(pos + i, max_positions() - 1))
+  /// over i in [0, k), each position clamped as the scheduler prices it.
+  /// O(1) via the prefix-sum table.
+  sim::Cycles decode_run_cycles(std::uint32_t pos, std::uint32_t k) const;
+
   /// Pipeline cycles to rebuild a preempted request's KV from scratch: the
   /// prompt plus every decode token it had produced, re-run as one prefill
   /// over positions [0, kv_len). Identical to prefill_cycles(kv_len) —

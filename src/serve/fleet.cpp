@@ -463,14 +463,15 @@ struct FleetRun {
   /// work but receives nothing new. On a disaggregated fleet decode-role
   /// replicas are masked too — they receive work only by KV migration,
   /// never fresh arrivals (without disagg the mask reduces to the single
-  /// tier's live prefix, so symmetric routing is untouched).
+  /// tier's live prefix, so symmetric routing is untouched). Only the
+  /// kv-aware policy reads free KV, which a decode run in progress answers
+  /// for the iterations it has begun; the other policies get 0.
   detail::Replica& route() {
     loads.resize(replicas.size());
+    const bool reads_kv = balancer.policy() == BalancerPolicy::kKvAware;
     for (std::size_t i = 0; i < replicas.size(); ++i) {
       const auto& r = replicas[i];
-      loads[i] = {r->outstanding(),
-                  static_cast<std::uint64_t>(r->kv.free_blocks()) *
-                      r->kv.block_tokens(),
+      loads[i] = {r->outstanding(), reads_kv ? detail::free_kv_tokens(*r) : 0,
                   r->live && (disagg == nullptr ||
                               cfg.roles[i] != ReplicaRole::kDecode)};
     }
@@ -489,20 +490,18 @@ struct FleetRun {
 };
 
 /// The fleet's one injector: replays the open-loop arrival schedule,
-/// routing each arrival the moment it lands. Before each sleep it
-/// publishes the cycle it sleeps to as the fleet's arrival horizon.
+/// routing each arrival the moment it lands. Its enqueue callback is what
+/// touches the chosen replica; routing itself only reads the replicas.
 sim::Task arrivals_proc(FleetRun& run,
                          const std::vector<Arrival>& schedule) {
   for (const Arrival& a : schedule) {
     if (a.at > run.engine.now()) {
-      run.shared.next_arrival = a.at;
       co_await run.engine.delay(a.at - run.engine.now());
     }
     detail::Replica& rep = run.route();
     Request& r = rep.make_request(a.shape);
     run.engine.schedule_call(&detail::enqueue_request_event, &rep, &r);
   }
-  run.shared.next_arrival = detail::FleetShared::kNoArrival;
 }
 
 /// The autoscaling control loop: one evaluation every eval_interval_ms on

@@ -1,6 +1,7 @@
 #include "serve/kv_block.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -55,6 +56,31 @@ bool KvBlockManager::try_grow(KvBlockList& list, std::uint32_t tokens) {
   }
   peak_frag_tokens_ = std::max(peak_frag_tokens_, frag_tokens());
   return true;
+}
+
+void KvBlockManager::grow_stepwise(KvBlockList& list, std::uint32_t tokens) {
+  const std::uint32_t from = list.committed_tokens;
+  if (tokens <= from) return;
+  // The list's spare tail slots after a step to t are
+  // max(blocks, blocks_for(t)) * block_tokens - t: they fall one per step
+  // inside the blocks the list holds, and a step that opens a block leaves
+  // block_tokens - 1. So the first step and the first opening bound every
+  // step's fragmentation, and every other list's share stays fixed.
+  const std::uint64_t held =
+      static_cast<std::uint64_t>(list.blocks) * block_tokens_;
+  const std::uint64_t others = frag_tokens() + from - held;
+  std::uint64_t spare = held > from ? held - from - 1 : 0;
+  if (tokens > held) spare = std::max<std::uint64_t>(spare, block_tokens_ - 1);
+  const std::uint32_t want = blocks_for(tokens);
+  if (want > list.blocks) {
+    assert(want - list.blocks <= free_blocks());
+    used_blocks_ += want - list.blocks;
+    list.blocks = want;
+    peak_used_blocks_ = std::max(peak_used_blocks_, used_blocks_);
+  }
+  live_tokens_ += tokens - from;
+  list.committed_tokens = tokens;
+  peak_frag_tokens_ = std::max(peak_frag_tokens_, others + spare);
 }
 
 void KvBlockManager::release_all(KvBlockList& list) {

@@ -98,6 +98,12 @@ class KvBlockManager {
   /// until release_all.
   bool try_grow(KvBlockList& list, std::uint32_t tokens);
 
+  /// Grows `list` to cover `tokens` as the one-token try_grow calls for
+  /// committed + 1, …, tokens would, in O(1): the same blocks, live
+  /// tokens and peaks. Every step must fit — the caller checked the run
+  /// against free_blocks() — so no stall is counted.
+  void grow_stepwise(KvBlockList& list, std::uint32_t tokens);
+
   /// Returns every block in `list` to the free pool (request completion or
   /// preemption) and resets the list. Releasing more blocks than the
   /// manager has outstanding is clamped (never underflows used_blocks_)

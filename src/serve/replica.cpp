@@ -36,7 +36,77 @@ void reject_request(Replica& f, Request& r, std::uint32_t reason) {
   r.owner->pool.erase(r.self);
 }
 
+/// Start s_j of iteration `j` (1-based) of `f`'s run. The members stay
+/// as they were at s_1 until the run is applied, so a lone member's start
+/// is priced from the step table; a batch's was walked at booking.
+sim::Cycles run_iteration_start(const Replica& f, std::uint32_t j) {
+  if (f.batch.size() > 1) return f.run.starts[j - 1];
+  return f.run.start +
+         f.costs.decode_run_cycles(f.batch.front().request->kv_len(), j - 1) +
+         static_cast<sim::Cycles>(j - 1) * f.costs.host_sync_cycles();
+}
+
+/// Blocks iterations 2..j of `f`'s run take from the pool: iteration j
+/// grows each member to kv_len + j tokens (paged admission only), and
+/// iteration 1's blocks were granted before the run was booked.
+std::uint32_t run_growth(const Replica& f, std::uint32_t j) {
+  if (!f.paged_admission()) return 0;
+  std::uint32_t grown = 0;
+  for (const ScheduledStep& s : f.batch) {
+    const Request& r = *s.request;
+    const std::uint32_t want = f.kv.blocks_for(r.kv_len() + j);
+    if (want > r.kv.blocks) grown += want - r.kv.blocks;
+  }
+  return grown;
+}
+
+/// Iterations of `f`'s run that have begun as of the event being run.
+/// Stepped one wake per iteration, iteration j would begin at a wake due
+/// at s_j and scheduled at s_{j-1}; the wake the run armed at s_1 stands
+/// in for that wake's place among the events of s_{j-1}. So iteration j
+/// has begun iff (s_j, s_{j-1}, run ticket) sorts before the current
+/// event. Iteration 1 began at booking; the keys rise with j, so the last
+/// begun iteration is found by bisection.
+std::uint32_t booked_through(const Replica& f) {
+  const sim::EventKey& now = f.engine.current();
+  std::uint32_t lo = 1;
+  std::uint32_t hi = f.run.close - 1;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo + 1) / 2;
+    const sim::EventKey wake{run_iteration_start(f, mid),
+                             run_iteration_start(f, mid - 1), f.run.ticket};
+    if (wake < now) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
+/// Something reached `f`: an arrival's enqueue, or a KV migration or a
+/// steal landing. Cut rule: the iterations of a run in progress that have
+/// begun (booked_through) stay booked; the next one becomes the closing
+/// iteration and takes the ordinary path at its start, where the loop
+/// admits and selects whatever the touch brought. Its wake is stamped with
+/// the start of the iteration before it, the cycle a per-iteration wake
+/// would have been scheduled at.
+void cut_decode_run(Replica& f) {
+  if (f.run.close == 0) return;
+  const std::uint32_t booked = booked_through(f);
+  if (booked + 1 == f.run.close) return;
+  f.run.close = booked + 1;
+  f.engine.arm(f.run_wake, run_iteration_start(f, booked + 1),
+               run_iteration_start(f, booked));
+}
+
 }  // namespace
+
+std::uint64_t free_kv_tokens(const Replica& f) {
+  std::uint32_t free = f.kv.free_blocks();
+  if (f.run.close != 0) free -= run_growth(f, booked_through(f));
+  return static_cast<std::uint64_t>(free) * f.kv.block_tokens();
+}
 
 Request& Replica::make_request(workload::Scenario shape) {
   if (shape.total() > cfg.model.max_seq_len) {
@@ -98,6 +168,7 @@ void Replica::record_completion(Request& r) {
 void enqueue_request_event(void* replica, void* request) {
   Replica& f = *static_cast<Replica*>(replica);
   Request& r = *static_cast<Request*>(request);
+  cut_decode_run(f);
   r.arrival = f.engine.now();
   if (f.shared.observer != nullptr) {
     f.shared.observer->record(LifecycleEvent::kArrive, r.arrival, r.id, f.id,
@@ -454,81 +525,128 @@ void maybe_steal(Replica& f) {
   f.engine.spawn(steal_proc(f, *victim, *r));
 }
 
-/// Books the selected batch's decode-only iterations inline, starting now,
-/// and returns the start of the first iteration it did not book: the one
-/// that closes the run (now when it booked none). Each booked iteration
-/// does what the ordinary path does for a decode-only batch — KV growth
-/// (paged), the step price, `decoded`, the inter-token gap stamped at its
-/// egress, `busy_cycles` and the iteration record — in the same order.
+/// Books the selected batch's decode-only iterations as one run starting
+/// now, arms the scheduler's wake at the run's closing iteration and
+/// returns true; false (nothing booked) when the run would hold no
+/// iteration. Booking applies nothing: apply_decode_run does, at the wake.
 ///
-/// Eligibility. Only arrivals reach a replica that has no observer, no
-/// autoscaler, no prefix cache and no disaggregation peers; the observer
-/// records every iteration at its own instant, and the other three read
-/// or write replica state between arrivals. On such a replica, with the
-/// queue empty, nothing routed here still on its way to the queue (an
-/// arrival enqueues through a zero-delay callback after it is routed), no
-/// preempted request recovering, and the batch being the whole ready pool,
-/// every iteration before the next arrival re-selects this same batch in
-/// the same order.
+/// Eligibility. The replica has no observer, no autoscaler and no prefix
+/// cache: the observer records every iteration at its own instant, the
+/// autoscaler reads queue depths between touches, and cache_aware_grow
+/// may evict. The selected batch is decode-only and is the whole ready
+/// pool; the queue is empty; nothing routed here still waits on its
+/// enqueue callback (outstanding() == active); no preempted request is
+/// recovering; no migrated KV waits to be ingested. Until a touch
+/// (cut_decode_run), every iteration then re-selects this same batch in
+/// the same order, and what other replicas and the router read of this one
+/// holds still: outstanding() and can_ever_fit do not move, the queue
+/// stays empty (never a steal victim), and free_kv_tokens answers for the
+/// iterations begun. On a prefill-role replica a member decoding locally
+/// found no migration target, and none appears without an autoscaler.
 ///
-/// Run rule. An iteration is booked while it finishes no member, its KV
-/// growth fits `free_blocks()` (iteration 1's was granted by
+/// Run rule. An iteration is booked while it finishes no member and its
+/// KV growth fits `free_blocks()` (iteration 1's was granted by
 /// ensure_kv_blocks; a failed try_grow would count a stall, so none is
-/// attempted) and its egress lies strictly before
-/// `FleetShared::next_arrival`. The first iteration that breaks a rule
-/// closes the run and is left to the ordinary path.
-sim::Cycles book_decode_run(Replica& f) {
-  const sim::Cycles now = f.engine.now();
+/// attempted). The first iteration that breaks a rule closes the run and
+/// is left to the ordinary path. A lone member's close is its finishing
+/// iteration; a batch's is found by walking its iterations, whose starts
+/// the run keeps.
+bool book_decode_run(Replica& f) {
   if (f.shared.observer != nullptr || f.shared.ttft_window != nullptr ||
-      f.cache || f.disagg != nullptr) {
-    return now;
+      f.cache) {
+    return false;
   }
   if (!f.ready.empty() || !f.queue.empty() || f.recovering != 0 ||
-      f.outstanding() != f.active) {
-    return now;
+      f.outstanding() != f.active || f.pending_migrate_cycles != 0) {
+    return false;
   }
   for (const ScheduledStep& s : f.batch) {
-    if (s.is_prefill()) return now;
+    if (s.is_prefill()) return false;
   }
+  DecodeRun& run = f.run;
+  run.start = f.engine.now();
+  if (f.batch.size() == 1) {
+    // Iteration j decodes token decoded + j. A lone member is the only
+    // request holding KV here, and admission checked that its whole
+    // footprint fits the pool, so its growth never runs dry.
+    const Request& r = *f.batch.front().request;
+    run.close = r.shape.decode - r.decoded;
+  } else {
+    run.starts.clear();
+    sim::Cycles at = run.start;
+    for (std::uint32_t j = 1;; ++j) {
+      run.starts.push_back(at);
+      f.decode_positions.clear();
+      bool closes = run_growth(f, j) > f.kv.free_blocks();
+      for (const ScheduledStep& s : f.batch) {
+        const Request& r = *s.request;
+        if (r.decoded + j >= r.shape.decode) closes = true;
+        f.decode_positions.push_back(
+            std::min(r.kv_len() + j - 1, f.costs.max_positions() - 1));
+      }
+      if (closes) {
+        run.close = j;
+        break;
+      }
+      at += f.costs.decode_batch_cycles(f.decode_positions) +
+            f.costs.host_sync_cycles();
+    }
+  }
+  if (run.close <= 1) {
+    run.close = 0;
+    return false;
+  }
+  run.ticket = f.engine.arm(f.run_wake, run_iteration_start(f, run.close),
+                            run_iteration_start(f, run.close - 1));
+  return true;
+}
+
+/// Applies iterations [1, close) of the run that just reached its wake,
+/// as the ordinary path would have one iteration at a time: KV growth
+/// (paged), `decoded`, the inter-token gap stamped at each egress,
+/// `max_token_gap`, `last_token`, `busy_cycles` and the iteration records.
+/// A lone member's KV grows in one step that keeps the per-token peaks.
+void apply_decode_run(Replica& f) {
+  DecodeRun& run = f.run;
+  const std::uint32_t k = run.close - 1;
   const bool paged = f.paged_admission();
-  IterationRecord rec;
-  rec.start = now;
-  rec.decodes = static_cast<std::uint32_t>(f.batch.size());
-  for (bool granted = true;; granted = false) {
-    std::uint32_t grow = 0;
-    f.decode_positions.clear();
-    for (const ScheduledStep& s : f.batch) {
-      const Request& r = *s.request;
-      if (r.decoded + 1 >= r.shape.decode) return rec.start;
-      if (paged && !granted) {
-        const std::uint32_t want = f.kv.blocks_for(r.kv_len() + 1);
-        if (want > r.kv.blocks) grow += want - r.kv.blocks;
-      }
-      f.decode_positions.push_back(
-          std::min(r.kv_len(), f.costs.max_positions() - 1));
+  const sim::Cycles sync = f.costs.host_sync_cycles();
+  const auto emit = [&f](Request& r, sim::Cycles egress) {
+    if (r.emitted_token) {
+      const sim::Cycles gap = egress - r.last_token;
+      r.max_token_gap = std::max(r.max_token_gap, gap);
+      f.gap_cycles.add(gap);
     }
-    if (grow > f.kv.free_blocks()) return rec.start;
-    const sim::Cycles egress = rec.start +
-                               f.costs.decode_batch_cycles(f.decode_positions) +
-                               f.costs.host_sync_cycles();
-    if (egress >= f.shared.next_arrival) return rec.start;
-    for (const ScheduledStep& s : f.batch) {
-      Request& r = *s.request;
-      if (paged && !granted) f.kv.try_grow(r.kv, r.kv_len() + 1);
-      ++r.decoded;
-      if (r.emitted_token) {
-        const sim::Cycles gap = egress - r.last_token;
-        r.max_token_gap = std::max(r.max_token_gap, gap);
-        f.gap_cycles.add(gap);
-      }
-      r.emitted_token = true;
-      r.last_token = egress;
+    r.emitted_token = true;
+    r.last_token = egress;
+  };
+  sim::Cycles egress = run.start;
+  if (f.batch.size() == 1) {
+    Request& r = *f.batch.front().request;
+    const std::uint32_t kv0 = r.kv_len();
+    const std::uint32_t last = f.costs.max_positions() - 1;
+    if (paged) f.kv.grow_stepwise(r.kv, kv0 + k);
+    for (std::uint32_t i = 0; i < k; ++i) {
+      egress += f.costs.step_cycles(std::min(kv0 + i, last)) + sync;
+      emit(r, egress);
     }
-    rec.span = egress - rec.start;
-    f.busy_cycles += rec.span;
-    f.sched.record(rec);
-    rec.start = egress;
+    r.decoded += k;
+  } else {
+    for (std::uint32_t j = 1; j <= k; ++j) {
+      egress = run.starts[j];
+      for (const ScheduledStep& s : f.batch) {
+        Request& r = *s.request;
+        if (paged && j > 1) f.kv.try_grow(r.kv, r.kv_len() + 1);
+        ++r.decoded;
+        emit(r, egress);
+      }
+    }
   }
+  IterationRecord rec;
+  rec.decodes = static_cast<std::uint32_t>(f.batch.size());
+  f.sched.record(rec, k);
+  f.busy_cycles += egress - run.start;
+  run.close = 0;
 }
 
 }  // namespace
@@ -548,6 +666,7 @@ sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
     co_await fabric.transfer(src.id, dst.id, pack);
   }
   src.migrate_wire_bytes += block_bytes * blocks * hops;
+  cut_decode_run(dst);
   // Delivery: re-home, deposit the landing DMA in dst's kv-migrate ledger
   // (drained into the breakdown at its next iteration), and enqueue past
   // the capacity bound — the request cleared admission control once and
@@ -575,6 +694,7 @@ sim::Task steal_proc(Replica& thief, Replica& victim, Request& r) {
   pack.last = true;
   co_await fabric.transfer(victim.id, thief.id, pack);
   thief.steal_wire_bytes += pack.bytes * hops;
+  cut_decode_run(thief);
   r.home = &thief;
   ++victim.handoffs_out;
   ++thief.handoffs_in;
@@ -680,18 +800,20 @@ sim::Task scheduler_proc(Replica& f) {
       continue;
     }
 
-    const sim::Cycles close = book_decode_run(f);
-    if (close > f.engine.now()) {
+    if (book_decode_run(f)) {
       // Close rule: the closing iteration takes the ordinary path. The
-      // batch goes back to the ready pool in order, and one sleep to the
-      // closing iteration's start lets the loop admit, select and secure
-      // it there — so its egress wake is scheduled at the same instant as
-      // when every iteration takes its own wake. Same-cycle events of
-      // different replicas then keep their relative order, which the
-      // fleet's concurrent peak (peak_in_flight) and join-shortest-queue
-      // routing both read.
+      // batch goes back to the ready pool in order, and the run's wake at
+      // the closing iteration's start (stamped with the start of the
+      // iteration before it, where a per-iteration wake would have been
+      // scheduled) applies the run and lets the loop admit, select and
+      // secure it there — so its egress wake is scheduled at the same
+      // instant as when every iteration takes its own wake. Same-cycle
+      // events of different replicas then keep their relative order,
+      // which the fleet's concurrent peak (peak_in_flight) and
+      // join-shortest-queue routing both read.
       for (const ScheduledStep& s : f.batch) f.ready.push_back(s.request);
-      co_await f.engine.delay(close - f.engine.now());
+      co_await f.engine.wait(f.run_wake);
+      apply_decode_run(f);
       continue;
     }
 

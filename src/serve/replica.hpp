@@ -13,15 +13,15 @@
 // iteration — each priced by core::StepCostModel rather than re-simulated
 // — and the host PCIe sync is paid once per iteration; the scheduler loop
 // steps every member itself, one engine wake per iteration, except that a
-// decode-only stretch between arrivals is booked in one wake with
-// identical results (book_decode_run in replica.cpp).
+// decode-only stretch is booked as one run, with identical results, that
+// lasts until its batch changes or something reaches the replica
+// (book_decode_run and cut_decode_run in replica.cpp).
 //
 // This header is internal to src/serve/: the public entry point is
 // fleet.hpp.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -71,19 +71,11 @@ struct FleetShared {
   /// When non-null, the engine room records lifecycle events and cycle-
   /// accounting spans here (serve/observe.hpp). Same contract as
   /// ttft_window: pure bookkeeping on the simulated clock — no engine
-  /// events — so attaching an observer cannot change a run's schedule or
-  /// metrics. Null (the default) means zero observability overhead and
-  /// byte-identical output to an unobserved build.
+  /// events of its own — so attaching an observer cannot change a run's
+  /// metrics; it only makes every iteration take its own wake. Null (the
+  /// default) means zero observability overhead and byte-identical output
+  /// to an unobserved build.
   Observer* observer = nullptr;
-  /// Cycle of the next arrival still to be routed: arrivals_proc
-  /// publishes it before each sleep and kNoArrival after the last one.
-  /// Until then no request can reach a replica, so its scheduler may book
-  /// decode-only iterations that end strictly before this cycle in one
-  /// wake (scheduler_proc).
-  sim::Cycles next_arrival = 0;
-
-  static constexpr sim::Cycles kNoArrival =
-      std::numeric_limits<sim::Cycles>::max();
 
   bool arrivals_done() const { return injected >= target; }
 };
@@ -123,6 +115,22 @@ struct FinishedRequest {
   sim::Cycles first_token = 0;
   sim::Cycles completed = 0;
   sim::Cycles max_token_gap = 0;
+};
+
+/// A decode-only run in progress (book_decode_run in replica.cpp):
+/// iterations [1, close) of `Replica::batch`, the first starting at
+/// `start`, are booked but reach the members only at the run's wake, the
+/// start of iteration `close`. A touch (cut_decode_run) can move that wake
+/// earlier; close == 0 means no run.
+struct DecodeRun {
+  sim::Cycles start = 0;
+  std::uint32_t close = 0;
+  /// Ticket of the wake armed at `start`: the engine order a per-iteration
+  /// wake of the run would have had among its cycle's events.
+  std::uint64_t ticket = 0;
+  /// Iteration starts s_1 … s_close of a multi-member run; a lone member's
+  /// are priced from the step table on demand.
+  std::vector<sim::Cycles> starts;
 };
 
 /// Everything one replica owns for one run. Lives on FleetSim::run's heap;
@@ -201,6 +209,10 @@ struct Replica {
   /// Retirement log, appended at completion/rejection; summarize() sorts
   /// the records it builds from it by id (the creation order).
   std::vector<FinishedRequest> finished;
+
+  /// The decode run in progress and the scheduler's wake while it lasts.
+  DecodeRun run;
+  sim::Timer run_wake;
 
   // ---- Reused per-iteration scratch (no steady-state reallocation) ----
   std::vector<ScheduledStep> batch;
@@ -296,13 +308,19 @@ struct Replica {
   void retire(const Request& r);
 };
 
+/// Free KV tokens of `f` as the event being run sees them: a decode run's
+/// growth counts up to the iterations whose own wake would already have
+/// run. The kv-aware balancer reads this.
+std::uint64_t free_kv_tokens(const Replica& f);
+
 /// The replica's continuous-batching loop: admit, select a batch, price
 /// the members' back-to-back pipeline slots, pay host sync once, repeat.
 /// It steps every admitted request itself and owns the completion and
 /// pop-reject paths. An iteration normally takes one engine wake; a
-/// decode-only stretch between arrivals is booked as a run of iterations
-/// in one wake, with results identical to stepping it (book_decode_run in
-/// replica.cpp states the run rules, the loop the close rule). Exits when
+/// decode-only stretch is booked as a run of iterations in one wake, with
+/// results identical to stepping it, until its batch changes or a touch
+/// cuts it (book_decode_run in replica.cpp states the run rules, the loop
+/// the close rule, cut_decode_run the cut rule). Exits when
 /// the fleet-wide arrival stream is exhausted and this replica has
 /// drained. Livelock-freedom under kRecomputeYoungest holds per replica
 /// (eviction never crosses replicas — each owns its KV pool).

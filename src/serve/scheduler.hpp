@@ -131,13 +131,14 @@ class Scheduler {
   /// O(ready size).
   void select(ReadyQueue& ready, std::vector<ScheduledStep>& batch) const;
 
-  /// Folds one finished iteration into the aggregate counters. The hot
-  /// path does not keep per-iteration records — a million-request sweep
-  /// runs hundreds of thousands of iterations, and the only downstream
+  /// Folds `count` finished iterations shaped like `record` (a decode
+  /// run books many at once) into the aggregate counters. The hot path
+  /// does not keep per-iteration records — a million-request sweep runs
+  /// hundreds of thousands of iterations, and the only downstream
   /// consumers are the count and the mean batch size.
-  void record(const IterationRecord& record) {
-    ++iteration_count_;
-    batch_members_ += record.batch_size();
+  void record(const IterationRecord& record, std::uint64_t count = 1) {
+    iteration_count_ += count;
+    batch_members_ += count * record.batch_size();
   }
   std::uint64_t iteration_count() const { return iteration_count_; }
 

@@ -14,7 +14,16 @@ Engine::~Engine() {
 
 void Engine::schedule_at(Cycles time, std::coroutine_handle<> h) {
   if (time < now_) time = now_;  // never schedule into the past
-  queue_.push(Item{time, seq_++, h});
+  queue_.push(Item{{time, now_, seq_++},
+                   reinterpret_cast<std::uintptr_t>(h.address())});
+}
+
+std::uint64_t Engine::arm(Timer& timer, Cycles time, Cycles stamp) {
+  if (time < now_) time = now_;
+  timer.ticket_ = seq_;
+  queue_.push(Item{{time, std::min(stamp, time), seq_++},
+                   reinterpret_cast<std::uintptr_t>(&timer) | kTimerTag});
+  return timer.ticket_;
 }
 
 void Engine::spawn(Task task) {
@@ -36,11 +45,22 @@ void Engine::sweep_finished_roots() {
 std::uint64_t Engine::run(std::uint64_t max_events) {
   std::uint64_t processed = 0;
   while (!queue_.empty() && processed < max_events) {
-    Item item = queue_.top();
+    const Item item = queue_.top();
     queue_.pop();
-    now_ = item.time;
-    if (item.handle) {
-      item.handle.resume();
+    Timer* timer = nullptr;
+    if ((item.target & kTimerTag) != 0) {
+      timer = reinterpret_cast<Timer*>(item.target & ~kTimerTag);
+      if (timer->ticket_ != item.key.seq) continue;  // superseded
+      timer->ticket_ = Timer::kIdle;
+    }
+    now_ = item.key.time;
+    current_ = item.key;
+    if (timer != nullptr) {
+      timer->waiter_.resume();
+    } else if (item.target != 0) {
+      std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(item.target))
+          .resume();
     } else {
       dispatch_call();
     }

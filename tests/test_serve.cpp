@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -21,6 +22,7 @@
 #include "serve/scheduler.hpp"
 #include "serve/traffic.hpp"
 #include "util/cli.hpp"
+#include "util/rng.hpp"
 #include "workload/mix.hpp"
 
 namespace looplynx::serve {
@@ -181,6 +183,24 @@ TEST(StepCostModelTest, DecodeBatchSharesWeightStream) {
                         costs.weight_mac_cycles());
 }
 
+TEST(StepCostModelTest, DecodeRunCyclesSumClampedSteps) {
+  const core::StepCostModel costs(test_arch(), model::cosim_config(),
+                                  /*probe_stride=*/16);
+  const std::uint32_t last = costs.max_positions() - 1;
+  // Runs inside the table, up to its edge and past it (positions clamp to
+  // the last one, as the scheduler prices them), and starting past it.
+  for (const std::uint32_t pos : {0u, 7u, last - 5, last, last + 3}) {
+    for (const std::uint32_t k : {0u, 1u, 5u, 12u}) {
+      sim::Cycles want = 0;
+      for (std::uint32_t i = 0; i < k; ++i) {
+        want += costs.step_cycles(std::min(pos + i, last));
+      }
+      EXPECT_EQ(costs.decode_run_cycles(pos, k), want)
+          << "pos " << pos << ", k " << k;
+    }
+  }
+}
+
 TEST(SingleReplicaTest, LargerBatchRaisesSaturatedThroughput) {
   ServingConfig cfg = base_config();
   cfg.traffic.arrival_rate_per_s = 50000.0;  // saturating burst
@@ -264,6 +284,42 @@ TEST(KvBlockManagerTest, BlockRoundingAndFragmentation) {
   EXPECT_EQ(kv.used_blocks(), 0u);
   EXPECT_EQ(kv.frag_tokens(), 0u);
   EXPECT_EQ(kv.live_tokens(), 0u);
+}
+
+TEST(KvBlockManagerTest, StepwiseGrowMatchesOneTokenGrows) {
+  // grow_stepwise must leave exactly what one-token try_grow calls leave,
+  // peaks included, whatever the other lists' fragmentation and wherever
+  // the list's tail sits in its block.
+  const model::ModelConfig m = model::cosim_config();
+  util::Rng rng(7);
+  for (const std::uint32_t bt : {1u, 3u, 4u, 16u}) {
+    for (int draw = 0; draw < 200; ++draw) {
+      KvBlockManager a(test_arch(), m, 0, bt);
+      KvBlockList other_a, list_a;
+      const auto other_tokens =
+          static_cast<std::uint32_t>(rng.uniform_int(0, 40));
+      const auto from = static_cast<std::uint32_t>(rng.uniform_int(0, 40));
+      const auto to = from + static_cast<std::uint32_t>(rng.uniform_int(0, 40));
+      ASSERT_TRUE(a.try_grow(other_a, other_tokens));
+      ASSERT_TRUE(a.try_grow(list_a, from));
+      KvBlockManager b = a;
+      KvBlockList list_b = list_a;
+      for (std::uint32_t t = from + 1; t <= to; ++t) {
+        ASSERT_TRUE(a.try_grow(list_a, t));
+      }
+      b.grow_stepwise(list_b, to);
+      SCOPED_TRACE(::testing::Message() << "bt " << bt << ", others "
+                                        << other_tokens << ", " << from
+                                        << " -> " << to);
+      EXPECT_EQ(list_b.blocks, list_a.blocks);
+      EXPECT_EQ(list_b.committed_tokens, list_a.committed_tokens);
+      EXPECT_EQ(b.used_blocks(), a.used_blocks());
+      EXPECT_EQ(b.live_tokens(), a.live_tokens());
+      EXPECT_EQ(b.peak_used_blocks(), a.peak_used_blocks());
+      EXPECT_EQ(b.peak_frag_tokens(), a.peak_frag_tokens());
+      EXPECT_EQ(b.stall_events(), a.stall_events());
+    }
+  }
 }
 
 TEST(KvBlockManagerTest, OverReleaseClampsInsteadOfWrapping) {
@@ -1122,20 +1178,25 @@ FleetResult expect_matches_stepped(const FleetConfig& cfg) {
   return run;
 }
 
-/// Egress cycles of request `id`'s decode iterations (the prefill's
-/// token #1 excluded), read off an observed run of `cfg`.
-std::vector<sim::Cycles> decode_emissions(const FleetConfig& cfg,
-                                          std::uint32_t id) {
+/// Cycles of request `id`'s lifecycle events of `kind` in an observed run
+/// of `cfg`.
+std::vector<sim::Cycles> event_cycles(const FleetConfig& cfg, std::uint32_t id,
+                                      LifecycleEvent kind) {
   Observer obs(static_cast<std::uint32_t>(cfg.replicas.size()),
                cfg.replicas.front().arch.frequency_hz);
   FleetSim(cfg).run(&obs);
   std::vector<sim::Cycles> at;
   for (const ObservedEvent& e : obs.events()) {
-    if (e.request == id && e.kind == LifecycleEvent::kDecode) {
-      at.push_back(e.at);
-    }
+    if (e.request == id && e.kind == kind) at.push_back(e.at);
   }
   return at;
+}
+
+/// Egress cycles of request `id`'s decode iterations (the prefill's
+/// token #1 excluded), read off an observed run of `cfg`.
+std::vector<sim::Cycles> decode_emissions(const FleetConfig& cfg,
+                                          std::uint32_t id) {
+  return event_cycles(cfg, id, LifecycleEvent::kDecode);
 }
 
 /// One [8:40] stream alone at cycle 0 on a paged, chunked replica: after
@@ -1261,6 +1322,307 @@ TEST(DecodeRunTest, DrainAfterTheLastArrival) {
     const FleetResult r = expect_matches_stepped(
         FleetConfig::homogeneous(cfg, 2, BalancerPolicy::kRoundRobin));
     EXPECT_EQ(r.fleet.completed, 6u);
+  }
+}
+
+TEST(DecodeRunTest, ArrivalAtAPeerLeavesARunIntact) {
+  // The stream decodes on replica 0 while a short request lands on
+  // replica 1 on one of the stream's egress cycles, one cycle later, and
+  // between two egresses: the router reads replica 0 (JSQ its outstanding
+  // work, kv-aware its free KV as of that cycle) and its run goes on.
+  const ServingConfig lone = lone_stream_config();
+  const std::vector<sim::Cycles> egress =
+      decode_emissions(FleetConfig::homogeneous(lone, 1), 0);
+  ASSERT_EQ(egress.size(), 40u);
+  for (const sim::Cycles at :
+       {egress[9], egress[9] + 1, (egress[20] + egress[21]) / 2}) {
+    for (const BalancerPolicy policy :
+         {BalancerPolicy::kRoundRobin, BalancerPolicy::kJoinShortestQueue,
+          BalancerPolicy::kKvAware}) {
+      SCOPED_TRACE(::testing::Message() << "arrival at " << at << ", "
+                                        << balancer_policy_name(policy));
+      ServingConfig cfg = lone;
+      cfg.traffic.explicit_arrivals.push_back(
+          {at, workload::make_scenario(4, 24)});
+      const FleetResult r =
+          expect_matches_stepped(FleetConfig::homogeneous(cfg, 2, policy));
+      EXPECT_EQ(r.routed, (std::vector<std::uint64_t>{1, 1}));
+      EXPECT_EQ(r.fleet.completed, 2u);
+    }
+  }
+}
+
+TEST(DecodeRunTest, CutWakeKeepsItsPlaceAmongSameCycleEvents) {
+  // Replica 0 decodes the stream as a run; an arrival cuts it mid-way
+  // through the iteration ending at cycle E, so the request is admitted at
+  // E. Replica 1 finishes a short request at E too, from an iteration that
+  // began after the stream's iteration did but before the cut. Stepped,
+  // the stream's wake at E was scheduled first, so the admission precedes
+  // the finish and the fleet peaks at 3 in flight; the cut wake keeps that
+  // place only because it is stamped with its iteration's start.
+  const ServingConfig lone = lone_stream_config();
+  const std::vector<sim::Cycles> egress =
+      decode_emissions(FleetConfig::homogeneous(lone, 1), 0);
+  ASSERT_EQ(egress.size(), 40u);
+  const sim::Cycles e = egress[25];
+  ServingConfig shorty = lone;
+  shorty.traffic.explicit_arrivals = {{0, workload::make_scenario(4, 6)}};
+  const FleetConfig alone = FleetConfig::homogeneous(shorty, 1);
+  const std::vector<sim::Cycles> tokens = decode_emissions(alone, 0);
+  ASSERT_GE(tokens.size(), 2u);
+  const sim::Cycles finish_delay = tokens.back();
+  const sim::Cycles last_span = tokens.back() - tokens[tokens.size() - 2];
+  const sim::Cycles last_start = e - last_span;
+  ASSERT_GT(last_start, egress[24]);
+  ServingConfig cfg = lone;
+  cfg.traffic.explicit_arrivals.push_back(
+      {e - finish_delay, workload::make_scenario(4, 6)});
+  cfg.traffic.explicit_arrivals.push_back(
+      {(last_start + e) / 2, workload::make_scenario(4, 6)});
+  const FleetConfig fleet =
+      FleetConfig::homogeneous(cfg, 2, BalancerPolicy::kRoundRobin);
+  ASSERT_EQ(event_cycles(fleet, 1, LifecycleEvent::kFinish),
+            std::vector<sim::Cycles>{e});
+  const FleetResult r = expect_matches_stepped(fleet);
+  EXPECT_EQ(r.routed, (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(r.fleet.peak_in_flight, 3u);
+}
+
+TEST(DecodeRunTest, CloseWakeKeepsItsPlaceAmongSameCycleEvents) {
+  // Replica 0 decodes [8:41] as one run; its closing iteration, the last,
+  // starts at cycle S and grows the KV by a block there. Replica 1 holds
+  // exactly the blocks replica 0 held before that grow. A kv-aware routing
+  // decision at S, from an arrival whose previous one came mid-run, sees
+  // equal free KV and keeps replica 0 — stepped, the arrival's wake was
+  // scheduled before the wake at S, so the grow has not happened yet. The
+  // close wake keeps that order only because it is stamped with the start
+  // of the iteration before it.
+  ServingConfig cfg = lone_stream_config();
+  cfg.traffic.explicit_arrivals = {{0, workload::make_scenario(8, 41)}};
+  const std::vector<sim::Cycles> egress =
+      decode_emissions(FleetConfig::homogeneous(cfg, 1), 0);
+  ASSERT_EQ(egress.size(), 41u);
+  const sim::Cycles close_start = egress[39];
+  cfg.traffic.explicit_arrivals.push_back(
+      {egress[10] + 1, workload::make_scenario(40, 8)});
+  cfg.traffic.explicit_arrivals.push_back(
+      {close_start, workload::make_scenario(4, 6)});
+  FleetConfig fleet =
+      FleetConfig::homogeneous(cfg, 2, BalancerPolicy::kKvAware);
+  // Replica 1 reserves [40:8]'s whole footprint, 12 blocks, at admission.
+  fleet.replicas[1].scheduler.preempt = PreemptPolicy::kNone;
+  const FleetResult r = expect_matches_stepped(fleet);
+  EXPECT_EQ(r.routed, (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(r.fleet.completed, 3u);
+}
+
+/// A prefill replica and a decode replica joined by a ring whose links
+/// move `bytes_per_cycle`; `cfg`'s arrivals all route to the prefill one.
+FleetConfig prefill_decode_pair(const ServingConfig& cfg,
+                                double bytes_per_cycle) {
+  FleetConfig fleet = FleetConfig::homogeneous(cfg, 2);
+  fleet.roles = {ReplicaRole::kPrefill, ReplicaRole::kDecode};
+  fleet.kv_link.bytes_per_cycle = bytes_per_cycle;
+  return fleet;
+}
+
+/// Cycle the KV of request `id` landed on its decode replica in an
+/// observed run of `cfg` (0 when it never migrated).
+sim::Cycles migration_landing(const FleetConfig& cfg, std::uint32_t id) {
+  const std::vector<sim::Cycles> at =
+      event_cycles(cfg, id, LifecycleEvent::kKvMigrate);
+  return at.empty() ? 0 : at.front();
+}
+
+TEST(DecodeRunTest, MigrationLandingCutsADecodeReplicasRun) {
+  // The stream's KV migrates to the decode replica, which decodes it as a
+  // run. A second prompt's KV then lands there mid-run, or exactly on one
+  // of the stream's egress cycles. On the fast link the landing's last
+  // hop was scheduled after the iteration ending there began, so the
+  // iteration starting there is booked; on the slow one (a block hop
+  // outlasts several iterations), before it, so that iteration instead
+  // closes the run and admits the landed request.
+  for (const double link : {4.0, 0.02}) {
+    const FleetConfig lone = prefill_decode_pair(lone_stream_config(), link);
+    const std::vector<sim::Cycles> egress = decode_emissions(lone, 0);
+    ASSERT_GT(egress.size(), 30u);
+    // The prefill replica is idle by then, so the landing trails the
+    // arrival by a fixed delay.
+    ServingConfig probe = lone_stream_config();
+    probe.traffic.explicit_arrivals = {{0, workload::make_scenario(4, 24)}};
+    const sim::Cycles delay =
+        migration_landing(prefill_decode_pair(probe, link), 0);
+    ASSERT_GT(delay, 0u);
+    for (const sim::Cycles lands :
+         {egress[20], egress[20] + 1, (egress[24] + egress[25]) / 2}) {
+      SCOPED_TRACE(::testing::Message() << "link " << link << " B/cycle, "
+                                        << "landing at " << lands);
+      ASSERT_GT(lands, delay + egress.front());
+      ServingConfig cfg = lone_stream_config();
+      cfg.traffic.explicit_arrivals.push_back(
+          {lands - delay, workload::make_scenario(4, 24)});
+      const FleetConfig fleet = prefill_decode_pair(cfg, link);
+      ASSERT_EQ(migration_landing(fleet, 1), lands);
+      const FleetResult r = expect_matches_stepped(fleet);
+      EXPECT_EQ(r.fleet.completed, 2u);
+      EXPECT_EQ(r.fleet.kv_migrations, 2u);
+    }
+  }
+}
+
+TEST(DecodeRunTest, StealLandingCutsTheThiefsRun) {
+  // The prefill replica takes one prompt at a time, so a queue builds
+  // behind it. The decode replica goes idle and steals the youngest
+  // queued prompt over a slow link; a migration lands on it before the
+  // steal does, and it decodes that request as a run, which the steal's
+  // landing cuts: the stolen prompt joins the batch at the next
+  // iteration. Scripted scenarios (found by a seeded search) at two block
+  // sizes and link speeds; each is checked to land the steal mid-run.
+  struct Scenario {
+    std::uint32_t block_tokens;
+    double link;           // bytes per cycle
+    std::uint32_t stolen;  // request the decode replica steals
+    std::uint32_t cut;     // request it is decoding when the steal lands
+    std::vector<Arrival> arrivals;
+  };
+  const auto at = [](sim::Cycles cycle, std::uint32_t prefill,
+                     std::uint32_t decode) {
+    return Arrival{cycle, workload::make_scenario(prefill, decode)};
+  };
+  const std::vector<Scenario> scenarios = {
+      {1, 0.005, 5, 1,
+       {at(155385, 4, 6), at(155385, 4, 12), at(489452, 12, 37),
+        at(489452, 32, 31), at(604264, 7, 28), at(604264, 30, 39)}},
+      {4, 0.02, 5, 0,
+       {at(0, 27, 33), at(77622, 12, 16), at(378151, 18, 30),
+        at(378151, 31, 4), at(410136, 40, 1), at(533974, 21, 7)}},
+  };
+  for (const Scenario& sc : scenarios) {
+    SCOPED_TRACE(::testing::Message() << "blocks of " << sc.block_tokens);
+    ServingConfig cfg = lone_stream_config();
+    cfg.scheduler.policy = BatchPolicy::kPrefillPriority;
+    cfg.scheduler.max_tokens_per_iter = 0;
+    cfg.scheduler.max_batch = 1;
+    cfg.scheduler.max_in_flight = 1;
+    cfg.scheduler.preempt = PreemptPolicy::kNone;
+    cfg.kv_block_tokens = sc.block_tokens;
+    cfg.traffic.explicit_arrivals = sc.arrivals;
+    FleetConfig fleet = prefill_decode_pair(cfg, sc.link);
+    fleet.replicas[1].scheduler.max_batch = 8;
+    fleet.replicas[1].scheduler.max_in_flight = 8;
+    const FleetResult r = expect_matches_stepped(fleet);
+    EXPECT_EQ(r.fleet.completed, sc.arrivals.size());
+    EXPECT_EQ(r.fleet.work_steals, 1u);
+    // The scenario still holds: the steal lands on the decode replica
+    // after the cut request's KV did, and the cut request decodes at
+    // least twice before the landing and twice after it.
+    Observer obs(2, cfg.arch.frequency_hz);
+    FleetSim(fleet).run(&obs);
+    sim::Cycles stolen_at = 0, landed_at = 0;
+    int before = 0, after = 0;
+    for (const ObservedEvent& e : obs.events()) {
+      if (e.replica != 1) continue;
+      if (e.kind == LifecycleEvent::kSteal && e.request == sc.stolen) {
+        stolen_at = e.at;
+      }
+      if (e.request != sc.cut) continue;
+      if (e.kind == LifecycleEvent::kKvMigrate) landed_at = e.at;
+      if (e.kind == LifecycleEvent::kDecode) {
+        (stolen_at == 0 ? before : after) += 1;
+      }
+    }
+    EXPECT_GT(landed_at, 0u);
+    EXPECT_GT(stolen_at, landed_at);
+    EXPECT_GE(before, 2);
+    EXPECT_GE(after, 2);
+  }
+}
+
+/// One random fleet for the stepped oracle, drawn from `seed`: every axis
+/// the run, close and cut rules read. `label` describes the draw.
+FleetConfig random_fleet(std::uint64_t seed, std::string& label) {
+  util::Rng rng(seed);
+  const auto below = [&rng](std::uint64_t n) {
+    return static_cast<std::uint32_t>(rng.next_below(n));
+  };
+  ServingConfig cfg;
+  cfg.arch = test_arch();
+  cfg.model = model::cosim_config();
+  cfg.cost_probe_stride = 16;
+  cfg.keep_request_records = true;
+  const BatchPolicy policies[] = {BatchPolicy::kPrefillPriority,
+                                  BatchPolicy::kDecodePriority,
+                                  BatchPolicy::kChunkedMixed};
+  cfg.scheduler.policy = policies[below(3)];
+  if (cfg.scheduler.policy == BatchPolicy::kChunkedMixed) {
+    const std::uint32_t budgets[] = {0, 2, 8, 32};
+    cfg.scheduler.max_tokens_per_iter = budgets[below(4)];
+  }
+  cfg.scheduler.max_batch = 1 + below(8);
+  cfg.scheduler.max_in_flight = below(2) == 0 ? 64 : 1 + below(8);
+  cfg.scheduler.queue_capacity = below(4) == 0 ? 2 : 256;
+  const PreemptPolicy preempts[] = {PreemptPolicy::kNone,
+                                    PreemptPolicy::kRecomputeYoungest,
+                                    PreemptPolicy::kRecomputeCostAware};
+  cfg.scheduler.preempt = preempts[below(3)];
+  cfg.kv_block_tokens = below(2) == 0 ? 1 : 16;
+  const bool tight = below(2) == 0;
+  if (tight) {
+    KvBlockManager probe(cfg.arch, cfg.model, 1);
+    cfg.kv_budget_bytes_per_node =
+        (96 + below(128)) * probe.bytes_per_token_per_node();
+  }
+  // Arrivals: a quarter share the previous one's cycle (bursts), the rest
+  // follow after up to ~30 lone decode steps.
+  static const core::StepCostModel costs(cfg.arch, cfg.model, 16);
+  const sim::Cycles step = costs.step_cycles(0);
+  const std::uint32_t n = 8 + below(33);
+  sim::Cycles at = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (i > 0 && below(4) != 0) at += rng.next_below(30 * step);
+    const std::uint32_t prefill = 1 + below(40);
+    const std::uint32_t decode = 1 + below(std::min(50u, 96 - prefill));
+    cfg.traffic.explicit_arrivals.push_back(
+        {at, workload::make_scenario(prefill, decode)});
+  }
+  const std::uint32_t replicas = 1 + below(8);
+  const BalancerPolicy balancers[] = {BalancerPolicy::kRoundRobin,
+                                      BalancerPolicy::kJoinShortestQueue,
+                                      BalancerPolicy::kKvAware};
+  FleetConfig fleet =
+      FleetConfig::homogeneous(cfg, replicas, balancers[below(3)]);
+  // Role splits: prefill then decode, or prefill, general then decode.
+  const std::uint32_t split = replicas >= 2 ? below(3) : 0;
+  if (split != 0 && (split == 1 || replicas >= 3)) {
+    const std::uint32_t decode = 1 + below(replicas - (split == 1 ? 1 : 2));
+    const std::uint32_t general = split == 1 ? 0 : 1;
+    fleet.roles.assign(replicas - decode - general, ReplicaRole::kPrefill);
+    fleet.roles.resize(replicas - decode, ReplicaRole::kGeneral);
+    fleet.roles.resize(replicas, ReplicaRole::kDecode);
+    const double links[] = {0.05, 1.0, 16.0};
+    fleet.kv_link.bytes_per_cycle = links[below(3)];
+  }
+  label = std::to_string(replicas) + " replicas, " +
+          balancer_policy_name(fleet.balancer) + ", " +
+          batch_policy_name(cfg.scheduler.policy) + " budget " +
+          std::to_string(cfg.scheduler.max_tokens_per_iter) + ", " +
+          preempt_policy_name(cfg.scheduler.preempt) + ", blocks of " +
+          std::to_string(cfg.kv_block_tokens) + (tight ? ", tight" : "") +
+          " KV, " + std::to_string(n) + " arrivals, " +
+          std::to_string(fleet.roles.size()) + " roles";
+  return fleet;
+}
+
+TEST(DecodeRunTest, RandomFleetsMatchStepped) {
+  // Seeded random fleets: each must match the stepped oracle on every
+  // metric and record. The failing seed is in the trace; rerun it alone
+  // by narrowing the loop.
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    std::string label;
+    const FleetConfig fleet = random_fleet(seed, label);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << ": " << label);
+    expect_matches_stepped(fleet);
+    if (::testing::Test::HasFailure()) break;
   }
 }
 

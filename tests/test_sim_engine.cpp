@@ -209,6 +209,135 @@ TEST(EngineTest, CallbacksFireAtTheirCycleInRegistrationOrder) {
                            {5, 0}, {5, 1}, {5, 2}, {8, 3}}));
 }
 
+// ---- Timer wakes and the (time, stamp, seq) order ----
+
+/// Sleeps on `timer` (armed by the caller or a peer) and logs each wake.
+Task sleep_on(Engine& eng, Timer& timer, std::vector<Cycles>& log) {
+  co_await eng.wait(timer);
+  log.push_back(eng.now());
+}
+
+/// Re-arms `timer` at `at` after waiting `after` cycles.
+Task rearm(Engine& eng, Timer& timer, Cycles after, Cycles at) {
+  co_await eng.delay(after);
+  eng.arm(timer, at, eng.now());
+}
+
+TEST(EngineTest, SupersededTimerWakeNeverResumes) {
+  // Armed at 100, moved to 50 at cycle 30: the sleeper wakes once, at
+  // 50, and the stale wake at 100 neither resumes it nor moves the clock.
+  for (const Cycles moved_to : {Cycles{50}, Cycles{140}}) {
+    SCOPED_TRACE(moved_to);
+    Engine eng;
+    Timer timer;
+    std::vector<Cycles> log;
+    eng.arm(timer, 100, 0);
+    eng.spawn(sleep_on(eng, timer, log));
+    eng.spawn(rearm(eng, timer, 30, moved_to));
+    // Two starts, the re-arm's delay and one timer wake; the stale wake is
+    // not an event.
+    EXPECT_EQ(eng.run(), 4u);
+    EXPECT_EQ(log, std::vector<Cycles>{moved_to});
+    EXPECT_EQ(eng.now(), moved_to);
+  }
+}
+
+Task record_after(Engine& eng, Cycles d, int id, std::vector<int>& order) {
+  co_await eng.delay(d);
+  order.push_back(id);
+}
+
+Task stagger(Engine& eng, Cycles wait, Cycles d, int id,
+             std::vector<int>& order) {
+  co_await eng.delay(wait);
+  co_await eng.delay(d);
+  order.push_back(id);
+}
+
+TEST(EngineTest, OrdinaryEventsKeepFifoOrderUnderTheStampKey) {
+  // Every event below is due at cycle 10, scheduled at cycles 0, 4 and 7
+  // in interleaved spawn order: they fire in scheduling order, exactly as
+  // under a bare (time, seq) key.
+  Engine eng;
+  std::vector<int> order;
+  eng.spawn(stagger(eng, 7, 3, 5, order));
+  eng.spawn(record_after(eng, 10, 0, order));
+  eng.spawn(stagger(eng, 4, 6, 3, order));
+  eng.spawn(record_after(eng, 10, 1, order));
+  eng.spawn(stagger(eng, 4, 6, 4, order));
+  eng.spawn(stagger(eng, 0, 10, 2, order));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+Task arm_stamped(Engine& eng, Timer& timer, Cycles after, Cycles at,
+                 Cycles stamp) {
+  co_await eng.delay(after);
+  eng.arm(timer, at, stamp);
+}
+
+TEST(EngineTest, StampedTimerWakeSortsAsIfScheduledAtItsStamp) {
+  // Armed at cycle 6 for cycle 10 with stamp 3: it fires after the events
+  // due at 10 that were scheduled at cycles 0 and 3, and before the ones
+  // scheduled at 4 and 6.
+  Engine eng;
+  Timer timer;
+  std::vector<int> order;
+  struct Sleeper {
+    static Task run(Engine& eng, Timer& timer, std::vector<int>& order) {
+      co_await eng.wait(timer);
+      order.push_back(99);
+    }
+  };
+  eng.spawn(record_after(eng, 10, 0, order));
+  eng.spawn(stagger(eng, 3, 7, 1, order));
+  eng.spawn(stagger(eng, 4, 6, 2, order));
+  eng.spawn(Sleeper::run(eng, timer, order));
+  eng.spawn(arm_stamped(eng, timer, 6, 10, 3));
+  eng.spawn(stagger(eng, 6, 4, 3, order));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 99, 2, 3}));
+}
+
+TEST(EngineTest, TimerStampMayLieAfterTheArmingCycle) {
+  // Armed at cycle 1 for cycle 10 with stamp 3: it fires among the events
+  // scheduled at cycle 3, ahead of them (its sequence number is older).
+  Engine eng;
+  Timer timer;
+  std::vector<int> order;
+  struct Sleeper {
+    static Task run(Engine& eng, Timer& timer, std::vector<int>& order) {
+      co_await eng.wait(timer);
+      order.push_back(99);
+    }
+  };
+  eng.spawn(record_after(eng, 10, 0, order));
+  eng.spawn(stagger(eng, 3, 7, 1, order));
+  eng.spawn(stagger(eng, 4, 6, 2, order));
+  eng.spawn(Sleeper::run(eng, timer, order));
+  eng.spawn(arm_stamped(eng, timer, 1, 10, 3));
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 99, 1, 2}));
+}
+
+Task log_key(Engine& eng, Cycles d, std::vector<EventKey>& keys) {
+  co_await eng.delay(d);
+  keys.push_back(eng.current());
+}
+
+TEST(EngineTest, CurrentReportsTheRunningEventsKey) {
+  Engine eng;
+  std::vector<EventKey> keys;
+  eng.spawn(log_key(eng, 10, keys));
+  eng.run();
+  ASSERT_EQ(keys.size(), 1u);
+  EXPECT_EQ(keys[0].time, 10u);
+  EXPECT_EQ(keys[0].stamp, 0u);  // scheduled by the start event at 0
+  EXPECT_TRUE((EventKey{10, 0, 0} < keys[0]));
+  EXPECT_TRUE((keys[0] < EventKey{10, 1, 0}));
+  EXPECT_TRUE((keys[0] < EventKey{11, 0, 0}));
+}
+
 TEST(EngineTest, DestructionWithSuspendedProcessesIsClean) {
   // Processes still blocked at engine teardown must not leak or crash
   // (checked by ASAN builds; here we just exercise the path). The parked
