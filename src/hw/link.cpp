@@ -16,9 +16,7 @@ sim::Task StreamLink::send(std::uint64_t bytes) {
   co_await mutex_.lock();
   const sim::Cycles cost = transfer_cycles(bytes);
   co_await engine_->delay(cost);
-  busy_cycles_ += cost;
-  total_bytes_ += bytes;
-  mutex_.unlock();
+  finish(bytes, cost);
 }
 
 }  // namespace looplynx::hw

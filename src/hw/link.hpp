@@ -39,6 +39,27 @@ class StreamLink {
   /// Simulated transfer of `bytes` over this link.
   sim::Task send(std::uint64_t bytes);
 
+  /// Counts `hops` transfers of `bytes` each that crossed this link while
+  /// nothing else wanted it, as send() would have one at a time.
+  void record(std::uint64_t bytes, std::uint64_t hops) {
+    total_bytes_ += hops * bytes;
+    busy_cycles_ += hops * transfer_cycles(bytes);
+  }
+
+  /// Takes the link without waiting, for a transfer whose serialization
+  /// is already under way (a fabric train cut mid-hop); false if the link
+  /// is taken. finish() ends the transfer.
+  bool try_hold() { return mutex_.try_lock(); }
+
+  /// Ends a transfer of `bytes` that held the link for `cycles`, begun by
+  /// send() or try_hold(): counts it and hands the link to the oldest
+  /// waiter.
+  void finish(std::uint64_t bytes, sim::Cycles cycles) {
+    busy_cycles_ += cycles;
+    total_bytes_ += bytes;
+    mutex_.unlock();
+  }
+
   std::uint64_t total_bytes() const noexcept { return total_bytes_; }
   sim::Cycles busy_cycles() const noexcept { return busy_cycles_; }
   const StreamLinkConfig& config() const noexcept { return config_; }

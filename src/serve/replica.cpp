@@ -657,14 +657,7 @@ sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
   const std::size_t n = fabric.num_nodes();
   const std::size_t hops = (dst.id + n - src.id) % n;
   const std::uint64_t block_bytes = src.kv.block_bytes();
-  for (std::uint32_t b = 0; b < blocks; ++b) {
-    net::Datapack pack;
-    pack.bytes = block_bytes;
-    pack.src_node = src.id;
-    pack.block = b;
-    pack.last = b + 1 == blocks;
-    co_await fabric.transfer(src.id, dst.id, pack);
-  }
+  co_await fabric.transfer(src.id, dst.id, block_bytes, blocks);
   src.migrate_wire_bytes += block_bytes * blocks * hops;
   cut_decode_run(dst);
   // Delivery: re-home, deposit the landing DMA in dst's kv-migrate ledger
@@ -688,12 +681,9 @@ sim::Task steal_proc(Replica& thief, Replica& victim, Request& r) {
   net::RingFabric& fabric = *thief.disagg->fabric;
   const std::size_t n = fabric.num_nodes();
   const std::size_t hops = (thief.id + n - victim.id) % n;
-  net::Datapack pack;
-  pack.bytes = static_cast<std::uint64_t>(r.shape.prefill) * 4;  // token ids
-  pack.src_node = victim.id;
-  pack.last = true;
-  co_await fabric.transfer(victim.id, thief.id, pack);
-  thief.steal_wire_bytes += pack.bytes * hops;
+  const auto bytes = static_cast<std::uint64_t>(r.shape.prefill) * 4;  // ids
+  co_await fabric.transfer(victim.id, thief.id, bytes, 1);
+  thief.steal_wire_bytes += bytes * hops;
   cut_decode_run(thief);
   r.home = &thief;
   ++victim.handoffs_out;

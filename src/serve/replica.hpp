@@ -326,10 +326,10 @@ std::uint64_t free_kv_tokens(const Replica& f);
 /// (eviction never crosses replicas — each owns its KV pool).
 sim::Task scheduler_proc(Replica& f);
 
-/// KV migration transfer (disaggregated fleets): ships `blocks` Datapacks
-/// of `r`'s KV from `src` to `dst` over the fleet fabric, then re-homes
-/// the request — r.home = dst, ingest price into dst's kv-migrate ledger,
-/// force-push into dst's queue, work nudge. Spawned by src's scheduler at
+/// KV migration transfer (disaggregated fleets): ships `r`'s `blocks` KV
+/// blocks from `src` to `dst` in one RingFabric::transfer, one pack per
+/// block, then re-homes the request — r.home = dst, ingest price into
+/// dst's kv-migrate ledger, force-push into dst's queue, work nudge. Spawned by src's scheduler at
 /// the prompt's last chunk; r's KV blocks on `src` were already released
 /// (the descriptor-only fabric moves bytes, not block identities).
 sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,

@@ -44,6 +44,14 @@ class Mutex {
   /// co_await mutex.lock(); ... mutex.unlock();
   LockAwaiter lock() { return LockAwaiter{this}; }
 
+  /// Takes the lock if it is free, without suspending; false if it is
+  /// held (nothing is queued then).
+  bool try_lock() {
+    if (locked_) return false;
+    locked_ = true;
+    return true;
+  }
+
   void unlock() {
     assert(locked_ && "unlock of an unlocked Mutex");
     if (waiters_.empty()) {

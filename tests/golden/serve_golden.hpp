@@ -29,4 +29,11 @@ inline constexpr char kCacheSweepSha256[] =
 inline constexpr char kDisaggSweepSha256[] =
     "552c06928ed3122a2f1a271f0f604dd5bc6975898a33fdf5ce918fdbf909067d";
 
+/// Canonical contended disaggregated point (4 prefill + 4 decode, JSQ
+/// with steals, a one-byte-per-cycle KV link): most KV moves share a link
+/// with another in flight, so it pins the fabric's cut-and-step path
+/// (DESIGN.md §9, "Fabric trains").
+inline constexpr char kContendedDisaggSha256[] =
+    "22a871485a3edb4c235101cfd5aeae211e37859dca8119d7cd1af7816d9a1127";
+
 }  // namespace looplynx::golden

@@ -521,6 +521,32 @@ std::string canonical_disagg_sweep(bool observed = false) {
   return out;
 }
 
+/// The canonical *contended* disaggregated point: four prefill and four
+/// decode replicas under JSQ (idle prefill replicas steal) on a slow KV
+/// link, so migrations and steals overlap on the ring and the fabric's
+/// trains are cut and stepped, not only booked whole. Kept apart from
+/// canonical_disagg_sweep() so that sweep's digest does not move.
+std::string canonical_contended_disagg(bool observed = false) {
+  std::string out;
+  ServingConfig base = golden_base();
+  base.traffic.num_requests = 64;
+  base.traffic.arrival_rate_per_s = 2000.0;
+  FleetConfig cfg = FleetConfig::homogeneous(
+      base, 8, BalancerPolicy::kJoinShortestQueue);
+  // One byte per cycle: a migration's hops outlast the prefills between
+  // hand-offs, so the next migration or steal finds its path claimed.
+  cfg.kv_link.bytes_per_cycle = 1.0;
+  cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
+               ReplicaRole::kPrefill, ReplicaRole::kPrefill,
+               ReplicaRole::kDecode,  ReplicaRole::kDecode,
+               ReplicaRole::kDecode,  ReplicaRole::kDecode};
+  const FleetResult r = run_fleet(cfg, observed);
+  EXPECT_GT(r.fleet.kv_migrations, 0u);
+  EXPECT_GT(r.fleet.work_steals, 0u);
+  serialize_disagg(out, "disagg-contended-4p4d-jsq", r);
+  return out;
+}
+
 /// The canonical *observed* export: two sweep points re-run with an
 /// Observer attached — the paged-recompute single (preempt/recompute
 /// lifecycle traffic) and the queue-policy autoscaled fleet (scale/drain
@@ -629,6 +655,23 @@ TEST(DeterminismGolden, CanonicalDisaggSweepMatchesCheckedInDigest) {
          "determinism regression in the disaggregation path.";
 }
 
+TEST(DeterminismGolden, ContendedDisaggMatchesCheckedInDigest) {
+  const std::string text = canonical_contended_disagg();
+  const std::string digest = util::sha256_hex(text);
+  if (std::getenv("GOLDEN_PRINT") != nullptr) {
+    std::fputs(text.c_str(), stdout);
+    std::printf("SHA256-CONTENDED %s\n", digest.c_str());
+    GTEST_SKIP() << "GOLDEN_PRINT set: emitted canonical contended point, "
+                    "skipped the digest comparison";
+  }
+  EXPECT_EQ(digest, golden::kContendedDisaggSha256)
+      << "The canonical contended disaggregated point changed. An "
+         "intentional fabric or migration change moves this hash — inspect "
+         "it (GOLDEN_PRINT=1 ./test_determinism_golden) and regenerate with "
+         "tools/regen_determinism_golden.sh; anything else is a determinism "
+         "regression in the fabric's trains.";
+}
+
 TEST(DeterminismGolden, CanonicalCacheSweepMatchesCheckedInDigest) {
   const std::string text = canonical_cache_sweep();
   const std::string digest = util::sha256_hex(text);
@@ -672,6 +715,8 @@ TEST(DeterminismGolden, ObservedSweepsMatchUnobservedByteForByte) {
   expect_same_text(canonical_sweep(true), canonical_sweep());
   expect_same_text(canonical_cache_sweep(true), canonical_cache_sweep());
   expect_same_text(canonical_disagg_sweep(true), canonical_disagg_sweep());
+  expect_same_text(canonical_contended_disagg(true),
+                   canonical_contended_disagg());
 }
 
 /// The suite itself must be reproducible within one process (fresh cost
@@ -685,6 +730,8 @@ TEST(DeterminismGolden, CanonicalSweepIsReproducibleInProcess) {
             util::sha256_hex(canonical_cache_sweep()));
   EXPECT_EQ(util::sha256_hex(canonical_disagg_sweep()),
             util::sha256_hex(canonical_disagg_sweep()));
+  EXPECT_EQ(util::sha256_hex(canonical_contended_disagg()),
+            util::sha256_hex(canonical_contended_disagg()));
 }
 
 /// Known-answer test for the hasher itself (FIPS 180-4 vectors), so a

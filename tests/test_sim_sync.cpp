@@ -50,6 +50,33 @@ TEST(MutexTest, UncontendedLockIsImmediate) {
   EXPECT_EQ(acquired_at, 5u);
 }
 
+TEST(MutexTest, TryLockTakesOnlyAFreeLockAndNeverQueues) {
+  Engine eng;
+  Mutex mu(eng);
+  EXPECT_TRUE(mu.try_lock());
+  EXPECT_TRUE(mu.locked());
+  EXPECT_FALSE(mu.try_lock());  // held: refused, nothing queued
+  std::vector<std::pair<int, Cycles>> log;
+  eng.spawn(hold_mutex(eng, mu, 1, 10, log));
+  struct Releaser {
+    static Task run(Engine& eng, Mutex& mu, bool& barged) {
+      co_await eng.delay(7);
+      mu.unlock();  // hands the lock to the queued waiter
+      barged = mu.try_lock();
+    }
+  };
+  bool barged = true;
+  eng.spawn(Releaser::run(eng, mu, barged));
+  eng.run();
+  EXPECT_FALSE(barged);  // a handed-off lock is not free for try_lock
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], (std::pair<int, Cycles>{1, 7}));
+  EXPECT_FALSE(mu.locked());
+  EXPECT_TRUE(mu.try_lock());
+  mu.unlock();
+  EXPECT_FALSE(mu.locked());
+}
+
 TEST(MutexTest, HandoffPreventsBarging) {
   Engine eng;
   Mutex mu(eng);

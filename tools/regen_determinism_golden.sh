@@ -31,7 +31,11 @@ cache_hash="$(GOLDEN_PRINT=1 "$build_dir/test_determinism_golden" \
 disagg_hash="$(GOLDEN_PRINT=1 "$build_dir/test_determinism_golden" \
           --gtest_filter='DeterminismGolden.CanonicalDisaggSweepMatchesCheckedInDigest' \
           --gtest_brief=1 | sed -n 's/^SHA256-DISAGG //p')"
-for hash in "$sweep_hash" "$observe_hash" "$cache_hash" "$disagg_hash"; do
+contended_hash="$(GOLDEN_PRINT=1 "$build_dir/test_determinism_golden" \
+          --gtest_filter='DeterminismGolden.ContendedDisaggMatchesCheckedInDigest' \
+          --gtest_brief=1 | sed -n 's/^SHA256-CONTENDED //p')"
+for hash in "$sweep_hash" "$observe_hash" "$cache_hash" "$disagg_hash" \
+    "$contended_hash"; do
   if [[ ! "$hash" =~ ^[0-9a-f]{64}$ ]]; then
     echo "error: could not extract a SHA-256 from the golden test output" >&2
     exit 1
@@ -70,6 +74,13 @@ inline constexpr char kCacheSweepSha256[] =
 inline constexpr char kDisaggSweepSha256[] =
     "$disagg_hash";
 
+/// Canonical contended disaggregated point (4 prefill + 4 decode, JSQ
+/// with steals, a one-byte-per-cycle KV link): most KV moves share a link
+/// with another in flight, so it pins the fabric's cut-and-step path
+/// (DESIGN.md §9, "Fabric trains").
+inline constexpr char kContendedDisaggSha256[] =
+    "$contended_hash";
+
 }  // namespace looplynx::golden
 EOF
 
@@ -78,3 +89,4 @@ echo "sweep   $sweep_hash"
 echo "observe $observe_hash"
 echo "cache   $cache_hash"
 echo "disagg  $disagg_hash"
+echo "contended $contended_hash"
