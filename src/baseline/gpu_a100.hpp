@@ -26,7 +26,6 @@ struct A100Config {
   double launch_seconds_per_layer = 272e-6;
   /// Fixed per-step overhead outside the layers (sampling, embedding, sync).
   double step_overhead_seconds = 120e-6;
-  double inference_power_watts = 100.0;  // nvidia-smi during the run
 };
 
 class A100Model {

@@ -18,7 +18,7 @@ namespace looplynx::core {
 struct PowerModel {
   double fpga_static_watts = 24.0;   // shell + HBM + clocking per card
   double node_dynamic_watts = 19.0;  // one accelerator node under load
-  double a100_inference_watts = 100.0;
+  double a100_inference_watts = 100.0;  // nvidia-smi during the run
 
   /// Total board power of a LoopLynx deployment.
   double fpga_power_watts(const ArchConfig& arch) const {

@@ -663,7 +663,7 @@ std::uint64_t occupied_cycles(const LiveTimeline& timeline,
   // hand-off happens later) — it pins the earliest span instead of
   // silently dropping the extension. The retirement log covers every
   // resolved request; order does not matter here.
-  for (const detail::FinishedRequest& r : rep.finished) {
+  for (const RequestRecord& r : rep.finished) {
     const sim::Cycles finish = r.rejected ? r.arrival : r.completed;
     bool matched = false;
     for (std::size_t s = spans.size(); s-- > 0;) {
@@ -748,7 +748,6 @@ FleetResult FleetSim::run(Observer* observer) const {
   std::vector<const detail::Replica*> everyone;
   std::vector<std::uint32_t> indices;
   for (const auto& r : run.replicas) {
-    result.routed.push_back(r->routed);
     everyone.push_back(r.get());
     indices.push_back(r->id);
   }
@@ -812,13 +811,13 @@ FleetResult FleetSim::run(Observer* observer) const {
   // eligible — the arithmetic (and its bits) is unchanged.
   std::uint64_t max_routed = 0, total_routed = 0;
   std::uint64_t eligible = 0;
-  for (std::size_t i = 0; i < result.routed.size(); ++i) {
+  for (std::size_t i = 0; i < result.replicas.size(); ++i) {
     if (result.disaggregated && config_.roles[i] == ReplicaRole::kDecode) {
       continue;
     }
     ++eligible;
-    max_routed = std::max(max_routed, result.routed[i]);
-    total_routed += result.routed[i];
+    max_routed = std::max(max_routed, result.replicas[i].offered);
+    total_routed += result.replicas[i].offered;
   }
   if (total_routed > 0) {
     result.load_imbalance = static_cast<double>(max_routed) *
@@ -858,9 +857,9 @@ util::Table FleetResult::to_table(const std::string& title) const {
   if (disaggregated) header.insert(header.begin() + 1, "role");
   t.set_header(header);
   const auto row = [&](const std::string& name, const std::string& role,
-                       const FleetMetrics& m, std::uint64_t routed_count) {
+                       const FleetMetrics& m) {
     std::vector<std::string> cells = {
-        name, util::fmt_int(static_cast<long long>(routed_count)),
+        name, util::fmt_int(static_cast<long long>(m.offered)),
         util::fmt_int(static_cast<long long>(m.completed)) + "/" +
             util::fmt_int(static_cast<long long>(m.rejected)),
         util::fmt_fixed(m.goodput_req_s, 2),
@@ -877,10 +876,10 @@ util::Table FleetResult::to_table(const std::string& title) const {
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     const std::string role =
         disaggregated ? replica_role_name(roles[i]) : "";
-    row(std::to_string(i), role, replicas[i], routed[i]);
+    row(std::to_string(i), role, replicas[i]);
   }
   t.add_separator();
-  row("fleet", "-", fleet, fleet.offered);
+  row("fleet", "-", fleet);
   return t;
 }
 

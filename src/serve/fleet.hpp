@@ -239,9 +239,8 @@ struct FleetResult {
   /// injection order), each carrying its `replica` index.
   FleetMetrics fleet;
 
-  /// Arrivals the balancer routed to each replica (sums to fleet.offered).
-  std::vector<std::uint64_t> routed;
-  /// max(routed) / mean(routed) over the *routing-eligible* replicas: 1.0
+  /// max(offered) / mean(offered) of `replicas` — the arrivals the
+  /// balancer routed to each — over the *routing-eligible* replicas: 1.0
   /// is a perfectly even split. On a disaggregated fleet decode replicas
   /// receive zero fresh arrivals by design, so they are excluded from
   /// both the max and the mean — including them would read a healthy

@@ -1,6 +1,7 @@
 // Fleet-level serving metrics: what the load benches sweep and the tests
-// assert on. All latencies are reported in milliseconds of accelerator
-// wall-clock (cycles / frequency). Every latency series is held as an
+// assert on. Latency summaries are reported in milliseconds of accelerator
+// wall-clock (cycles / frequency); the per-request records keep the raw
+// cycle stamps they are computed from. Every latency series is held as an
 // exact util::ValueCounts store and read by ValueCounts::summary: the
 // cycle-domain ones (TTFT, e2e, queue wait, inter-token gap) through
 // detail::cycle_summary_ms, per-token latency keyed by the bits of its
@@ -13,20 +14,27 @@
 #include <vector>
 
 #include "serve/preempt.hpp"
+#include "sim/engine.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace looplynx::serve {
 
-/// Per-request outcome, kept when ServingConfig::keep_request_records is
-/// set (the golden digests and the invariant harness read them). Ordered
-/// by request id == injection order.
+/// Per-request outcome: the retirement-log entry Replica::retire appends
+/// the moment a request completes or is rejected. Every per-request series
+/// summarize() reports is read off these, and with
+/// ServingConfig::keep_request_records set the fleet rollup hands them out
+/// (the golden digests and the invariant harness read them), ordered by
+/// request id == injection order. Times are raw engine cycles, so the
+/// spans between the stamps add up exactly; ArchConfig::cycles_to_ms
+/// converts them. A rejected record was never served: only its arrival
+/// stamp means anything.
 struct RequestRecord {
   std::uint32_t id = 0;
-  /// Index of the fleet replica that served this request (0 for
-  /// single-replica runs; the LoadBalancer's routing decision otherwise).
+  /// Index of the fleet replica that retired this request (0 for
+  /// single-replica runs; the LoadBalancer's routing decision, or the
+  /// hand-off target, otherwise).
   std::uint32_t replica = 0;
-  std::uint32_t prefill_tokens = 0;
   std::uint32_t decode_tokens = 0;
   /// Scheduler iterations the prompt took (1 == unchunked prefill).
   std::uint32_t prefill_chunks = 0;
@@ -54,15 +62,18 @@ struct RequestRecord {
   /// Request was handed to an idle neighbor by work stealing while still
   /// queued (disaggregated fleets only).
   bool stolen = false;
-  double queue_wait_ms = 0;
-  double ttft_ms = 0;  // arrival -> prefill egress
-  double e2e_ms = 0;   // arrival -> completion
+  sim::Cycles arrival = 0;
+  sim::Cycles admitted = 0;     // popped from the queue, KV reserved
+  sim::Cycles first_token = 0;  // final prompt chunk egress
+  sim::Cycles completed = 0;
   /// Worst gap between consecutive host-visible tokens of this request —
   /// the jitter a long prompt landing mid-stream inflicts on a decode.
-  double max_token_gap_ms = 0;
+  sim::Cycles max_token_gap = 0;
 
   bool operator==(const RequestRecord&) const = default;
 };
+static_assert(sizeof(RequestRecord) == 72,
+              "one retirement-log entry per request: keep it 72 bytes");
 
 struct SloConfig {
   double ttft_ms = 500.0;   // time to first token
@@ -82,7 +93,6 @@ struct FleetMetrics {
   // ---- Rates (over the makespan) ----
   double duration_s = 0;
   double throughput_req_s = 0;
-  double throughput_tok_s = 0;   // total tokens processed per second
   double decode_tok_s = 0;       // generated tokens per second
   /// Completed requests per second that met both SLOs — the metric that
   /// actually prices a fleet.

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "serve/observe.hpp"
 
@@ -116,7 +117,6 @@ Request& Replica::make_request(workload::Scenario shape) {
   auto [slot, r] = pool.emplace(shared.injected++, std::move(shape));
   r.self = slot;
   r.owner = this;
-  r.home = this;
   r.live_at_route = shared.live_replicas;
   ++routed;
   if (shared.observer != nullptr) {
@@ -127,23 +127,21 @@ Request& Replica::make_request(workload::Scenario shape) {
 }
 
 void Replica::retire(const Request& r) {
-  FinishedRequest fr;
-  fr.id = r.id;
-  fr.prefill_tokens = r.shape.prefill;
-  fr.decoded = r.decoded;
-  fr.prefill_chunks = r.prefill_chunks;
-  fr.preempt_count = r.preempt_count;
-  fr.cached_prefix = r.cached_prefix;
-  fr.live_at_route = r.live_at_route;
-  fr.rejected = r.state == RequestState::kRejected;
-  fr.migrated = r.migrated;
-  fr.stolen = r.stolen;
-  fr.arrival = r.arrival;
-  fr.admitted = r.admitted;
-  fr.first_token = r.first_token;
-  fr.completed = r.completed;
-  fr.max_token_gap = r.max_token_gap;
-  finished.push_back(fr);
+  finished.push_back({.id = r.id,
+                      .replica = id,
+                      .decode_tokens = r.decoded,
+                      .prefill_chunks = r.prefill_chunks,
+                      .preemptions = r.preempt_count,
+                      .cached_prefix_tokens = r.cached_prefix,
+                      .live_replicas = r.live_at_route,
+                      .rejected = r.state == RequestState::kRejected,
+                      .migrated = r.migrated,
+                      .stolen = r.stolen,
+                      .arrival = r.arrival,
+                      .admitted = r.admitted,
+                      .first_token = r.first_token,
+                      .completed = r.completed,
+                      .max_token_gap = r.max_token_gap});
 }
 
 void Replica::record_completion(Request& r) {
@@ -664,7 +662,6 @@ sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
   // (drained into the breakdown at its next iteration), and enqueue past
   // the capacity bound — the request cleared admission control once and
   // must not be re-exposed to load shedding.
-  r.home = &dst;
   ++src.handoffs_out;
   ++dst.handoffs_in;
   dst.pending_migrate_cycles += dst.costs.kv_ingest_cycles(block_bytes *
@@ -685,7 +682,6 @@ sim::Task steal_proc(Replica& thief, Replica& victim, Request& r) {
   co_await fabric.transfer(victim.id, thief.id, bytes, 1);
   thief.steal_wire_bytes += bytes * hops;
   cut_decode_run(thief);
-  r.home = &thief;
   ++victim.handoffs_out;
   ++thief.handoffs_in;
   thief.steal_inflight = false;
@@ -833,35 +829,31 @@ sim::Task scheduler_proc(Replica& f) {
         f.costs.decode_batch_cycles(f.decode_positions);
 
     // The placements below and the egress sync tail tile the iteration's
-    // spans over [rec.start, rec.start + egress] exactly.
+    // spans over [rec.start, rec.start + egress] exactly. Each takes the
+    // next `span` cycles of the pipeline and, when observed, records them
+    // under `cat`. A zero span places nothing: an empty span would still
+    // mark its category seen in the observer's breakdown.
     sim::Cycles offset = 0;
-    if (f.cache) {
-      // Swap transfers accrued since the last iteration (reclaim
-      // swap-outs, admission swap-ins) occupy the pipeline before compute
-      // — the DMA engine owns the HBM channels for the duration — and
-      // land in their own `kv-swap` category, keeping the tiling identity
-      // exact. Zero (and span-free) whenever the swap tier never fired.
-      const sim::Cycles swap = f.cache->take_pending_swap_cycles();
-      if (swap > 0) {
-        if (obs != nullptr) {
-          obs->add_span(f.id, Category::kKvSwap, rec.start + offset,
-                        rec.start + offset + swap);
-        }
-        offset += swap;
-      }
-    }
-    if (f.disagg != nullptr && f.pending_migrate_cycles > 0) {
-      // Migrated-KV ingest DMA deposited since the last iteration occupies
-      // the pipeline before compute, exactly like the swap ledger above;
-      // its own `kv-migrate` category keeps the tiling identity exact.
-      const sim::Cycles mig = f.pending_migrate_cycles;
-      f.pending_migrate_cycles = 0;
-      f.migrate_ingest_cycles += mig;
+    const auto place = [&](Category cat, sim::Cycles span) {
+      if (span == 0) return;
       if (obs != nullptr) {
-        obs->add_span(f.id, Category::kKvMigrate, rec.start + offset,
-                      rec.start + offset + mig);
+        obs->add_span(f.id, cat, rec.start + offset,
+                      rec.start + offset + span);
       }
-      offset += mig;
+      offset += span;
+    };
+    // Swap transfers accrued since the last iteration (reclaim swap-outs,
+    // admission swap-ins) occupy the pipeline before compute — the DMA
+    // engine owns the HBM channels for the duration — and land in their
+    // own `kv-swap` category, keeping the tiling identity exact. Zero
+    // whenever the swap tier never fired.
+    if (f.cache) place(Category::kKvSwap, f.cache->take_pending_swap_cycles());
+    if (f.disagg != nullptr) {
+      // Migrated-KV ingest DMA deposited since the last iteration occupies
+      // the pipeline before compute, exactly like the swap ledger above,
+      // in its own `kv-migrate` category.
+      f.migrate_ingest_cycles += f.pending_migrate_cycles;
+      place(Category::kKvMigrate, std::exchange(f.pending_migrate_cycles, 0));
     }
     sim::Cycles prefill_span = 0;
     const bool decodes_first =
@@ -872,13 +864,7 @@ sim::Task scheduler_proc(Replica& f) {
         r->step_cycles = decode_group;
         r->step_tokens = 0;
       }
-      if (!f.decodes.empty()) {
-        if (obs != nullptr && decode_group > 0) {
-          obs->add_span(f.id, Category::kDecode, rec.start + offset,
-                        rec.start + offset + decode_group);
-        }
-        offset += decode_group;
-      }
+      place(Category::kDecode, decode_group);
     };
     auto place_prefills = [&] {
       for (const ScheduledStep& s : f.prefills) {
@@ -887,20 +873,16 @@ sim::Task scheduler_proc(Replica& f) {
         r->step_cycles =
             f.costs.prefill_chunk_cycles(r->prompt_done, s.prompt_tokens);
         r->step_tokens = s.prompt_tokens;
-        if (obs != nullptr && r->step_cycles > 0) {
-          // Classified from the request's pre-execution state: a recovery
-          // re-prefill is recompute; a chunk covering the whole prompt at
-          // once is plain prefill; anything else is chunked prefill.
-          const Category cat =
-              r->recovering ? Category::kRecompute
-              : (r->prompt_done == 0 &&
-                 s.prompt_tokens == r->prompt_remaining())
-                  ? Category::kPrefill
-                  : Category::kChunkedPrefill;
-          obs->add_span(f.id, cat, rec.start + offset,
-                        rec.start + offset + r->step_cycles);
-        }
-        offset += r->step_cycles;
+        // Classified from the request's pre-execution state: a recovery
+        // re-prefill is recompute; a chunk covering the whole prompt at
+        // once is plain prefill; anything else is chunked prefill.
+        const Category cat =
+            r->recovering ? Category::kRecompute
+            : (r->prompt_done == 0 &&
+               s.prompt_tokens == r->prompt_remaining())
+                ? Category::kPrefill
+                : Category::kChunkedPrefill;
+        place(cat, r->step_cycles);
         prefill_span += r->step_cycles;
         f.prefill_cycles_executed += r->step_cycles;
       }
@@ -924,11 +906,8 @@ sim::Task scheduler_proc(Replica& f) {
       f.decode_stall_cycles += prefill_span;
     }
     // Tokens become host-visible at batch egress + one PCIe sync.
-    const sim::Cycles egress = offset + f.costs.host_sync_cycles();
-    if (obs != nullptr && egress > offset) {
-      obs->add_span(f.id, Category::kHostSync, rec.start + offset,
-                    rec.start + egress);
-    }
+    place(Category::kHostSync, f.costs.host_sync_cycles());
+    const sim::Cycles egress = offset;
     // One engine wake per ordinary iteration: every member's step is
     // booked now, then the scheduler sleeps to egress. Batch order is
     // pipeline-slot order (prefill offsets are cumulative, decode members
@@ -1083,48 +1062,34 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
   sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
   double batch_members = 0;
   for (const Replica* r : group) {
-    // One walk over the retirement log yields every per-request series,
-    // counter and record. Each entry is priced by the replica that retired
-    // it (its clock and its SLO).
-    for (const FinishedRequest& e : r->finished) {
-      RequestRecord rec;
-      rec.id = e.id;
-      rec.replica = r->id;
-      rec.prefill_tokens = e.prefill_tokens;
-      rec.decode_tokens = e.decoded;
-      rec.prefill_chunks = e.prefill_chunks;
-      rec.preemptions = e.preempt_count;
-      rec.cached_prefix_tokens = e.cached_prefix;
-      rec.live_replicas = e.live_at_route;
-      rec.rejected = e.rejected;
-      rec.migrated = e.migrated;
-      rec.stolen = e.stolen;
-      if (!e.rejected) {
-        ttft.add(e.first_token - e.arrival);
-        e2e.add(e.completed - e.arrival);
-        queue_wait.add(e.admitted - e.arrival);
-        rec.queue_wait_ms = r->ms(e.admitted - e.arrival);
-        rec.ttft_ms = r->ms(e.first_token - e.arrival);
-        rec.e2e_ms = r->ms(e.completed - e.arrival);
-        rec.max_token_gap_ms = r->ms(e.max_token_gap);
-        const double token_ms =
-            e.decoded > 0 ? r->ms(e.completed - e.first_token) /
-                                static_cast<double>(e.decoded)
-                          : 0.0;
-        // Keyed by its bits: a cycle difference over `decoded`, or +0.0,
-        // is non-negative and finite, and such doubles order like their
-        // bit patterns.
-        assert(std::isfinite(token_ms) && !std::signbit(token_ms));
-        token.add(std::bit_cast<std::uint64_t>(token_ms));
-        if (rec.ttft_ms <= r->cfg.slo.ttft_ms &&
-            token_ms <= r->cfg.slo.token_ms) {
-          ++m.slo_good;
-        }
-        m.decode_tokens += e.decoded;
-        m.prefill_chunk_steps += e.prefill_chunks;
-        if (e.prefill_chunks > 1) ++m.chunked_prompts;
+    // One walk over the retirement log yields every per-request series and
+    // counter. Each entry is priced by the replica that retired it (its
+    // clock and its SLO).
+    for (const RequestRecord& e : r->finished) {
+      if (e.rejected) continue;
+      ttft.add(e.first_token - e.arrival);
+      e2e.add(e.completed - e.arrival);
+      queue_wait.add(e.admitted - e.arrival);
+      const double token_ms =
+          e.decode_tokens > 0 ? r->ms(e.completed - e.first_token) /
+                                    static_cast<double>(e.decode_tokens)
+                              : 0.0;
+      // Keyed by its bits: a cycle difference over `decode_tokens`, or
+      // +0.0, is non-negative and finite, and such doubles order like their
+      // bit patterns.
+      assert(std::isfinite(token_ms) && !std::signbit(token_ms));
+      token.add(std::bit_cast<std::uint64_t>(token_ms));
+      if (r->ms(e.first_token - e.arrival) <= r->cfg.slo.ttft_ms &&
+          token_ms <= r->cfg.slo.token_ms) {
+        ++m.slo_good;
       }
-      if (records && r->cfg.keep_request_records) m.requests.push_back(rec);
+      m.decode_tokens += e.decode_tokens;
+      m.prefill_chunk_steps += e.prefill_chunks;
+      if (e.prefill_chunks > 1) ++m.chunked_prompts;
+    }
+    if (records && r->cfg.keep_request_records) {
+      m.requests.insert(m.requests.end(), r->finished.begin(),
+                        r->finished.end());
     }
     gap.merge(r->gap_cycles);
     busy += r->busy_cycles;
@@ -1191,7 +1156,6 @@ FleetMetrics summarize(const std::vector<const Replica*>& group,
   m.duration_s = duration_s;
   if (duration_s > 0) {
     m.throughput_req_s = static_cast<double>(m.completed) / duration_s;
-    m.throughput_tok_s = static_cast<double>(m.total_tokens) / duration_s;
     m.decode_tok_s = static_cast<double>(m.decode_tokens) / duration_s;
     m.goodput_req_s = static_cast<double>(m.slo_good) / duration_s;
     m.busy_fraction =

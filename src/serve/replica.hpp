@@ -93,30 +93,6 @@ struct DisaggShared {
   std::vector<Replica*> replicas;
 };
 
-/// Plain-data snapshot of a retired request, appended the moment it
-/// completes or is rejected. The Request object itself is recycled into the
-/// arena right away; everything read after the run comes from this log:
-/// summarize() derives the TTFT / token / e2e / queue-wait series, the SLO
-/// count, the decode-token and prefill-chunk counters and the
-/// RequestRecords from it, and the fleet timeline its occupancy integral.
-struct FinishedRequest {
-  std::uint32_t id = 0;
-  std::uint32_t prefill_tokens = 0;
-  std::uint32_t decoded = 0;
-  std::uint32_t prefill_chunks = 0;
-  std::uint32_t preempt_count = 0;
-  std::uint32_t cached_prefix = 0;
-  std::uint32_t live_at_route = 1;
-  bool rejected = false;
-  bool migrated = false;  // KV shipped to a decode replica mid-flight
-  bool stolen = false;    // taken from a neighbor's queue while Queued
-  sim::Cycles arrival = 0;
-  sim::Cycles admitted = 0;
-  sim::Cycles first_token = 0;
-  sim::Cycles completed = 0;
-  sim::Cycles max_token_gap = 0;
-};
-
 /// A decode-only run in progress (book_decode_run in replica.cpp):
 /// iterations [1, close) of `Replica::batch`, the first starting at
 /// `start`, are booked but reach the members only at the run's wake, the
@@ -206,9 +182,13 @@ struct Replica {
   /// admission is FIFO over monotone ids) — the preemption policies' age
   /// scan. head is the oldest, tail the youngest.
   RequestList<kAgeChannel> age;
-  /// Retirement log, appended at completion/rejection; summarize() sorts
-  /// the records it builds from it by id (the creation order).
-  std::vector<FinishedRequest> finished;
+  /// Retirement log, one RequestRecord per request, appended at
+  /// completion/rejection in that order. The Request itself is recycled
+  /// into the arena right away; everything read after the run comes from
+  /// here: summarize() derives the TTFT / token / e2e / queue-wait series,
+  /// the SLO count and the decode-token and prefill-chunk counters from
+  /// it, and the fleet timeline its occupancy integral.
+  std::vector<RequestRecord> finished;
 
   /// The decode run in progress and the scheduler's wake while it lasts.
   DecodeRun run;
@@ -303,8 +283,9 @@ struct Replica {
   /// the SLO verdict are not taken here; summarize() reads them off the log.
   void record_completion(Request& r);
 
-  /// Appends the retirement snapshot for `r` (state and timestamps must be
-  /// final). Does not touch the arena — slot release is the caller's move.
+  /// Appends `r`'s RequestRecord to the retirement log (state and
+  /// timestamps must be final). Does not touch the arena — slot release is
+  /// the caller's move.
   void retire(const Request& r);
 };
 
@@ -328,10 +309,11 @@ sim::Task scheduler_proc(Replica& f);
 
 /// KV migration transfer (disaggregated fleets): ships `r`'s `blocks` KV
 /// blocks from `src` to `dst` in one RingFabric::transfer, one pack per
-/// block, then re-homes the request — r.home = dst, ingest price into
-/// dst's kv-migrate ledger, force-push into dst's queue, work nudge. Spawned by src's scheduler at
-/// the prompt's last chunk; r's KV blocks on `src` were already released
-/// (the descriptor-only fabric moves bytes, not block identities).
+/// block, then re-homes the request — ingest price into dst's kv-migrate
+/// ledger, force-push into dst's queue, work nudge. Spawned by src's
+/// scheduler at the prompt's last chunk; r's KV blocks on `src` were
+/// already released (the descriptor-only fabric moves bytes, not block
+/// identities).
 sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
                        std::uint32_t blocks);
 
@@ -360,9 +342,9 @@ void teardown(Replica& f);
 /// makespan, `peak_queue_depth` and `kv_peak_occupancy` take the worst
 /// replica, and `peak_in_flight` is the group's concurrent peak, which only
 /// the caller knows. Echo fields (`slo`, `preempt`, `kv_block_tokens`) come
-/// from the first replica. `records` builds the group's RequestRecords (for
-/// replicas with keep_request_records set); FleetSim::run asks for them on
-/// the fleet rollup only.
+/// from the first replica. `records` copies the group's retirement logs
+/// into `requests`, sorted by id (for replicas with keep_request_records
+/// set); FleetSim::run asks for them on the fleet rollup only.
 FleetMetrics summarize(const std::vector<const Replica*>& group,
                        sim::Cycles makespan, std::uint32_t peak_in_flight,
                        bool records);

@@ -160,9 +160,6 @@ struct Request {
   /// balancer routed it). Fixed for life: whoever retires the request
   /// erases through owner->pool, however many replicas it visited.
   detail::Replica* owner = nullptr;
-  /// The replica currently scheduling this request. Equals `owner` until a
-  /// KV migration or work steal re-homes it.
-  detail::Replica* home = nullptr;
   /// KV migrated to a decode replica after the prompt's last chunk. At
   /// most once per request — a preemption on the decode side recomputes
   /// locally rather than shipping KV again.

@@ -495,7 +495,10 @@ void expect_identical_scaled(const FleetResult& a, const FleetResult& b) {
   EXPECT_EQ(a.fleet.duration_s, b.fleet.duration_s);
   EXPECT_EQ(a.fleet.ttft_ms.p99, b.fleet.ttft_ms.p99);
   EXPECT_EQ(a.fleet.slo_good, b.fleet.slo_good);
-  EXPECT_EQ(a.routed, b.routed);
+  ASSERT_EQ(a.replicas.size(), b.replicas.size());
+  for (std::size_t i = 0; i < a.replicas.size(); ++i) {
+    EXPECT_EQ(a.replicas[i].offered, b.replicas[i].offered);
+  }
   EXPECT_EQ(a.replica_cycles, b.replica_cycles);
   EXPECT_EQ(a.mean_live_replicas, b.mean_live_replicas);
   ASSERT_EQ(a.scale_events.size(), b.scale_events.size());
@@ -506,13 +509,8 @@ void expect_identical_scaled(const FleetResult& a, const FleetResult& b) {
     EXPECT_EQ(a.scale_events[i].trigger, b.scale_events[i].trigger);
     EXPECT_EQ(a.scale_events[i].tier, b.scale_events[i].tier);
   }
-  ASSERT_EQ(a.fleet.requests.size(), b.fleet.requests.size());
-  for (std::size_t i = 0; i < a.fleet.requests.size(); ++i) {
-    EXPECT_EQ(a.fleet.requests[i].replica, b.fleet.requests[i].replica);
-    EXPECT_EQ(a.fleet.requests[i].live_replicas,
-              b.fleet.requests[i].live_replicas);
-    EXPECT_EQ(a.fleet.requests[i].ttft_ms, b.fleet.requests[i].ttft_ms);
-  }
+  // Every record field for field: replica, live count and cycle stamps.
+  EXPECT_EQ(a.fleet.requests, b.fleet.requests);
 }
 
 TEST(AutoscaledFleetTest, RunsAreDeterministicIncludingTheScaleLog) {

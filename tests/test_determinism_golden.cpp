@@ -52,6 +52,11 @@ std::string hex(double v) {
   return buf;
 }
 
+/// The clock every sweep point runs on (golden_base's arch): request
+/// records keep raw cycles, and the canonical text prints their TTFT and
+/// e2e spans in milliseconds of this clock.
+const core::ArchConfig kGoldenArch = core::ArchConfig::one_node();
+
 void serialize(std::string& out, const std::string& tag,
                const FleetMetrics& m) {
   out += "== " + tag + "\n";
@@ -78,12 +83,16 @@ void serialize(std::string& out, const std::string& tag,
          hex(m.queue_wait_ms.p99) + " " + hex(m.inter_token_gap_ms.p99) +
          "\n";
   for (const RequestRecord& r : m.requests) {
+    // A rejected record has no first token or completion: it prints zeros.
+    const auto since_arrival_ms = [&r](sim::Cycles at) {
+      return r.rejected ? 0.0 : kGoldenArch.cycles_to_ms(at - r.arrival);
+    };
     out += "req " + std::to_string(r.id) + " " + std::to_string(r.replica) +
            " " + std::to_string(r.live_replicas) + " " +
            std::to_string(r.prefill_chunks) + " " +
            std::to_string(r.preemptions) + " " +
-           (r.rejected ? "R " : "C ") + hex(r.ttft_ms) + " " +
-           hex(r.e2e_ms) + "\n";
+           (r.rejected ? "R " : "C ") + hex(since_arrival_ms(r.first_token)) +
+           " " + hex(since_arrival_ms(r.completed)) + "\n";
   }
 }
 
@@ -93,9 +102,9 @@ void serialize(std::string& out, const std::string& tag,
   // Plain appends here: GCC 12's -Wrestrict false-positive (PR105651)
   // fires on `literal + std::string&&` chains when inlined.
   out += "routed";
-  for (const std::uint64_t n : r.routed) {
+  for (const FleetMetrics& m : r.replicas) {
     out += " ";
-    out += std::to_string(n);
+    out += std::to_string(m.offered);
   }
   out += "\n";
   out += "balance ";
@@ -207,7 +216,7 @@ model::ModelConfig golden_model() {
 
 ServingConfig golden_base() {
   ServingConfig cfg;
-  cfg.arch = core::ArchConfig::one_node();
+  cfg.arch = kGoldenArch;
   cfg.model = golden_model();
   cfg.cost_probe_stride = 16;
   cfg.traffic.mix = workload::Mix{"skewed",

@@ -90,7 +90,6 @@ void expect_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.total_tokens, b.total_tokens);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.duration_s, b.duration_s);
-  EXPECT_EQ(a.throughput_tok_s, b.throughput_tok_s);
   EXPECT_EQ(a.goodput_req_s, b.goodput_req_s);
   EXPECT_EQ(a.ttft_ms.p50, b.ttft_ms.p50);
   EXPECT_EQ(a.ttft_ms.p99, b.ttft_ms.p99);
@@ -114,13 +113,7 @@ void expect_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.recompute_ms, b.recompute_ms);
   EXPECT_EQ(a.kv_peak_used_blocks, b.kv_peak_used_blocks);
   EXPECT_EQ(a.kv_peak_frag_tokens, b.kv_peak_frag_tokens);
-  ASSERT_EQ(a.requests.size(), b.requests.size());
-  for (std::size_t i = 0; i < a.requests.size(); ++i) {
-    EXPECT_EQ(a.requests[i].id, b.requests[i].id);
-    EXPECT_EQ(a.requests[i].replica, b.requests[i].replica);
-    EXPECT_EQ(a.requests[i].ttft_ms, b.requests[i].ttft_ms);
-    EXPECT_EQ(a.requests[i].e2e_ms, b.requests[i].e2e_ms);
-  }
+  EXPECT_EQ(a.requests, b.requests);
 }
 
 void expect_identical(const FleetResult& a, const FleetResult& b) {
@@ -129,9 +122,15 @@ void expect_identical(const FleetResult& a, const FleetResult& b) {
   for (std::size_t i = 0; i < a.replicas.size(); ++i) {
     expect_identical(a.replicas[i], b.replicas[i]);
   }
-  EXPECT_EQ(a.routed, b.routed);
   EXPECT_EQ(a.load_imbalance, b.load_imbalance);
   EXPECT_EQ(a.ttft_p99_spread_ms, b.ttft_p99_spread_ms);
+}
+
+/// Arrivals the balancer routed to each replica, in replica order.
+std::vector<std::uint64_t> routed_counts(const FleetResult& r) {
+  std::vector<std::uint64_t> counts;
+  for (const FleetMetrics& m : r.replicas) counts.push_back(m.offered);
+  return counts;
 }
 
 // ------------------------------------------------------------ LoadBalancer
@@ -399,10 +398,7 @@ TEST(FleetSimTest, RoundRobinSplitsArrivalsExactlyEvenly) {
   const FleetResult r =
       FleetSim(FleetConfig::homogeneous(cfg, 3, BalancerPolicy::kRoundRobin))
           .run();
-  ASSERT_EQ(r.routed.size(), 3u);
-  EXPECT_EQ(r.routed[0], 8u);
-  EXPECT_EQ(r.routed[1], 8u);
-  EXPECT_EQ(r.routed[2], 8u);
+  EXPECT_EQ(routed_counts(r), (std::vector<std::uint64_t>{8, 8, 8}));
   EXPECT_DOUBLE_EQ(r.load_imbalance, 1.0);
   EXPECT_EQ(r.fleet.completed, 24u);
 }
@@ -426,7 +422,7 @@ TEST(FleetSimTest, BalancerTieBreakIsLowestIndexOnSimultaneousBurst) {
     ASSERT_EQ(r.fleet.requests.size(), 2u) << balancer_policy_name(policy);
     EXPECT_EQ(r.fleet.requests[0].replica, 0u);
     EXPECT_EQ(r.fleet.requests[1].replica, 1u);
-    EXPECT_EQ(r.routed, (std::vector<std::uint64_t>{1, 1}));
+    EXPECT_EQ(routed_counts(r), (std::vector<std::uint64_t>{1, 1}));
   }
 }
 
@@ -442,7 +438,7 @@ TEST(FleetSimTest, JsqShardsACycleZeroBurstOfFour) {
                             .run();
   ASSERT_EQ(r.fleet.requests.size(), 4u);
   EXPECT_EQ(r.fleet.requests[0].replica, 0u);
-  EXPECT_EQ(r.routed, (std::vector<std::uint64_t>{2, 2}));
+  EXPECT_EQ(routed_counts(r), (std::vector<std::uint64_t>{2, 2}));
   EXPECT_EQ(r.fleet.completed, 4u);
 }
 
@@ -462,7 +458,7 @@ TEST(FleetSimTest, KvAwareRoutesTowardTheBiggerPool) {
   cfg.balancer = BalancerPolicy::kKvAware;
   const FleetResult r = FleetSim(cfg).run();
   EXPECT_EQ(r.fleet.completed, cfg.traffic.num_requests);
-  EXPECT_GT(r.routed[1], r.routed[0]);
+  EXPECT_GT(r.replicas[1].offered, r.replicas[0].offered);
 }
 
 /// A shape script sets the request budget: the fleet replays all of it
@@ -511,12 +507,12 @@ TEST(FleetSimTest, JsqBeatsRoundRobinOnSkewedMix) {
   // blind (within one request of exactly even), while JSQ actually
   // steered — its routing departs from the parity split.
   std::uint64_t rr_max = 0, rr_min = cfg.traffic.num_requests;
-  for (const std::uint64_t n : rr.routed) {
+  for (const std::uint64_t n : routed_counts(rr)) {
     rr_max = std::max(rr_max, n);
     rr_min = std::min(rr_min, n);
   }
   EXPECT_LE(rr_max - rr_min, 1u);
-  EXPECT_NE(jsq.routed, rr.routed);
+  EXPECT_NE(routed_counts(jsq), routed_counts(rr));
 }
 
 // ------------------------------------------------------------- Validation
@@ -940,9 +936,9 @@ TEST(FleetSimTest, LoadImbalanceCountsRoutingEligibleOnly) {
   cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kDecode};
   cfg.kv_link.bytes_per_cycle = 32.0;
   const FleetResult r = FleetSim(cfg).run();
-  ASSERT_EQ(r.routed.size(), 2u);
-  EXPECT_GT(r.routed[0], 0u);   // every request routes to the prefill
-  EXPECT_EQ(r.routed[1], 0u);   // the decode replica takes handoffs only
+  ASSERT_EQ(r.replicas.size(), 2u);
+  EXPECT_GT(r.replicas[0].offered, 0u);  // every request routes to prefill
+  EXPECT_EQ(r.replicas[1].offered, 0u);  // decode takes hand-offs only
   EXPECT_DOUBLE_EQ(r.load_imbalance, 1.0);
   // The per-tier stats partition the pool one role class apiece.
   ASSERT_EQ(r.tiers.size(), 2u);

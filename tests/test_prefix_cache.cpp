@@ -493,12 +493,7 @@ TEST(PrefixCacheDeterminism, CacheOnRunTwiceIsIdentical) {
   EXPECT_EQ(a.saved_prefill_cycles, b.saved_prefill_cycles);
   EXPECT_EQ(a.prefill_cycles, b.prefill_cycles);
   EXPECT_EQ(a.kv_blocks_in_use_at_end, 0u);
-  ASSERT_EQ(a.requests.size(), b.requests.size());
-  for (std::size_t i = 0; i < a.requests.size(); ++i) {
-    EXPECT_EQ(a.requests[i].cached_prefix_tokens,
-              b.requests[i].cached_prefix_tokens);
-    EXPECT_DOUBLE_EQ(a.requests[i].e2e_ms, b.requests[i].e2e_ms);
-  }
+  EXPECT_EQ(a.requests, b.requests);
 }
 
 /// kv_swap without prefix_cache is a configuration error, not a silent

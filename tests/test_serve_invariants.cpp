@@ -10,14 +10,15 @@
 //  - KV block accounting: occupancy never exceeds capacity, no
 //    over-release was ever clamped, and every block is back in the pool
 //    at the end (frees match allocs).
-//  - Per-record sanity: records are id-sorted and complete, queue wait
-//    <= TTFT <= end-to-end latency, and the serving replica's index is
-//    always below the live replica count at routing time (the live set
-//    is the index prefix).
+//  - Per-record sanity: records are id-sorted and complete, their cycle
+//    stamps are ordered arrival <= admitted <= first token <= completion,
+//    and the serving replica's index is always below the live replica
+//    count at routing time (the live set is the index prefix).
 //  - Rollup vs records: the decode-token and prefill-chunk counters sum
-//    the completed records, every per-request latency summary counts
-//    each completion once, and the TTFT p50/p99 equal util::percentile
-//    over the records' TTFTs.
+//    the completed records, the TTFT, e2e and queue-wait summaries
+//    (count, mean, p50, p95, p99) equal the ones rebuilt from the
+//    records' cycle spans, and the token-latency summary counts each
+//    completion once.
 //  - Scale-event log: monotone fleet clock, single-step transitions
 //    chained from min_replicas, never outside [min, max], and the
 //    time-weighted live stats / replica-cycle cost are consistent with
@@ -304,17 +305,15 @@ void check_invariants(const FleetConfig& cfg, const FleetResult& r,
   EXPECT_EQ(fleet.offered, cfg.traffic.num_requests);
   EXPECT_EQ(fleet.completed + fleet.rejected, fleet.offered);
   ASSERT_EQ(r.replicas.size(), pool);
-  ASSERT_EQ(r.routed.size(), pool);
   std::uint64_t routed_sum = 0, completed_sum = 0;
   for (std::uint32_t i = 0; i < pool; ++i) {
     const FleetMetrics& rm = r.replicas[i];
-    EXPECT_EQ(rm.offered, r.routed[i]);
     // Hand-offs (KV migration / work stealing) move a routed request to a
     // peer, so per-replica conservation carries the transfer terms; on a
     // symmetric fleet both are 0 and this is the legacy identity.
     EXPECT_EQ(rm.completed + rm.rejected + rm.handoffs_out,
               rm.offered + rm.handoffs_in);
-    routed_sum += r.routed[i];
+    routed_sum += rm.offered;
     completed_sum += rm.completed;
   }
   EXPECT_EQ(routed_sum, fleet.offered);
@@ -381,34 +380,44 @@ void check_invariants(const FleetConfig& cfg, const FleetResult& r,
       EXPECT_LT(rec.replica, rec.live_replicas);
     }
     if (rec.rejected) continue;
-    EXPECT_GE(rec.queue_wait_ms, 0.0);
-    EXPECT_LE(rec.queue_wait_ms, rec.ttft_ms);
-    EXPECT_LE(rec.ttft_ms, rec.e2e_ms);
+    EXPECT_LE(rec.arrival, rec.admitted);
+    EXPECT_LE(rec.admitted, rec.first_token);
+    EXPECT_LE(rec.first_token, rec.completed);
   }
 
   // ---- Rollup == the records of completed requests ----
   // Both are read off the same retirement logs, so the counters match
-  // exactly and the TTFT percentiles match bit for bit (same doubles, same
-  // interpolation).
+  // exactly, and each cycle series pooled from the records reads back the
+  // rollup's whole summary bit for bit (same samples, same conversion).
   std::uint64_t decode_tokens = 0, chunk_steps = 0, chunked = 0;
-  std::vector<double> ttft;
+  util::ValueCounts ttft, e2e, queue_wait;
   for (const RequestRecord& rec : fleet.requests) {
     if (rec.rejected) continue;
     decode_tokens += rec.decode_tokens;
     chunk_steps += rec.prefill_chunks;
     chunked += rec.prefill_chunks > 1 ? 1 : 0;
-    ttft.push_back(rec.ttft_ms);
+    ttft.add(rec.first_token - rec.arrival);
+    e2e.add(rec.completed - rec.arrival);
+    queue_wait.add(rec.admitted - rec.arrival);
   }
   EXPECT_EQ(fleet.decode_tokens, decode_tokens);
   EXPECT_EQ(fleet.prefill_chunk_steps, chunk_steps);
   EXPECT_EQ(fleet.chunked_prompts, chunked);
-  for (const util::PercentileSummary* s :
-       {&fleet.ttft_ms, &fleet.token_ms, &fleet.e2e_ms,
-        &fleet.queue_wait_ms}) {
-    EXPECT_EQ(s->count, fleet.completed);
+  EXPECT_EQ(fleet.token_ms.count, fleet.completed);
+  const core::ArchConfig& arch = cfg.replicas.front().arch;
+  for (auto [series, rollup] :
+       {std::pair{&ttft, &fleet.ttft_ms}, std::pair{&e2e, &fleet.e2e_ms},
+        std::pair{&queue_wait, &fleet.queue_wait_ms}}) {
+    series->compact();
+    const util::PercentileSummary got = series->summary(
+        [&arch](std::uint64_t c) { return arch.cycles_to_ms(c); });
+    EXPECT_EQ(got.count, fleet.completed);
+    EXPECT_EQ(got.count, rollup->count);
+    EXPECT_EQ(got.mean, rollup->mean);
+    EXPECT_EQ(got.p50, rollup->p50);
+    EXPECT_EQ(got.p95, rollup->p95);
+    EXPECT_EQ(got.p99, rollup->p99);
   }
-  EXPECT_EQ(fleet.ttft_ms.p50, util::percentile(ttft, 50.0));
-  EXPECT_EQ(fleet.ttft_ms.p99, util::percentile(std::move(ttft), 99.0));
 
   // ---- KV-transfer conservation (disaggregated fleets) ----
   EXPECT_EQ(r.disaggregated, cfg.disaggregated());
@@ -729,8 +738,7 @@ TEST(ServeInvariants, InterTokenGapsMatchObservedEmissions) {
       }
       for (const RequestRecord& rec : r.fleet.requests) {
         const auto g = max_gap.find(rec.id);
-        EXPECT_EQ(rec.max_token_gap_ms,
-                  arch.cycles_to_ms(g == max_gap.end() ? 0 : g->second))
+        EXPECT_EQ(rec.max_token_gap, g == max_gap.end() ? 0 : g->second)
             << "request " << rec.id;
       }
     }

@@ -229,8 +229,8 @@ TEST(SlotMapServe, HandleStabilityAcrossPreemption) {
     const RequestRecord& rec = r.fleet.requests[i];
     EXPECT_EQ(rec.id, i);  // id-sorted and gap-free: nothing lost/duplicated
     if (rec.rejected) continue;
-    EXPECT_LE(rec.queue_wait_ms, rec.ttft_ms);
-    EXPECT_LE(rec.ttft_ms, rec.e2e_ms);
+    EXPECT_LE(rec.admitted, rec.first_token);
+    EXPECT_LE(rec.first_token, rec.completed);
   }
 }
 
